@@ -84,6 +84,16 @@ def _constant_field(token: str):
         f"unknown field {token!r} (expected Q, Q(t) or GF(q))")
 
 
+def _field_element(field, x):
+    """x coerced into field; a rational with no image there is a file error."""
+    try:
+        return field.coerce(x)
+    except ZeroDivisionError:
+        raise ProblemFileError(
+            f"{x} is not an element of {field!r}: its denominator is "
+            f"divisible by {field.characteristic}") from None
+
+
 def _lex_group(problem: ProblemFile, name: str) -> LexGroup:
     rank = problem.get(name, "rank")
     gens = problem.get_all(name, "gen")
@@ -111,7 +121,8 @@ def _base_valuation(problem: ProblemFile) -> BaseValuation:
             f"field {token} takes `pi = [c0, ..., 1]` and no p")
     if not all(isinstance(c, Fraction) for c in pi):
         raise ProblemFileError("pi coefficients must be rationals")
-    return BaseValuation.pi_adic(constants, list(pi))
+    return BaseValuation.pi_adic(constants,
+                                 [_field_element(constants, c) for c in pi])
 
 
 def _coefficient(v: BaseValuation, entry):
@@ -120,8 +131,9 @@ def _coefficient(v: BaseValuation, entry):
             raise ProblemFileError(
                 "vector coefficients (polynomials in t) need a "
                 "function-field base")
-        return v.field.from_coeff_lists(list(entry))
-    return v.field.coerce(entry)
+        return v.field.from_coeff_lists(
+            [_field_element(v.field.base, c) for c in entry])
+    return _field_element(v.field, entry)
 
 
 def _split_input(problem: ProblemFile):
@@ -146,6 +158,7 @@ def _binomial_input(problem: ProblemFile):
         if any(x.denominator != 1 for x in c):
             raise ProblemFileError("GF element coordinates must be integers")
         c = k.element(int(x) for x in c)
+    c = _field_element(k, c)
     spec = BinomialExtensionSpec(problem.get("extension", "n"),
                                  problem.get("extension", "a"),
                                  problem.get("extension", "b"), c)

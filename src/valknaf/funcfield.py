@@ -4,7 +4,8 @@ Elements are reduced fractions of `poly.Poly` values in the variable t: the
 denominator is monic and coprime to the numerator.  The constant field k is
 any domain adapter from this package (QQ or a finite field), so k(t) itself
 is again a domain adapter and can serve as the coefficient field of the
-polynomials split in `localsplit`.
+polynomials split in `localsplit`.  Gcds over k(t) run fraction-free in
+k[t][x], on the helpers at the end of this module.
 """
 
 from __future__ import annotations
@@ -148,6 +149,90 @@ def _fmt_tpoly(f: Poly) -> str:
             s = "t" if i == 1 else f"t^{i}"
             parts.append(s if c == f.field.one else f"{c}*{s}")
     return " + ".join(parts)
+
+
+# -- fraction-free arithmetic in k[t][x] -----------------------------------------
+#
+# Gcds over k(t) are computed in k[t][x] instead, where no operation needs a
+# gcd in k[t] to stay reduced.  An element of k[t][x] is a list of `Poly` in t,
+# the coefficient of x^i at index i, without trailing zeros ([] is zero).
+
+
+def _trim(f: list) -> list:
+    while f and f[-1].is_zero():
+        f.pop()
+    return f
+
+
+def clear_denominators(g: Poly) -> list:
+    """L*g in k[t][x] for g over k(t), L the monic lcm of its denominators."""
+    lcm = Poly.one(g.field.base)
+    for c in g.coeffs:
+        if c.den.degree > 0:
+            lcm = lcm * (c.den // poly_gcd(lcm, c.den))
+    return [c.num * (lcm // c.den) for c in g.coeffs]
+
+
+def x_derivative(f: list) -> list:
+    return _trim([a * i for i, a in enumerate(f)][1:])
+
+
+def t_derivative(f: list) -> list:
+    return _trim([a.derivative() for a in f])
+
+
+def content(f: list) -> Poly:
+    """Monic gcd in k[t] of the coefficients of a nonzero f."""
+    coeffs = sorted((a for a in f if not a.is_zero()), key=lambda a: a.degree)
+    c = coeffs[0].monic()
+    for a in coeffs[1:]:
+        if c.degree == 0:
+            break
+        c = poly_gcd(c, a)
+    return c
+
+
+def primitive_part(f: list) -> list:
+    """f divided by its content; f nonzero."""
+    c = content(f)
+    if c.degree == 0:
+        return f
+    return [a // c for a in f]
+
+
+def pseudo_remainder(a: list, b: list) -> list:
+    """lc(b)^k * a mod b in k[t][x], b nonzero, k the number of steps.
+
+    Over k(t) this is a unit multiple of a mod b, which is all a gcd needs.
+    """
+    n = len(b) - 1
+    lead = b[-1]
+    r = list(a)
+    while len(r) > n:
+        top = r.pop()
+        shift = len(r) - n
+        r = [c * lead for c in r]
+        for j in range(n):
+            r[shift + j] = r[shift + j] - top * b[j]
+        _trim(r)
+    return r
+
+
+def primitive_gcd(a: list, b: list) -> list:
+    """Primitive gcd in k[t][x] by the primitive pseudo-remainder sequence.
+
+    Its x-degree is that of the gcd over k(t): every step multiplies or
+    divides by nonzero elements of k(t) only.  a and b not both zero.
+    """
+    if len(a) < len(b):
+        a, b = b, a
+    if not b:
+        return primitive_part(a)
+    a, b = primitive_part(a), primitive_part(b)
+    while len(b) > 1:
+        r = pseudo_remainder(a, b)
+        a, b = b, primitive_part(r) if r else r
+    return b or a
 
 
 class FunctionField:

@@ -19,7 +19,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import inf
 
-from .funcfield import FunctionField, _fmt_tpoly
+from .funcfield import (FunctionField, _fmt_tpoly, clear_denominators,
+                        primitive_gcd, t_derivative, x_derivative)
 from .gf import GF
 from .inductive import INFINITY, Tower, phi_expansion
 from .ordgroup import LexGroup
@@ -406,9 +407,17 @@ def _is_squarefree(g: Poly) -> bool:
     coefficients p-th powers and hence be a p-th power itself, so
     gcd(g, dg/dx, dg/dt) = 1 is equivalent to squarefreeness over these
     perfect-constant-field bases.
+
+    Over k(t) the gcds are taken in k[t][x], on G = L*g with L the lcm of
+    the denominators.  By Gauss's lemma a gcd over k(t) is, up to a unit,
+    the primitive gcd over k[t], so the degrees agree, and no k(t) element
+    is ever built.  D = gcd(G, dG/dx) divides g, and dG/dt = L'*g + L*dg/dt,
+    so gcd(D, dG/dt) = gcd(D, dg/dt) over k(t).
     """
-    d = poly_gcd(g, g.derivative())
-    if g.field.characteristic == 0:
-        return d.degree == 0
-    g_t = g.map_coeffs(lambda c: c.d_dt(), g.field)
-    return poly_gcd(d, g_t).degree == 0
+    if not isinstance(g.field, FunctionField):
+        return poly_gcd(g, g.derivative()).degree == 0
+    G = clear_denominators(g)
+    d = primitive_gcd(G, x_derivative(G))
+    if len(d) > 1 and g.field.characteristic:
+        d = primitive_gcd(d, t_derivative(G))
+    return len(d) == 1

@@ -125,11 +125,12 @@ def extend_residue(field, psi: Poly) -> ResidueExtension:
         raise TypeError(f"cannot extend {field!r}")
     big = GF(field.p, field.n * d)
     embed_fn = embed(field, big)
+    coeffs = [embed_fn(c) for c in reversed(psi.coeffs)]
     root = None
     for cand in big.elements():
         acc = big.zero
-        for c in reversed(psi.coeffs):
-            acc = acc * cand + embed_fn(c)
+        for c in coeffs:
+            acc = acc * cand + c
         if not acc:
             root = cand
             break

@@ -3,7 +3,8 @@
 Nothing here calls the code paths under test: group questions are answered
 by exhaustive enumeration over bounded coefficient boxes, and p-adic factor
 counts by breadth-first Hensel lifting of modular factorizations seeded from
-sympy's factorization mod p.
+sympy's factorization mod p, and squarefreeness over k(t) by Euclid over
+k(t) itself rather than the library's fraction-free k[t][x] gcd.
 """
 
 from fractions import Fraction
@@ -291,3 +292,20 @@ def _group_parts(parts, p):
 
     rec(list(parts), [])
     return out
+
+
+def squarefree_by_ratfunc_euclid(g):
+    """Squarefreeness of g over Q, Q(t) or F_q(t) by Euclid over the field.
+
+    The reference for `localsplit._is_squarefree`: gcd(g, dg/dx) and, in
+    characteristic p, its gcd with dg/dt, taken with the Euclidean algorithm
+    over the coefficient field itself, so over k(t) every step is `RatFunc`
+    arithmetic.
+    """
+    from valknaf.poly import poly_gcd
+
+    d = poly_gcd(g, g.derivative())
+    if g.field.characteristic == 0:
+        return d.degree == 0
+    g_t = g.map_coeffs(lambda c: c.d_dt(), g.field)
+    return poly_gcd(d, g_t).degree == 0

@@ -300,6 +300,33 @@ residue_char = 0
         assert fragment in err, (argv, err)
 
 
+GF5_SPLIT = """\
+version = 1
+mode = split
+
+[base]
+field = GF(5)
+pi = {pi}
+
+[polynomial]
+coeffs = {coeffs}
+"""
+
+
+@pytest.mark.parametrize("mode,text", [
+    ("split", GF5_SPLIT.format(pi="[1/5, 1]", coeffs="[1, 0, 1]")),
+    ("split", GF5_SPLIT.format(pi="[0, 1]", coeffs="[1/5, 0, 1]")),
+    ("split", GF5_SPLIT.format(pi="[0, 1]", coeffs="[(1/5, 1), 0, 1]")),
+    ("binomial", BINO.replace("c = 1", "c = 1/5")),
+], ids=["pi", "coeffs", "vector", "binomial"])
+def test_cli_rational_without_image_in_gf(tmp_path, capsys, mode, text):
+    path = write(tmp_path, "p.prob", text)
+    assert cli.main([mode, "--file", path]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "1/5" in err and "GF(5)" in err
+
+
 def test_cli_run_api():
     rows = cli.run(parse_problem(SPLIT5))
     assert len(rows) == 2

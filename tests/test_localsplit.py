@@ -6,13 +6,14 @@ from fractions import Fraction as F
 
 import pytest
 
-from oracles import padic_factor_degrees
+from oracles import padic_factor_degrees, squarefree_by_ratfunc_euclid
+from valknaf.funcfield import FunctionField, RatFunc
 from valknaf.gf import GF
 from valknaf.localsplit import (BaseValuation, LocalFactor,
                                 NewtonPolygonSegment, UnresolvedBranchError,
                                 newton_polygon, residual_polynomial,
-                                split_extensions, to_extension_invariants,
-                                value_of)
+                                _is_squarefree, split_extensions,
+                                to_extension_invariants, value_of)
 from valknaf.poly import Poly, QQ, poly_gcd
 from valknaf.raminv import knaf_decide
 from valknaf.residuefield import UnsupportedResidueExtension
@@ -198,6 +199,102 @@ def test_split_determinism_and_certificates():
     assert a == b
     assert all(isinstance(lf, LocalFactor) for lf in a)
     assert all("slope" in lf.certificate for lf in a)
+
+
+# -- the squarefree gate against Euclid over k(t) ----------------------------
+
+def rand_const(rng, k):
+    if k is QQ:
+        return F(rng.randint(-3, 3))
+    return k.element([rng.randrange(k.p) for _ in range(k.n)])
+
+
+def rand_tpoly(rng, k, degree, nonzero=False):
+    while True:
+        f = Poly(k, [rand_const(rng, k) for _ in range(degree + 1)])
+        if not (nonzero and f.is_zero()):
+            return f
+
+
+def rand_kt_poly(rng, K, degree):
+    """Polynomial in x over K = k(t) with t-denominators, nonzero lead."""
+    coeffs = [RatFunc(K, rand_tpoly(rng, K.base, rng.randint(0, 2)),
+                      rand_tpoly(rng, K.base, rng.randint(0, 1), nonzero=True))
+              for _ in range(degree)]
+    return Poly(K, coeffs + [K.one + K.t * rng.randint(0, 1)])
+
+
+# Euclid over Q(t) swells its coefficients: from degree 4 on, one input can
+# keep the oracle busy for seconds.
+SQUAREFREE_FIELDS = [(GF(2), 4), (GF(3), 4), (GF(5), 4), (GF(2, 2), 4),
+                     (QQ, 3)]
+
+
+@pytest.mark.parametrize("k,max_deg", SQUAREFREE_FIELDS,
+                         ids=[repr(k) for k, _ in SQUAREFREE_FIELDS])
+def test_squarefree_gate_matches_ratfunc_euclid(k, max_deg):
+    rng = random.Random(f"squarefree:{k!r}")
+    K = FunctionField(k)
+    verdicts = set()
+    for _ in range(10):
+        g = rand_kt_poly(rng, K, rng.randint(1, max_deg))
+        expected = squarefree_by_ratfunc_euclid(g)
+        assert _is_squarefree(g) == expected, g
+        verdicts.add(expected)
+        h = rand_kt_poly(rng, K, rng.randint(1, 2))
+        hhk = h * h * rand_kt_poly(rng, K, rng.randint(0, max_deg - 2))
+        assert not squarefree_by_ratfunc_euclid(hhk)
+        assert not _is_squarefree(hhk), hhk
+    assert True in verdicts
+
+
+def test_squarefree_gate_fixed_cases():
+    cases = []
+    for q in (2, 3, 5):
+        K = FunctionField(GF(q))
+        t, x = K.t, Poly.x(K)
+        p = K.characteristic
+        cases += [
+            ((x + t) ** 2 * (x ** 2 + t + 1), False),        # h^2 k
+            ((x - t) ** p, False),                           # = x^p - t^p
+            (x ** p - t ** p, False),
+            (x ** p - t, True),                              # inseparable
+            ((x - 1 / t) ** 2 * (x + t / (t + 1)), False),  # t-denominators
+            (x ** 2 - 1 / t, True),
+            (x * (x + 1 / (t ** 2 + 1)) * (x - t), True),
+            (x + 1 / t, True),                               # deg g = 1
+            (x - t, True),
+        ]
+    K = FunctionField(QQ)
+    t, x = K.t, Poly.x(K)
+    cases += [
+        ((x - 1 / t) ** 2 * (x + t), False),
+        (x ** 2 - t / (t + 1), True),
+        (x + 1 / t, True),
+    ]
+    for g, expected in cases:
+        assert squarefree_by_ratfunc_euclid(g) == expected, g
+        assert _is_squarefree(g) == expected, g
+
+
+def test_squarefree_gate_builds_no_ratfunc(monkeypatch):
+    K = FunctionField(GF(3))
+    t, x = K.t, Poly.x(K)
+    inputs = [
+        (x ** 3 - t) * (x ** 2 + x * (1 / (t + 1)) + t),  # squarefree
+        (x ** 3 - t) * (x + 1 / t) ** 2,                 # reaches d/dt
+    ]
+    assert [g.degree for g in inputs] == [5, 5]
+    built = []
+    init = RatFunc.__init__
+
+    def counting_init(self, *args):
+        built.append(1)
+        init(self, *args)
+
+    monkeypatch.setattr(RatFunc, "__init__", counting_init)
+    assert [_is_squarefree(g) for g in inputs] == [True, False]
+    assert not built
 
 
 # -- conservation against the Hensel oracle ----------------------------------
