@@ -17,12 +17,11 @@ from .fixtures import FIXTURES, Fixture, fixture
 from .localsplit import (BaseValuation, LocalFactor, NewtonPolygonSegment,
                          UnresolvedBranchError, newton_polygon,
                          residual_polynomial, split_extensions,
-                         to_extension_invariants, value_of)
+                         to_extension_invariants)
 from .monoval import (BinomialExtensionSpec, MonomialValuation,
                       WildBinomialError, extend_binomial, mono_value)
-from .ordgroup import (LexGroup, RationalVector, coset_representatives,
-                       initial_index, initial_set, lex_compare,
-                       subgroup_index)
+from .ordgroup import (LexGroup, RationalVector, initial_index, initial_set,
+                       lex_compare, subgroup_index)
 from .problemfile import (ProblemFile, ProblemFileError, parse_problem,
                           serialize)
 from .raminv import (ExtensionInvariants, KnafVerdict, defect,
@@ -30,13 +29,13 @@ from .raminv import (ExtensionInvariants, KnafVerdict, defect,
                      validate)
 
 __all__ = [
-    "LexGroup", "RationalVector", "coset_representatives", "initial_index",
-    "initial_set", "lex_compare", "subgroup_index",
+    "LexGroup", "RationalVector", "initial_index", "initial_set",
+    "lex_compare", "subgroup_index",
     "ExtensionInvariants", "KnafVerdict", "defect", "frobenius_defect",
     "knaf_decide", "ramification_index", "validate",
     "BaseValuation", "LocalFactor", "NewtonPolygonSegment",
     "UnresolvedBranchError", "newton_polygon", "residual_polynomial",
-    "split_extensions", "to_extension_invariants", "value_of",
+    "split_extensions", "to_extension_invariants",
     "BinomialExtensionSpec", "MonomialValuation", "WildBinomialError",
     "extend_binomial", "mono_value",
     "ProblemFile", "ProblemFileError", "parse_problem", "serialize",

@@ -18,6 +18,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
+from sympy import isprime, perfect_power
+
 from .fixtures import FIXTURES, fixture
 from .gf import GF
 from .localsplit import (BaseValuation, UnresolvedBranchError,
@@ -55,21 +57,8 @@ _GF_RE = re.compile(r"GF\((\d+)\)")
 
 
 def _prime_power(q: int):
-    if q < 2:
-        raise ProblemFileError(f"{q} is not a prime power")
-    p = 2
-    while p * p <= q:
-        if q % p == 0:
-            break
-        p += 1
-    else:
-        p = q
-    n = 0
-    m = q
-    while m % p == 0:
-        m //= p
-        n += 1
-    if m != 1:
+    p, n = perfect_power(q) or (q, 1)
+    if not isprime(p):
         raise ProblemFileError(f"{q} is not a prime power")
     return p, n
 
@@ -152,6 +141,9 @@ def _binomial_input(problem: ProblemFile):
     v = MonomialValuation(k, problem.get("base", "weight_x"),
                           problem.get("base", "weight_y"))
     c = problem.get("extension", "c")
+    if not isinstance(c, (Fraction, RationalVector)):
+        raise ProblemFileError(
+            f"c must be a rational or a vector like (1, 0), not {c!r}")
     if isinstance(c, RationalVector):
         if k is QQ:
             raise ProblemFileError("vector constants need a GF(q) base")

@@ -15,6 +15,8 @@ from __future__ import annotations
 
 from functools import lru_cache
 
+from sympy import isprime
+
 from .poly import Poly, poly_gcd
 
 # ---------------------------------------------------------------------------
@@ -319,7 +321,7 @@ class FiniteField:
 def GF(p: int, n: int = 1) -> FiniteField:
     if n < 1:
         raise ValueError("extension degree must be >= 1")
-    if p < 2 or any(p % k == 0 for k in range(2, int(p ** 0.5) + 1)):
+    if not isprime(p):
         raise ValueError(f"{p} is not prime")
     return FiniteField(p, n)
 

@@ -114,9 +114,6 @@ class Tower:
 
     # -- canonical monomials and units --------------------------------------
 
-    def in_gamma(self, i, w) -> bool:
-        return (Fraction(w) * self.denom_at(i)).denominator == 1
-
     def canonical_exps(self, i, w):
         """Exponents (a_0, ..., a_i) of the canonical monomial of value w."""
         w = Fraction(w)

@@ -28,10 +28,6 @@ from .poly import Poly, QQ, poly_gcd
 from .raminv import ExtensionInvariants
 from .residuefield import extend_residue, factor_over
 
-# Expansion digits of g live in the same dense-polynomial type as g itself.
-UnivariatePoly = Poly
-
-
 class UnresolvedBranchError(RuntimeError):
     """A branch hit the recursion depth limit before it was isolated."""
 
@@ -190,11 +186,6 @@ class LocalFactor:
     f: int
     degree: int
     certificate: str = ""
-
-
-def value_of(v: BaseValuation, a):
-    """The value v(a) of a base-field element; infinity for 0."""
-    return v.value_of(a)
 
 
 def _as_int(w) -> int:

@@ -3,7 +3,7 @@
 A group is stored through a canonical basis: clear denominators, bring the
 integer generator matrix to row Hermite normal form, and restore the scale.
 Two generating sets of the same subgroup therefore produce equal `LexGroup`
-objects, and containment, index and coset questions reduce to exact integer
+objects, and containment and index questions reduce to exact integer
 linear algebra on the basis rows.
 
 The value groups of valuations of finite rank embed into some Q^r with the
@@ -111,29 +111,6 @@ def _hnf(rows, ncols):
     return mat[:top]
 
 
-def _bareiss_det(a) -> int:
-    """Determinant of a square integer matrix, fraction-free."""
-    n = len(a)
-    if n == 0:
-        return 1
-    a = [row[:] for row in a]
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if a[k][k] == 0:
-            swap = next((i for i in range(k + 1, n) if a[i][k]), None)
-            if swap is None:
-                return 0
-            a[k], a[swap] = a[swap], a[k]
-            sign = -sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
-            a[i][k] = 0
-        prev = a[k][k]
-    return sign * a[n - 1][n - 1]
-
-
 def _pivot(row) -> int:
     for j, c in enumerate(row):
         if c:
@@ -212,161 +189,49 @@ class LexGroup:
             raise ValueError("scaling factor must be positive")
         return LexGroup(self.rank, [c * b for b in self.basis])
 
-    def sum(self, other):
-        """Subgroup generated by self and other together."""
-        if self.rank != other.rank:
-            raise ValueError("ambient rank mismatch")
-        return LexGroup(self.rank, list(self.basis) + list(other.basis))
-
-
-def contains(group: LexGroup, x) -> bool:
-    return group.contains(x)
-
 
 def subgroup_index(group: LexGroup, subgroup: LexGroup):
     """[group : subgroup]; a positive int, or math.inf.
 
-    Raises ValueError if subgroup is not contained in group.
+    Raises ValueError if subgroup is not contained in group.  At equal rank
+    the two HNF bases share their pivot columns, so the change of basis is
+    triangular and the index is the product of the pivot ratios.
     """
     if group.rank != subgroup.rank:
         raise ValueError("ambient rank mismatch")
-    coeff_rows = []
     for h in subgroup.basis:
-        coeffs = group.solve(h)
-        if coeffs is None:
+        if group.solve(h) is None:
             raise ValueError(f"{h} is not an element of the larger group")
-    # containment holds; index is finite iff the ranks agree
     if len(subgroup.basis) < len(group.basis):
         return inf
-    for h in subgroup.basis:
-        coeff_rows.append(group.solve(h))
-    return abs(_bareiss_det(coeff_rows))
+    index = 1
+    for h, b in zip(subgroup.basis, group.basis):
+        c = _pivot(b)
+        index *= h[c] / b[c]
+    return int(index)
 
 
-class CosetList(list):
-    """Representatives of group/subgroup, one per coset."""
+def initial_index(group: LexGroup, subgroup: LexGroup) -> int:
+    """Number of elements of the big group in the lex interval
+    [0, smallest positive part of the small group).
 
-    def __init__(self, reps, group, subgroup):
-        super().__init__(reps)
-        self.group = group
-        self.subgroup = subgroup
-
-
-def _reduce_mod(x, basis, rank):
-    """Canonical representative of x modulo the lattice spanned by basis."""
-    rem = list(x)
-    for row in basis:
-        c = _pivot(row)
-        q = rem[c] // row[c]
-        if q:
-            for j in range(c, rank):
-                rem[j] -= q * row[j]
-    return RationalVector(rem)
-
-
-def _lex_least_nonneg(x, rows, rank):
-    """Lex-least lex-nonnegative element of x + <rows>, or None.
-
-    rows are echelon basis rows (pivot columns strictly increasing).  The
-    minimum fails to exist whenever a coordinate below the deciding one can
-    still be pushed down indefinitely.
+    An element of the big group below every positive element of the small
+    group lies on the ray of the big group's last basis row, so eps is the
+    ratio of the two groups' last rows.
     """
-    if not rows:
-        return RationalVector(x) if lex_compare(x, [0] * rank) >= 0 else None
-    c = _pivot(rows[0])
-    for j in range(c):
-        if x[j]:
-            # prefix is fixed on the whole coset; negative prefix means no
-            # nonnegative element, positive prefix means coordinate c can be
-            # pushed down forever, so no least element either way
-            return None
-    p = rows[0][c]
-    q = x[c] // p
-    v0 = x[c] - q * p
-    if v0 == 0:
-        shifted = [a - q * b for a, b in zip(x, rows[0])]
-        found = _lex_least_nonneg(shifted, rows[1:], rank)
-        if found is not None:
-            return found
-        if len(rows) == 1:
-            return RationalVector(a - (q - 1) * b for a, b in zip(x, rows[0]))
-        return None
-    if len(rows) == 1:
-        return RationalVector(a - q * b for a, b in zip(x, rows[0]))
-    return None
-
-
-def coset_representatives(group: LexGroup, subgroup: LexGroup) -> CosetList:
-    """Canonical coset representatives of a finite-index subgroup.
-
-    Each representative is the lex-least lex-nonnegative element of its coset
-    when such an element exists, otherwise the Hermite-canonical one (pivot
-    coordinates reduced into their fundamental boxes).  Sorted lex.
-    """
-    n = subgroup_index(group, subgroup)
-    if n is inf:
-        raise ValueError("subgroup has infinite index")
-    zero = RationalVector([0] * group.rank)
-    start = _reduce_mod(zero, subgroup.basis, group.rank)
-    seen = {start}
-    frontier = [start]
-    steps = [b for b in group.basis] + [-b for b in group.basis]
-    while frontier and len(seen) < n:
-        nxt = []
-        for rep in frontier:
-            for s in steps:
-                cand = _reduce_mod(rep + s, subgroup.basis, group.rank)
-                if cand not in seen:
-                    seen.add(cand)
-                    nxt.append(cand)
-        frontier = nxt
-    if len(seen) != n:
-        raise RuntimeError("coset enumeration did not close")
-    reps = []
-    for rep in seen:
-        best = _lex_least_nonneg(rep, list(subgroup.basis), group.rank)
-        reps.append(best if best is not None else rep)
-    reps.sort(key=lambda v: tuple(v))
-    return CosetList(reps, group, subgroup)
-
-
-def _initial_recursive(b_omega, b_nu, dim):
-    """Witness set over echelon bases; finite index already verified."""
-    if not b_nu:
-        return [tuple([Fraction(0)] * dim)]
-    ker_nu = [v for v in b_nu if v[0] == 0]
-    if ker_nu:
-        ker_omega = [v for v in b_omega if v[0] == 0]
-        if len(ker_omega) != len(ker_nu):
-            raise RuntimeError("kernel ranks diverge despite finite index")
-        tails = _initial_recursive([v[1:] for v in ker_omega],
-                                   [v[1:] for v in ker_nu], dim - 1)
-        return [(Fraction(0),) + t for t in tails]
-    # the small group is cyclic with lex-positive generator; finite index
-    # forces the big group to be cyclic as well
-    if len(b_omega) != 1 or len(b_nu) != 1:
-        raise RuntimeError("rank mismatch despite finite index")
-    omega_star = b_omega[0]
-    nu_star = b_nu[0]
-    n = nu_star[0] / omega_star[0]
-    if n.denominator != 1 or n <= 0:
-        raise RuntimeError("generator is not a positive multiple")
-    n = int(n)
-    return [tuple(k * c for c in omega_star) for k in range(n)]
+    if subgroup_index(group, subgroup) is inf:
+        raise ValueError("initial segment is infinite for infinite index")
+    if group.is_zero():
+        return 1
+    omega, nu = group.basis[-1], subgroup.basis[-1]
+    c = _pivot(omega)
+    return int(nu[c] / omega[c])
 
 
 def initial_set(group: LexGroup, subgroup: LexGroup) -> list:
     """All x in the big group with 0 <=lex x <lex every positive element
     of the small group.  Requires finite index; sorted lex ascending."""
-    n = subgroup_index(group, subgroup)
-    if n is inf:
-        raise ValueError("initial segment is infinite for infinite index")
-    witnesses = _initial_recursive(list(group.basis), list(subgroup.basis),
-                                   group.rank)
-    return [RationalVector(w) for w in witnesses]
-
-
-def initial_index(group: LexGroup, subgroup: LexGroup) -> int:
-    """Number of elements of the big group in the lex interval
-    [0, smallest positive part of the small group)."""
-    return len(initial_set(group, subgroup))
+    eps = initial_index(group, subgroup)
+    if group.is_zero():
+        return [RationalVector([0] * group.rank)]
+    return [k * group.basis[-1] for k in range(eps)]

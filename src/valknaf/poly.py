@@ -197,12 +197,6 @@ class Poly:
     def map_coeffs(self, fn, new_field) -> "Poly":
         return Poly(new_field, [fn(c) for c in self.coeffs])
 
-    def shift_degree(self, k: int) -> "Poly":
-        """Multiply by x^k."""
-        if self.is_zero():
-            return self
-        return Poly(self.field, [self.field.zero] * k + list(self.coeffs))
-
     def sort_key(self):
         return (self.degree,
                 tuple(self.field.elem_key(c) for c in self.coeffs))

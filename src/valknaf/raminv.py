@@ -20,6 +20,8 @@ from dataclasses import dataclass
 from math import inf
 from typing import Optional, Union
 
+from sympy import isprime
+
 from .ordgroup import LexGroup, initial_index, initial_set, subgroup_index
 
 
@@ -55,19 +57,6 @@ class KnafVerdict:
     defectless: bool
     initial_condition: bool
     eft: bool
-
-
-def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    if n % 2 == 0:
-        return n == 2
-    q = 3
-    while q * q <= n:
-        if n % q == 0:
-            return False
-        q += 2
-    return True
 
 
 def _is_power_of(n: int, p: int) -> bool:
@@ -116,7 +105,7 @@ def validate(inv: ExtensionInvariants) -> list:
         problems.append("residue_degree must be a positive integer")
     if inv.local_degree < 1:
         problems.append("local_degree must be a positive integer")
-    if inv.residue_char != 0 and not _is_prime(inv.residue_char):
+    if inv.residue_char != 0 and not isprime(inv.residue_char):
         problems.append("residue_char must be 0 or a prime")
     if problems:
         return problems
@@ -177,7 +166,7 @@ def frobenius_defect(k_degree: int, gamma: Union[LexGroup, int],
     1 exactly when nu is Abhyankar-maximal for Frobenius, and a positive
     power of p otherwise.
     """
-    if not _is_prime(p):
+    if not isprime(p):
         raise ValueError("p must be prime")
     if isinstance(gamma, LexGroup):
         index = subgroup_index(gamma, gamma.scale(p))

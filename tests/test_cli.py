@@ -1,6 +1,10 @@
 """Tests for the problem-file format, the fixture catalog and the CLI."""
 
+import os
+import subprocess
+import sys
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 
@@ -325,6 +329,80 @@ def test_cli_rational_without_image_in_gf(tmp_path, capsys, mode, text):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
     assert "1/5" in err and "GF(5)" in err
+
+
+@pytest.mark.parametrize("field", ["GF(5)", "Q"])
+def test_cli_binomial_constant_not_a_value(tmp_path, capsys, field):
+    text = BINO.replace("GF(5)", field).replace("c = 1", "c = foo")
+    path = write(tmp_path, "c.prob", text)
+    assert cli.main(["binomial", "--file", path]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "foo" in err
+
+
+def gf_split(q, coeffs):
+    return GF5_SPLIT.replace("GF(5)", f"GF({q})").format(pi="[0, 1]",
+                                                        coeffs=coeffs)
+
+
+@pytest.mark.parametrize("q,code", [
+    (1, 1), (6, 1), (36, 1), (4, 0), (64, 0),
+])
+def test_cli_gf_token_prime_power(tmp_path, capsys, q, code):
+    path = write(tmp_path, "gfq.prob", gf_split(q, "[(0, -1), 0, 0, 1]"))
+    assert cli.main(["split", "--file", path, "--porcelain"]) == code
+    captured = capsys.readouterr()
+    if code:
+        assert captured.err == f"error: {q} is not a prime power\n"
+    else:
+        assert "e=3" in captured.out and "eps=3" in captured.out
+
+
+BIG_P = 1000000000000000003
+
+BIG_PRIME_INPUTS = {
+    "split-Q": ("split", SPLIT5.replace("p = 5", f"p = {BIG_P}").replace(
+        "coeffs = [1, 0, 1]", f"coeffs = [-{BIG_P}, 0, 1]")),
+    "split-GF": ("split", gf_split(BIG_P, "[(0, -1), 0, 1]")),
+    "decide": ("decide", f"""\
+version = 1
+mode = decide
+
+[gamma_nu]
+rank = 1
+gen = (1)
+
+[gamma_omega]
+rank = 1
+gen = (1/2)
+
+[extension]
+residue_degree = 1
+local_degree = 2
+residue_char = {BIG_P}
+"""),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BIG_PRIME_INPUTS))
+def test_cli_prime_near_1e18(tmp_path, name):
+    # run in a child so that a slow primality test fails here instead of
+    # hanging the suite
+    mode, text = BIG_PRIME_INPUTS[name]
+    path = write(tmp_path, "big.prob", text)
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "valknaf.cli", mode, "--file", path,
+         "--porcelain"],
+        capture_output=True, text=True, env=env, timeout=30)
+    assert proc.returncode == 0, proc.stderr
+    rows = proc.stdout.splitlines()
+    assert len(rows) == 1
+    assert "\te=2\t" in rows[0] and "\teps=2\t" in rows[0]
 
 
 def test_cli_run_api():

@@ -13,7 +13,7 @@ from valknaf.localsplit import (BaseValuation, LocalFactor,
                                 NewtonPolygonSegment, UnresolvedBranchError,
                                 newton_polygon, residual_polynomial,
                                 _is_squarefree, split_extensions,
-                                to_extension_invariants, value_of)
+                                to_extension_invariants)
 from valknaf.poly import Poly, QQ, poly_gcd
 from valknaf.raminv import knaf_decide
 from valknaf.residuefield import UnsupportedResidueExtension
@@ -34,11 +34,11 @@ def efd(factors):
 # -- base valuations ---------------------------------------------------------
 
 def test_value_of_examples():
-    assert value_of(V2, 12) == 2
-    assert value_of(V5, F(7, 25)) == -2
+    assert V2.value_of(12) == 2
+    assert V5.value_of(F(7, 25)) == -2
     vt = vt_over(3)
-    assert value_of(vt, vt.field.from_coeff_lists([0, 0, 0, 1, 0, 1])) == 3
-    assert value_of(V2, 0) == float("inf")
+    assert vt.value_of(vt.field.from_coeff_lists([0, 0, 0, 1, 0, 1])) == 3
+    assert V2.value_of(0) == float("inf")
 
 
 def test_padic_requires_prime():

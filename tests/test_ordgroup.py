@@ -6,9 +6,8 @@ from math import inf
 
 import pytest
 
-from valknaf.ordgroup import (LexGroup, RationalVector, coset_representatives,
-                              initial_index, initial_set, lex_compare,
-                              subgroup_index)
+from valknaf.ordgroup import (LexGroup, RationalVector, initial_index,
+                              initial_set, lex_compare, subgroup_index)
 
 from oracles import coset_count_box, initial_index_box, initial_set_box
 
@@ -113,36 +112,6 @@ def test_zero_groups():
     assert initial_set(z, z) == [RationalVector((0, 0))]
 
 
-def test_coset_representatives_small():
-    big = LexGroup(1, [(F(1, 2),)])
-    small = LexGroup(1, [(1,)])
-    reps = coset_representatives(big, small)
-    assert list(reps) == [RationalVector((0,)), RationalVector((F(1, 2),))]
-
-    big2 = LexGroup(2, [(F(1, 2), 0), (0, F(1, 3))])
-    small2 = LexGroup(2, [(1, 0), (0, 1)])
-    reps2 = coset_representatives(big2, small2)
-    assert len(reps2) == 6
-    # distinct cosets, all inside the big group
-    seen = set()
-    for r in reps2:
-        assert big2.contains(r)
-        key = tuple(r)
-        canon = tuple(c - c.__floor__() for c in key)
-        assert canon not in seen
-        seen.add(canon)
-
-
-def test_coset_representative_canonical_choice():
-    # (1/2, 0) + Z^2 in (1/2)Z x Z has no lex-least nonnegative element
-    # (the second coordinate can always decrease), so the Hermite
-    # representative is used
-    big = LexGroup(2, [(F(1, 2), 0), (0, 1)])
-    small = LexGroup(2, [(1, 0), (0, 1)])
-    reps = coset_representatives(big, small)
-    assert list(reps) == [RationalVector((0, 0)), RationalVector((F(1, 2), 0))]
-
-
 def test_scale():
     g = LexGroup(2, [(F(1, 2), 0), (0, F(1, 3))])
     h = g.scale(F(7, 2))
@@ -183,6 +152,31 @@ def _random_finite_subgroup(rng, group, max_index=12):
 
 
 def test_random_pairs_against_box_oracle():
+    def check(big, small, c):
+        e = subgroup_index(big, small)
+        eps = initial_index(big, small)
+        wit = initial_set(big, small)
+        assert eps == len(wit)
+        assert 1 <= eps <= e
+        gens_big = [tuple(b) for b in big.basis]
+        gens_small = [tuple(b) for b in small.basis]
+        ambient = big.rank
+        assert eps == initial_index_box(gens_big, gens_small, ambient)
+        assert [tuple(w) for w in wit] == initial_set_box(
+            gens_big, gens_small, ambient)
+        assert e == coset_count_box(gens_big, gens_small, ambient)
+        # scaling preserves the whole picture
+        assert subgroup_index(big.scale(c), small.scale(c)) == e
+        assert initial_index(big.scale(c), small.scale(c)) == eps
+        return e, eps
+
+    # pivots off column 0
+    assert check(LexGroup(3, [(0, F(1, 2), 0)]), LexGroup(3, [(0, 1, 0)]),
+                 F(7, 2)) == (2, 2)
+    # rank 2 in Q^3 with eps < e
+    assert check(LexGroup(3, [(1, 0, F(1, 3)), (0, 0, F(1, 2))]),
+                 LexGroup(3, [(2, 0, F(2, 3)), (0, 0, 1)]), F(1, 3)) == (4, 2)
+
     rng = random.Random(20240817)
     checked = 0
     while checked < 60:
@@ -194,22 +188,6 @@ def test_random_pairs_against_box_oracle():
         small = _random_finite_subgroup(rng, big)
         if small is None:
             continue
-        e = subgroup_index(big, small)
-        eps = initial_index(big, small)
-        wit = initial_set(big, small)
-        assert eps == len(wit)
-        assert 1 <= eps <= e
-        gens_big = [tuple(b) for b in big.basis]
-        gens_small = [tuple(b) for b in small.basis]
-        assert eps == initial_index_box(gens_big, gens_small, ambient)
-        assert [tuple(w) for w in wit] == initial_set_box(
-            gens_big, gens_small, ambient)
-        assert e == coset_count_box(gens_big, gens_small, ambient)
-        reps = coset_representatives(big, small)
-        assert len(reps) == e
-        # scaling preserves the whole picture
-        c = rng.choice([F(1, 3), F(2), F(7, 2)])
-        assert subgroup_index(big.scale(c), small.scale(c)) == e
-        assert initial_index(big.scale(c), small.scale(c)) == eps
+        check(big, small, rng.choice([F(1, 3), F(2), F(7, 2)]))
         checked += 1
     assert checked == 60
