@@ -5,19 +5,30 @@ polynomial of degree n in the enumeration that counts coefficient vectors
 (c_0, ..., c_{n-1}) as base-p integers.  Fields are cached, so equal
 parameters give the identical object and elements can be compared freely.
 
-Intended for the small fields arising as residue fields of the valuations in
-this package; the factorization routine is the deterministic Berlekamp
-method (kernel of Frobenius minus identity, splitting by gcds against all
-field constants), fine for small q, never randomized.
+An element is held as one int, its canonical code sum c_i p^i, and the field
+does the arithmetic on codes (Cohen, GTM 138): plain arithmetic mod p in
+GF(p), XOR and a carry-less shift-and-reduce product in GF(2^n), and the
+digit kernels `_pf_mul`/`_pf_mod` in GF(p^n) for odd p.
+
+Factorization is Berlekamp's method: the kernel of Frobenius minus identity
+gives the split algebra, and factors are separated by equal-degree splitting
+(Cantor-Zassenhaus) on random elements of it, drawn from a generator with a
+constant seed, so results and operation counts repeat from run to run.
 """
 
 from __future__ import annotations
 
+import random
+from fractions import Fraction
 from functools import lru_cache
 
 from sympy import isprime
 
 from .poly import Poly, poly_gcd
+
+# constant seed of the equal-degree splitting; any value gives the same
+# factors, this one fixes the operation counts
+_SPLIT_SEED = 0
 
 # ---------------------------------------------------------------------------
 # integer-coefficient helpers for F_p[y] (used before any field object exists)
@@ -75,153 +86,6 @@ def _pf_gcd(a, b, p):
     return a
 
 
-def _pf_irreducible(m, p) -> bool:
-    """Deterministic irreducibility over F_p: y^(p^k) tests."""
-    n = len(m) - 1
-    if n <= 0:
-        return False
-    y = [0, 1]
-    power = y[:]
-    for k in range(1, n // 2 + 1):
-        power = _pf_powmod(power, p, m, p)
-        diff = power[:]
-        # subtract y
-        while len(diff) < 2:
-            diff.append(0)
-        diff[1] = (diff[1] - 1) % p
-        g = _pf_gcd(m, _pf_trim(diff), p)
-        if g != [1]:
-            return False
-    power = y[:]
-    for _ in range(n):
-        power = _pf_powmod(power, p, m, p)
-    diff = power[:]
-    while len(diff) < 2:
-        diff.append(0)
-    diff[1] = (diff[1] - 1) % p
-    return not _pf_trim(diff)
-
-
-def _canonical_modulus(p, n):
-    if n == 1:
-        return (0, 1)
-    for k in range(p ** n):
-        coeffs = []
-        kk = k
-        for _ in range(n):
-            coeffs.append(kk % p)
-            kk //= p
-        m = coeffs + [1]
-        if _pf_irreducible(m, p):
-            return tuple(m)
-    raise RuntimeError("no irreducible polynomial found")  # unreachable
-
-
-class GFElement:
-    """Element of GF(p^n): coefficient tuple of length n over F_p."""
-
-    __slots__ = ("field", "coeffs")
-
-    def __init__(self, field, coeffs):
-        object.__setattr__(self, "field", field)
-        object.__setattr__(self, "coeffs", tuple(c % field.p for c in coeffs))
-        if len(self.coeffs) != field.n:
-            raise ValueError("coefficient vector has wrong length")
-
-    def __setattr__(self, *args):
-        raise AttributeError("GFElement is immutable")
-
-    def __eq__(self, other):
-        return (isinstance(other, GFElement) and self.field is other.field
-                and self.coeffs == other.coeffs)
-
-    def __hash__(self):
-        return hash((self.field.p, self.field.n, self.coeffs))
-
-    def __bool__(self):
-        return any(self.coeffs)
-
-    def __add__(self, other):
-        other = self.field.coerce(other)
-        return GFElement(self.field,
-                         [a + b for a, b in zip(self.coeffs, other.coeffs)])
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return GFElement(self.field, [-a for a in self.coeffs])
-
-    def __sub__(self, other):
-        return self + (-self.field.coerce(other))
-
-    def __rsub__(self, other):
-        return self.field.coerce(other) - self
-
-    def __mul__(self, other):
-        other = self.field.coerce(other)
-        p = self.field.p
-        prod = _pf_mul(list(self.coeffs), list(other.coeffs), p)
-        prod = _pf_mod(prod, list(self.field.modulus), p)
-        return self.field._from_list(prod)
-
-    __rmul__ = __mul__
-
-    def inverse(self):
-        if not self:
-            raise ZeroDivisionError("inverse of zero in a finite field")
-        p = self.field.p
-        # extended euclid in F_p[y]
-        r0, r1 = list(self.field.modulus), _pf_trim(list(self.coeffs))
-        t0, t1 = [], [1]
-        while _pf_trim(r1[:]):
-            q, r = _pf_divmod(r0, r1, p)
-            r0, r1 = r1, r
-            t0, t1 = t1, _pf_sub(t0, _pf_mul(q, t1, p), p)
-        lead_inv = pow(r0[-1], -1, p)
-        t0 = [c * lead_inv % p for c in t0]
-        return self.field._from_list(_pf_mod(t0, list(self.field.modulus), p))
-
-    def __truediv__(self, other):
-        other = self.field.coerce(other)
-        return self * other.inverse()
-
-    def __rtruediv__(self, other):
-        return self.field.coerce(other) / self
-
-    def __pow__(self, e: int):
-        if e < 0:
-            return self.inverse() ** (-e)
-        out = self.field.one
-        base = self
-        while e:
-            if e & 1:
-                out = out * base
-            base = base * base
-            e >>= 1
-        return out
-
-    def int_value(self) -> int:
-        """Canonical integer encoding sum c_i p^i (enumeration order)."""
-        v = 0
-        for c in reversed(self.coeffs):
-            v = v * self.field.p + c
-        return v
-
-    def __repr__(self):
-        if self.field.n == 1:
-            return str(self.coeffs[0])
-        parts = []
-        for i, c in enumerate(self.coeffs):
-            if c == 0:
-                continue
-            if i == 0:
-                parts.append(str(c))
-            else:
-                s = "y" if i == 1 else f"y^{i}"
-                parts.append(s if c == 1 else f"{c}*{s}")
-        return "(" + (" + ".join(parts) if parts else "0") + ")"
-
-
 def _pf_divmod(a, b, p):
     a = a[:]
     b = _pf_trim(b[:])
@@ -250,8 +114,265 @@ def _pf_sub(a, b, p):
     return _pf_trim(out)
 
 
+def _pf_irreducible(m, p) -> bool:
+    """Deterministic irreducibility over F_p: y^(p^k) tests."""
+    n = len(m) - 1
+    if n <= 0:
+        return False
+    y = [0, 1]
+    power = y[:]
+    for k in range(1, n // 2 + 1):
+        power = _pf_powmod(power, p, m, p)
+        diff = power[:]
+        # subtract y
+        while len(diff) < 2:
+            diff.append(0)
+        diff[1] = (diff[1] - 1) % p
+        g = _pf_gcd(m, _pf_trim(diff), p)
+        if g != [1]:
+            return False
+    power = y[:]
+    for _ in range(n):
+        power = _pf_powmod(power, p, m, p)
+    diff = power[:]
+    while len(diff) < 2:
+        diff.append(0)
+    diff[1] = (diff[1] - 1) % p
+    return not _pf_trim(diff)
+
+
+def _encode(digits, p) -> int:
+    """Code sum c_i p^i of the digit list c_0, c_1, ..."""
+    code = 0
+    for c in reversed(digits):
+        code = code * p + c
+    return code
+
+
+def _decode(code, p, n) -> list:
+    """The n base-p digits of code, lowest first."""
+    out = []
+    for _ in range(n):
+        code, c = divmod(code, p)
+        out.append(c)
+    return out
+
+
+def _canonical_modulus(p, n):
+    if n == 1:
+        return (0, 1)
+    for k in range(p ** n):
+        m = _decode(k, p, n) + [1]
+        if _pf_irreducible(m, p):
+            return tuple(m)
+    raise RuntimeError("no irreducible polynomial found")  # unreachable
+
+
+# ---------------------------------------------------------------------------
+# arithmetic on codes: (add, sub, neg, mul, inv) for each kind of field
+
+
+def _prime_ops(p):
+    return ((lambda a, b: (a + b) % p), (lambda a, b: (a - b) % p),
+            (lambda a: -a % p), (lambda a, b: a * b % p),
+            (lambda a: pow(a, -1, p)))
+
+
+def _binary_ops(n, modulus):
+    """GF(2^n): a code is a bit mask of F_2[y], m(y) the mask `mod`."""
+    mod = _encode(modulus, 2)
+    top = 1 << n
+
+    def add(a, b):
+        return a ^ b
+
+    def mul(a, b):
+        # carry-less product, reducing a * y^i by m(y) as it is shifted
+        out = 0
+        while b:
+            if b & 1:
+                out ^= a
+            b >>= 1
+            a <<= 1
+            if a & top:
+                a ^= mod
+        return out
+
+    def inv(a):
+        # extended Euclid on bit masks: a*g1 = u, a*g2 = v (mod m)
+        u, v, g1, g2 = a, mod, 1, 0
+        while u != 1:
+            j = u.bit_length() - v.bit_length()
+            if j < 0:
+                u, v, g1, g2 = v, u, g2, g1
+                j = -j
+            u ^= v << j
+            g1 ^= g2 << j
+        return g1
+
+    return add, add, (lambda a: a), mul, inv
+
+
+def _digit_ops(p, n, modulus):
+    """GF(p^n), p odd: codes decoded to digit lists for the _pf_ kernels."""
+    m = list(modulus)
+
+    def add(a, b):
+        return _encode([(x + y) % p for x, y in
+                        zip(_decode(a, p, n), _decode(b, p, n))], p)
+
+    def sub(a, b):
+        return _encode([(x - y) % p for x, y in
+                        zip(_decode(a, p, n), _decode(b, p, n))], p)
+
+    def neg(a):
+        return _encode([-x % p for x in _decode(a, p, n)], p)
+
+    def mul(a, b):
+        return _encode(_pf_mod(_pf_mul(_decode(a, p, n), _decode(b, p, n), p),
+                               m, p), p)
+
+    def inv(a):
+        # extended Euclid in F_p[y]
+        r0, r1 = m, _pf_trim(_decode(a, p, n))
+        t0, t1 = [], [1]
+        while r1:
+            q, r = _pf_divmod(r0, r1, p)
+            r0, r1 = r1, r
+            t0, t1 = t1, _pf_sub(t0, _pf_mul(q, t1, p), p)
+        lead_inv = pow(r0[-1], -1, p)
+        return _encode(_pf_mod([c * lead_inv % p for c in t0], m, p), p)
+
+    return add, sub, neg, mul, inv
+
+
+class GFElement:
+    """Element of GF(p^n), held as its canonical code sum c_i p^i.
+
+    c_0, ..., c_{n-1} are its coordinates over F_p in the basis 1, y, ...,
+    y^(n-1); `coeffs` derives them from the code.  Codes order the field as
+    `FiniteField.elements` does, and equality and hashing compare codes.
+    """
+
+    __slots__ = ("field", "_code")
+
+    def __init__(self, field, coeffs):
+        coeffs = [c % field.p for c in coeffs]
+        if len(coeffs) != field.n:
+            raise ValueError("coefficient vector has wrong length")
+        _set_field(self, field)
+        _set_code(self, _encode(coeffs, field.p))
+
+    def __setattr__(self, *args):
+        raise AttributeError("GFElement is immutable")
+
+    @property
+    def coeffs(self) -> tuple:
+        """Coordinates c_0, ..., c_{n-1} over F_p."""
+        return tuple(_decode(self._code, self.field.p, self.field.n))
+
+    def __eq__(self, other):
+        return (other.__class__ is GFElement and self._code == other._code
+                and self.field is other.field)
+
+    def __hash__(self):
+        return hash(self._code)
+
+    def __bool__(self):
+        return self._code != 0
+
+    def __add__(self, other):
+        field = self.field
+        if other.__class__ is not GFElement or other.field is not field:
+            other = field.coerce(other)
+        return _element(field, field.add(self._code, other._code))
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return _element(self.field, self.field.neg(self._code))
+
+    def __sub__(self, other):
+        field = self.field
+        if other.__class__ is not GFElement or other.field is not field:
+            other = field.coerce(other)
+        return _element(field, field.sub(self._code, other._code))
+
+    def __rsub__(self, other):
+        return self.field.coerce(other) - self
+
+    def __mul__(self, other):
+        field = self.field
+        if other.__class__ is not GFElement or other.field is not field:
+            other = field.coerce(other)
+        return _element(field, field.mul(self._code, other._code))
+
+    __rmul__ = __mul__
+
+    def inverse(self):
+        if not self._code:
+            raise ZeroDivisionError("inverse of zero in a finite field")
+        return _element(self.field, self.field.inv(self._code))
+
+    def __truediv__(self, other):
+        other = self.field.coerce(other)
+        return self * other.inverse()
+
+    def __rtruediv__(self, other):
+        return self.field.coerce(other) / self
+
+    def __pow__(self, e: int):
+        if e < 0:
+            return self.inverse() ** (-e)
+        field = self.field
+        if field.n == 1:
+            return _element(field, pow(self._code, e, field.p))
+        mul = field.mul
+        out, base = 1, self._code
+        while e:
+            if e & 1:
+                out = mul(out, base)
+            base = mul(base, base)
+            e >>= 1
+        return _element(field, out)
+
+    def int_value(self) -> int:
+        """Canonical integer encoding sum c_i p^i (enumeration order)."""
+        return self._code
+
+    def __repr__(self):
+        if self.field.n == 1:
+            return str(self._code)
+        parts = []
+        for i, c in enumerate(self.coeffs):
+            if c == 0:
+                continue
+            if i == 0:
+                parts.append(str(c))
+            else:
+                s = "y" if i == 1 else f"y^{i}"
+                parts.append(s if c == 1 else f"{c}*{s}")
+        return "(" + (" + ".join(parts) if parts else "0") + ")"
+
+
+_new_object = object.__new__
+_set_field = GFElement.field.__set__
+_set_code = GFElement._code.__set__
+
+
+def _element(field, code) -> GFElement:
+    """The element of field with the given (reduced) code."""
+    x = _new_object(GFElement)
+    _set_field(x, field)
+    _set_code(x, code)
+    return x
+
+
 class FiniteField:
-    """GF(p^n); use the `GF(p, n)` factory so fields are unique objects."""
+    """GF(p^n); use the `GF(p, n)` factory so fields are unique objects.
+
+    add, sub, neg, mul and inv act on element codes.
+    """
 
     def __init__(self, p, n):
         self.p = p
@@ -259,52 +380,47 @@ class FiniteField:
         self.q = p ** n
         self.characteristic = p
         self.modulus = _canonical_modulus(p, n)
-        self.zero = GFElement(self, [0] * n)
-        self.one = GFElement(self, [1] + [0] * (n - 1))
-
-    def _from_list(self, coeffs):
-        coeffs = list(coeffs) + [0] * (self.n - len(coeffs))
-        return GFElement(self, coeffs)
+        if n == 1:
+            ops = _prime_ops(p)
+        elif p == 2:
+            ops = _binary_ops(n, self.modulus)
+        else:
+            ops = _digit_ops(p, n, self.modulus)
+        self.add, self.sub, self.neg, self.mul, self.inv = ops
+        self.zero = _element(self, 0)
+        self.one = _element(self, 1)
 
     def coerce(self, x):
-        if isinstance(x, GFElement):
+        if x.__class__ is GFElement:
             if x.field is self:
                 return x
             if x.field.p == self.p and x.field.n == 1:
-                return self._from_list([x.coeffs[0]])
+                return _element(self, x._code)
             raise ValueError(f"cannot coerce element of {x.field} into {self}")
         if isinstance(x, int):
-            return self._from_list([x % self.p])
-        from fractions import Fraction
+            return _element(self, x % self.p)
         if isinstance(x, Fraction):
-            if x.denominator % self.p == 0:
+            den = x.denominator % self.p
+            if den == 0:
                 raise ZeroDivisionError("denominator vanishes in GF")
-            num = self._from_list([x.numerator % self.p])
-            den = self._from_list([x.denominator % self.p])
-            return num / den
+            return _element(self, x.numerator * pow(den, -1, self.p) % self.p)
         raise TypeError(f"cannot coerce {x!r} into {self}")
 
     def element(self, coeffs):
-        return self._from_list(list(coeffs))
+        coeffs = list(coeffs)
+        return GFElement(self, coeffs + [0] * (self.n - len(coeffs)))
 
     def generator(self):
         """Class of y (equals 1 when n = 1)."""
-        if self.n == 1:
-            return self.one
-        return self._from_list([0, 1])
+        return _element(self, self.p if self.n > 1 else 1)
 
     def elements(self):
         """All q elements in canonical (integer-encoding) order."""
-        for k in range(self.q):
-            coeffs = []
-            kk = k
-            for _ in range(self.n):
-                coeffs.append(kk % self.p)
-                kk //= self.p
-            yield GFElement(self, coeffs)
+        for code in range(self.q):
+            yield _element(self, code)
 
     def elem_key(self, c):
-        return c.int_value()
+        return c._code
 
     def __eq__(self, other):
         return (isinstance(other, FiniteField)
@@ -354,6 +470,51 @@ def embed(small: FiniteField, big: FiniteField):
         return acc
 
     return phi
+
+
+# ---------------------------------------------------------------------------
+# linear algebra over a finite field
+
+
+def row_reduce(rows) -> dict:
+    """Bring rows (lists of field elements) to reduced row echelon form.
+
+    Works in place; returns {pivot column: row index}, the pivot rows
+    leading the list in column order.
+    """
+    cols = len(rows[0]) if rows else 0
+    piv_of_col = {}
+    r = 0
+    for c in range(cols):
+        piv = next((i for i in range(r, len(rows)) if rows[i][c]), None)
+        if piv is None:
+            continue
+        rows[r], rows[piv] = rows[piv], rows[r]
+        inv = rows[r][c].inverse()
+        rows[r] = [a * inv for a in rows[r]]
+        for i in range(len(rows)):
+            if i != r and rows[i][c]:
+                fct = rows[i][c]
+                rows[i] = [a - fct * b for a, b in zip(rows[i], rows[r])]
+        piv_of_col[c] = r
+        r += 1
+    return piv_of_col
+
+
+def _nullspace(mat, field):
+    """Basis of the right nullspace of mat over a finite field."""
+    m = [row[:] for row in mat]
+    piv_of_col = row_reduce(m)
+    basis = []
+    for free in range(len(mat[0]) if mat else 0):
+        if free in piv_of_col:
+            continue
+        v = [field.zero] * len(mat[0])
+        v[free] = field.one
+        for c, row in piv_of_col.items():
+            v[c] = -m[row][free]
+        basis.append(v)
+    return basis
 
 
 # ---------------------------------------------------------------------------
@@ -442,58 +603,50 @@ def _powmod(base: Poly, e: int, mod: Poly) -> Poly:
     return out
 
 
-def _nullspace(mat, field):
-    """Basis of the right nullspace of mat over a finite field."""
-    rows = len(mat)
-    cols = len(mat[0]) if rows else 0
-    m = [row[:] for row in mat]
-    piv_of_col = {}
-    r = 0
-    for c in range(cols):
-        piv = next((i for i in range(r, rows) if m[i][c] != field.zero), None)
-        if piv is None:
-            continue
-        m[r], m[piv] = m[piv], m[r]
-        inv = field.one / m[r][c]
-        m[r] = [a * inv for a in m[r]]
-        for i in range(rows):
-            if i != r and m[i][c] != field.zero:
-                fct = m[i][c]
-                m[i] = [a - fct * b for a, b in zip(m[i], m[r])]
-        piv_of_col[c] = r
-        r += 1
-    basis = []
-    for free in range(cols):
-        if free in piv_of_col:
-            continue
-        v = [field.zero] * cols
-        v[free] = field.one
-        for c, row in piv_of_col.items():
-            v[c] = -m[row][free]
-        basis.append(v)
-    return basis
+def _splitting_poly(b: Poly, f: Poly) -> Poly:
+    """A polynomial whose gcd with f collects about half the factors of f.
+
+    On each factor of f, b is a constant c of F_q.  For odd q this is
+    b^((q-1)/2) - 1, which vanishes where c is a nonzero square; for q = 2^n
+    it is the trace sum_{i<n} b^(2^i), which vanishes where Tr(c) = 0.
+    """
+    field = f.field
+    if field.p != 2:
+        return _powmod(b, (field.q - 1) // 2, f) - Poly.one(field)
+    power = trace = b
+    for _ in range(field.n - 1):
+        power = (power * power) % f
+        trace = trace + power
+    return trace
+
+
+def _equal_degree_split(f: Poly, kernel, rng):
+    """Irreducible factors of f, each element of kernel reduced mod f.
+
+    kernel spans the Berlekamp algebra of a multiple of f, so its images
+    mod f span that of f: f is irreducible exactly when they are all
+    constants.
+    """
+    kernel = [b % f for b in kernel]
+    if all(b.degree <= 0 for b in kernel):
+        return [f]
+    field = f.field
+    while True:
+        b = Poly.zero(field)
+        for v in kernel:
+            b = b + v * _element(field, rng.randrange(field.q))
+        g = poly_gcd(f, _splitting_poly(b, f))
+        if 0 < g.degree < f.degree:
+            return (_equal_degree_split(g, kernel, rng)
+                    + _equal_degree_split(f // g, kernel, rng))
 
 
 def _berlekamp_irreducibles(f: Poly):
     """Irreducible monic factors of a monic squarefree f over GF(q)."""
-    field = f.field
     if f.degree <= 1:
         return [f]
-    kernel = _frobenius_kernel(f)
-    r = len(kernel)
-    if r == 1:
-        return [f]
-    splitter = next(b for b in kernel if b.degree > 0)
-    pieces = []
-    for c in field.elements():
-        g = poly_gcd(f, splitter - Poly.constant(field, c))
-        if g.degree > 0:
-            pieces.append(g)
-    assert len(pieces) >= 2, "Berlekamp splitter failed to split"
-    out = []
-    for piece in pieces:
-        out.extend(_berlekamp_irreducibles(piece))
-    return out
+    return _equal_degree_split(f, _frobenius_kernel(f),
+                               random.Random(_SPLIT_SEED))
 
 
 def factor(f: Poly):

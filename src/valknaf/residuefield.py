@@ -13,7 +13,7 @@ from fractions import Fraction
 
 import sympy
 
-from .gf import GF, FiniteField, GFElement, embed
+from .gf import GF, FiniteField, GFElement, embed, row_reduce
 from .gf import factor as gf_factor
 from .poly import QQ, Poly, RationalField
 
@@ -60,30 +60,19 @@ def linear_decomposer(field: FiniteField, basis):
     if len(basis) != n:
         raise ValueError("basis has wrong size")
     # invert the basis matrix over F_p (columns = coordinates of basis elems)
-    aug = []
-    for i in range(n):
-        row = [basis[j].coeffs[i] for j in range(n)]
-        row += [1 if k == i else 0 for k in range(n)]
-        aug.append(row)
-    r = 0
-    for c in range(n):
-        piv = next((i for i in range(r, n) if aug[i][c] % p), None)
-        if piv is None:
-            raise ValueError("basis is linearly dependent")
-        aug[r], aug[piv] = aug[piv], aug[r]
-        inv = pow(aug[r][c], -1, p)
-        aug[r] = [a * inv % p for a in aug[r]]
-        for i in range(n):
-            if i != r and aug[i][c] % p:
-                fct = aug[i][c]
-                aug[i] = [(a - fct * b) % p for a, b in zip(aug[i], aug[r])]
-        r += 1
-    inv_rows = [row[n:] for row in aug]
+    fp = GF(p)
+    cols = [b.coeffs for b in basis]
+    aug = [[fp.coerce(col[i]) for col in cols]
+           + [fp.one if k == i else fp.zero for k in range(n)]
+           for i in range(n)]
+    pivots = row_reduce(aug)
+    if any(c not in pivots for c in range(n)):
+        raise ValueError("basis is linearly dependent")
+    inv_rows = [[a.int_value() for a in row[n:]] for row in aug]
 
     def decompose(x: GFElement):
-        vec = list(x.coeffs)
-        return [sum(inv_rows[i][k] * vec[k] for k in range(n)) % p
-                for i in range(n)]
+        vec = x.coeffs
+        return [sum(a * c for a, c in zip(row, vec)) % p for row in inv_rows]
 
     return decompose
 

@@ -3,8 +3,10 @@
 Nothing here calls the code paths under test: group questions are answered
 by exhaustive enumeration over bounded coefficient boxes, and p-adic factor
 counts by breadth-first Hensel lifting of modular factorizations seeded from
-sympy's factorization mod p, and squarefreeness over k(t) by Euclid over
-k(t) itself rather than the library's fraction-free k[t][x] gcd.
+sympy's factorization mod p, squarefreeness over k(t) by Euclid over
+k(t) itself rather than the library's fraction-free k[t][x] gcd, and
+factors over GF(q) by Berlekamp's splitting against every field constant
+rather than the library's randomized equal-degree splitting.
 """
 
 from fractions import Fraction
@@ -309,3 +311,65 @@ def squarefree_by_ratfunc_euclid(g):
         return d.degree == 0
     g_t = g.map_coeffs(lambda c: c.d_dt(), g.field)
     return poly_gcd(d, g_t).degree == 0
+
+
+def _frobenius_kernel_by_elimination(f):
+    """Basis of {b : b^q = b mod f}, by Gauss-Jordan on plain lists.
+
+    b = sum a_j x^j is fixed by Frobenius iff sum a_j (x^(qj) mod f) equals
+    b, so a runs over the nullspace of M - I, column j of M holding
+    x^(qj) mod f.
+    """
+    from valknaf.poly import Poly
+
+    field = f.field
+    n = f.degree
+    xq = Poly.x(field) ** field.q % f
+    cols, power = [], Poly.one(field)
+    for _ in range(n):
+        cols.append([power[i] for i in range(n)])
+        power = power * xq % f
+    m = [[cols[j][i] - (field.one if i == j else field.zero)
+          for j in range(n)] for i in range(n)]
+    pivots = []
+    for c in range(n):
+        r = len(pivots)
+        piv = next((i for i in range(r, n) if m[i][c] != field.zero), None)
+        if piv is None:
+            continue
+        m[r], m[piv] = m[piv], m[r]
+        m[r] = [a / m[r][c] for a in m[r]]
+        for i in range(n):
+            if i != r and m[i][c] != field.zero:
+                m[i] = [a - m[i][c] * b for a, b in zip(m[i], m[r])]
+        pivots.append(c)
+    basis = []
+    for free in (c for c in range(n) if c not in pivots):
+        a = [field.zero] * n
+        a[free] = field.one
+        for r, c in enumerate(pivots):
+            a[c] = -m[r][free]
+        basis.append(Poly(field, a))
+    return basis
+
+
+def berlekamp_by_enumeration(f):
+    """Irreducible monic factors of a monic squarefree f over GF(q), sorted.
+
+    Deterministic Berlekamp: a non-constant b of the Frobenius kernel
+    splits f into the gcds of f with b - c for every constant c of the
+    field, one gcd per element of the field.
+    """
+    from valknaf.poly import Poly, poly_gcd
+
+    field = f.field
+    kernel = _frobenius_kernel_by_elimination(f) if f.degree > 1 else []
+    if len(kernel) <= 1:
+        return [f]
+    splitter = next(b for b in kernel if b.degree > 0)
+    out = []
+    for c in field.elements():
+        g = poly_gcd(f, splitter - Poly.constant(field, c))
+        if g.degree > 0:
+            out.extend(berlekamp_by_enumeration(g))
+    return sorted(out, key=Poly.sort_key)

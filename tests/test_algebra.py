@@ -2,15 +2,19 @@
 
 import random
 from fractions import Fraction as F
+from itertools import product
 
 import pytest
 import sympy
 
 from valknaf.funcfield import FunctionField, RatFunc
-from valknaf.gf import GF, embed, factor, roots, squarefree_decomposition
+from valknaf.gf import (GF, GFElement, _pf_mod, _pf_mul, embed, factor, roots,
+                       squarefree_decomposition)
 from valknaf.poly import Poly, QQ, poly_gcd, poly_xgcd
 from valknaf.residuefield import (UnsupportedResidueExtension, extend_residue,
                                   factor_over, linear_decomposer)
+
+from oracles import berlekamp_by_enumeration
 
 
 def rand_gf_poly(rng, field, degree, monic=False):
@@ -172,6 +176,52 @@ def test_factor_structural_over_prime_power_fields():
             assert len({g.coeffs for g, _ in pairs}) == len(pairs)
 
 
+def rand_squarefree(rng, field, degree, coprime_to=None):
+    """Random monic squarefree polynomial, coprime to coprime_to if given."""
+    while True:
+        g = rand_gf_poly(rng, field, degree, monic=True)
+        if poly_gcd(g, g.derivative()).degree != 0:
+            continue
+        if coprime_to is None or poly_gcd(g, coprime_to).degree == 0:
+            return g
+
+
+def pth_root(h):
+    """r with r(x)^p = h(x^p): coefficients c^(q/p)."""
+    field = h.field
+    return Poly(field, [c ** (field.q // field.p) for c in h.coeffs])
+
+
+BERLEKAMP_FIELDS = ((2, 1), (3, 1), (2, 2), (7, 1), (2, 3), (3, 2), (5, 2))
+
+
+@pytest.mark.parametrize("p,n", BERLEKAMP_FIELDS)
+def test_factor_matches_enumeration_oracle(p, n):
+    field = GF(p, n)
+    rng = random.Random(f"berlekamp:{p}^{n}")
+    for _ in range(10):
+        # squarefree input: the factors themselves
+        f = rand_squarefree(rng, field, rng.randint(2, 7))
+        _, pairs = factor(f)
+        assert [g for g, _ in pairs] == berlekamp_by_enumeration(f)
+        assert all(m == 1 for _, m in pairs)
+        # a * b^2 with a, b squarefree and coprime
+        a = rand_squarefree(rng, field, rng.randint(1, 4))
+        b = rand_squarefree(rng, field, rng.randint(1, 3), coprime_to=a)
+        expected = sorted([(g, 1) for g in berlekamp_by_enumeration(a)]
+                          + [(g, 2) for g in berlekamp_by_enumeration(b)],
+                          key=lambda t: t[0].sort_key())
+        lead = rng.choice([x for x in field.elements() if x])
+        assert factor(a * b * b * lead) == (lead, expected)
+        # inseparable h(x^p) = r(x)^p
+        h = rand_squarefree(rng, field, rng.randint(1, 3))
+        f = h.compose(Poly.x(field) ** p)
+        assert f.derivative().is_zero()
+        r = pth_root(h)
+        assert r ** p == f
+        assert factor(f)[1] == [(g, p) for g in berlekamp_by_enumeration(r)]
+
+
 def test_factor_rejects_zero():
     with pytest.raises(ValueError):
         factor(Poly.zero(GF(2, 1)))
@@ -265,6 +315,83 @@ def test_gf_coercion():
         k9.coerce(GF(2, 2).one)
     with pytest.raises(ValueError):
         GF(6, 1)
+
+
+# -- int-coded elements against a digit-tuple reference -------------------------
+
+CODE_FIELDS = ((2, 1), (2, 2), (2, 5), (2, 13), (3, 1), (3, 4), (3, 8),
+               (5, 3), (7, 4))
+
+
+def ref_mul(field, a, b):
+    """Product of digit tuples by the _pf_ kernels, padded to length n."""
+    prod = _pf_mod(_pf_mul(list(a), list(b), field.p), list(field.modulus),
+                   field.p)
+    return tuple(prod + [0] * (field.n - len(prod)))
+
+
+def ref_pow(field, a, e):
+    out = (1,) + (0,) * (field.n - 1)
+    for _ in range(e):
+        out = ref_mul(field, out, a)
+    return out
+
+
+@pytest.mark.parametrize("p,n", CODE_FIELDS)
+def test_gf_codes_match_digit_reference(p, n):
+    field = GF(p, n)
+    one = (1,) + (0,) * (n - 1)
+    rng = random.Random(f"codes:{p}^{n}")
+    for _ in range(150):
+        da = tuple(rng.randrange(p) for _ in range(n))
+        db = tuple(rng.randrange(p) for _ in range(n))
+        a, b = GFElement(field, da), GFElement(field, db)
+        assert (a * b).coeffs == ref_mul(field, da, db)
+        assert (a + b).coeffs == tuple((x + y) % p for x, y in zip(da, db))
+        assert (a - b).coeffs == tuple((x - y) % p for x, y in zip(da, db))
+        assert (-a).coeffs == tuple(-x % p for x in da)
+        e = rng.randrange(12)
+        assert (a ** e).coeffs == ref_pow(field, da, e)
+        if any(da):
+            inv = a.inverse()
+            assert ref_mul(field, da, inv.coeffs) == one
+            assert (a ** -e).coeffs == ref_pow(field, inv.coeffs, e)
+    # Fermat: a^q = a, and a^(q-1) = 1 for a != 0
+    a = GFElement(field, [1] * n)
+    assert a ** field.q == a and a ** (field.q - 1) == field.one
+
+
+@pytest.mark.parametrize("p,n", CODE_FIELDS)
+def test_gf_codes_round_trip(p, n):
+    field = GF(p, n)
+    rng = random.Random(f"round-trip:{p}^{n}")
+    for _ in range(100):
+        digits = tuple(rng.randrange(p) for _ in range(n))
+        a = GFElement(field, digits)
+        assert a.coeffs == digits
+        assert a.int_value() == sum(c * p ** i for i, c in enumerate(digits))
+        assert field.element(a.coeffs) == a
+        assert GFElement(field, [c + p for c in digits]) == a
+    with pytest.raises(ValueError):
+        GFElement(field, [0] * (n + 1))
+    with pytest.raises(AttributeError):
+        a.field = GF(p, n)
+
+
+@pytest.mark.parametrize("p,n", [(2, 1), (2, 3), (3, 2), (5, 2), (7, 1)])
+def test_gf_elements_order_and_hash(p, n):
+    field = GF(p, n)
+    elems = list(field.elements())
+    # c_0 runs fastest: the enumeration order of digit vectors read base p
+    assert [x.coeffs for x in elems] == [
+        tuple(reversed(t)) for t in product(range(p), repeat=n)]
+    assert [x.int_value() for x in elems] == list(range(field.q))
+    for x in elems:
+        twin = GFElement(field, x.coeffs)
+        assert twin == x and hash(twin) == hash(x)
+    assert len(set(elems)) == field.q
+    assert len({x * y for x in elems for y in elems if x and y}) == field.q - 1
+    assert GF(11).one != field.one
 
 
 # -- rational function fields --------------------------------------------------

@@ -361,10 +361,15 @@ def test_cli_gf_token_prime_power(tmp_path, capsys, q, code):
 
 BIG_P = 1000000000000000003
 
+# name -> (mode, problem text, expected rows as (e, f, eps))
 BIG_PRIME_INPUTS = {
     "split-Q": ("split", SPLIT5.replace("p = 5", f"p = {BIG_P}").replace(
-        "coeffs = [1, 0, 1]", f"coeffs = [-{BIG_P}, 0, 1]")),
-    "split-GF": ("split", gf_split(BIG_P, "[(0, -1), 0, 1]")),
+        "coeffs = [1, 0, 1]", f"coeffs = [-{BIG_P}, 0, 1]"), [(2, 1, 2)]),
+    # x^2 - 1 splits mod p: two residual factors of degree 1
+    "split-Q-residual-split": ("split", SPLIT5.replace(
+        "p = 5", f"p = {BIG_P}").replace(
+        "coeffs = [1, 0, 1]", "coeffs = [-1, 0, 1]"), [(1, 1, 1), (1, 1, 1)]),
+    "split-GF": ("split", gf_split(BIG_P, "[(0, -1), 0, 1]"), [(2, 1, 2)]),
     "decide": ("decide", f"""\
 version = 1
 mode = decide
@@ -381,15 +386,15 @@ gen = (1/2)
 residue_degree = 1
 local_degree = 2
 residue_char = {BIG_P}
-"""),
+""", [(2, 1, 2)]),
 }
 
 
 @pytest.mark.parametrize("name", sorted(BIG_PRIME_INPUTS))
 def test_cli_prime_near_1e18(tmp_path, name):
-    # run in a child so that a slow primality test fails here instead of
-    # hanging the suite
-    mode, text = BIG_PRIME_INPUTS[name]
+    # run in a child so that a slow primality test or a factorization that
+    # enumerates GF(p) fails here instead of hanging the suite
+    mode, text, expected = BIG_PRIME_INPUTS[name]
     path = write(tmp_path, "big.prob", text)
     src = str(Path(__file__).resolve().parent.parent / "src")
     env = dict(os.environ)
@@ -401,8 +406,9 @@ def test_cli_prime_near_1e18(tmp_path, name):
         capture_output=True, text=True, env=env, timeout=30)
     assert proc.returncode == 0, proc.stderr
     rows = proc.stdout.splitlines()
-    assert len(rows) == 1
-    assert "\te=2\t" in rows[0] and "\teps=2\t" in rows[0]
+    assert len(rows) == len(expected)
+    for row, (e, f, eps) in zip(rows, expected):
+        assert f"\te={e}\tf={f}\teps={eps}\t" in row
 
 
 def test_cli_run_api():
