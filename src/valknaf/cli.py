@@ -291,6 +291,9 @@ def _build_parser() -> _Parser:
     return parser
 
 
+_PARSER = _build_parser()
+
+
 def _read_problem(path: str, expected_mode: str) -> ProblemFile:
     if path == "-":
         data = sys.stdin.buffer.read()
@@ -336,9 +339,8 @@ def _dispatch(args, out) -> int:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _PARSER.parse_args(argv)
     except _UsageError as exc:
         print(exc, file=sys.stderr)
         return 1

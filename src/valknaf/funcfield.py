@@ -42,9 +42,6 @@ class RatFunc:
     def __setattr__(self, *args):
         raise AttributeError("RatFunc is immutable")
 
-    def is_polynomial(self) -> bool:
-        return self.den.degree == 0
-
     def __bool__(self):
         return not self.num.is_zero()
 
@@ -97,14 +94,7 @@ class RatFunc:
     def __pow__(self, e: int):
         if e < 0:
             return (self.parent.one / self) ** (-e)
-        out = self.parent.one
-        base = self
-        while e:
-            if e & 1:
-                out = out * base
-            base = base * base
-            e >>= 1
-        return out
+        return RatFunc(self.parent, self.num ** e, self.den ** e)
 
     def d_dt(self) -> "RatFunc":
         """Derivative with respect to t (quotient rule)."""

@@ -447,14 +447,7 @@ def _embedding_root(small: FiniteField, big: FiniteField) -> GFElement:
     """Image of small's generator in big: first root in canonical order."""
     if small.p != big.p or big.n % small.n != 0:
         raise ValueError(f"no embedding of {small} into {big}")
-    mod = list(small.modulus)
-    for cand in big.elements():
-        acc = big.zero
-        for c in reversed(mod):
-            acc = acc * cand + big.coerce(c)
-        if not acc:
-            return cand
-    raise RuntimeError("canonical modulus has no root in the big field")
+    return first_root(Poly(big, small.modulus))
 
 
 def embed(small: FiniteField, big: FiniteField):
@@ -551,12 +544,7 @@ def squarefree_decomposition(f: Poly):
         if g.degree > 0:
             out[m] = out[m] * g if m in out else g
 
-    d = f.derivative()
-    if d.is_zero():
-        for g, m in squarefree_decomposition(_pth_root_poly(f)):
-            add(g, m * field.p)
-        return [(g, m) for m, g in sorted(out.items())]
-    c = poly_gcd(f, d)
+    c = poly_gcd(f, f.derivative())
     w = (f // c).monic()
     i = 1
     while w.degree > 0:
@@ -666,10 +654,20 @@ def factor(f: Poly):
     return lead, pairs
 
 
+def first_root(f: Poly) -> GFElement:
+    """The first root of f in its coefficient field, in canonical order."""
+    field = f.field
+    add, mul = field.add, field.mul
+    codes = [c._code for c in reversed(f.coeffs)]
+    for cand in field.elements():
+        x, acc = cand._code, 0
+        for c in codes:
+            acc = add(mul(acc, x), c)
+        if not acc:
+            return cand
+    raise ValueError(f"{f!r} has no root in {field!r}")
+
+
 def roots(f: Poly):
     """Roots in the coefficient field, in canonical element order."""
-    out = []
-    for c in f.field.elements():
-        if f(c) == f.field.zero:
-            out.append(c)
-    return out
+    return [c for c in f.field.elements() if not f(c)]

@@ -90,10 +90,9 @@ class Tower:
 
     # -- values ------------------------------------------------------------
 
-    def val(self, f: Poly, level=None):
-        """Tower value of f (under the first `level` levels, default all)."""
-        i = self.depth if level is None else level
-        return self._val(i, f)
+    def val(self, f: Poly):
+        """Tower value of f under all levels."""
+        return self._val(self.depth, f)
 
     def _val(self, i, f):
         if f.is_zero():
@@ -115,19 +114,22 @@ class Tower:
     # -- canonical monomials and units --------------------------------------
 
     def canonical_exps(self, i, w):
-        """Exponents (a_0, ..., a_i) of the canonical monomial of value w."""
+        """Exponents (a_0, ..., a_i) of the canonical monomial of value w.
+
+        With D_j = e_1 * ... * e_j, w lies in Gamma_(j-1) + a_j * mu_j exactly
+        when (w - a_j * mu_j) * D_j is divisible by e_j; mu_j * D_j is an
+        integer prime to e_j, so a_j = (w * D_j) / (mu_j * D_j) mod e_j.
+        """
         w = Fraction(w)
         exps = [0] * (i + 1)
         for j in range(i, 0, -1):
             lev = self.levels[j - 1]
-            prev_den = self.denom_at(j - 1)
-            for a in range(lev.e):
-                if ((w - a * lev.mu) * prev_den).denominator == 1:
-                    exps[j] = a
-                    w -= a * lev.mu
-                    break
-            else:
+            wd = w * lev.denom
+            if wd.denominator != 1:
                 raise ValueError(f"{w} is not in the level-{i} value group")
+            a = int(wd) * pow(int(lev.mu * lev.denom), -1, lev.e) % lev.e
+            exps[j] = a
+            w -= a * lev.mu
         if w.denominator != 1:
             raise ValueError("value is not in the value group")
         exps[0] = int(w)
@@ -146,23 +148,29 @@ class Tower:
     def normalize_exps(self, i, exps):
         """Unit u in kappa_i with [monomial(exps)] = u * [canonical monomial].
 
-        exps has slots 0..i and is consumed (mutated to the canonical form).
+        exps has slots 0..i and is consumed (mutated to the canonical form):
+        phi_j^(s*e_j) = (z_j * Q_j)^s carries s = exps[j] // e_j down.
         """
-        field = self.field_at(i)
-        unit = field.one
+        unit = self.field_at(i).one
         for j in range(i, 0, -1):
             lev = self.levels[j - 1]
-            while exps[j] >= lev.e:
-                exps[j] -= lev.e
-                unit = unit * self.z_up(j, i)
+            s, exps[j] = divmod(exps[j], lev.e)
+            if s:
+                unit = unit * self.z_up(j, i) ** s
                 for idx, q in enumerate(lev.q_exps):
-                    exps[idx] += q
-            while exps[j] < 0:
-                exps[j] += lev.e
-                unit = unit / self.z_up(j, i)
-                for idx, q in enumerate(lev.q_exps):
-                    exps[idx] -= q
+                    exps[idx] += s * q
         return unit
+
+    def monomial_unit(self, i, w, q_exps, t):
+        """Unit u in kappa_i with [M_w] * [Q]^t = u * [canonical monomial].
+
+        M_w is the canonical monomial of value w at level i and Q the
+        monomial with exponents q_exps (slots 0..i).
+        """
+        exps = self.canonical_exps(i, w)
+        for idx, q in enumerate(q_exps):
+            exps[idx] += t * q
+        return self.normalize_exps(i, exps)
 
     # -- graded reduction and lifting ---------------------------------------
 
@@ -192,12 +200,9 @@ class Tower:
                 common_a = a
             assert a == common_a, "tight exponents disagree mod e"
             r = self.reduce_at(i - 1, digits[j])
-            exps = self.canonical_exps(i - 1, v)
-            for idx, q in enumerate(lev.q_exps):
-                exps[idx] += s * q
-            u = self.normalize_exps(i - 1, exps)
+            u = self.monomial_unit(i - 1, v, lev.q_exps, s)
             total = total + lev.embed_prev(r * u) * lev.z ** s
-        if not _nonzero(total):
+        if not total:
             raise RuntimeError("graded reduction vanished; tower is corrupt")
         return total
 
@@ -206,7 +211,7 @@ class Tower:
 
         Inverse of reduce_at: reduce_at(i, lift_at(i, r, w)) == r.
         """
-        if not _nonzero(r):
+        if not r:
             raise ValueError("cannot lift zero")
         if i == 0:
             return Poly.constant(self.base.field,
@@ -217,14 +222,11 @@ class Tower:
         comps = lev.decompose(r)
         acc = Poly.zero(self.base.field)
         for s, r_s in enumerate(comps):
-            if not _nonzero(r_s):
+            if not r_s:
                 continue
             j = s * lev.e + a
             wc = w - j * lev.mu
-            exps = self.canonical_exps(i - 1, wc)
-            for idx, q in enumerate(lev.q_exps):
-                exps[idx] += s * q
-            u = self.normalize_exps(i - 1, exps)
+            u = self.monomial_unit(i - 1, wc, lev.q_exps, s)
             acc = acc + self.lift_at(i - 1, r_s / u, wc) * lev.phi ** j
         return acc
 
@@ -253,25 +255,16 @@ class Tower:
         """
         lev = self.levels[-1]
         k = self.depth - 1  # lifting happens over the tower below the top
-        below = Tower(self.base, self.levels[:-1])
         e, lam, psi = lev.e, lev.mu, lev.psi
         fdeg = psi.degree
-        units = []
-        for t in range(fdeg + 1):
-            exps = below.canonical_exps(k, (fdeg - t) * e * lam)
-            for idx, q in enumerate(lev.q_exps):
-                exps[idx] += t * q
-            units.append(below.normalize_exps(k, exps))
+        units = [self.monomial_unit(k, (fdeg - t) * e * lam, lev.q_exps, t)
+                 for t in range(fdeg + 1)]
         acc = lev.phi ** (e * fdeg)
         for t in range(fdeg):
             c = psi[t]
-            if not _nonzero(c):
+            if not c:
                 continue
             target = c * units[fdeg] / units[t]
-            coeff = below.lift_at(k, target, (fdeg - t) * e * lam)
+            coeff = self.lift_at(k, target, (fdeg - t) * e * lam)
             acc = acc + coeff * lev.phi ** (t * e)
         return acc
-
-
-def _nonzero(x) -> bool:
-    return bool(x) if not isinstance(x, Fraction) else x != 0

@@ -132,8 +132,7 @@ class BaseValuation:
             b = a / Fraction(self._p) ** v
             if b.denominator % self._p == 0:
                 raise ValueError("shifted element has negative value")
-            return self.residue_field.coerce(
-                b.numerator * pow(b.denominator, -1, self._p))
+            return self.residue_field.coerce(b)
         b = a * self.field.coerce(self._pi) ** (-v)
         nbar = b.num % self._pi
         dbar = b.den % self._pi
@@ -152,12 +151,7 @@ class BaseValuation:
 
     def _eval_residue(self, tpoly: Poly):
         """Image of a k[t]-polynomial of degree < deg pi in the residue field."""
-        out = self.residue_field.zero
-        power = self.residue_field.one
-        for c in tpoly.coeffs:
-            out = out + self._embed(c) * power
-            power = power * self._theta
-        return out
+        return tpoly.map_coeffs(self._embed, self.residue_field)(self._theta)
 
 
 @dataclass(frozen=True)
@@ -208,13 +202,14 @@ def _cross(o, a, b):
 
 
 def _lower_hull(points):
-    """Vertices of the lower convex hull, points given with increasing x."""
+    """Edges (x1, x2, slope) of the lower convex hull, points with increasing x."""
     hull = []
     for p in points:
         while len(hull) >= 2 and _cross(hull[-2], hull[-1], p) <= 0:
             hull.pop()
         hull.append(p)
-    return hull
+    return [(x1, x2, Fraction(y2 - y1, x2 - x1))
+            for (x1, y1), (x2, y2) in zip(hull, hull[1:])]
 
 
 def newton_polygon(v: BaseValuation, g) -> list:
@@ -229,10 +224,8 @@ def newton_polygon(v: BaseValuation, g) -> list:
     if not g[0]:
         raise ValueError("zero constant term: split off the zero root first")
     points = [(j, v.value_of(c)) for j, c in enumerate(g.coeffs) if c]
-    hull = _lower_hull(points)
-    return [NewtonPolygonSegment(slope=Fraction(y2 - y1, x2 - x1),
-                                 length=x2 - x1)
-            for (x1, y1), (x2, y2) in zip(hull, hull[1:])]
+    return [NewtonPolygonSegment(slope=slope, length=x2 - x1)
+            for x1, x2, slope in _lower_hull(points)]
 
 
 def _segment_residual(tower: Tower, digits, vals, lam: Fraction, j0: int, j1: int) -> Poly:
@@ -259,11 +252,7 @@ def _segment_residual(tower: Tower, digits, vals, lam: Fraction, j0: int, j1: in
             coeffs.append(kappa.zero)
             continue
         r = tower.reduce_at(k, digits[j])
-        exps = tower.canonical_exps(k, val)
-        for idx, q in enumerate(q_exps):
-            exps[idx] += t * q
-        u = tower.normalize_exps(k, exps)
-        coeffs.append(r * u)
+        coeffs.append(r * tower.monomial_unit(k, val, q_exps, t))
     return Poly(kappa, coeffs)
 
 
@@ -275,17 +264,15 @@ def residual_polynomial(v: BaseValuation, g, seg: NewtonPolygonSegment) -> Poly:
     segment's contribution to the splitting.
     """
     g = _poly_over(v, g)
-    if seg not in newton_polygon(v, g):
+    segments = newton_polygon(v, g)
+    if seg not in segments:
         raise ValueError(f"{seg} is not a segment of the polygon of {g!r}")
-    tower = Tower(v)
+    # the polygon starts at x = 0 (nonzero constant term)
+    x1 = sum(s.length for s in segments[:segments.index(seg)])
     digits = phi_expansion(g, Poly.x(v.field))
     vals = {j: v.value_of(d[0]) for j, d in enumerate(digits) if not d.is_zero()}
-    lam = -seg.slope
-    hull = _lower_hull(sorted((j, w) for j, w in vals.items()))
-    for (x1, _), (x2, _) in zip(hull, hull[1:]):
-        if x2 - x1 == seg.length and vals[x1] - vals[x2] == lam * seg.length:
-            return _segment_residual(tower, digits, vals, lam, x1, x2)
-    raise ValueError(f"{seg} is not a segment of the polygon of {g!r}")
+    return _segment_residual(Tower(v), digits, vals, -seg.slope,
+                             x1, x1 + seg.length)
 
 
 def split_extensions(v: BaseValuation, g, depth_limit: int = 16) -> list:
@@ -337,10 +324,8 @@ def _explore(tower, key, G, path, steps, out, depth_limit):
     vals = {j: tower.val(d) for j, d in enumerate(digits) if not d.is_zero()}
     if len(vals) < 2:
         raise ValueError("inconsistent data: expansion left no polygon points")
-    hull = _lower_hull(sorted((j, w) for j, w in vals.items()))
     bound = tower.val(key) if tower.depth else None
-    for (x1, y1), (x2, y2) in zip(hull, hull[1:]):
-        slope = Fraction(y2 - y1, x2 - x1)
+    for x1, x2, slope in _lower_hull(vals.items()):
         lam = -slope
         if bound is not None and lam <= bound:
             # This segment's roots were already peeled off at an earlier

@@ -25,6 +25,8 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd, inf
 
+from sympy import integer_nthroot, primefactors
+
 from .gf import FiniteField
 from .ordgroup import LexGroup, RationalVector, lex_compare, subgroup_index
 from .poly import Poly, QQ, RationalField
@@ -121,28 +123,13 @@ def _is_qth_power(field, c, q: int) -> bool:
             return True
         if c < 0 and q % 2 == 0:
             return False
-        return (_iroot(abs(c.numerator), q) is not None
-                and _iroot(c.denominator, q) is not None)
+        return (integer_nthroot(abs(c.numerator), q)[1]
+                and integer_nthroot(c.denominator, q)[1])
     c = field.coerce(c)
     if not c:
         return True
-    s = field.p ** field.n
-    g = gcd(q, s - 1)
-    return c ** ((s - 1) // g) == field.one
-
-
-def _iroot(m: int, q: int):
-    """Exact integer q-th root of m >= 0, or None."""
-    if m in (0, 1):
-        return m
-    lo, hi = 1, 1 << ((m.bit_length() + q - 1) // q + 1)
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if mid ** q < m:
-            lo = mid + 1
-        else:
-            hi = mid
-    return lo if lo ** q == m else None
+    g = gcd(q, field.q - 1)
+    return c ** ((field.q - 1) // g) == field.one
 
 
 def _binomial_irreducible(field, n: int, a: int, b: int, c) -> bool:
@@ -153,17 +140,7 @@ def _binomial_irreducible(field, n: int, a: int, b: int, c) -> bool:
     For u = c*x^a*y^b being a q-th power forces q | a, q | b and c a q-th
     power in k.
     """
-    seen = set()
-    m = n
-    d = 2
-    while d * d <= m:
-        while m % d == 0:
-            seen.add(d)
-            m //= d
-        d += 1
-    if m > 1:
-        seen.add(m)
-    for q in sorted(seen):
+    for q in primefactors(n):
         if a % q == 0 and b % q == 0 and _is_qth_power(field, c, q):
             return False
     # the -4s^4 clause; vacuous in characteristic 2 where -4 = 0

@@ -13,7 +13,7 @@ from fractions import Fraction
 
 import sympy
 
-from .gf import GF, FiniteField, GFElement, embed, row_reduce
+from .gf import GF, FiniteField, GFElement, embed, first_root, row_reduce
 from .gf import factor as gf_factor
 from .poly import QQ, Poly, RationalField
 
@@ -114,17 +114,7 @@ def extend_residue(field, psi: Poly) -> ResidueExtension:
         raise TypeError(f"cannot extend {field!r}")
     big = GF(field.p, field.n * d)
     embed_fn = embed(field, big)
-    coeffs = [embed_fn(c) for c in reversed(psi.coeffs)]
-    root = None
-    for cand in big.elements():
-        acc = big.zero
-        for c in coeffs:
-            acc = acc * cand + c
-        if not acc:
-            root = cand
-            break
-    if root is None:
-        raise RuntimeError("irreducible polynomial has no root upstairs")
+    root = first_root(psi.map_coeffs(embed_fn, big))
     # basis embed(y^u) * root^s of big over F_p
     basis = []
     pow_root = big.one

@@ -6,7 +6,9 @@ counts by breadth-first Hensel lifting of modular factorizations seeded from
 sympy's factorization mod p, squarefreeness over k(t) by Euclid over
 k(t) itself rather than the library's fraction-free k[t][x] gcd, and
 factors over GF(q) by Berlekamp's splitting against every field constant
-rather than the library's randomized equal-degree splitting.
+rather than the library's randomized equal-degree splitting, and the
+canonical-monomial bookkeeping of an inductive tower by search and one carry
+at a time rather than the library's closed forms.
 """
 
 from fractions import Fraction
@@ -373,3 +375,51 @@ def berlekamp_by_enumeration(f):
         if g.degree > 0:
             out.extend(berlekamp_by_enumeration(g))
     return sorted(out, key=Poly.sort_key)
+
+
+def canonical_exps_by_search(tower, i, w):
+    """Exponents of the canonical monomial of value w at level i, by search.
+
+    The reference for `Tower.canonical_exps`: at each level j, from i down,
+    a_j is the first a in 0..e_j - 1 that leaves w - a * mu_j in the value
+    group of the levels below.
+    """
+    w = Fraction(w)
+    exps = [0] * (i + 1)
+    for j in range(i, 0, -1):
+        lev = tower.levels[j - 1]
+        prev_den = tower.denom_at(j - 1)
+        for a in range(lev.e):
+            if ((w - a * lev.mu) * prev_den).denominator == 1:
+                exps[j] = a
+                w -= a * lev.mu
+                break
+        else:
+            raise ValueError(f"{w} is not in the level-{i} value group")
+    if w.denominator != 1:
+        raise ValueError("value is not in the value group")
+    exps[0] = int(w)
+    return exps
+
+
+def normalize_exps_by_steps(tower, i, exps):
+    """Unit and canonical exponents of the monomial exps, one carry a step.
+
+    The reference for `Tower.normalize_exps`: while exps[j] >= e_j, trade
+    phi_j^(e_j) for z_j * Q_j; while exps[j] < 0, trade in the other way.
+    Mutates exps like the library does.
+    """
+    unit = tower.field_at(i).one
+    for j in range(i, 0, -1):
+        lev = tower.levels[j - 1]
+        while exps[j] >= lev.e:
+            exps[j] -= lev.e
+            unit = unit * tower.z_up(j, i)
+            for idx, q in enumerate(lev.q_exps):
+                exps[idx] += q
+        while exps[j] < 0:
+            exps[j] += lev.e
+            unit = unit / tower.z_up(j, i)
+            for idx, q in enumerate(lev.q_exps):
+                exps[idx] -= q
+    return unit

@@ -8,8 +8,8 @@ import pytest
 import sympy
 
 from valknaf.funcfield import FunctionField, RatFunc
-from valknaf.gf import (GF, GFElement, _pf_mod, _pf_mul, embed, factor, roots,
-                       squarefree_decomposition)
+from valknaf.gf import (GF, GFElement, _pf_mod, _pf_mul, embed, factor,
+                       first_root, roots, squarefree_decomposition)
 from valknaf.poly import Poly, QQ, poly_gcd, poly_xgcd
 from valknaf.residuefield import (UnsupportedResidueExtension, extend_residue,
                                   factor_over, linear_decomposer)
@@ -272,6 +272,23 @@ def test_roots_match_linear_factors():
     assert [c.int_value() for c in roots(f)] == [1, 3]
 
 
+@pytest.mark.parametrize("p,n", [(2, 2), (3, 2), (2, 5), (5, 2)])
+def test_first_root_is_first_of_roots(p, n):
+    field = GF(p, n)
+    rng = random.Random(p * 100 + n)
+    seen = {True: 0, False: 0}
+    for _ in range(40):
+        f = rand_gf_poly(rng, field, rng.randint(1, 4))
+        found = roots(f)
+        seen[bool(found)] += 1
+        if found:
+            assert first_root(f) == found[0], f
+        else:
+            with pytest.raises(ValueError):
+                first_root(f)
+    assert seen[True] and seen[False]
+
+
 # -- embeddings and element arithmetic ----------------------------------------
 
 def test_embed_is_field_homomorphism():
@@ -422,6 +439,11 @@ def test_ratfunc_reduced_form_and_field_identities():
         nz = rand_ratfunc(rng, K, nonzero=True)
         assert nz / nz == K.one
         assert nz * (K.one / nz) == K.one
+        for k in (0, 1, 3):
+            power = nz ** k
+            assert power * nz ** -k == K.one
+            assert power.den.is_monic()
+            assert poly_gcd(power.num, power.den).degree == 0
     with pytest.raises(ZeroDivisionError):
         K.one / K.zero
 

@@ -297,6 +297,7 @@ residue_char = 0
         (["split", "--file", nonsq], 2, "squarefree"),
         (["decide", "--file", baddec], 2, "does not divide"),
         (["split", "--file", deep, "--depth", "1"], 3, "not isolated"),
+        (["split", "--file", deep], 0, ""),  # the default depth is back
     ]
     for argv, code, fragment in cases:
         assert cli.main(argv) == code, argv

@@ -10,6 +10,8 @@ from valknaf.inductive import INFINITY, Tower, phi_expansion
 from valknaf.localsplit import BaseValuation
 from valknaf.poly import Poly, QQ
 
+from oracles import canonical_exps_by_search, normalize_exps_by_steps
+
 
 def make_wild_tower():
     """Depth-3 tower over v_2 (the one isolating x^4 + 8x^2 + 4)."""
@@ -42,6 +44,19 @@ def make_funcfield_tower():
     return t1, t1.lift_key()
 
 
+def make_mixed_tower():
+    """Depth-2 tower over v_5 with e = 3, then e = 4 and residue growth."""
+    v5 = BaseValuation.padic(5)
+    F5 = GF(5, 1)
+    t1 = Tower(v5).augment(Poly.x(QQ), F(1, 3), Poly(F5, [3, 1]))  # T - 2
+    t2 = t1.augment(t1.lift_key(), F(5, 4), Poly(F5, [3, 0, 1]))  # T^2 + 3
+    return t2, t2.lift_key()
+
+
+TOWERS = [make_wild_tower, make_tame_tower, make_funcfield_tower,
+          make_mixed_tower]
+
+
 def test_phi_expansion_reassembles():
     rng = random.Random(20240818)
     phi = Poly(QQ, [2, 1, 0, 1])
@@ -71,8 +86,7 @@ def test_tower_bookkeeping():
     assert tower.val(key) == lev.e * lev.f * lev.mu
 
 
-@pytest.mark.parametrize("maker", [make_wild_tower, make_tame_tower,
-                                   make_funcfield_tower])
+@pytest.mark.parametrize("maker", TOWERS)
 def test_valuation_axioms(maker):
     tower, _ = maker()
     field = tower.base.field
@@ -99,8 +113,7 @@ def test_valuation_axioms(maker):
             assert (f + g).is_zero()
 
 
-@pytest.mark.parametrize("maker", [make_wild_tower, make_tame_tower,
-                                   make_funcfield_tower])
+@pytest.mark.parametrize("maker", TOWERS)
 def test_reduce_lift_round_trip(maker):
     tower, key = maker()
     rng = random.Random(55331)
@@ -118,8 +131,7 @@ def test_reduce_lift_round_trip(maker):
         assert tower.reduce_at(k, lifted) == r
 
 
-@pytest.mark.parametrize("maker", [make_wild_tower, make_tame_tower,
-                                   make_funcfield_tower])
+@pytest.mark.parametrize("maker", TOWERS)
 def test_reduce_respects_graded_multiplication(maker):
     # [f] = r * M_w and [pi * f] = r * M_(w+1): scaling by the uniformizer
     # shifts the value by 1 and keeps the reduced class fixed.
@@ -142,7 +154,7 @@ def test_reduce_respects_graded_multiplication(maker):
 
 
 def test_lift_key_value_and_degree():
-    for maker in (make_wild_tower, make_tame_tower, make_funcfield_tower):
+    for maker in TOWERS:
         tower, key = maker()
         lev = tower.levels[-1]
         assert key.is_monic()
@@ -162,3 +174,35 @@ def test_stage0_values_only_for_constants():
     assert tower.val(Poly.zero(QQ)) == INFINITY
     with pytest.raises(ValueError):
         tower.val(Poly.x(QQ))
+
+
+@pytest.mark.parametrize("maker", TOWERS)
+def test_canonical_exps_match_search(maker):
+    tower, _ = maker()
+    rng = random.Random(40417)
+    for i in range(tower.depth + 1):
+        den = tower.denom_at(i)
+        for _ in range(60):
+            w = F(rng.randint(-5 * den, 5 * den), den)
+            assert tower.canonical_exps(i, w) == canonical_exps_by_search(
+                tower, i, w), (i, w)
+        if i < tower.depth and tower.levels[i].e > 1:
+            outside = F(1, tower.denom_at(i + 1))
+            with pytest.raises(ValueError):
+                tower.canonical_exps(i, outside)
+            with pytest.raises(ValueError):
+                canonical_exps_by_search(tower, i, outside)
+
+
+@pytest.mark.parametrize("maker", TOWERS)
+def test_normalize_exps_match_single_carries(maker):
+    tower, _ = maker()
+    rng = random.Random(88203)
+    for i in range(tower.depth + 1):
+        bounds = [4] + [3 * lev.e + 2 for lev in tower.levels[:i]]
+        for _ in range(60):
+            exps = [rng.randint(-b, b) for b in bounds]
+            ours, ref = list(exps), list(exps)
+            unit = tower.normalize_exps(i, ours)
+            assert unit == normalize_exps_by_steps(tower, i, ref), (i, exps)
+            assert ours == ref, (i, exps)

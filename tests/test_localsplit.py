@@ -115,6 +115,12 @@ def test_residual_examples():
     r = residual_polynomial(vt, g, seg)
     assert r == Poly(GF(3, 1), [2, 1])  # T - 1 over F_3
 
+    # (x - 5)(x^2 + 2): the second segment starts at x = 1
+    g = [-10, 2, -5, 1]
+    first, second = newton_polygon(V5, g)
+    assert residual_polynomial(V5, g, first) == Poly(GF(5, 1), [3, 2])
+    assert residual_polynomial(V5, g, second) == Poly(GF(5, 1), [2, 0, 1])
+
 
 def test_residual_rejects_foreign_segment():
     with pytest.raises(ValueError):

@@ -131,6 +131,12 @@ def test_reducible_binomial_rejected():
         extend_binomial(vq, BinomialExtensionSpec(4, 0, 0, -4))  # -4 s^4 clause
     with pytest.raises(ValueError):
         extend_binomial(STD, BinomialExtensionSpec(2, 1, 0, 0))  # c = 0
+    big_cube = F((2 ** 23 + 1) ** 3, 7 ** 3)
+    assert big_cube.numerator > 2 ** 64
+    with pytest.raises(ValueError):
+        extend_binomial(vq, BinomialExtensionSpec(3, 0, 0, big_cube))
+    k = single(vq, BinomialExtensionSpec(3, 0, 0, big_cube + 1))
+    assert (k.e, k.f) == (1, 3)
 
 
 def test_minus_four_clause_only_when_applicable():
