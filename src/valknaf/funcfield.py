@@ -24,10 +24,11 @@ class RatFunc:
         if den.is_zero():
             raise ZeroDivisionError("zero denominator in k(t)")
         if not num.is_zero():
-            g = poly_gcd(num, den)
-            if g.degree > 0:
-                num = num // g
-                den = den // g
+            if den.degree > 0:  # a constant den is already coprime to num
+                g = poly_gcd(num, den)
+                if g.degree > 0:
+                    num = num // g
+                    den = den // g
             lead = den.leading()
             if lead != parent.base.one:
                 inv = parent.base.one / lead

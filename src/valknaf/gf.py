@@ -7,8 +7,12 @@ parameters give the identical object and elements can be compared freely.
 
 An element is held as one int, its canonical code sum c_i p^i, and the field
 does the arithmetic on codes (Cohen, GTM 138): plain arithmetic mod p in
-GF(p), XOR and a carry-less shift-and-reduce product in GF(2^n), and the
-digit kernels `_pf_mul`/`_pf_mod` in GF(p^n) for odd p.
+GF(p); in GF(p^n), n > 1, the kernels XOR and a carry-less shift-and-reduce
+product for p = 2, and the digit kernels `_pf_mul`/`_pf_mod` for odd p.
+Extension fields of at most `_TABLE_MAX_Q` elements replace the kernels by
+tables that the kernels build when the field is made: a log/antilog pair
+for a primitive element g, so a product is one addition of logs, and for
+odd p the Zech logarithms log(1 + g^k), so a sum is one too.
 
 Factorization is Berlekamp's method: the kernel of Frobenius minus identity
 gives the split algebra, and factors are separated by equal-degree splitting
@@ -22,13 +26,19 @@ import random
 from fractions import Fraction
 from functools import lru_cache
 
-from sympy import isprime
+from sympy import isprime, primefactors
 
 from .poly import Poly, poly_gcd
 
 # constant seed of the equal-degree splitting; any value gives the same
 # factors, this one fixes the operation counts
 _SPLIT_SEED = 0
+
+# extension fields up to this size compute through log/antilog and Zech
+# tables; GF(2^13) is the largest field the benchmark workloads build.  The
+# tables of GF(3^8) or GF(2^13) take at most 0.1 s and 0.7 MB to build,
+# those of GF(3^10) about 1 s and 6 MB, so larger fields keep the kernels
+_TABLE_MAX_Q = 2 ** 13
 
 # ---------------------------------------------------------------------------
 # integer-coefficient helpers for F_p[y] (used before any field object exists)
@@ -246,6 +256,88 @@ def _digit_ops(p, n, modulus):
     return add, sub, neg, mul, inv
 
 
+def _log_tables(p, n, mul):
+    """(g, exp, log, zech) for GF(p^n), built with the kernel product mul.
+
+    g is the smallest code of order q - 1.  exp[k] = g^k for 0 <= k < 2(q-1),
+    so a sum of two logs needs no reduction; log[a] is the k < q - 1 with
+    g^k = a (log[0] is unused).  For odd p, zech[k] = log(1 + g^k) for
+    0 <= k < 2(q-1), and None at k = (q-1)/2 (and its repeat), where g^k = -1
+    and the sum vanishes.  For p = 2 zech is None: addition is XOR.
+    """
+    q = p ** n
+    order = q - 1
+
+    def power(a, e):
+        out = 1
+        while e:
+            if e & 1:
+                out = mul(out, a)
+            a = mul(a, a)
+            e >>= 1
+        return out
+
+    cofactors = [order // r for r in primefactors(order)]
+    g = next(c for c in range(2, q)
+             if all(power(c, e) != 1 for e in cofactors))
+    exp = [1] * order
+    log = [0] * q
+    x = 1
+    for k in range(1, order):
+        x = mul(x, g)
+        exp[k] = x
+        log[x] = k
+    exp += exp
+    if p == 2:
+        return g, exp, log, None
+    # 1 + c adds 1 to the lowest digit of the code c
+    zech = [log[c + 1 if c % p != p - 1 else c + 1 - p] for c in exp[:order]]
+    zech[order // 2] = None
+    return g, exp, log, zech + zech
+
+
+def _table_ops(p, n, kernel):
+    """GF(p^n) on codes through the log/antilog and Zech tables of kernel.
+
+    Sums of two logs index exp directly; differences of logs index zech
+    with Python's negative indexing, which wraps them mod q - 1 because
+    zech repeats with that period.
+    """
+    _, exp, log, zech = _log_tables(p, n, kernel[3])
+    order = p ** n - 1
+    half = order // 2
+
+    def mul(a, b):
+        return exp[log[a] + log[b]] if a and b else 0
+
+    def inv(a):
+        return exp[order - log[a]]
+
+    if zech is None:
+        return kernel[0], kernel[1], kernel[2], mul, inv
+
+    def add(a, b):
+        if not a or not b:
+            return a or b
+        i = log[a]
+        z = zech[log[b] - i]
+        return 0 if z is None else exp[i + z]
+
+    def sub(a, b):
+        if not b:
+            return a
+        if not a:
+            return exp[log[b] + half]
+        i = log[a]
+        z = zech[log[b] + half - i]
+        return 0 if z is None else exp[i + z]
+
+    def neg(a):
+        return exp[log[a] + half] if a else 0
+
+    return add, sub, neg, mul, inv
+
+
 class GFElement:
     """Element of GF(p^n), held as its canonical code sum c_i p^i.
 
@@ -386,6 +478,8 @@ class FiniteField:
             ops = _binary_ops(n, self.modulus)
         else:
             ops = _digit_ops(p, n, self.modulus)
+        if n > 1 and self.q <= _TABLE_MAX_Q:
+            ops = _table_ops(p, n, ops)
         self.add, self.sub, self.neg, self.mul, self.inv = ops
         self.zero = _element(self, 0)
         self.one = _element(self, 1)
@@ -666,8 +760,3 @@ def first_root(f: Poly) -> GFElement:
         if not acc:
             return cand
     raise ValueError(f"{f!r} has no root in {field!r}")
-
-
-def roots(f: Poly):
-    """Roots in the coefficient field, in canonical element order."""
-    return [c for c in f.field.elements() if not f(c)]

@@ -6,9 +6,10 @@ counts by breadth-first Hensel lifting of modular factorizations seeded from
 sympy's factorization mod p, squarefreeness over k(t) by Euclid over
 k(t) itself rather than the library's fraction-free k[t][x] gcd, and
 factors over GF(q) by Berlekamp's splitting against every field constant
-rather than the library's randomized equal-degree splitting, and the
-canonical-monomial bookkeeping of an inductive tower by search and one carry
-at a time rather than the library's closed forms.
+rather than the library's randomized equal-degree splitting, roots over
+GF(q) by evaluation at every field element, and the canonical-monomial
+bookkeeping of an inductive tower by search and one carry at a time rather
+than the library's closed forms.
 """
 
 from fractions import Fraction
@@ -375,6 +376,14 @@ def berlekamp_by_enumeration(f):
         if g.degree > 0:
             out.extend(berlekamp_by_enumeration(g))
     return sorted(out, key=Poly.sort_key)
+
+
+def roots(f):
+    """Roots of f in its coefficient field, in canonical element order.
+
+    Evaluates f at every element of the field.
+    """
+    return [c for c in f.field.elements() if not f(c)]
 
 
 def canonical_exps_by_search(tower, i, w):

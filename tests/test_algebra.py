@@ -1,5 +1,6 @@
 """Tests for the exact-arithmetic core: Poly, finite fields, k(t), residues."""
 
+import math
 import random
 from fractions import Fraction as F
 from itertools import product
@@ -7,14 +8,16 @@ from itertools import product
 import pytest
 import sympy
 
+from valknaf import funcfield
 from valknaf.funcfield import FunctionField, RatFunc
-from valknaf.gf import (GF, GFElement, _pf_mod, _pf_mul, embed, factor,
-                       first_root, roots, squarefree_decomposition)
+from valknaf.gf import (GF, GFElement, _TABLE_MAX_Q, _binary_ops, _digit_ops,
+                       _log_tables, _pf_mod, _pf_mul, embed, factor,
+                       first_root, squarefree_decomposition)
 from valknaf.poly import Poly, QQ, poly_gcd, poly_xgcd
 from valknaf.residuefield import (UnsupportedResidueExtension, extend_residue,
                                   factor_over, linear_decomposer)
 
-from oracles import berlekamp_by_enumeration
+from oracles import berlekamp_by_enumeration, roots
 
 
 def rand_gf_poly(rng, field, degree, monic=False):
@@ -336,8 +339,10 @@ def test_gf_coercion():
 
 # -- int-coded elements against a digit-tuple reference -------------------------
 
-CODE_FIELDS = ((2, 1), (2, 2), (2, 5), (2, 13), (3, 1), (3, 4), (3, 8),
-               (5, 3), (7, 4))
+# on both sides of _TABLE_MAX_Q: (2, 14), (3, 9), (5, 6) and (101, 2) run
+# the kernels themselves, the other extension fields their tables
+CODE_FIELDS = ((2, 1), (2, 2), (2, 5), (2, 13), (2, 14), (3, 1), (3, 4),
+               (3, 8), (3, 9), (5, 3), (5, 6), (7, 4), (101, 2))
 
 
 def ref_mul(field, a, b):
@@ -395,6 +400,49 @@ def test_gf_codes_round_trip(p, n):
         a.field = GF(p, n)
 
 
+@pytest.mark.parametrize("p,n", [(2, 2), (2, 3), (2, 6), (3, 2), (3, 4),
+                                 (5, 2), (7, 2), (3, 8), (2, 13)])
+def test_gf_tables_match_kernels(p, n):
+    field = GF(p, n)
+    q, order = field.q, field.q - 1
+    assert q <= _TABLE_MAX_Q
+    kernel = (_binary_ops(n, field.modulus) if p == 2
+              else _digit_ops(p, n, field.modulus))
+    add, sub, neg, mul, inv = kernel
+    g, exp, log, zech = _log_tables(p, n, mul)
+    # exp runs through the powers of g twice; once round is every nonzero
+    # code, so g has order q - 1, and every smaller code has a smaller order
+    assert len(exp) == 2 * order and exp[0] == 1
+    assert all(exp[k + 1] == mul(exp[k], g) for k in range(2 * order - 1))
+    assert sorted(exp[:order]) == list(range(1, q))
+    assert len(log) == q and all(log[exp[k]] == k for k in range(order))
+    assert all(math.gcd(log[c], order) > 1 for c in range(2, g))
+    if p == 2:
+        assert zech is None
+    else:
+        half = order // 2
+        assert exp[half] == neg(1)
+        assert [k for k, z in enumerate(zech) if z is None] == [half,
+                                                               half + order]
+        assert all(exp[zech[k]] == add(1, exp[k])
+                   for k in range(order) if k != half)
+    if q <= 81:
+        pairs = list(product(range(q), repeat=2))
+    else:
+        rng = random.Random(f"tables:{p}^{n}")
+        pairs = [(rng.randrange(q), rng.randrange(q)) for _ in range(3000)]
+        pairs += [(a, neg(a)) for a, _ in pairs[:200]]
+        pairs += [(a, a) for a, _ in pairs[:200]]
+    for a, b in pairs:
+        assert field.mul(a, b) == mul(a, b)
+        assert field.add(a, b) == add(a, b)
+        assert field.sub(a, b) == sub(a, b)
+    for a in {a for a, _ in pairs}:
+        assert field.neg(a) == neg(a)
+        if a:
+            assert field.inv(a) == inv(a)
+
+
 @pytest.mark.parametrize("p,n", [(2, 1), (2, 3), (3, 2), (5, 2), (7, 1)])
 def test_gf_elements_order_and_hash(p, n):
     field = GF(p, n)
@@ -446,6 +494,28 @@ def test_ratfunc_reduced_form_and_field_identities():
             assert poly_gcd(power.num, power.den).degree == 0
     with pytest.raises(ZeroDivisionError):
         K.one / K.zero
+
+
+def test_ratfunc_constant_denominator_skips_gcd(monkeypatch):
+    rng = random.Random(20241018)
+    K = FunctionField(GF(5, 1))
+    powers = [rand_ratfunc(rng, K, nonzero=True) for _ in range(10)]
+    calls = []
+    real_gcd = funcfield.poly_gcd
+    monkeypatch.setattr(funcfield, "poly_gcd",
+                        lambda a, b: calls.append((a, b)) or real_gcd(a, b))
+    built = []
+    for _ in range(30):
+        num = rand_gf_poly(rng, K.base, rng.randint(0, 4))
+        den = Poly(K.base, [rng.randrange(1, 5)])
+        x = RatFunc(K, num, den)
+        assert x.num * den == num
+        built.append(x)
+    built += [x ** 0 for x in powers]
+    assert calls == []
+    for x in built:
+        assert x.den == Poly.one(K.base)
+    assert all(x ** 0 == K.one for x in powers)
 
 
 def test_ratfunc_int_and_fraction_mix():
