@@ -19,7 +19,8 @@ from .localsplit import (BaseValuation, LocalFactor, NewtonPolygonSegment,
                          residual_polynomial, split_extensions,
                          to_extension_invariants)
 from .monoval import (BinomialExtensionSpec, MonomialValuation,
-                      WildBinomialError, extend_binomial, mono_value)
+                      ResidualDegreeError, WildBinomialError, extend_binomial,
+                      mono_value)
 from .ordgroup import (LexGroup, RationalVector, initial_index, initial_set,
                        lex_compare, subgroup_index)
 from .problemfile import (ProblemFile, ProblemFileError, parse_problem,
@@ -36,8 +37,8 @@ __all__ = [
     "BaseValuation", "LocalFactor", "NewtonPolygonSegment",
     "UnresolvedBranchError", "newton_polygon", "residual_polynomial",
     "split_extensions", "to_extension_invariants",
-    "BinomialExtensionSpec", "MonomialValuation", "WildBinomialError",
-    "extend_binomial", "mono_value",
+    "BinomialExtensionSpec", "MonomialValuation", "ResidualDegreeError",
+    "WildBinomialError", "extend_binomial", "mono_value",
     "ProblemFile", "ProblemFileError", "parse_problem", "serialize",
     "FIXTURES", "Fixture", "fixture",
 ]

@@ -5,8 +5,9 @@ Subcommands: `group` (indices of one lex group over another), `decide`
 engine on a problem file), `binomial` (rank-2 monomial engine) and
 `fixtures` (the named catalog).  Problems are read from `--file` (`-` for
 stdin) in the line-oriented format of `problemfile`.  Exit codes: 0 success,
-1 usage or problem-file syntax error, 2 inconsistent data (validation or
-engine rejection), 3 branch unresolved within the recursion depth.
+1 usage or problem-file syntax error or an exceeded resource bound, 2
+inconsistent data (validation or engine rejection), 3 branch unresolved
+within the recursion depth.
 """
 
 from __future__ import annotations
@@ -18,13 +19,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from sympy import isprime, perfect_power
-
 from .fixtures import FIXTURES, fixture
 from .gf import GF
 from .localsplit import (BaseValuation, UnresolvedBranchError,
                          split_extensions, to_extension_invariants)
-from .monoval import BinomialExtensionSpec, MonomialValuation, extend_binomial
+from .monoval import (BinomialExtensionSpec, MonomialValuation,
+                      ResidualDegreeError, extend_binomial)
+from .numtheory import isprime, perfect_power
 from .ordgroup import LexGroup, RationalVector, initial_index, subgroup_index
 from .poly import Poly, QQ
 from .problemfile import ProblemFile, ProblemFileError, parse_problem
@@ -57,7 +58,7 @@ _GF_RE = re.compile(r"GF\((\d+)\)")
 
 
 def _prime_power(q: int):
-    p, n = perfect_power(q) or (q, 1)
+    p, n = perfect_power(q)
     if not isprime(p):
         raise ProblemFileError(f"{q} is not a prime power")
     return p, n
@@ -348,7 +349,8 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return _dispatch(args, sys.stdout)
-    except (_UsageError, ProblemFileError, OSError, LookupError) as exc:
+    except (_UsageError, ProblemFileError, ResidualDegreeError, OSError,
+            LookupError) as exc:
         message = exc.args[0] if isinstance(exc, LookupError) and exc.args else exc
         print(f"error: {message}", file=sys.stderr)
         return 1

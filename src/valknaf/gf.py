@@ -26,8 +26,7 @@ import random
 from fractions import Fraction
 from functools import lru_cache
 
-from sympy import isprime, primefactors
-
+from .numtheory import isprime, primefactors
 from .poly import Poly, poly_gcd
 
 # constant seed of the equal-degree splitting; any value gives the same

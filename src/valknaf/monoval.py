@@ -11,9 +11,12 @@ of k does not divide n).  Writing g = gcd(n, a, b) and w = (a·w_x + b·w_y)/n,
 the extended value group is Γ_ν + Z·w with e = [Γ_ω : Γ_ν] = n/g, and
 z^e / (x^(a/g)·y^(b/g)) is a unit U with U^(n/e) = c exactly — the monomial
 of value e·w divides z^n's right-hand side on the nose, so the residual
-equation is T^(n/e) = c̄ with unit 1.  Each irreducible factor of
-T^(n/e) − c̄ over k contributes one extension with f = its degree; tameness
-makes every extension defectless, so local degrees are e·f and sum to n.
+equation is T^g = c̄ with unit 1.  By Capelli's theorem T^g − c̄ is
+irreducible over k exactly when c̄ is no q-th power for a prime q | g and,
+when 4 | g, not in −4k⁴; every such q (and 4) divides n, a and b, so the
+irreducibility test of the binomial has already ruled both out.  There is
+then one extension, with f = g and e·f = n, and tameness makes it
+defectless.
 
 These are the smallest instances separating ε from e: the criterion's
 initial condition holds or fails depending on whether w is congruent mod
@@ -25,19 +28,25 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd, inf
 
-from sympy import integer_nthroot, primefactors
-
 from .gf import FiniteField
+from .numtheory import iroot, primefactors
 from .ordgroup import LexGroup, RationalVector, lex_compare, subgroup_index
-from .poly import Poly, QQ, RationalField
+from .poly import Poly, RationalField
 from .raminv import ExtensionInvariants, validate
-from .residuefield import factor_over
 
 INFINITY = inf
+
+# largest g = gcd(n, a, b), the degree of the residual polynomial T^g - c,
+# that extend_binomial builds; every fixture, demo and workload has g <= 12
+MAX_RESIDUAL_DEGREE = 2 ** 16
 
 
 class WildBinomialError(NotImplementedError):
     """The characteristic divides n: the extension is out of tame scope."""
+
+
+class ResidualDegreeError(ValueError):
+    """gcd(n, a, b) exceeds MAX_RESIDUAL_DEGREE: out of resource bounds."""
 
 
 class MonomialValuation:
@@ -123,8 +132,8 @@ def _is_qth_power(field, c, q: int) -> bool:
             return True
         if c < 0 and q % 2 == 0:
             return False
-        return (integer_nthroot(abs(c.numerator), q)[1]
-                and integer_nthroot(c.denominator, q)[1])
+        return all(iroot(m, q) ** q == m
+                   for m in (abs(c.numerator), c.denominator))
     c = field.coerce(c)
     if not c:
         return True
@@ -132,20 +141,20 @@ def _is_qth_power(field, c, q: int) -> bool:
     return c ** ((field.q - 1) // g) == field.one
 
 
-def _binomial_irreducible(field, n: int, a: int, b: int, c) -> bool:
+def _binomial_irreducible(field, g: int, c) -> bool:
     """Classical criterion for z^n - c*x^a*y^b irreducible over k(x,y).
 
     z^n - u is irreducible iff u is not a q-th power in the field for any
     prime q dividing n, and, when 4 divides n, u is not of the form -4*s^4.
     For u = c*x^a*y^b being a q-th power forces q | a, q | b and c a q-th
-    power in k.
+    power in k, so only the primes of g = gcd(n, a, b) matter, and the
+    -4*s^4 clause only when 4 | g.
     """
-    for q in primefactors(n):
-        if a % q == 0 and b % q == 0 and _is_qth_power(field, c, q):
+    for q in primefactors(g):
+        if _is_qth_power(field, c, q):
             return False
     # the -4s^4 clause; vacuous in characteristic 2 where -4 = 0
-    if (n % 4 == 0 and a % 4 == 0 and b % 4 == 0
-            and field.characteristic != 2):
+    if g % 4 == 0 and field.characteristic != 2:
         minus_c_over_4 = -field.coerce(c) / field.coerce(4)
         if _is_qth_power(field, minus_c_over_4, 4):
             return False
@@ -155,7 +164,8 @@ def _binomial_irreducible(field, n: int, a: int, b: int, c) -> bool:
 def extend_binomial(v: MonomialValuation, spec: BinomialExtensionSpec) -> list:
     """All extensions of v to K(z), z^n = c*x^a*y^b, as ExtensionInvariants.
 
-    Raises WildBinomialError when char k divides n and ValueError when the
+    Raises WildBinomialError when char k divides n, ResidualDegreeError
+    when gcd(n, a, b) exceeds MAX_RESIDUAL_DEGREE, and ValueError when the
     binomial is reducible or c is zero.
     """
     k = v.base_field
@@ -167,11 +177,15 @@ def extend_binomial(v: MonomialValuation, spec: BinomialExtensionSpec) -> list:
     if p and n % p == 0:
         raise WildBinomialError(
             f"characteristic {p} divides n = {n}: wild binomials are not supported")
-    if not _binomial_irreducible(k, n, a, b, c):
+    g = gcd(n, gcd(a, b))
+    if g > MAX_RESIDUAL_DEGREE:
+        raise ResidualDegreeError(
+            f"gcd(n, a, b) = {g} exceeds the residual degree bound "
+            f"{MAX_RESIDUAL_DEGREE}")
+    if not _binomial_irreducible(k, g, c):
         raise ValueError(
             f"z^{n} - {c}*x^{a}*y^{b} is reducible over the base field")
 
-    g = gcd(n, gcd(a, b))
     e = n // g
     w = v.monomial_value(a, b) * Fraction(1, n)
     gamma_nu = v.value_group()
@@ -181,27 +195,20 @@ def extend_binomial(v: MonomialValuation, spec: BinomialExtensionSpec) -> list:
         raise ValueError(
             f"inconsistent data: lattice index {idx} != n/gcd(n,a,b) = {e}")
 
-    # z^e / x^(a/g) y^(b/g) is a unit whose (n/e)-th power is exactly c,
-    # so the residual equation is T^(n/e) = c-bar with residue unit 1.
-    resid = Poly(k, [-c] + [k.zero] * (n // e - 1) + [k.one])
-    out = []
-    for psi, mult in factor_over(k, resid):
-        assert mult == 1, "tame residual polynomial must be separable"
-        inv = ExtensionInvariants(
-            gamma_nu=gamma_nu,
-            gamma_omega=gamma_omega,
-            residue_degree=psi.degree,
-            local_degree=e * psi.degree,
-            residue_char=p,
-            total_degree=n,
-            provenance=(f"binomial z^{n} = {c}*x^{a}*y^{b}: e = {e}, "
-                        f"residual factor {psi}"))
-        problems = validate(inv)
-        if problems:
-            raise ValueError(f"inconsistent data: {problems}")
-        out.append(inv)
-    total = sum(inv.local_degree for inv in out)
-    if total != n:
-        raise ValueError(
-            f"inconsistent data: local degrees sum to {total}, expected {n}")
-    return out
+    # z^e / x^(a/g) y^(b/g) is a unit whose g-th power is exactly c, so the
+    # residual equation is T^g = c-bar with residue unit 1; T^g - c-bar is
+    # irreducible by Capelli (module docstring)
+    psi = Poly(k, [-c] + [k.zero] * (g - 1) + [k.one])
+    inv = ExtensionInvariants(
+        gamma_nu=gamma_nu,
+        gamma_omega=gamma_omega,
+        residue_degree=g,
+        local_degree=n,
+        residue_char=p,
+        total_degree=n,
+        provenance=(f"binomial z^{n} = {c}*x^{a}*y^{b}: e = {e}, "
+                    f"residual factor {psi}"))
+    problems = validate(inv)
+    if problems:
+        raise ValueError(f"inconsistent data: {problems}")
+    return [inv]

@@ -20,8 +20,7 @@ from dataclasses import dataclass
 from math import inf
 from typing import Optional, Union
 
-from sympy import isprime
-
+from .numtheory import isprime
 from .ordgroup import LexGroup, initial_index, initial_set, subgroup_index
 
 

@@ -11,8 +11,6 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-import sympy
-
 from .gf import GF, FiniteField, GFElement, embed, first_root, row_reduce
 from .gf import factor as gf_factor
 from .poly import QQ, Poly, RationalField
@@ -38,6 +36,10 @@ def factor_over(field, f: Poly):
 
 
 def _factor_rational(f: Poly):
+    # sympy is imported here alone: only a residue field of Q (pi-adic over
+    # Q(t)) factors over Q, and every other path stays free of its import
+    import sympy
+
     x = sympy.symbols("x")
     expr = sum(sympy.Rational(c) * x ** i for i, c in enumerate(f.coeffs))
     _, fac = sympy.factor_list(sympy.Poly(expr, x))

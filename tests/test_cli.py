@@ -391,20 +391,24 @@ residue_char = {BIG_P}
 }
 
 
+def child_env():
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [src, env.get("PYTHONPATH")]))
+    return env
+
+
 @pytest.mark.parametrize("name", sorted(BIG_PRIME_INPUTS))
 def test_cli_prime_near_1e18(tmp_path, name):
     # run in a child so that a slow primality test or a factorization that
     # enumerates GF(p) fails here instead of hanging the suite
     mode, text, expected = BIG_PRIME_INPUTS[name]
     path = write(tmp_path, "big.prob", text)
-    src = str(Path(__file__).resolve().parent.parent / "src")
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        filter(None, [src, env.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-m", "valknaf.cli", mode, "--file", path,
          "--porcelain"],
-        capture_output=True, text=True, env=env, timeout=30)
+        capture_output=True, text=True, env=child_env(), timeout=30)
     assert proc.returncode == 0, proc.stderr
     rows = proc.stdout.splitlines()
     assert len(rows) == len(expected)
@@ -438,3 +442,68 @@ def test_cli_stdin(tmp_path, capsys, monkeypatch):
                         type("S", (), {"buffer": io.BytesIO(SPLIT5.encode())})())
     assert cli.main(["split", "--file", "-", "--porcelain"]) == 0
     assert capsys.readouterr().out.count("\n") == 2
+
+
+def binomial_q(n, a, b):
+    return (BINO.replace("GF(5)", "Q").replace("n = 2", f"n = {n}")
+            .replace("a = 1", f"a = {a}").replace("b = 0", f"b = {b}"))
+
+
+@pytest.mark.parametrize("n,a,c,code", [
+    (10 ** 30 + 57, 0, 1, 1), (10 ** 8, 0, 1, 1), (10 ** 8, 0, 4, 1),
+    (10 ** 30 + 57, 1, 1, 0),
+], ids=["huge-g", "large-g", "large-g-reducible", "huge-n-g1"])
+def test_cli_binomial_residual_degree_bound(tmp_path, n, a, c, code):
+    # in a child: building T^g - c densely overflowed or hung for huge g;
+    # the bound is checked before irreducibility, so z^(10^8) - 4 (a square)
+    # exits 1 with the bound rather than 2 as reducible
+    text = binomial_q(n, a, 0).replace("c = 1", f"c = {c}")
+    path = write(tmp_path, "big.prob", text)
+    proc = subprocess.run(
+        [sys.executable, "-m", "valknaf.cli", "binomial", "--file", path,
+         "--porcelain"],
+        capture_output=True, text=True, env=child_env(), timeout=30)
+    assert proc.returncode == code, proc.stderr
+    if code:
+        assert proc.stdout == ""
+        assert proc.stderr.startswith("error: gcd(n, a, b) = ")
+        assert proc.stderr.count("\n") == 1
+    else:
+        assert proc.stdout.count("\n") == 1
+        assert f"\te={n}\tf=1\t" in proc.stdout
+
+
+# one item of each benchmark workload family, as (mode, problem text)
+NO_SYMPY_ITEMS = [
+    ("split", SPLIT5),                                          # p-adic
+    ("split", gf_split(5, "[(0, -1), 0, 1]")),                  # pi-adic GF(q)
+    # (x^6 + x^3 + 1)^2 + 2 at p = 2: residue field GF(2^6)
+    ("split", SPLIT5.replace("p = 5", "p = 2").replace(
+        "[1, 0, 1]", "[3, 0, 0, 2, 0, 0, 3, 0, 0, 2, 0, 0, 1]")),
+    ("group", GROUP),
+    ("decide", (Path(__file__).resolve().parent.parent / "demos" / "problems"
+                / "decide-frobenius-defect.prob").read_text()),
+    ("binomial", binomial_q(2, 0, 0).replace("c = 1", "c = 2")),
+    ("binomial", binomial_q(6, 2, 3)),
+    ("binomial", BINO.replace("a = 1", "a = 2").replace("c = 1", "c = 2")),
+    ("binomial", BINO.replace("GF(5)", "GF(25)").replace("c = 1",
+                                                          "c = (0, 1)")),
+]
+
+
+def test_workload_items_do_not_import_sympy(tmp_path):
+    paths = []
+    for i, (mode, text) in enumerate(NO_SYMPY_ITEMS):
+        paths.append((mode, write(tmp_path, f"item{i}.prob", text)))
+    script = (
+        "import sys\n"
+        "import valknaf, valknaf.cli\n"
+        f"for mode, path in {paths!r}:\n"
+        "    code = valknaf.cli.main([mode, '--file', path, '--porcelain'])\n"
+        "    assert code == 0, (mode, path, code)\n"
+        "loaded = sorted(m for m in sys.modules if m.split('.')[0] == 'sympy')\n"
+        "assert not loaded, loaded[:5]\n")
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                          text=True, env=child_env(), timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.count("\n") == 10

@@ -5,12 +5,15 @@ from fractions import Fraction as F
 from math import gcd, inf
 
 import pytest
+import sympy
 
 from valknaf.gf import GF
-from valknaf.monoval import (BinomialExtensionSpec, MonomialValuation,
+from valknaf.monoval import (MAX_RESIDUAL_DEGREE, BinomialExtensionSpec,
+                             MonomialValuation, ResidualDegreeError,
                              WildBinomialError, extend_binomial, mono_value)
 from valknaf.ordgroup import initial_index, subgroup_index
-from valknaf.poly import QQ
+from valknaf.poly import QQ, Poly
+from valknaf.residuefield import factor_over
 from valknaf.raminv import knaf_decide, validate
 
 F5 = GF(5, 1)
@@ -212,3 +215,63 @@ def test_scaling_invariance():
         scaled = [single(v, s) for s in specs]
         for kb, ks in zip(base, scaled):
             assert (kb.e, kb.eps, kb.eft) == (ks.e, ks.eps, ks.eft)
+
+
+# -- the residual polynomial T^g - c (Capelli) ----------------------------------
+
+def residual_factors(k, g, c):
+    """Irreducible factors of T^g - c with multiplicity, by the factoring
+    routines as oracle: sympy.factor_list over Q, Berlekamp over GF(q)."""
+    if k is QQ:
+        t = sympy.symbols("t")
+        _, fac = sympy.factor_list(t ** g - sympy.Rational(c.numerator,
+                                                           c.denominator), t)
+        return [(sympy.degree(f, t), m) for f, m in fac]
+    psi = Poly(k, [-k.coerce(c)] + [k.zero] * (g - 1) + [k.one])
+    return [(f.degree, m) for f, m in factor_over(k, psi)]
+
+
+def random_constant(rng, k):
+    if k is QQ:
+        return (F(rng.choice((-1, 1)) * rng.randint(1, 9), rng.randint(1, 4))
+                ** rng.choice((1, 1, 2, 3, 4)))
+    while True:
+        c = k.element(rng.randrange(k.p) for _ in range(k.n))
+        if c:
+            return c
+
+
+@pytest.mark.parametrize("k", [QQ, F5, F7, GF(3, 2), GF(5, 2)],
+                         ids=["Q", "GF5", "GF7", "GF9", "GF25"])
+def test_residual_binomial_irreducible_exactly_when_accepted(k):
+    rng = random.Random(20261018)
+    v = MonomialValuation(k, (1, F(1, 2)), (0, 1))
+    p = k.characteristic
+    accepted = rejected = 0
+    for _ in range(150):
+        n = rng.choice([m for m in range(2, 13) if not p or m % p])
+        g = rng.choice([d for d in range(1, n + 1) if n % d == 0])
+        a, b = g * rng.randint(-3, 3), g * rng.randint(-3, 3)
+        g = gcd(n, gcd(a, b))
+        c = random_constant(rng, k)
+        factors = residual_factors(k, g, c)
+        try:
+            invs = extend_binomial(v, BinomialExtensionSpec(n, a, b, c))
+        except ValueError:
+            rejected += 1
+            assert factors != [(g, 1)], (n, a, b, c)
+            continue
+        accepted += 1
+        assert factors == [(g, 1)], (n, a, b, c)
+        assert len(invs) == 1
+        assert invs[0].residue_degree == g
+        assert invs[0].local_degree == n
+        assert knaf_decide(invs[0]).e == n // g
+    assert accepted >= 50 and rejected >= 30
+
+
+def test_residual_degree_bound():
+    vq = MonomialValuation(QQ, (1, 0), (0, 1))
+    for n in (MAX_RESIDUAL_DEGREE + 1, 10 ** 8, 10 ** 30 + 57):
+        with pytest.raises(ResidualDegreeError, match="residual degree"):
+            extend_binomial(vq, BinomialExtensionSpec(n, 0, 0, 2))
