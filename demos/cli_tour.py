@@ -2,8 +2,8 @@
 
 Runs `python3 -m valknaf.cli` on each file in demos/problems, echoing the
 command, its output and the exit code, then demonstrates the three nonzero
-exit codes on crafted inputs (usage/syntax -> 1, inconsistent data -> 2,
-unresolved depth -> 3).
+exit codes on crafted inputs (usage/syntax -> 1, inconsistent data or
+unsupported input -> 2, unresolved depth -> 3).
 """
 
 import subprocess

@@ -6,7 +6,8 @@ engine on a problem file), `binomial` (rank-2 monomial engine) and
 `fixtures` (the named catalog).  Problems are read from `--file` (`-` for
 stdin) in the line-oriented format of `problemfile`.  Exit codes: 0 success,
 1 usage or problem-file syntax error or an exceeded resource bound, 2
-inconsistent data (validation or engine rejection), 3 branch unresolved
+inconsistent data (validation or engine rejection, "inconsistent: ...") or
+input outside the supported scope ("unsupported: ..."), 3 branch unresolved
 within the recursion depth.
 """
 
@@ -357,7 +358,10 @@ def main(argv=None) -> int:
     except UnresolvedBranchError as exc:
         print(f"unresolved: {exc}", file=sys.stderr)
         return 3
-    except (ValueError, NotImplementedError) as exc:
+    except NotImplementedError as exc:
+        print(f"unsupported: {exc}", file=sys.stderr)
+        return 2
+    except ValueError as exc:
         print(f"inconsistent: {exc}", file=sys.stderr)
         return 2
 

@@ -2,22 +2,30 @@
 
 GF(p^n) is realized as F_p[y]/(m(y)) where m is the first monic irreducible
 polynomial of degree n in the enumeration that counts coefficient vectors
-(c_0, ..., c_{n-1}) as base-p integers.  Fields are cached, so equal
-parameters give the identical object and elements can be compared freely.
+(c_0, ..., c_{n-1}) as base-p integers; irreducibility is Berlekamp's test
+over GF(p) (squarefree, and a Frobenius kernel of dimension 1).  Fields are
+cached, so equal parameters give the identical object and elements can be
+compared freely.
 
 An element is held as one int, its canonical code sum c_i p^i, and the field
 does the arithmetic on codes (Cohen, GTM 138): plain arithmetic mod p in
-GF(p); in GF(p^n), n > 1, the kernels XOR and a carry-less shift-and-reduce
-product for p = 2, and the digit kernels `_pf_mul`/`_pf_mod` for odd p.
-Extension fields of at most `_TABLE_MAX_Q` elements replace the kernels by
-tables that the kernels build when the field is made: a log/antilog pair
-for a primitive element g, so a product is one addition of logs, and for
-odd p the Zech logarithms log(1 + g^k), so a sum is one too.
+GF(p); in GF(p^n), n > 1, XOR and a carry-less shift-and-reduce product for
+p = 2, and digitwise sums and a schoolbook digit product reduced by m for
+odd p, with inverses a^(q-2).  Extension fields of at most `_TABLE_MAX_Q`
+elements replace these kernels by tables that the kernel product builds
+when the field is made: a log/antilog pair for a primitive element g, so a
+product is one addition of logs, and for odd p the Zech logarithms
+log(1 + g^k), so a sum is one too.
 
-Factorization is Berlekamp's method: the kernel of Frobenius minus identity
-gives the split algebra, and factors are separated by equal-degree splitting
-(Cantor-Zassenhaus) on random elements of it, drawn from a generator with a
-constant seed, so results and operation counts repeat from run to run.
+Inside this module a polynomial over a field is a list of element codes,
+lowest degree first and without trailing zeros, and one small kernel on the
+field's code ops (`_axpy`, `_pmul`, `_pdivmod`, `_pgcd`, `_ppowmod`) does
+all of its arithmetic; `Poly` appears only at the boundary of `factor` and
+`squarefree_decomposition`.  Factorization is Berlekamp's method: the kernel
+of Frobenius minus identity gives the split algebra, and factors are
+separated by equal-degree splitting (Cantor-Zassenhaus) on random elements
+of it, drawn from a generator with a constant seed, so results and
+operation counts repeat from run to run.
 """
 
 from __future__ import annotations
@@ -27,7 +35,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .numtheory import isprime, primefactors
-from .poly import Poly, poly_gcd
+from .poly import Poly
 
 # constant seed of the equal-degree splitting; any value gives the same
 # factors, this one fixes the operation counts
@@ -39,115 +47,16 @@ _SPLIT_SEED = 0
 # those of GF(3^10) about 1 s and 6 MB, so larger fields keep the kernels
 _TABLE_MAX_Q = 2 ** 13
 
-# ---------------------------------------------------------------------------
-# integer-coefficient helpers for F_p[y] (used before any field object exists)
 
-
-def _pf_trim(a):
-    while a and a[-1] == 0:
-        a.pop()
-    return a
-
-
-def _pf_mul(a, b, p):
-    if not a or not b:
-        return []
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                out[i + j] = (out[i + j] + x * y) % p
-    return _pf_trim(out)
-
-
-def _pf_mod(a, m, p):
-    a = a[:]
-    inv = pow(m[-1], -1, p)
-    while len(a) >= len(m):
-        c = a[-1] * inv % p
-        if c:
-            off = len(a) - len(m)
-            for j, y in enumerate(m):
-                a[off + j] = (a[off + j] - c * y) % p
-        a.pop()
-    return _pf_trim(a)
-
-
-def _pf_powmod(a, e, m, p):
-    out = [1]
-    base = _pf_mod(a, m, p)
+def _power(mul, a, e):
+    """a^e for a code a and e >= 0, by square-and-multiply with mul."""
+    out = 1
     while e:
         if e & 1:
-            out = _pf_mod(_pf_mul(out, base, p), m, p)
-        base = _pf_mod(_pf_mul(base, base, p), m, p)
+            out = mul(out, a)
+        a = mul(a, a)
         e >>= 1
     return out
-
-
-def _pf_gcd(a, b, p):
-    a, b = a[:], b[:]
-    while b:
-        a = _pf_mod(a, b, p)
-        a, b = b, a
-    if a:
-        inv = pow(a[-1], -1, p)
-        a = [c * inv % p for c in a]
-    return a
-
-
-def _pf_divmod(a, b, p):
-    a = a[:]
-    b = _pf_trim(b[:])
-    inv = pow(b[-1], -1, p)
-    q = [0] * max(len(a) - len(b) + 1, 0)
-    while len(a) >= len(b) and _pf_trim(a[:]):
-        if a[-1] == 0:
-            a.pop()
-            continue
-        c = a[-1] * inv % p
-        off = len(a) - len(b)
-        q[off] = c
-        for j, y in enumerate(b):
-            a[off + j] = (a[off + j] - c * y) % p
-        a.pop()
-    return _pf_trim(q), _pf_trim(a)
-
-
-def _pf_sub(a, b, p):
-    n = max(len(a), len(b))
-    out = []
-    for i in range(n):
-        x = a[i] if i < len(a) else 0
-        y = b[i] if i < len(b) else 0
-        out.append((x - y) % p)
-    return _pf_trim(out)
-
-
-def _pf_irreducible(m, p) -> bool:
-    """Deterministic irreducibility over F_p: y^(p^k) tests."""
-    n = len(m) - 1
-    if n <= 0:
-        return False
-    y = [0, 1]
-    power = y[:]
-    for k in range(1, n // 2 + 1):
-        power = _pf_powmod(power, p, m, p)
-        diff = power[:]
-        # subtract y
-        while len(diff) < 2:
-            diff.append(0)
-        diff[1] = (diff[1] - 1) % p
-        g = _pf_gcd(m, _pf_trim(diff), p)
-        if g != [1]:
-            return False
-    power = y[:]
-    for _ in range(n):
-        power = _pf_powmod(power, p, m, p)
-    diff = power[:]
-    while len(diff) < 2:
-        diff.append(0)
-    diff[1] = (diff[1] - 1) % p
-    return not _pf_trim(diff)
 
 
 def _encode(digits, p) -> int:
@@ -170,9 +79,11 @@ def _decode(code, p, n) -> list:
 def _canonical_modulus(p, n):
     if n == 1:
         return (0, 1)
+    F = GF(p)
     for k in range(p ** n):
         m = _decode(k, p, n) + [1]
-        if _pf_irreducible(m, p):
+        if (_pgcd(F, m, _derivative(F, m)) == [1]
+                and len(_frobenius_kernel(F, m)) == 1):
             return tuple(m)
     raise RuntimeError("no irreducible polynomial found")  # unreachable
 
@@ -207,24 +118,12 @@ def _binary_ops(n, modulus):
                 a ^= mod
         return out
 
-    def inv(a):
-        # extended Euclid on bit masks: a*g1 = u, a*g2 = v (mod m)
-        u, v, g1, g2 = a, mod, 1, 0
-        while u != 1:
-            j = u.bit_length() - v.bit_length()
-            if j < 0:
-                u, v, g1, g2 = v, u, g2, g1
-                j = -j
-            u ^= v << j
-            g1 ^= g2 << j
-        return g1
-
-    return add, add, (lambda a: a), mul, inv
+    return add, add, (lambda a: a), mul, (lambda a: _power(mul, a, top - 2))
 
 
 def _digit_ops(p, n, modulus):
-    """GF(p^n), p odd: codes decoded to digit lists for the _pf_ kernels."""
-    m = list(modulus)
+    """GF(p^n), p odd: codes decoded to digit lists, m(y) the monic modulus."""
+    m = modulus[:n]
 
     def add(a, b):
         return _encode([(x + y) % p for x, y in
@@ -238,21 +137,22 @@ def _digit_ops(p, n, modulus):
         return _encode([-x % p for x in _decode(a, p, n)], p)
 
     def mul(a, b):
-        return _encode(_pf_mod(_pf_mul(_decode(a, p, n), _decode(b, p, n), p),
-                               m, p), p)
+        # schoolbook product of the digits, reduced mod p only at the end;
+        # then c y^k = -c (m(y) - y^n) y^(k-n) from the top down
+        ys = _decode(b, p, n)
+        out = [0] * (2 * n - 1)
+        for i, x in enumerate(_decode(a, p, n)):
+            if x:
+                for j, y in enumerate(ys):
+                    out[i + j] += x * y
+        for k in range(2 * n - 2, n - 1, -1):
+            c = out[k] % p
+            if c:
+                for j, y in enumerate(m, k - n):
+                    out[j] -= c * y
+        return _encode([c % p for c in out[:n]], p)
 
-    def inv(a):
-        # extended Euclid in F_p[y]
-        r0, r1 = m, _pf_trim(_decode(a, p, n))
-        t0, t1 = [], [1]
-        while r1:
-            q, r = _pf_divmod(r0, r1, p)
-            r0, r1 = r1, r
-            t0, t1 = t1, _pf_sub(t0, _pf_mul(q, t1, p), p)
-        lead_inv = pow(r0[-1], -1, p)
-        return _encode(_pf_mod([c * lead_inv % p for c in t0], m, p), p)
-
-    return add, sub, neg, mul, inv
+    return add, sub, neg, mul, (lambda a: _power(mul, a, p ** n - 2))
 
 
 def _log_tables(p, n, mul):
@@ -266,19 +166,9 @@ def _log_tables(p, n, mul):
     """
     q = p ** n
     order = q - 1
-
-    def power(a, e):
-        out = 1
-        while e:
-            if e & 1:
-                out = mul(out, a)
-            a = mul(a, a)
-            e >>= 1
-        return out
-
     cofactors = [order // r for r in primefactors(order)]
     g = next(c for c in range(2, q)
-             if all(power(c, e) != 1 for e in cofactors))
+             if all(_power(mul, c, e) != 1 for e in cofactors))
     exp = [1] * order
     log = [0] * q
     x = 1
@@ -418,14 +308,7 @@ class GFElement:
         field = self.field
         if field.n == 1:
             return _element(field, pow(self._code, e, field.p))
-        mul = field.mul
-        out, base = 1, self._code
-        while e:
-            if e & 1:
-                out = mul(out, base)
-            base = mul(base, base)
-            e >>= 1
-        return _element(field, out)
+        return _element(field, _power(field.mul, self._code, e))
 
     def int_value(self) -> int:
         """Canonical integer encoding sum c_i p^i (enumeration order)."""
@@ -559,15 +442,99 @@ def embed(small: FiniteField, big: FiniteField):
 
 
 # ---------------------------------------------------------------------------
-# linear algebra over a finite field
+# polynomials over a field F as code lists, lowest degree first, no trailing
+# zeros ([] is zero); the kernel uses only F's code ops
 
 
-def row_reduce(rows) -> dict:
-    """Bring rows (lists of field elements) to reduced row echelon form.
+def _trim(a):
+    while a and not a[-1]:
+        a.pop()
+    return a
+
+
+def _axpy(F, a, c, b):
+    """a + c*b for code lists a, b and a code c."""
+    add, mul = F.add, F.mul
+    out = a + [0] * (len(b) - len(a))
+    for i, x in enumerate(b):
+        if x:
+            out[i] = add(out[i], mul(c, x))
+    return _trim(out)
+
+
+def _monic(F, a):
+    return a if not a or a[-1] == 1 else _axpy(F, [], F.inv(a[-1]), a)
+
+
+def _pmul(F, a, b):
+    if not a or not b:
+        return []
+    add, mul = F.add, F.mul
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                if y:
+                    out[i + j] = add(out[i + j], mul(x, y))
+    return out
+
+
+def _pdivmod(F, a, b):
+    """(quotient, remainder) of code lists a by b != []."""
+    dq, db = len(a) - len(b), len(b) - 1
+    if dq < 0:
+        return [], a
+    sub, mul = F.sub, F.mul
+    inv = None if b[-1] == 1 else F.inv(b[-1])
+    r = a[:]
+    q = [0] * (dq + 1)
+    for k in range(dq, -1, -1):
+        c = r[k + db]
+        if c:
+            if inv:
+                c = mul(c, inv)
+            q[k] = c
+            for j in range(db):
+                if b[j]:
+                    r[k + j] = sub(r[k + j], mul(c, b[j]))
+    return q, _trim(r[:db])
+
+
+def _pgcd(F, a, b):
+    """Monic gcd of code lists a and b by the Euclidean algorithm."""
+    while b:
+        a, b = b, _pdivmod(F, a, b)[1]
+    return _monic(F, a)
+
+
+def _ppowmod(F, a, e, m):
+    """a^e mod m for code lists a and m."""
+    out = [1]
+    a = _pdivmod(F, a, m)[1]
+    while e:
+        if e & 1:
+            out = _pdivmod(F, _pmul(F, out, a), m)[1]
+        a = _pdivmod(F, _pmul(F, a, a), m)[1]
+        e >>= 1
+    return out
+
+
+def _derivative(F, a):
+    p, mul = F.p, F.mul
+    return _trim([mul(i % p, c) for i, c in enumerate(a)][1:])
+
+
+def _poly(F, a) -> Poly:
+    return Poly(F, [_element(F, c) for c in a])
+
+
+def row_reduce(F, rows) -> dict:
+    """Bring rows (lists of codes of F) to reduced row echelon form.
 
     Works in place; returns {pivot column: row index}, the pivot rows
     leading the list in column order.
     """
+    sub, mul = F.sub, F.mul
     cols = len(rows[0]) if rows else 0
     piv_of_col = {}
     r = 0
@@ -576,158 +543,124 @@ def row_reduce(rows) -> dict:
         if piv is None:
             continue
         rows[r], rows[piv] = rows[piv], rows[r]
-        inv = rows[r][c].inverse()
-        rows[r] = [a * inv for a in rows[r]]
+        inv = F.inv(rows[r][c])
+        # rows r, r + 1, ... are zero left of column c
+        pivot = rows[r] = [0] * c + [mul(a, inv) for a in rows[r][c:]]
         for i in range(len(rows)):
-            if i != r and rows[i][c]:
-                fct = rows[i][c]
-                rows[i] = [a - fct * b for a, b in zip(rows[i], rows[r])]
+            fct = rows[i][c]
+            if i != r and fct:
+                rows[i] = rows[i][:c] + [sub(a, mul(fct, b)) if b else a
+                                         for a, b in zip(rows[i][c:],
+                                                         pivot[c:])]
         piv_of_col[c] = r
         r += 1
     return piv_of_col
-
-
-def _nullspace(mat, field):
-    """Basis of the right nullspace of mat over a finite field."""
-    m = [row[:] for row in mat]
-    piv_of_col = row_reduce(m)
-    basis = []
-    for free in range(len(mat[0]) if mat else 0):
-        if free in piv_of_col:
-            continue
-        v = [field.zero] * len(mat[0])
-        v[free] = field.one
-        for c, row in piv_of_col.items():
-            v[c] = -m[row][free]
-        basis.append(v)
-    return basis
 
 
 # ---------------------------------------------------------------------------
 # factorization over GF(q)
 
 
-def _pth_root_poly(f: Poly) -> Poly:
-    """For f with zero derivative, the g with g(x^p) = f."""
-    field = f.field
-    p = field.p
-    coeffs = []
-    for i in range(0, f.degree + 1, p):
-        c = f[i]
-        # p-th root in GF(p^n) is c -> c^(p^(n-1))
-        coeffs.append(c ** (p ** (field.n - 1)))
-    return Poly(field, coeffs)
-
-
-def squarefree_decomposition(f: Poly):
-    """[(g, m)] with f = lc * prod g^m, the g monic squarefree coprime.
+def _squarefree(F, f):
+    """[(g, m)] with monic f = prod g^m, the g monic squarefree coprime.
 
     Characteristic-p aware: the inseparable part is pulled out through
-    p-th roots, so inputs like h(x^p) are handled exactly.
+    p-th roots (c -> c^(q/p) on the coefficients of x^0, x^p, ...), so
+    inputs like h(x^p) are handled exactly.
     """
-    field = f.field
-    if f.is_zero():
-        raise ValueError("zero polynomial")
-    f = f.monic()
-    if f.degree == 0:
-        return []
     out = {}
 
-    def add(g, m):
-        if g.degree > 0:
-            out[m] = out[m] * g if m in out else g
+    def put(g, m):
+        if len(g) > 1:
+            out[m] = _pmul(F, out[m], g) if m in out else g
 
-    c = poly_gcd(f, f.derivative())
-    w = (f // c).monic()
+    c = _pgcd(F, f, _derivative(F, f))
+    w = _pdivmod(F, f, c)[0]
     i = 1
-    while w.degree > 0:
-        y = poly_gcd(w, c)
-        z = (w // y).monic()
-        add(z, i)
+    while len(w) > 1:
+        y = _pgcd(F, w, c)
+        put(_pdivmod(F, w, y)[0], i)
         w = y
-        c = (c // y).monic()
+        c = _pdivmod(F, c, y)[0]
         i += 1
-    if c.degree > 0:
-        for g, m in squarefree_decomposition(_pth_root_poly(c)):
-            add(g, m * field.p)
+    if len(c) > 1:
+        root = [_power(F.mul, a, F.q // F.p) for a in c[::F.p]]
+        for g, m in _squarefree(F, root):
+            put(g, m * F.p)
     return [(g, m) for m, g in sorted(out.items())]
 
 
-def _frobenius_kernel(f: Poly):
-    """Basis of {b : b^q = b mod f} as polynomials of degree < deg f."""
-    field = f.field
-    n = f.degree
-    x = Poly.x(field)
-    xq = _powmod(x, field.q, f)
+def squarefree_decomposition(f: Poly):
+    """[(g, m)] with f = lc * prod g^m, the g monic squarefree coprime."""
+    if f.is_zero():
+        raise ValueError("zero polynomial")
+    F = f.field
+    return [(_poly(F, g), m)
+            for g, m in _squarefree(F, _monic(F, [c._code for c in f.coeffs]))]
+
+
+def _frobenius_kernel(F, f):
+    """Basis of {b : b^q = b mod f} as code lists of degree < deg f."""
+    n = len(f) - 1
+    xq = _ppowmod(F, [0, 1], F.q, f)
     # rows of (M - I): image of x^i under Frobenius minus identity
     rows = []
-    power = Poly.one(field)
+    power = [1]
     for i in range(n):
-        img = power
-        col = [img[j] for j in range(n)]
-        col[i] = col[i] - field.one
-        rows.append(col)
-        power = (power * xq) % f
+        row = power + [0] * (n - len(power))
+        row[i] = F.sub(row[i], 1)
+        rows.append(row)
+        power = _pdivmod(F, _pmul(F, power, xq), f)[1]
     # kernel of the transpose action: solve sum_i a_i * rows[i] = 0
-    mat = [[rows[i][j] for i in range(n)] for j in range(n)]
-    return [Poly(field, v) for v in _nullspace(mat, field)]
+    mat = [list(col) for col in zip(*rows)]
+    piv_of_col = row_reduce(F, mat)
+    basis = []
+    for free in range(n):
+        if free in piv_of_col:
+            continue
+        v = [0] * n
+        v[free] = 1
+        for c, row in piv_of_col.items():
+            v[c] = F.neg(mat[row][free])
+        basis.append(_trim(v))
+    return basis
 
 
-def _powmod(base: Poly, e: int, mod: Poly) -> Poly:
-    out = Poly.one(base.field)
-    base = base % mod
-    while e:
-        if e & 1:
-            out = (out * base) % mod
-        base = (base * base) % mod
-        e >>= 1
-    return out
-
-
-def _splitting_poly(b: Poly, f: Poly) -> Poly:
+def _splitting_poly(F, b, f):
     """A polynomial whose gcd with f collects about half the factors of f.
 
     On each factor of f, b is a constant c of F_q.  For odd q this is
     b^((q-1)/2) - 1, which vanishes where c is a nonzero square; for q = 2^n
     it is the trace sum_{i<n} b^(2^i), which vanishes where Tr(c) = 0.
     """
-    field = f.field
-    if field.p != 2:
-        return _powmod(b, (field.q - 1) // 2, f) - Poly.one(field)
+    if F.p != 2:
+        return _axpy(F, _ppowmod(F, b, (F.q - 1) // 2, f), F.neg(1), [1])
     power = trace = b
-    for _ in range(field.n - 1):
-        power = (power * power) % f
-        trace = trace + power
+    for _ in range(F.n - 1):
+        power = _pdivmod(F, _pmul(F, power, power), f)[1]
+        trace = _axpy(F, trace, 1, power)
     return trace
 
 
-def _equal_degree_split(f: Poly, kernel, rng):
+def _equal_degree_split(F, f, kernel, rng):
     """Irreducible factors of f, each element of kernel reduced mod f.
 
     kernel spans the Berlekamp algebra of a multiple of f, so its images
     mod f span that of f: f is irreducible exactly when they are all
     constants.
     """
-    kernel = [b % f for b in kernel]
-    if all(b.degree <= 0 for b in kernel):
+    kernel = [_pdivmod(F, b, f)[1] for b in kernel]
+    if all(len(b) <= 1 for b in kernel):
         return [f]
-    field = f.field
     while True:
-        b = Poly.zero(field)
+        b = []
         for v in kernel:
-            b = b + v * _element(field, rng.randrange(field.q))
-        g = poly_gcd(f, _splitting_poly(b, f))
-        if 0 < g.degree < f.degree:
-            return (_equal_degree_split(g, kernel, rng)
-                    + _equal_degree_split(f // g, kernel, rng))
-
-
-def _berlekamp_irreducibles(f: Poly):
-    """Irreducible monic factors of a monic squarefree f over GF(q)."""
-    if f.degree <= 1:
-        return [f]
-    return _equal_degree_split(f, _frobenius_kernel(f),
-                               random.Random(_SPLIT_SEED))
+            b = _axpy(F, b, rng.randrange(F.q), v)
+        g = _pgcd(F, f, _splitting_poly(F, b, f))
+        if 1 < len(g) < len(f):
+            return (_equal_degree_split(F, g, kernel, rng)
+                    + _equal_degree_split(F, _pdivmod(F, f, g)[0], kernel,
+                                          rng))
 
 
 def factor(f: Poly):
@@ -738,13 +671,15 @@ def factor(f: Poly):
     """
     if f.is_zero():
         raise ValueError("cannot factor the zero polynomial")
+    F = f.field
     lead = f.leading()
     pairs = []
-    for g, m in squarefree_decomposition(f):
-        for irr in _berlekamp_irreducibles(g):
-            pairs.append((irr, m))
-    pairs.sort(key=lambda t: t[0].sort_key())
-    return lead, pairs
+    for g, m in _squarefree(F, _monic(F, [c._code for c in f.coeffs])):
+        irreducibles = [g] if len(g) <= 2 else _equal_degree_split(
+            F, g, _frobenius_kernel(F, g), random.Random(_SPLIT_SEED))
+        pairs += [(h, m) for h in irreducibles]
+    pairs.sort(key=lambda t: (len(t[0]), t[0]))
+    return lead, [(_poly(F, g), m) for g, m in pairs]
 
 
 def first_root(f: Poly) -> GFElement:

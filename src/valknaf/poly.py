@@ -223,19 +223,3 @@ def poly_gcd(a: Poly, b: Poly) -> Poly:
         a, b = b, a % b
     return a.monic() if not a.is_zero() else a
 
-
-def poly_xgcd(a: Poly, b: Poly):
-    """(g, s, t) with s*a + t*b = g, g monic (or zero)."""
-    field = a.field
-    r0, r1 = a, b
-    s0, s1 = Poly.one(field), Poly.zero(field)
-    t0, t1 = Poly.zero(field), Poly.one(field)
-    while not r1.is_zero():
-        q, r = divmod(r0, r1)
-        r0, r1 = r1, r
-        s0, s1 = s1, s0 - q * s1
-        t0, t1 = t1, t0 - q * t1
-    if r0.is_zero():
-        return r0, s0, t0
-    inv = field.one / r0.leading()
-    return r0.monic(), s0 * inv, t0 * inv

@@ -21,7 +21,7 @@ from math import inf
 from typing import Optional, Union
 
 from .numtheory import isprime
-from .ordgroup import LexGroup, initial_index, initial_set, subgroup_index
+from .ordgroup import LexGroup, initial_index, subgroup_index
 
 
 @dataclass(frozen=True)
@@ -145,11 +145,6 @@ def knaf_decide(inv: ExtensionInvariants) -> KnafVerdict:
                        defectless=defectless,
                        initial_condition=initial_condition,
                        eft=defectless and initial_condition)
-
-
-def knaf_witness(inv: ExtensionInvariants) -> list:
-    """The initial segment realizing eps (sorted lex ascending)."""
-    return initial_set(inv.gamma_omega, inv.gamma_nu)
 
 
 def frobenius_defect(k_degree: int, gamma: Union[LexGroup, int],

@@ -62,15 +62,13 @@ def linear_decomposer(field: FiniteField, basis):
     if len(basis) != n:
         raise ValueError("basis has wrong size")
     # invert the basis matrix over F_p (columns = coordinates of basis elems)
-    fp = GF(p)
     cols = [b.coeffs for b in basis]
-    aug = [[fp.coerce(col[i]) for col in cols]
-           + [fp.one if k == i else fp.zero for k in range(n)]
+    aug = [[col[i] for col in cols] + [int(k == i) for k in range(n)]
            for i in range(n)]
-    pivots = row_reduce(aug)
+    pivots = row_reduce(GF(p), aug)
     if any(c not in pivots for c in range(n)):
         raise ValueError("basis is linearly dependent")
-    inv_rows = [[a.int_value() for a in row[n:]] for row in aug]
+    inv_rows = [row[n:] for row in aug]
 
     def decompose(x: GFElement):
         vec = x.coeffs

@@ -7,9 +7,10 @@ sympy's factorization mod p, squarefreeness over k(t) by Euclid over
 k(t) itself rather than the library's fraction-free k[t][x] gcd, and
 factors over GF(q) by Berlekamp's splitting against every field constant
 rather than the library's randomized equal-degree splitting, roots over
-GF(q) by evaluation at every field element, and the canonical-monomial
-bookkeeping of an inductive tower by search and one carry at a time rather
-than the library's closed forms.
+GF(q) by evaluation at every field element, products in GF(p^n) by a
+schoolbook on digit tuples rather than the library's codes and tables, and
+the canonical-monomial bookkeeping of an inductive tower by search and one
+carry at a time rather than the library's closed forms.
 """
 
 from fractions import Fraction
@@ -376,6 +377,24 @@ def berlekamp_by_enumeration(f):
         if g.degree > 0:
             out.extend(berlekamp_by_enumeration(g))
     return sorted(out, key=Poly.sort_key)
+
+
+def ref_mul(field, a, b):
+    """Product of digit tuples in GF(p^n) = F_p[y]/(m), padded to length n.
+
+    A schoolbook product of the digits, then long division by the monic
+    modulus m, one leading digit at a time.
+    """
+    p, m, n = field.p, field.modulus, field.n
+    prod = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            prod[i + j] = (prod[i + j] + x * y) % p
+    for k in range(len(prod) - 1, n - 1, -1):
+        c = prod[k]
+        for j in range(n + 1):
+            prod[k - n + j] = (prod[k - n + j] - c * m[j]) % p
+    return tuple(prod[:n] + [0] * (n - len(prod)))
 
 
 def roots(f):

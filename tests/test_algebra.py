@@ -11,13 +11,13 @@ import sympy
 from valknaf import funcfield
 from valknaf.funcfield import FunctionField, RatFunc
 from valknaf.gf import (GF, GFElement, _TABLE_MAX_Q, _binary_ops, _digit_ops,
-                       _log_tables, _pf_mod, _pf_mul, embed, factor,
-                       first_root, squarefree_decomposition)
-from valknaf.poly import Poly, QQ, poly_gcd, poly_xgcd
+                       _log_tables, embed, factor, first_root,
+                       squarefree_decomposition)
+from valknaf.poly import Poly, QQ, poly_gcd
 from valknaf.residuefield import (UnsupportedResidueExtension, extend_residue,
                                   factor_over, linear_decomposer)
 
-from oracles import berlekamp_by_enumeration, roots
+from oracles import berlekamp_by_enumeration, ref_mul, roots
 
 
 def rand_gf_poly(rng, field, degree, monic=False):
@@ -97,9 +97,6 @@ def test_poly_gcd_and_xgcd():
             assert d.is_monic()
             assert (a % d).is_zero() and (b % d).is_zero()
             assert (d % g.monic()).is_zero()
-            xd, s, t = poly_xgcd(a, b)
-            assert xd == d
-            assert s * a + t * b == d
     assert poly_gcd(Poly.zero(QQ), Poly(QQ, [2, 4])) == Poly(QQ, [F(1, 2), 1])
     assert poly_gcd(Poly.zero(QQ), Poly.zero(QQ)).is_zero()
 
@@ -165,7 +162,9 @@ def test_factor_matches_sympy_over_prime_fields():
 
 def test_factor_structural_over_prime_power_fields():
     rng = random.Random(20240827)
-    for field in (GF(2, 2), GF(3, 2)):
+    # GF(2^14) and GF(3^9) compute through the kernels, not tables, so
+    # division there runs on Fermat inverses a^(q-2)
+    for field in (GF(2, 2), GF(3, 2), GF(2, 14), GF(3, 9)):
         for _ in range(15):
             f = rand_gf_poly(rng, field, rng.randint(1, 6))
             lead, pairs = factor(f)
@@ -177,6 +176,21 @@ def test_factor_structural_over_prime_power_fields():
                 prod = prod * g ** m
             assert prod == f
             assert len({g.coeffs for g, _ in pairs}) == len(pairs)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 13, 101])
+def test_canonical_modulus_is_first_irreducible(p):
+    # the modulus is the first monic degree-n candidate, counting coefficient
+    # vectors (c_0, ..., c_{n-1}) as base-p integers, that Rabin accepts
+    k = GF(p)
+    n = 1
+    while p ** n < 10 ** 6:
+        first = next(
+            cand for cand in (Poly(k, [code // p ** i % p for i in range(n)]
+                                   + [1]) for code in range(p ** n))
+            if is_irreducible_rabin(cand))
+        assert GF(p, n).modulus == tuple(c.int_value() for c in first.coeffs)
+        n += 1
 
 
 def rand_squarefree(rng, field, degree, coprime_to=None):
@@ -343,13 +357,6 @@ def test_gf_coercion():
 # the kernels themselves, the other extension fields their tables
 CODE_FIELDS = ((2, 1), (2, 2), (2, 5), (2, 13), (2, 14), (3, 1), (3, 4),
                (3, 8), (3, 9), (5, 3), (5, 6), (7, 4), (101, 2))
-
-
-def ref_mul(field, a, b):
-    """Product of digit tuples by the _pf_ kernels, padded to length n."""
-    prod = _pf_mod(_pf_mul(list(a), list(b), field.p), list(field.modulus),
-                   field.p)
-    return tuple(prod + [0] * (field.n - len(prod)))
 
 
 def ref_pow(field, a, e):

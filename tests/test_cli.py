@@ -305,6 +305,24 @@ residue_char = 0
         assert fragment in err, (argv, err)
 
 
+@pytest.mark.parametrize("mode,text", [
+    ("binomial", BINO.replace("n = 2", "n = 5")),
+    # (x^2 + 1)^2 + t at pi = t over Q(t): the residual factor x^2 + 1 would
+    # need the residue field Q(i)
+    ("split", SPLIT5.replace("field = Q", "field = Q(t)")
+     .replace("p = 5", "pi = [0, 1]")
+     .replace("[1, 0, 1]", "[(1, 1), 0, 2, 0, 1]")),
+], ids=["wild-binomial", "qt-degree-2-residue"])
+def test_cli_out_of_scope_is_unsupported(tmp_path, capsys, mode, text):
+    # out-of-scope input keeps exit 2 but is told apart from inconsistent data
+    path = write(tmp_path, "p.prob", text)
+    assert cli.main([mode, "--file", path]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("unsupported: ")
+    assert captured.err.count("\n") == 1
+
+
 GF5_SPLIT = """\
 version = 1
 mode = split

@@ -4,10 +4,9 @@ from fractions import Fraction
 
 import pytest
 
-from valknaf.ordgroup import LexGroup
+from valknaf.ordgroup import LexGroup, initial_set
 from valknaf.raminv import (ExtensionInvariants, defect, frobenius_defect,
-                            knaf_decide, knaf_witness, ramification_index,
-                            validate)
+                            knaf_decide, ramification_index, validate)
 
 F = Fraction
 
@@ -26,7 +25,7 @@ def test_totally_ramified_quadratic():
     v = knaf_decide(inv)
     assert (v.e, v.f, v.eps, v.d) == (2, 1, 2, 1)
     assert v.defectless and v.initial_condition and v.eft
-    assert len(knaf_witness(inv)) == 2
+    assert len(initial_set(inv.gamma_omega, inv.gamma_nu)) == 2
 
 
 def test_unramified_quadratic():
