@@ -5,7 +5,8 @@ Subcommands: `group` (indices of one lex group over another), `decide`
 engine on a problem file), `binomial` (rank-2 monomial engine) and
 `fixtures` (the named catalog).  Problems are read from `--file` (`-` for
 stdin) in the line-oriented format of `problemfile`.  Exit codes: 0 success,
-1 usage or problem-file syntax error or an exceeded resource bound, 2
+1 usage or problem-file syntax error or an exceeded resource bound
+(`monoval.MAX_RESIDUAL_DEGREE`, `monoval.MAX_FIELD_ORDER`), 2
 inconsistent data (validation or engine rejection, "inconsistent: ...") or
 input outside the supported scope ("unsupported: ..."), 3 branch unresolved
 within the recursion depth.
@@ -24,8 +25,8 @@ from .fixtures import FIXTURES, fixture
 from .gf import GF
 from .localsplit import (BaseValuation, UnresolvedBranchError,
                          split_extensions, to_extension_invariants)
-from .monoval import (BinomialExtensionSpec, MonomialValuation,
-                      ResidualDegreeError, extend_binomial)
+from .monoval import (MAX_FIELD_ORDER, BinomialExtensionSpec,
+                      MonomialValuation, ResidualDegreeError, extend_binomial)
 from .numtheory import isprime, perfect_power
 from .ordgroup import LexGroup, RationalVector, initial_index, subgroup_index
 from .poly import Poly, QQ
@@ -70,7 +71,12 @@ def _constant_field(token: str):
         return QQ
     m = _GF_RE.fullmatch(token)
     if m:
-        return GF(*_prime_power(int(m.group(1))))
+        q = int(m.group(1))
+        if q >= MAX_FIELD_ORDER:
+            raise ProblemFileError(
+                f"GF(q) with q of {q.bit_length()} bits is beyond the field "
+                f"order bound 2^{MAX_FIELD_ORDER.bit_length() - 1}")
+        return GF(*_prime_power(q))
     raise ProblemFileError(
         f"unknown field {token!r} (expected Q, Q(t) or GF(q))")
 

@@ -5,14 +5,16 @@ denominator is monic and coprime to the numerator.  The constant field k is
 any domain adapter from this package (QQ or a finite field), so k(t) itself
 is again a domain adapter and can serve as the coefficient field of the
 polynomials split in `localsplit`.  Gcds over k(t) run fraction-free in
-k[t][x], on the helpers at the end of this module.
+k[t][x], on the helpers at the end of this module; the same helpers run
+gcds over Q in Z[x].
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
 
-from .poly import Poly, poly_gcd
+from .poly import Poly, RationalField, poly_gcd
 
 
 class RatFunc:
@@ -145,23 +147,30 @@ def _fmt_tpoly(f: Poly) -> str:
 # -- fraction-free arithmetic in k[t][x] -----------------------------------------
 #
 # Gcds over k(t) are computed in k[t][x] instead, where no operation needs a
-# gcd in k[t] to stay reduced.  An element of k[t][x] is a list of `Poly` in t,
-# the coefficient of x^i at index i, without trailing zeros ([] is zero).
+# gcd in k[t] to stay reduced, and gcds over Q likewise in Z[x].  An element
+# of k[t][x] is a list of `Poly` in t, one of Z[x] a list of int, the
+# coefficient of x^i at index i, without trailing zeros ([] is zero).
 
 
 def _trim(f: list) -> list:
-    while f and f[-1].is_zero():
+    while f and not f[-1]:
         f.pop()
     return f
 
 
 def clear_denominators(g: Poly) -> list:
-    """L*g in k[t][x] for g over k(t), L the monic lcm of its denominators."""
-    lcm = Poly.one(g.field.base)
+    """L*g in k[t][x] for g over k(t), or in Z[x] for g over Q.
+
+    L is the lcm of the denominators of g's coefficients, monic in k[t].
+    """
+    if isinstance(g.field, RationalField):
+        den = lcm(*(c.denominator for c in g.coeffs))
+        return [c.numerator * (den // c.denominator) for c in g.coeffs]
+    den = Poly.one(g.field.base)
     for c in g.coeffs:
         if c.den.degree > 0:
-            lcm = lcm * (c.den // poly_gcd(lcm, c.den))
-    return [c.num * (lcm // c.den) for c in g.coeffs]
+            den = den * (c.den // poly_gcd(den, c.den))
+    return [c.num * (den // c.den) for c in g.coeffs]
 
 
 def x_derivative(f: list) -> list:
@@ -172,9 +181,11 @@ def t_derivative(f: list) -> list:
     return _trim([a.derivative() for a in f])
 
 
-def content(f: list) -> Poly:
-    """Monic gcd in k[t] of the coefficients of a nonzero f."""
-    coeffs = sorted((a for a in f if not a.is_zero()), key=lambda a: a.degree)
+def content(f: list):
+    """Gcd of the coefficients of a nonzero f: positive in Z, monic in k[t]."""
+    if isinstance(f[-1], int):
+        return gcd(*f)
+    coeffs = sorted((a for a in f if a), key=lambda a: a.degree)
     c = coeffs[0].monic()
     for a in coeffs[1:]:
         if c.degree == 0:
@@ -186,15 +197,16 @@ def content(f: list) -> Poly:
 def primitive_part(f: list) -> list:
     """f divided by its content; f nonzero."""
     c = content(f)
-    if c.degree == 0:
+    if (c == 1) if isinstance(c, int) else (c.degree == 0):
         return f
     return [a // c for a in f]
 
 
 def pseudo_remainder(a: list, b: list) -> list:
-    """lc(b)^k * a mod b in k[t][x], b nonzero, k the number of steps.
+    """lc(b)^k * a mod b in k[t][x] or Z[x], b nonzero, k the number of steps.
 
-    Over k(t) this is a unit multiple of a mod b, which is all a gcd needs.
+    Over k(t) or Q this is a unit multiple of a mod b, which is all a gcd
+    needs.
     """
     n = len(b) - 1
     lead = b[-1]
@@ -210,10 +222,11 @@ def pseudo_remainder(a: list, b: list) -> list:
 
 
 def primitive_gcd(a: list, b: list) -> list:
-    """Primitive gcd in k[t][x] by the primitive pseudo-remainder sequence.
+    """Primitive gcd in k[t][x] or Z[x] by the primitive pseudo-remainder
+    sequence.
 
-    Its x-degree is that of the gcd over k(t): every step multiplies or
-    divides by nonzero elements of k(t) only.  a and b not both zero.
+    Its x-degree is that of the gcd over k(t) or Q: every step multiplies or
+    divides by nonzero elements of that field only.  a and b not both zero.
     """
     if len(a) < len(b):
         a, b = b, a

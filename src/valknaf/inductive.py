@@ -149,14 +149,17 @@ class Tower:
         """Unit u in kappa_i with [monomial(exps)] = u * [canonical monomial].
 
         exps has slots 0..i and is consumed (mutated to the canonical form):
-        phi_j^(s*e_j) = (z_j * Q_j)^s carries s = exps[j] // e_j down.
+        phi_j^(s*e_j) = (z_j * Q_j)^s carries s = exps[j] // e_j down.  A
+        negative s divides by z_j, as powers of one / z_j, since a negative
+        power of an int is a float.
         """
-        unit = self.field_at(i).one
+        one = unit = self.field_at(i).one
         for j in range(i, 0, -1):
             lev = self.levels[j - 1]
             s, exps[j] = divmod(exps[j], lev.e)
             if s:
-                unit = unit * self.z_up(j, i) ** s
+                z = self.z_up(j, i)
+                unit = unit * (z ** s if s > 0 else (one / z) ** -s)
                 for idx, q in enumerate(lev.q_exps):
                     exps[idx] += s * q
         return unit
@@ -227,7 +230,8 @@ class Tower:
             j = s * lev.e + a
             wc = w - j * lev.mu
             u = self.monomial_unit(i - 1, wc, lev.q_exps, s)
-            acc = acc + self.lift_at(i - 1, r_s / u, wc) * lev.phi ** j
+            r_s = r_s * (self.field_at(i - 1).one / u)
+            acc = acc + self.lift_at(i - 1, r_s, wc) * lev.phi ** j
         return acc
 
     # -- augmentation --------------------------------------------------------
@@ -264,7 +268,7 @@ class Tower:
             c = psi[t]
             if not c:
                 continue
-            target = c * units[fdeg] / units[t]
+            target = c * units[fdeg] * (self.field_at(k).one / units[t])
             coeff = self.lift_at(k, target, (fdeg - t) * e * lam)
             acc = acc + coeff * lev.phi ** (t * e)
         return acc

@@ -24,7 +24,7 @@ from .funcfield import (FunctionField, _fmt_tpoly, clear_denominators,
 from .gf import GF
 from .inductive import INFINITY, Tower, phi_expansion
 from .ordgroup import LexGroup
-from .poly import Poly, QQ, poly_gcd
+from .poly import Poly, QQ
 from .raminv import ExtensionInvariants
 from .residuefield import extend_residue, factor_over
 
@@ -138,7 +138,8 @@ class BaseValuation:
         dbar = b.den % self._pi
         if dbar.is_zero():
             raise ValueError("shifted element has negative value")
-        return self._eval_residue(nbar) / self._eval_residue(dbar)
+        return self._eval_residue(nbar) * (
+            self.residue_field.one / self._eval_residue(dbar))
 
     def lift_shifted(self, r, w: int):
         """A field element of value w whose shifted residue is r (r != 0)."""
@@ -384,14 +385,13 @@ def _is_squarefree(g: Poly) -> bool:
     gcd(g, dg/dx, dg/dt) = 1 is equivalent to squarefreeness over these
     perfect-constant-field bases.
 
-    Over k(t) the gcds are taken in k[t][x], on G = L*g with L the lcm of
-    the denominators.  By Gauss's lemma a gcd over k(t) is, up to a unit,
-    the primitive gcd over k[t], so the degrees agree, and no k(t) element
-    is ever built.  D = gcd(G, dG/dx) divides g, and dG/dt = L'*g + L*dg/dt,
-    so gcd(D, dG/dt) = gcd(D, dg/dt) over k(t).
+    The gcds are taken fraction-free, in Z[x] over Q and in k[t][x] over
+    k(t), on G = L*g with L the lcm of the denominators.  By Gauss's lemma
+    a gcd over the field is, up to a unit, the primitive gcd over Z or
+    k[t], so the degrees agree, and no rational or k(t) element is ever
+    built.  D = gcd(G, dG/dx) divides g, and dG/dt = L'*g + L*dg/dt, so
+    gcd(D, dG/dt) = gcd(D, dg/dt) over k(t).
     """
-    if not isinstance(g.field, FunctionField):
-        return poly_gcd(g, g.derivative()).degree == 0
     G = clear_denominators(g)
     d = primitive_gcd(G, x_derivative(G))
     if len(d) > 1 and g.field.characteristic:

@@ -39,6 +39,10 @@ INFINITY = inf
 # largest g = gcd(n, a, b), the degree of the residual polynomial T^g - c,
 # that extend_binomial builds; every fixture, demo and workload has g <= 12
 MAX_RESIDUAL_DEGREE = 2 ** 16
+# q of a problem file's GF(q) token must lie below this, checked on the
+# integer before it is split into p^n, so a q of thousands of digits fails
+# fast; every fixture, demo and workload has q <= 2^13
+MAX_FIELD_ORDER = 2 ** 128
 
 
 class WildBinomialError(NotImplementedError):
@@ -155,7 +159,7 @@ def _binomial_irreducible(field, g: int, c) -> bool:
             return False
     # the -4s^4 clause; vacuous in characteristic 2 where -4 = 0
     if g % 4 == 0 and field.characteristic != 2:
-        minus_c_over_4 = -field.coerce(c) / field.coerce(4)
+        minus_c_over_4 = -field.coerce(c) * (field.one / field.coerce(4))
         if _is_qth_power(field, minus_c_over_4, 4):
             return False
     return True

@@ -3,11 +3,18 @@
 The coefficient domain is any object with attributes `zero` and `one`,
 methods `coerce(x)` and `elem_key(c)` (a canonical sort key used to order
 polynomials deterministically), whose elements support +, -, *, / and ==.
-`QQ` is the adapter for Fractions; finite fields live in `gf`, rational
-function fields in `funcfield`.
+`QQ` is the adapter for Q; finite fields live in `gf`, rational function
+fields in `funcfield`.
+
+An element of QQ is an `int` when it is integral and a `Fraction`
+otherwise, so integral polynomials run on plain ints.  Since `int / int` is
+a float, two field elements are divided only as `a * (field.one / b)`:
+`QQ.one` is `Fraction(1)`, and the quotient stays exact on every field.
 
 Coefficients are stored in ascending order without trailing zeros; the zero
-polynomial has degree -1.
+polynomial has degree -1.  Division by a monic polynomial multiplies by no
+inverse, so dividing an integral polynomial by a monic integral one never
+leaves the integers.
 """
 
 from __future__ import annotations
@@ -16,14 +23,22 @@ from fractions import Fraction
 
 
 class RationalField:
-    """Domain adapter for Q with Fraction elements."""
+    """Domain adapter for Q: an element is an int when it is integral and a
+    Fraction otherwise.
 
-    zero = Fraction(0)
+    `one` is `Fraction(1)`, so `field.one / b` is the exact inverse of b;
+    divide field elements only that way, never as `a / b`.
+    """
+
+    zero = 0
     one = Fraction(1)
     characteristic = 0
 
     def coerce(self, x):
-        return Fraction(x)
+        if type(x) is int:
+            return x
+        x = Fraction(x)
+        return x.numerator if x.denominator == 1 else x
 
     def elem_key(self, c):
         return c
@@ -72,6 +87,9 @@ class Poly:
 
     def is_zero(self) -> bool:
         return not self.coeffs
+
+    def __bool__(self):
+        return bool(self.coeffs)
 
     def is_one(self) -> bool:
         return len(self.coeffs) == 1 and self.coeffs[0] == self.field.one
@@ -141,10 +159,13 @@ class Poly:
         dq = len(self.coeffs) - len(other.coeffs)
         if dq < 0:
             return Poly.zero(self.field), self
-        inv_lead = self.field.one / other.leading()
+        monic = other.is_monic()
+        inv_lead = None if monic else self.field.one / other.leading()
         quot = [self.field.zero] * (dq + 1)
         for k in range(dq, -1, -1):
-            c = rem[k + other.degree] * inv_lead
+            c = rem[k + other.degree]
+            if not monic:
+                c = c * inv_lead
             quot[k] = c
             if c != self.field.zero:
                 for j, b in enumerate(other.coeffs):

@@ -317,6 +317,36 @@ def squarefree_by_ratfunc_euclid(g):
     return poly_gcd(d, g_t).degree == 0
 
 
+def squarefree_over_q_by_euclid(g):
+    """Squarefreeness of g over Q by Euclid on lists of Fractions.
+
+    The reference for `localsplit._is_squarefree` over Q: gcd(g, g') by the
+    Euclidean algorithm over Q, each remainder step dividing by the leading
+    coefficient as a Fraction, with no `Poly` arithmetic involved.
+    """
+    def trim(f):
+        while f and f[-1] == 0:
+            f.pop()
+        return f
+
+    def rem(a, b):
+        a = list(a)
+        while len(a) >= len(b):
+            c = a[-1] / b[-1]
+            shift = len(a) - len(b)
+            for j, bj in enumerate(b):
+                a[shift + j] -= c * bj
+            a.pop()
+            trim(a)
+        return a
+
+    a = trim([Fraction(c) for c in g.coeffs])
+    b = trim([i * c for i, c in enumerate(a)][1:])
+    while b:
+        a, b = b, rem(a, b)
+    return len(a) == 1
+
+
 def _frobenius_kernel_by_elimination(f):
     """Basis of {b : b^q = b mod f}, by Gauss-Jordan on plain lists.
 

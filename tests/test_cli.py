@@ -378,6 +378,24 @@ def test_cli_gf_token_prime_power(tmp_path, capsys, q, code):
         assert "e=3" in captured.out and "eps=3" in captured.out
 
 
+@pytest.mark.parametrize("q,code", [
+    (2 ** 128, 1), (10 ** 3000 + 1, 1), (2 ** 128 - 159, 0), (3 ** 80, 0),
+], ids=["2^128", "10^3000+1", "prime-below-2^128", "3^80"])
+def test_cli_gf_field_order_bound(tmp_path, capsys, q, code):
+    # the bound is checked on q before it is split into p^n: at the parent a
+    # q of 3001 digits spent seconds in perfect_power before it failed
+    path = write(tmp_path, "gfq.prob", gf_split(q, "[(0, -1), 0, 1]"))
+    assert cli.main(["split", "--file", path, "--porcelain"]) == code
+    captured = capsys.readouterr()
+    if code:
+        assert captured.out == ""
+        assert captured.err == (
+            f"error: GF(q) with q of {q.bit_length()} bits is beyond the "
+            "field order bound 2^128\n")
+    else:
+        assert "\te=2\tf=1\teps=2\t" in captured.out
+
+
 BIG_P = 1000000000000000003
 
 # name -> (mode, problem text, expected rows as (e, f, eps))

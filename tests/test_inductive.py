@@ -53,8 +53,17 @@ def make_mixed_tower():
     return t2, t2.lift_key()
 
 
+def make_big_integer_tower():
+    """Depth-2 tower over the t-adic valuation on Q(t), residue roots > 2^53."""
+    vt = BaseValuation.pi_adic(QQ, [0, 1])
+    a = 12345678901234567891
+    t1 = Tower(vt).augment(Poly.x(vt.field), F(1, 2), Poly(QQ, [-a, 1]))
+    t2 = t1.augment(t1.lift_key(), F(3, 2), Poly(QQ, [-a * a - 1, 1]))
+    return t2, t2.lift_key()
+
+
 TOWERS = [make_wild_tower, make_tame_tower, make_funcfield_tower,
-          make_mixed_tower]
+          make_mixed_tower, make_big_integer_tower]
 
 
 def test_phi_expansion_reassembles():

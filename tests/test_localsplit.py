@@ -6,7 +6,8 @@ from fractions import Fraction as F
 
 import pytest
 
-from oracles import padic_factor_degrees, squarefree_by_ratfunc_euclid
+from oracles import (padic_factor_degrees, squarefree_by_ratfunc_euclid,
+                     squarefree_over_q_by_euclid)
 from valknaf.funcfield import FunctionField, RatFunc
 from valknaf.gf import GF
 from valknaf.localsplit import (BaseValuation, LocalFactor,
@@ -301,6 +302,42 @@ def test_squarefree_gate_builds_no_ratfunc(monkeypatch):
     monkeypatch.setattr(RatFunc, "__init__", counting_init)
     assert [_is_squarefree(g) for g in inputs] == [True, False]
     assert not built
+
+
+# -- the squarefree gate over Q against Euclid over Fractions ------------------
+
+def rand_q_monic(rng, degree, bound, rational):
+    coeffs = [F(rng.randint(-bound, bound),
+                rng.randint(1, 12) if rational else 1)
+              for _ in range(degree)]
+    return Poly(QQ, coeffs + [1])
+
+
+def qp_non_squarefree(rng):
+    """h^2 * k as in perfbench's qp_split `non_squarefree` family."""
+    h = [rng.randint(-9, 9) for _ in range(rng.randint(1, 2))] + [1]
+    k = [rng.randint(-9, 9) for _ in range(rng.randint(1, 3))] + [1]
+    return Poly(QQ, h) ** 2 * Poly(QQ, k)
+
+
+def test_squarefree_gate_over_q_matches_euclid():
+    rng = random.Random("squarefree:QQ")
+    inputs = []
+    for bound in (20, 2 ** 80):
+        for rational in (False, True):
+            for _ in range(15):
+                inputs.append(rand_q_monic(rng, rng.randint(1, 7), bound,
+                                           rational))
+                h = rand_q_monic(rng, rng.randint(1, 3), bound, rational)
+                k = rand_q_monic(rng, rng.randint(0, 3), bound, rational)
+                inputs.append(h * h * k)
+    inputs += [qp_non_squarefree(rng) for _ in range(30)]
+    verdicts = []
+    for g in inputs:
+        expected = squarefree_over_q_by_euclid(g)
+        assert _is_squarefree(g) == expected, g
+        verdicts.append(expected)
+    assert verdicts.count(True) >= 50 and verdicts.count(False) >= 90
 
 
 # -- conservation against the Hensel oracle ----------------------------------

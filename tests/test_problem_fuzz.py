@@ -1,11 +1,14 @@
 """Hypothesis fuzz of the problem-file front end.
 
 Each example starts from one of the shipped demo problems and applies one
-to three edits: blank a line, duplicate a line, or replace a value with a
-token from a fixed pool of numbers, vectors, lists and field names.  Every
-edited file must still end in a documented exit code, and a nonzero exit
-must come with exactly one line on stderr.  q with thousands of digits is
-not in the pool: its cost is a resource-bound question, not a parse one.
+to three edits: blank a line, duplicate a line, replace a line's value (or
+the whole line) with a token from a fixed pool of numbers, vectors, lists
+and field names, or put a token in place of the value of a `key = value`
+line other than `version` and `mode`.  The last edit keeps the header and
+the section lines, so its files get past the parser and into the engines.
+Every edited file must still end in a documented exit code, and a nonzero
+exit must come with exactly one line on stderr.  The pool holds integers
+above 2^53, so the engines' exact arithmetic is fuzzed too.
 """
 
 import contextlib
@@ -22,9 +25,34 @@ PROBLEMS = sorted((Path(__file__).resolve().parent.parent / "demos"
                    / "problems").glob("*.prob"))
 
 TOKENS = ("0", "1", "-1", "2", "3", "5", "7", "1/5", "1/0", str(10 ** 18 + 3),
+          "12345678901234567891", "1/12345678901234567891",
+          "-4000048000216000432000324",
           "(1, 0)", "(0, 1)", "(1/2, 0)", "()", "[1, 0, 1]", "[0, 1]",
           "[(0, -1), 0, 1]", "[]", "Q", "Q(t)", "GF(4)", "GF(6)", "GF(1)",
           "foo")
+HEADER_KEYS = ("version", "mode")
+
+
+def _shape(value: str) -> str:
+    """list, vector, word or number: what a value looks like."""
+    value = value.split("#", 1)[0].strip()
+    if value.startswith("["):
+        return "list"
+    if value.startswith("("):
+        return "vector"
+    return "word" if value[:1].isalpha() else "number"
+
+
+def _value_lines(lines) -> list:
+    """Indices of the `key = value` lines whose key is not a header key."""
+    out = []
+    for i, line in enumerate(lines):
+        key, sep, _ = line.partition("=")
+        key = key.strip()
+        if (sep and key and not key.startswith(("#", "["))
+                and key not in HEADER_KEYS):
+            out.append(i)
+    return out
 
 
 @st.composite
@@ -32,9 +60,18 @@ def edited_problems(draw):
     """(mode, text) of a demo problem after one to three edits."""
     path = draw(st.sampled_from(PROBLEMS))
     lines = path.read_text().splitlines()
+    values_only = draw(st.booleans())
     for _ in range(draw(st.integers(1, 3))):
+        edit = "value" if values_only else draw(
+            st.sampled_from(("blank", "duplicate", "replace")))
+        if edit == "value":
+            i = draw(st.sampled_from(_value_lines(lines)))
+            key, _, value = lines[i].partition("=")
+            token = draw(st.sampled_from(
+                [t for t in TOKENS if _shape(t) == _shape(value)]))
+            lines[i] = f"{key}= {token}"
+            continue
         i = draw(st.integers(0, len(lines) - 1))
-        edit = draw(st.sampled_from(("blank", "duplicate", "replace")))
         if edit == "blank":
             lines[i] = ""
         elif edit == "duplicate":
