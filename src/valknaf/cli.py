@@ -30,7 +30,8 @@ from .monoval import (MAX_FIELD_ORDER, BinomialExtensionSpec,
 from .numtheory import isprime, perfect_power
 from .ordgroup import LexGroup, RationalVector, initial_index, subgroup_index
 from .poly import Poly, QQ
-from .problemfile import ProblemFile, ProblemFileError, parse_problem
+from .problemfile import (ProblemFile, ProblemFileError, parse_int,
+                          parse_problem)
 from .raminv import ExtensionInvariants, knaf_decide
 
 
@@ -71,7 +72,7 @@ def _constant_field(token: str):
         return QQ
     m = _GF_RE.fullmatch(token)
     if m:
-        q = int(m.group(1))
+        q = parse_int(m.group(1))
         if q >= MAX_FIELD_ORDER:
             raise ProblemFileError(
                 f"GF(q) with q of {q.bit_length()} bits is beyond the field "

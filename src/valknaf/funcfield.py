@@ -1,12 +1,14 @@
 """Rational function fields k(t) over an exact constant field.
 
 Elements are reduced fractions of `poly.Poly` values in the variable t: the
-denominator is monic and coprime to the numerator.  The constant field k is
-any domain adapter from this package (QQ or a finite field), so k(t) itself
-is again a domain adapter and can serve as the coefficient field of the
-polynomials split in `localsplit`.  Gcds over k(t) run fraction-free in
-k[t][x], on the helpers at the end of this module; the same helpers run
-gcds over Q in Z[x].
+`denominator` is monic and coprime to the `numerator`, attribute names that
+`int` and `Fraction` share, so code over Q and over k(t) reads both alike.
+The constant field k is any domain adapter from this package (QQ or a finite
+field), so k(t) itself is again a domain adapter and can serve as the
+coefficient field of the polynomials split in `localsplit`.  `split_order`
+is the order at a prime of Z or k[t], the stage-0 valuation of both
+`localsplit` bases.  Gcds over k(t) run fraction-free in k[t][x], on the
+helpers at the end of this module; the same helpers run gcds over Q in Z[x].
 """
 
 from __future__ import annotations
@@ -18,9 +20,9 @@ from .poly import Poly, RationalField, poly_gcd
 
 
 class RatFunc:
-    """Element of k(t), stored as num/den in lowest terms."""
+    """Element of k(t), stored as numerator/denominator in lowest terms."""
 
-    __slots__ = ("parent", "num", "den")
+    __slots__ = ("parent", "numerator", "denominator")
 
     def __init__(self, parent, num: Poly, den: Poly):
         if den.is_zero():
@@ -39,14 +41,14 @@ class RatFunc:
         else:
             den = Poly.one(parent.base)
         object.__setattr__(self, "parent", parent)
-        object.__setattr__(self, "num", num)
-        object.__setattr__(self, "den", den)
+        object.__setattr__(self, "numerator", num)
+        object.__setattr__(self, "denominator", den)
 
     def __setattr__(self, *args):
         raise AttributeError("RatFunc is immutable")
 
     def __bool__(self):
-        return not self.num.is_zero()
+        return not self.numerator.is_zero()
 
     def __eq__(self, other):
         if not isinstance(other, RatFunc):
@@ -54,22 +56,25 @@ class RatFunc:
                 other = self.parent.coerce(other)
             except (TypeError, ValueError):
                 return NotImplemented
-        return (self.parent is other.parent and self.num == other.num
-                and self.den == other.den)
+        return (self.parent is other.parent
+                and self.numerator == other.numerator
+                and self.denominator == other.denominator)
 
     def __hash__(self):
-        return hash((id(self.parent), self.num.coeffs, self.den.coeffs))
+        return hash((id(self.parent), self.numerator.coeffs,
+                     self.denominator.coeffs))
 
     def __add__(self, other):
         other = self.parent.coerce(other)
         return RatFunc(self.parent,
-                       self.num * other.den + other.num * self.den,
-                       self.den * other.den)
+                       self.numerator * other.denominator
+                       + other.numerator * self.denominator,
+                       self.denominator * other.denominator)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return RatFunc(self.parent, -self.num, self.den)
+        return RatFunc(self.parent, -self.numerator, self.denominator)
 
     def __sub__(self, other):
         return self + (-self.parent.coerce(other))
@@ -79,8 +84,8 @@ class RatFunc:
 
     def __mul__(self, other):
         other = self.parent.coerce(other)
-        return RatFunc(self.parent, self.num * other.num,
-                       self.den * other.den)
+        return RatFunc(self.parent, self.numerator * other.numerator,
+                       self.denominator * other.denominator)
 
     __rmul__ = __mul__
 
@@ -88,8 +93,8 @@ class RatFunc:
         other = self.parent.coerce(other)
         if not other:
             raise ZeroDivisionError("division by zero in k(t)")
-        return RatFunc(self.parent, self.num * other.den,
-                       self.den * other.num)
+        return RatFunc(self.parent, self.numerator * other.denominator,
+                       self.denominator * other.numerator)
 
     def __rtruediv__(self, other):
         return self.parent.coerce(other) / self
@@ -97,36 +102,39 @@ class RatFunc:
     def __pow__(self, e: int):
         if e < 0:
             return (self.parent.one / self) ** (-e)
-        return RatFunc(self.parent, self.num ** e, self.den ** e)
+        return RatFunc(self.parent, self.numerator ** e,
+                       self.denominator ** e)
 
     def d_dt(self) -> "RatFunc":
         """Derivative with respect to t (quotient rule)."""
-        num = self.num.derivative() * self.den - self.num * self.den.derivative()
-        return RatFunc(self.parent, num, self.den * self.den)
+        num = (self.numerator.derivative() * self.denominator
+               - self.numerator * self.denominator.derivative())
+        return RatFunc(self.parent, num, self.denominator * self.denominator)
 
     def order_at(self, pi: Poly) -> int:
-        """pi-adic order: multiplicity of pi in num minus that in den."""
-        if not self:
-            raise ValueError("zero has no finite order")
-
-        def mult(f):
-            m = 0
-            while True:
-                q, r = divmod(f, pi)
-                if not r.is_zero():
-                    return m, f
-                m += 1
-                f = q
-
-        mn, _ = mult(self.num)
-        md, _ = mult(self.den)
-        return mn - md
+        """pi-adic order: multiplicity of pi in numerator minus denominator."""
+        return (split_order(self.numerator, pi)[0]
+                - split_order(self.denominator, pi)[0])
 
     def __repr__(self):
-        num = _fmt_tpoly(self.num)
-        if self.den.degree == 0:
+        num = _fmt_tpoly(self.numerator)
+        if self.denominator.degree == 0:
             return num
-        return f"({num})/({_fmt_tpoly(self.den)})"
+        return f"({num})/({_fmt_tpoly(self.denominator)})"
+
+
+def split_order(x, pi):
+    """(m, y) with x = pi^m * y and pi not dividing y: the order of x != 0
+    at a prime pi, both ints or both polynomials in t."""
+    if not x:
+        raise ValueError("zero has no finite order")
+    m = 0
+    while True:
+        q, r = divmod(x, pi)
+        if r:
+            return m, x
+        x = q
+        m += 1
 
 
 def _fmt_tpoly(f: Poly) -> str:
@@ -165,12 +173,12 @@ def clear_denominators(g: Poly) -> list:
     """
     if isinstance(g.field, RationalField):
         den = lcm(*(c.denominator for c in g.coeffs))
-        return [c.numerator * (den // c.denominator) for c in g.coeffs]
-    den = Poly.one(g.field.base)
-    for c in g.coeffs:
-        if c.den.degree > 0:
-            den = den * (c.den // poly_gcd(den, c.den))
-    return [c.num * (den // c.den) for c in g.coeffs]
+    else:
+        den = Poly.one(g.field.base)
+        for c in g.coeffs:
+            if c.denominator.degree > 0:
+                den = den * (c.denominator // poly_gcd(den, c.denominator))
+    return [c.numerator * (den // c.denominator) for c in g.coeffs]
 
 
 def x_derivative(f: list) -> list:
@@ -283,8 +291,8 @@ class FunctionField:
                        Poly(self.base, den_coeffs))
 
     def elem_key(self, c):
-        return (tuple(self.base.elem_key(a) for a in c.num.coeffs),
-                tuple(self.base.elem_key(a) for a in c.den.coeffs))
+        return (tuple(self.base.elem_key(a) for a in c.numerator.coeffs),
+                tuple(self.base.elem_key(a) for a in c.denominator.coeffs))
 
     def __repr__(self):
         return f"{self.base}(t)"

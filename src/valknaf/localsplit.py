@@ -20,8 +20,9 @@ from fractions import Fraction
 from math import inf
 
 from .funcfield import (FunctionField, _fmt_tpoly, clear_denominators,
-                        primitive_gcd, t_derivative, x_derivative)
-from .gf import GF
+                        primitive_gcd, split_order, t_derivative,
+                        x_derivative)
+from .gf import GF, GFElement
 from .inductive import INFINITY, Tower, phi_expansion
 from .ordgroup import LexGroup
 from .poly import Poly, QQ
@@ -41,6 +42,11 @@ class UnresolvedBranchError(RuntimeError):
 class BaseValuation:
     """Discrete rank-one valuation: p-adic on Q or pi-adic on k(t).
 
+    Both are the order at a prime `_pi` of a Euclidean ring R, the int p in
+    Z or a monic irreducible `Poly` pi in k[t], extended to the fraction
+    field.  The constructors differ only in the two maps they set: `_reduce`
+    from R onto the residue field R/(pi) and `_lift` from it back into R.
+
     Provides the stage-0 interface the inductive tower machinery consumes:
     `field` (domain adapter), `residue_field`, `value_of`, `shifted_reduce`
     and `lift_shifted`.  Values of nonzero elements are integers; the
@@ -53,26 +59,34 @@ class BaseValuation:
     # -- constructors --------------------------------------------------------
 
     @classmethod
+    def _new(cls, field, pi, residue_field, reduce, lift, description):
+        self = object.__new__(cls)
+        self.field = field
+        self._pi = pi
+        # field.one first: QQ.coerce(p) is an int, and int ** -v a float
+        self.uniformizer = field.one * field.coerce(pi)
+        self.residue_field = residue_field
+        self.residue_char = residue_field.characteristic
+        self._reduce = reduce
+        self._lift = lift
+        self.description = description
+        return self
+
+    @classmethod
     def padic(cls, p: int) -> "BaseValuation":
         """The p-adic valuation on Q, with residue field F_p."""
         residue = GF(p, 1)  # validates that p is prime
-        self = object.__new__(cls)
-        self._kind = "padic"
-        self._p = p
-        self.field = QQ
-        self.uniformizer = Fraction(p)
-        self.residue_field = residue
-        self.residue_char = p
-        self.description = f"{p}-adic valuation on Q"
-        return self
+        return cls._new(QQ, p, residue, residue.coerce, GFElement.int_value,
+                        f"{p}-adic valuation on Q")
 
     @classmethod
     def pi_adic(cls, constant_field, pi) -> "BaseValuation":
         """The pi-adic valuation on k(t), pi monic irreducible in k[t].
 
-        k is a finite field or Q.  The residue field is k[t]/(pi]; over Q
-        only deg pi = 1 is supported (larger residue fields of k(t)/Q would
-        be number fields, which are out of scope).
+        k is a finite field or Q.  The residue field is k[t]/(pi), with t
+        mapped to the root of pi that `extend_residue` picks; over Q only
+        deg pi = 1 is supported (larger residue fields of k(t)/Q would be
+        number fields, which are out of scope).
         """
         if not isinstance(pi, Poly):
             pi = Poly(constant_field, list(pi))
@@ -84,20 +98,12 @@ class BaseValuation:
         if len(pairs) != 1 or pairs[0][1] != 1 or pairs[0][0] != pi:
             raise ValueError(f"{pi!r} is not irreducible over {constant_field!r}")
         ext = extend_residue(constant_field, pi)
-
-        self = object.__new__(cls)
-        self._kind = "pi_adic"
-        self._pi = pi
-        self._constants = constant_field
-        self.field = FunctionField(constant_field)
-        self.uniformizer = self.field.coerce(pi)
-        self.residue_field = ext.new_field
-        self.residue_char = constant_field.characteristic
-        self._theta = ext.root
-        self._embed = ext.embed
-        self._decompose = ext.decompose
-        self.description = f"({_fmt_tpoly(pi)})-adic valuation on {constant_field!r}(t)"
-        return self
+        # f % pi first, in k[t]: f(root) alone runs in the larger field
+        return cls._new(
+            FunctionField(constant_field), pi, ext.new_field,
+            lambda f: (f % pi).map_coeffs(ext.embed, ext.new_field)(ext.root),
+            lambda r: Poly(constant_field, ext.decompose(r)),
+            f"({_fmt_tpoly(pi)})-adic valuation on {constant_field!r}(t)")
 
     def __repr__(self):
         return self.description
@@ -107,52 +113,29 @@ class BaseValuation:
     def value_of(self, a):
         """The value of a field element; infinity for 0."""
         a = self.field.coerce(a)
-        if self._kind == "padic":
-            if a == 0:
-                return INFINITY
-            v, p = 0, self._p
-            n = a.numerator
-            while n % p == 0:
-                n //= p
-                v += 1
-            d = a.denominator
-            while d % p == 0:
-                d //= p
-                v -= 1
-            return v
         if not a:
             return INFINITY
-        return a.order_at(self._pi)
+        return (split_order(a.numerator, self._pi)[0]
+                - split_order(a.denominator, self._pi)[0])
 
     def shifted_reduce(self, a, v: int):
         """Residue of a / uniformizer^v; requires value_of(a) >= v."""
         a = self.field.coerce(a)
         v = _as_int(v)
-        if self._kind == "padic":
-            b = a / Fraction(self._p) ** v
-            if b.denominator % self._p == 0:
-                raise ValueError("shifted element has negative value")
-            return self.residue_field.coerce(b)
-        b = a * self.field.coerce(self._pi) ** (-v)
-        nbar = b.num % self._pi
-        dbar = b.den % self._pi
-        if dbar.is_zero():
+        if not a:
+            return self.residue_field.zero
+        m, num = split_order(a.numerator, self._pi)
+        k, den = split_order(a.denominator, self._pi)
+        if m - k < v:
             raise ValueError("shifted element has negative value")
-        return self._eval_residue(nbar) * (
-            self.residue_field.one / self._eval_residue(dbar))
+        if m - k > v:
+            return self.residue_field.zero
+        return self._reduce(num) * (self.residue_field.one / self._reduce(den))
 
     def lift_shifted(self, r, w: int):
         """A field element of value w whose shifted residue is r (r != 0)."""
-        w = _as_int(w)
-        if self._kind == "padic":
-            return Fraction(r.int_value()) * Fraction(self._p) ** w
-        comps = self._decompose(r)
-        num = Poly(self._constants, comps)
-        return self.field.coerce(num) * self.field.coerce(self._pi) ** w
-
-    def _eval_residue(self, tpoly: Poly):
-        """Image of a k[t]-polynomial of degree < deg pi in the residue field."""
-        return tpoly.map_coeffs(self._embed, self.residue_field)(self._theta)
+        return (self.field.coerce(self._lift(r))
+                * self.uniformizer ** _as_int(w))
 
 
 @dataclass(frozen=True)

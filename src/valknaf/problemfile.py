@@ -12,6 +12,7 @@ rejected with their line number, as are malformed values.  `serialize` and
 from __future__ import annotations
 
 import re
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -91,16 +92,24 @@ def _split_top(s: str, line: int) -> list:
     return parts
 
 
+def parse_int(digits: str, line=None) -> int:
+    """int(digits); one beyond Python's int-string limit is a file error."""
+    try:
+        return int(digits)
+    except ValueError:
+        raise ProblemFileError(
+            f"integer of {len(digits.lstrip('+-'))} digits is beyond the "
+            f"limit of {sys.get_int_max_str_digits()} digits", line) from None
+
+
 def _parse_rational(s: str, line: int) -> Fraction:
     m = _RATIONAL_RE.fullmatch(s.strip())
     if not m:
         raise ProblemFileError(f"malformed rational {s.strip()!r}", line)
-    num, den = int(m.group(1)), m.group(2)
-    if den is None:
-        return Fraction(num)
-    if int(den) == 0:
+    num, den = parse_int(m.group(1), line), parse_int(m.group(2) or "1", line)
+    if den == 0:
         raise ProblemFileError("zero denominator", line)
-    return Fraction(num, int(den))
+    return Fraction(num, den)
 
 
 def _parse_vector(s: str, line: int) -> RationalVector:
@@ -137,7 +146,7 @@ def _parse_item(s: str, line: int):
 
 # -- schema --------------------------------------------------------------------
 # Key specs: type tag + "?" optional + "+" repeatable (at least once).
-# Tags: int, rational, vector, list, word, value (any single value).
+# Tags: int, vector, list, word, value (any single value).
 
 _GROUP_KEYS = {"rank": "int", "gen": "vector+"}
 
@@ -174,10 +183,6 @@ def _check_type(key: str, value, tag: str, line: int):
         if isinstance(value, Fraction) and value.denominator == 1:
             return int(value)
         raise ProblemFileError(f"{key} must be an integer", line)
-    if tag == "rational":
-        if isinstance(value, Fraction):
-            return value
-        raise ProblemFileError(f"{key} must be a rational", line)
     if tag == "vector":
         if isinstance(value, RationalVector):
             return value

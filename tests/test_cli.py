@@ -396,6 +396,25 @@ def test_cli_gf_field_order_bound(tmp_path, capsys, q, code):
         assert "\te=2\tf=1\teps=2\t" in captured.out
 
 
+HUGE = "7" * 5003  # beyond Python's 4300-digit int-string limit
+
+
+@pytest.mark.parametrize("text,fragment", [
+    (SPLIT5.replace("p = 5", f"p = {HUGE}"), "line 6: integer of 5003"),
+    (SPLIT5.replace("[1, 0, 1]", f"[1/{HUGE}, 0, 1]"),
+     "line 9: integer of 5003"),
+    (gf_split(HUGE, "[(0, -1), 0, 1]"), "integer of 5003"),
+], ids=["p", "denominator", "gf"])
+def test_cli_integer_beyond_str_limit_is_file_error(tmp_path, capsys, text,
+                                                   fragment):
+    path = write(tmp_path, "huge.prob", text)
+    assert cli.main(["split", "--file", path, "--porcelain"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+    assert captured.err.count("\n") == 1 and fragment in captured.err
+
+
 BIG_P = 1000000000000000003
 
 # name -> (mode, problem text, expected rows as (e, f, eps))

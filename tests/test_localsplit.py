@@ -72,6 +72,62 @@ def test_pi_adic_nontrivial_residue_field():
     assert r * r + v.residue_field.one == v.residue_field.zero
 
 
+def stage0_bases():
+    y = GF(2, 2).generator()
+    return [BaseValuation.padic(2), BaseValuation.padic(3),
+            BaseValuation.padic(101),
+            BaseValuation.pi_adic(GF(3), [1, 1]),
+            BaseValuation.pi_adic(GF(3), [1, 0, 1]),
+            BaseValuation.pi_adic(GF(3), [1, 2, 0, 1]),  # t^3 - t + 1
+            BaseValuation.pi_adic(GF(2, 2), [y, 1, 1]),  # t^2 + t + y
+            BaseValuation.pi_adic(QQ, [0, 1]),
+            BaseValuation.pi_adic(QQ, [-7, 1])]
+
+
+def rand_residue(rng, k):
+    while True:
+        r = (F(rng.randint(-9, 9), rng.randint(1, 9)) if k is QQ
+             else k.element([rng.randrange(k.p) for _ in range(k.n)]))
+        if r:
+            return r
+
+
+@pytest.mark.parametrize("v", stage0_bases(), ids=repr)
+def test_stage0_lift_reduce_round_trip(v):
+    rng = random.Random(30517)
+    pi = v.uniformizer
+    for w in range(-3, 4):
+        for _ in range(4):
+            r = rand_residue(rng, v.residue_field)
+            a = v.lift_shifted(r, w)
+            assert v.value_of(a) == w
+            assert v.shifted_reduce(a, w) == r
+            assert v.shifted_reduce(a, F(w)) == r
+            assert not v.shifted_reduce(pi * a, w)
+            with pytest.raises(ValueError):
+                v.shifted_reduce(pi * a, w + 2)
+
+
+@pytest.mark.parametrize("v", stage0_bases(), ids=repr)
+def test_stage0_value_additive_on_products(v):
+    rng = random.Random(881)
+    pi = v.uniformizer
+    if v.field is QQ:
+        p = v.residue_char
+        elements = [-p ** 3 * 5, F(7, p ** 2), F(-p * 11, 3 * p ** 4), -1,
+                    F(-2 * p, 9), p ** 5 * 13]
+    else:
+        t = v.field.t
+        elements = [pi ** 3 * (t + 2), (t * t + 1) / pi ** 2, -pi / (t + 5),
+                    v.field.one * 3, pi ** -4 * t]
+    elements += [v.lift_shifted(rand_residue(rng, v.residue_field),
+                                rng.randint(-3, 3)) for _ in range(4)]
+    for a in elements:
+        for b in elements:
+            assert v.value_of(a * b) == v.value_of(a) + v.value_of(b)
+    assert v.value_of(0) == float("inf")
+
+
 # -- newton polygons ---------------------------------------------------------
 
 def test_polygon_examples():
