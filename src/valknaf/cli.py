@@ -119,8 +119,8 @@ def _base_valuation(problem: ProblemFile) -> BaseValuation:
             f"field {token} takes `pi = [c0, ..., 1]` and no p")
     if not all(isinstance(c, Fraction) for c in pi):
         raise ProblemFileError("pi coefficients must be rationals")
-    return BaseValuation.pi_adic(constants,
-                                 [_field_element(constants, c) for c in pi])
+    return BaseValuation.pi_adic(
+        constants, Poly(constants, [_field_element(constants, c) for c in pi]))
 
 
 def _coefficient(v: BaseValuation, entry):
@@ -159,7 +159,8 @@ def _binomial_input(problem: ProblemFile):
         if any(x.denominator != 1 for x in c):
             raise ProblemFileError("GF element coordinates must be integers")
         c = k.element(int(x) for x in c)
-    c = _field_element(k, c)
+    else:
+        c = _field_element(k, c)
     spec = BinomialExtensionSpec(problem.get("extension", "n"),
                                  problem.get("extension", "a"),
                                  problem.get("extension", "b"), c)

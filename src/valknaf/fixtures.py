@@ -20,7 +20,6 @@ from .gf import GF
 from .localsplit import BaseValuation, split_extensions, to_extension_invariants
 from .monoval import BinomialExtensionSpec, MonomialValuation, extend_binomial
 from .ordgroup import LexGroup, RationalVector
-from .poly import Poly
 from .problemfile import ProblemFile
 from .raminv import ExtensionInvariants
 
@@ -48,9 +47,8 @@ def _vec(*coords):
 def _split_q(p, coeffs):
     def build():
         v = BaseValuation.padic(p)
-        g = Poly(v.field, list(coeffs))
-        return [to_extension_invariants(v, lf, g.degree)
-                for lf in split_extensions(v, g)]
+        return [to_extension_invariants(v, lf, len(coeffs) - 1)
+                for lf in split_extensions(v, list(coeffs))]
     problem = _pf("split",
                   ("base", (("field", "Q"), ("p", p))),
                   ("polynomial", (("coeffs", tuple(coeffs)),)))
@@ -60,9 +58,8 @@ def _split_q(p, coeffs):
 def _split_f3_x2_minus_t():
     def build():
         v = BaseValuation.pi_adic(GF(3), [0, 1])
-        g = Poly(v.field, [-v.field.t, 0, 1])
-        return [to_extension_invariants(v, lf, g.degree)
-                for lf in split_extensions(v, g)]
+        return [to_extension_invariants(v, lf, 2)
+                for lf in split_extensions(v, [-v.field.t, 0, 1])]
     problem = _pf("split",
                   ("base", (("field", "GF(3)"), ("pi", (0, 1)))),
                   ("polynomial", (("coeffs", (_vec(0, -1), 0, 1)),)))

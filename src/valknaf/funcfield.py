@@ -4,16 +4,21 @@ Elements are reduced fractions of `poly.Poly` values in the variable t: the
 `denominator` is monic and coprime to the `numerator`, attribute names that
 `int` and `Fraction` share, so code over Q and over k(t) reads both alike.
 The constant field k is any domain adapter from this package (QQ or a finite
-field), so k(t) itself is again a domain adapter and can serve as the
-coefficient field of the polynomials split in `localsplit`.  `split_order`
-is the order at a prime of Z or k[t], the stage-0 valuation of both
-`localsplit` bases.  Gcds over k(t) run fraction-free in k[t][x], on the
-helpers at the end of this module; the same helpers run gcds over Q in Z[x].
+field), and the coefficients of numerator and denominator are elements of k
+(ints or Fractions over Q, int codes over GF(q)); a `RatFunc` computes on
+them only through `Poly`'s kernel and k's ops.  k(t) is again a domain
+adapter: an element is a `RatFunc`, whose own operators are the adapter's
+add, sub, neg and mul, so k(t) can serve as the coefficient field of the
+polynomials split in `localsplit`.  `split_order` is the order at a prime
+of Z or k[t], the stage-0 valuation of both `localsplit` bases, and hands
+over the remainder mod the prime that stage-0 reduction needs.  Gcds over
+k(t) run fraction-free in k[t][x], on the helpers at the end of this
+module; the same helpers run gcds over Q in Z[x].
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
+import operator
 from math import gcd, lcm
 
 from .poly import Poly, RationalField, poly_gcd
@@ -35,7 +40,7 @@ class RatFunc:
                     den = den // g
             lead = den.leading()
             if lead != parent.base.one:
-                inv = parent.base.one / lead
+                inv = parent.base.inv(lead)
                 num = num * inv
                 den = den * inv
         else:
@@ -124,15 +129,19 @@ class RatFunc:
 
 
 def split_order(x, pi):
-    """(m, y) with x = pi^m * y and pi not dividing y: the order of x != 0
-    at a prime pi, both ints or both polynomials in t."""
+    """(m, r) for x != 0 and a prime pi, both ints or both polynomials in t:
+    m is the order of x at pi, and r != 0 the remainder of x / pi^m mod pi.
+
+    The division that finds m also yields r, so a caller that reduces the
+    pi-free part of x mod pi divides by pi no further.
+    """
     if not x:
         raise ValueError("zero has no finite order")
     m = 0
     while True:
         q, r = divmod(x, pi)
         if r:
-            return m, x
+            return m, r
         x = q
         m += 1
 
@@ -140,15 +149,16 @@ def split_order(x, pi):
 def _fmt_tpoly(f: Poly) -> str:
     if f.is_zero():
         return "0"
+    render, one = f.field.render, f.field.one
     parts = []
     for i, c in enumerate(f.coeffs):
-        if c == f.field.zero:
+        if not c:
             continue
         if i == 0:
-            parts.append(str(c))
+            parts.append(render(c))
         else:
             s = "t" if i == 1 else f"t^{i}"
-            parts.append(s if c == f.field.one else f"{c}*{s}")
+            parts.append(s if c == one else f"{render(c)}*{s}")
     return " + ".join(parts)
 
 
@@ -182,7 +192,10 @@ def clear_denominators(g: Poly) -> list:
 
 
 def x_derivative(f: list) -> list:
-    return _trim([a * i for i, a in enumerate(f)][1:])
+    """d/dx of f in Z[x], or in k[t][x] with the integer factors mapped into
+    k: mod p they are codes of the prime field."""
+    p = 0 if not f or isinstance(f[-1], int) else f[-1].field.characteristic
+    return _trim([a * (i % p if p else i) for i, a in enumerate(f)][1:])
 
 
 def t_derivative(f: list) -> list:
@@ -248,9 +261,15 @@ def primitive_gcd(a: list, b: list) -> list:
 
 
 class FunctionField:
-    """Domain adapter for k(t); elements are RatFunc values."""
+    """Domain adapter for k(t); elements are RatFunc values, whose own
+    operators are the field's ops."""
 
     _cache = {}
+    add = operator.add
+    sub = operator.sub
+    neg = operator.neg
+    mul = operator.mul
+    render = repr
 
     def __new__(cls, base):
         if base in cls._cache:
@@ -277,16 +296,17 @@ class FunctionField:
             if x.field != self.base:
                 raise ValueError("polynomial over a different constant field")
             return RatFunc(self, x, Poly.one(self.base))
-        if isinstance(x, (int, Fraction)):
-            return RatFunc(self, Poly.constant(self.base, self.base.coerce(x)),
-                           Poly.one(self.base))
         try:
             c = self.base.coerce(x)
         except (TypeError, ValueError) as exc:
             raise TypeError(f"cannot coerce {x!r} into {self}") from exc
         return RatFunc(self, Poly.constant(self.base, c), Poly.one(self.base))
 
+    def inv(self, a):
+        return self.one / a
+
     def from_coeff_lists(self, num_coeffs, den_coeffs=(1,)):
+        """num/den from the coefficient lists, elements of k, of both."""
         return RatFunc(self, Poly(self.base, num_coeffs),
                        Poly(self.base, den_coeffs))
 

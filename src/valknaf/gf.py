@@ -7,25 +7,30 @@ over GF(p) (squarefree, and a Frobenius kernel of dimension 1).  Fields are
 cached, so equal parameters give the identical object and elements can be
 compared freely.
 
-An element is held as one int, its canonical code sum c_i p^i, and the field
-does the arithmetic on codes (Cohen, GTM 138): plain arithmetic mod p in
-GF(p); in GF(p^n), n > 1, XOR and a carry-less shift-and-reduce product for
-p = 2, and digitwise sums and a schoolbook digit product reduced by m for
-odd p, with inverses a^(q-2).  Extension fields of at most `_TABLE_MAX_Q`
-elements replace these kernels by tables that the kernel product builds
-when the field is made: a log/antilog pair for a primitive element g, so a
-product is one addition of logs, and for odd p the Zech logarithms
-log(1 + g^k), so a sum is one too.
+An element of GF(p^n) is one int, its canonical code sum c_i p^i, and the
+field's ops `add`, `sub`, `neg`, `mul` and `inv` act on codes (Cohen, GTM
+138): plain arithmetic mod p in GF(p); in GF(p^n), n > 1, XOR and a
+carry-less shift-and-reduce product for p = 2, and digitwise sums and a
+schoolbook digit product reduced by m for odd p, with inverses a^(q-2).
+Extension fields of at most `_TABLE_MAX_Q` elements replace these kernels
+by tables that the kernel product builds when the field is made: a
+log/antilog pair for a primitive element g, so a product is one addition of
+logs, and for odd p the Zech logarithms log(1 + g^k), so a sum is one too.
+`zero` and `one` are 0 and 1, and `coerce` turns an int or a Fraction
+(reduced mod p) or a `GFElement` into a code; a code is never coerced
+again, since that would reduce a code of p or more as an integer.
+`GFElement` is only the printable wrapper that callers of the public API
+may build (`element`); `render` is the one text of a code.
 
-Inside this module a polynomial over a field is a list of element codes,
-lowest degree first and without trailing zeros, and one small kernel on the
-field's code ops (`_axpy`, `_pmul`, `_pdivmod`, `_pgcd`, `_ppowmod`) does
-all of its arithmetic; `Poly` appears only at the boundary of `factor` and
-`squarefree_decomposition`.  Factorization is Berlekamp's method: the kernel
-of Frobenius minus identity gives the split algebra, and factors are
-separated by equal-degree splitting (Cantor-Zassenhaus) on random elements
-of it, drawn from a generator with a constant seed, so results and
-operation counts repeat from run to run.
+A polynomial over GF(q) is a `Poly` of codes or, inside this module, the
+bare list of codes, lowest degree first and without trailing zeros; `poly`'s
+kernel (`_axpy`, `_pmul`, `_pdivmod`, `_pgcd`) does all of its arithmetic
+on the field's ops, and `_ppowmod` adds powers mod a polynomial.
+Factorization is Berlekamp's method: the kernel of Frobenius minus identity
+gives the split algebra, and factors are separated by equal-degree
+splitting (Cantor-Zassenhaus) on random elements of it, drawn from a
+generator with a constant seed, so results and operation counts repeat
+from run to run.
 """
 
 from __future__ import annotations
@@ -35,7 +40,8 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .numtheory import isprime, primefactors
-from .poly import Poly
+from .poly import (Poly, _axpy, _derivative, _monic, _pdivmod, _pgcd, _pmul,
+                   _trim)
 
 # constant seed of the equal-degree splitting; any value gives the same
 # factors, this one fixes the operation counts
@@ -228,11 +234,14 @@ def _table_ops(p, n, kernel):
 
 
 class GFElement:
-    """Element of GF(p^n), held as its canonical code sum c_i p^i.
+    """Printable wrapper of an element of GF(p^n): its field and its code.
 
-    c_0, ..., c_{n-1} are its coordinates over F_p in the basis 1, y, ...,
-    y^(n-1); `coeffs` derives them from the code.  Codes order the field as
-    `FiniteField.elements` does, and equality and hashing compare codes.
+    The engine computes on codes alone; a GFElement is what a caller of the
+    public API may build to name an element beyond the prime field
+    (`FiniteField.element`), and `coerce` turns it into its code.  Its
+    operators compute through the field's ops on codes.  c_0, ..., c_{n-1}
+    are its coordinates over F_p in the basis 1, y, ..., y^(n-1); `coeffs`
+    derives them from the code.  Equality and hashing compare codes.
     """
 
     __slots__ = ("field", "_code")
@@ -250,7 +259,7 @@ class GFElement:
     @property
     def coeffs(self) -> tuple:
         """Coordinates c_0, ..., c_{n-1} over F_p."""
-        return tuple(_decode(self._code, self.field.p, self.field.n))
+        return tuple(self.field.coords(self._code))
 
     def __eq__(self, other):
         return (other.__class__ is GFElement and self._code == other._code
@@ -264,69 +273,28 @@ class GFElement:
 
     def __add__(self, other):
         field = self.field
-        if other.__class__ is not GFElement or other.field is not field:
-            other = field.coerce(other)
-        return _element(field, field.add(self._code, other._code))
-
-    __radd__ = __add__
+        return _element(field, field.add(self._code, field.coerce(other)))
 
     def __neg__(self):
         return _element(self.field, self.field.neg(self._code))
 
     def __sub__(self, other):
         field = self.field
-        if other.__class__ is not GFElement or other.field is not field:
-            other = field.coerce(other)
-        return _element(field, field.sub(self._code, other._code))
-
-    def __rsub__(self, other):
-        return self.field.coerce(other) - self
+        return _element(field, field.sub(self._code, field.coerce(other)))
 
     def __mul__(self, other):
         field = self.field
-        if other.__class__ is not GFElement or other.field is not field:
-            other = field.coerce(other)
-        return _element(field, field.mul(self._code, other._code))
-
-    __rmul__ = __mul__
+        return _element(field, field.mul(self._code, field.coerce(other)))
 
     def inverse(self):
-        if not self._code:
-            raise ZeroDivisionError("inverse of zero in a finite field")
         return _element(self.field, self.field.inv(self._code))
-
-    def __truediv__(self, other):
-        other = self.field.coerce(other)
-        return self * other.inverse()
-
-    def __rtruediv__(self, other):
-        return self.field.coerce(other) / self
-
-    def __pow__(self, e: int):
-        if e < 0:
-            return self.inverse() ** (-e)
-        field = self.field
-        if field.n == 1:
-            return _element(field, pow(self._code, e, field.p))
-        return _element(field, _power(field.mul, self._code, e))
 
     def int_value(self) -> int:
         """Canonical integer encoding sum c_i p^i (enumeration order)."""
         return self._code
 
     def __repr__(self):
-        if self.field.n == 1:
-            return str(self._code)
-        parts = []
-        for i, c in enumerate(self.coeffs):
-            if c == 0:
-                continue
-            if i == 0:
-                parts.append(str(c))
-            else:
-                s = "y" if i == 1 else f"y^{i}"
-                parts.append(s if c == 1 else f"{c}*{s}")
-        return "(" + (" + ".join(parts) if parts else "0") + ")"
+        return self.field.render(self._code)
 
 
 _new_object = object.__new__
@@ -335,7 +303,7 @@ _set_code = GFElement._code.__set__
 
 
 def _element(field, code) -> GFElement:
-    """The element of field with the given (reduced) code."""
+    """The wrapper of the element of field with the given (reduced) code."""
     x = _new_object(GFElement)
     _set_field(x, field)
     _set_code(x, code)
@@ -345,8 +313,13 @@ def _element(field, code) -> GFElement:
 class FiniteField:
     """GF(p^n); use the `GF(p, n)` factory so fields are unique objects.
 
-    add, sub, neg, mul and inv act on element codes.
+    An element is its int code; add, sub, neg, mul and inv act on codes,
+    `coerce` makes one from an int, a Fraction or a `GFElement`, and
+    `render` prints one.
     """
+
+    zero = 0
+    one = 1
 
     def __init__(self, p, n):
         self.p = p
@@ -362,41 +335,63 @@ class FiniteField:
             ops = _digit_ops(p, n, self.modulus)
         if n > 1 and self.q <= _TABLE_MAX_Q:
             ops = _table_ops(p, n, ops)
-        self.add, self.sub, self.neg, self.mul, self.inv = ops
-        self.zero = _element(self, 0)
-        self.one = _element(self, 1)
+        self.add, self.sub, self.neg, self.mul, inv = ops
+
+        def checked_inv(a):
+            if not a:
+                raise ZeroDivisionError("inverse of zero in a finite field")
+            return inv(a)
+
+        self.inv = checked_inv
 
     def coerce(self, x):
-        if x.__class__ is GFElement:
-            if x.field is self:
-                return x
-            if x.field.p == self.p and x.field.n == 1:
-                return _element(self, x._code)
-            raise ValueError(f"cannot coerce element of {x.field} into {self}")
+        """The code of an int or a Fraction (mod p) or of a GFElement."""
         if isinstance(x, int):
-            return _element(self, x % self.p)
+            return x % self.p
+        if x.__class__ is GFElement:
+            if x.field is self or (x.field.p == self.p and x.field.n == 1):
+                return x._code
+            raise ValueError(f"cannot coerce element of {x.field} into {self}")
         if isinstance(x, Fraction):
             den = x.denominator % self.p
             if den == 0:
                 raise ZeroDivisionError("denominator vanishes in GF")
-            return _element(self, x.numerator * pow(den, -1, self.p) % self.p)
+            return x.numerator * pow(den, -1, self.p) % self.p
         raise TypeError(f"cannot coerce {x!r} into {self}")
 
-    def element(self, coeffs):
+    def coords(self, c) -> list:
+        """The n coordinates of the code c over F_p, lowest first."""
+        return _decode(c, self.p, self.n)
+
+    def from_coords(self, coords) -> int:
+        """The code of the element with the given coordinates over F_p."""
+        return _encode(coords, self.p)
+
+    def element(self, coeffs) -> GFElement:
+        """The wrapper of the element with coordinates coeffs (padded)."""
         coeffs = list(coeffs)
         return GFElement(self, coeffs + [0] * (self.n - len(coeffs)))
 
-    def generator(self):
-        """Class of y (equals 1 when n = 1)."""
-        return _element(self, self.p if self.n > 1 else 1)
-
     def elements(self):
-        """All q elements in canonical (integer-encoding) order."""
-        for code in range(self.q):
-            yield _element(self, code)
+        """All q element codes, in canonical (increasing) order."""
+        yield from range(self.q)
+
+    def render(self, c) -> str:
+        if self.n == 1:
+            return str(c)
+        parts = []
+        for i, d in enumerate(self.coords(c)):
+            if d == 0:
+                continue
+            if i == 0:
+                parts.append(str(d))
+            else:
+                s = "y" if i == 1 else f"y^{i}"
+                parts.append(s if d == 1 else f"{d}*{s}")
+        return "(" + (" + ".join(parts) if parts else "0") + ")"
 
     def elem_key(self, c):
-        return c._code
+        return c
 
     def __eq__(self, other):
         return (isinstance(other, FiniteField)
@@ -419,7 +414,7 @@ def GF(p: int, n: int = 1) -> FiniteField:
 
 
 @lru_cache(maxsize=None)
-def _embedding_root(small: FiniteField, big: FiniteField) -> GFElement:
+def _embedding_root(small: FiniteField, big: FiniteField) -> int:
     """Image of small's generator in big: first root in canonical order."""
     if small.p != big.p or big.n % small.n != 0:
         raise ValueError(f"no embedding of {small} into {big}")
@@ -427,84 +422,29 @@ def _embedding_root(small: FiniteField, big: FiniteField) -> GFElement:
 
 
 def embed(small: FiniteField, big: FiniteField):
-    """The canonical embedding GF(p^a) -> GF(p^ab) as a callable."""
-    if small is big:
-        return lambda x: x
-    root = _embedding_root(small, big)
+    """The canonical embedding GF(p^a) -> GF(p^ab) on codes, as a callable.
 
-    def phi(x: GFElement) -> GFElement:
-        acc = big.zero
-        for c in reversed(x.coeffs):
-            acc = acc * root + big.coerce(c)
+    The prime field has the same codes in every extension, so its
+    embedding is the identity.
+    """
+    if small is big:
+        return _identity
+    root = _embedding_root(small, big)
+    if small.n == 1:
+        return _identity
+    add, mul = big.add, big.mul
+
+    def phi(x):
+        acc = 0
+        for c in reversed(small.coords(x)):
+            acc = add(mul(acc, root), c)
         return acc
 
     return phi
 
 
-# ---------------------------------------------------------------------------
-# polynomials over a field F as code lists, lowest degree first, no trailing
-# zeros ([] is zero); the kernel uses only F's code ops
-
-
-def _trim(a):
-    while a and not a[-1]:
-        a.pop()
-    return a
-
-
-def _axpy(F, a, c, b):
-    """a + c*b for code lists a, b and a code c."""
-    add, mul = F.add, F.mul
-    out = a + [0] * (len(b) - len(a))
-    for i, x in enumerate(b):
-        if x:
-            out[i] = add(out[i], mul(c, x))
-    return _trim(out)
-
-
-def _monic(F, a):
-    return a if not a or a[-1] == 1 else _axpy(F, [], F.inv(a[-1]), a)
-
-
-def _pmul(F, a, b):
-    if not a or not b:
-        return []
-    add, mul = F.add, F.mul
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                if y:
-                    out[i + j] = add(out[i + j], mul(x, y))
-    return out
-
-
-def _pdivmod(F, a, b):
-    """(quotient, remainder) of code lists a by b != []."""
-    dq, db = len(a) - len(b), len(b) - 1
-    if dq < 0:
-        return [], a
-    sub, mul = F.sub, F.mul
-    inv = None if b[-1] == 1 else F.inv(b[-1])
-    r = a[:]
-    q = [0] * (dq + 1)
-    for k in range(dq, -1, -1):
-        c = r[k + db]
-        if c:
-            if inv:
-                c = mul(c, inv)
-            q[k] = c
-            for j in range(db):
-                if b[j]:
-                    r[k + j] = sub(r[k + j], mul(c, b[j]))
-    return q, _trim(r[:db])
-
-
-def _pgcd(F, a, b):
-    """Monic gcd of code lists a and b by the Euclidean algorithm."""
-    while b:
-        a, b = b, _pdivmod(F, a, b)[1]
-    return _monic(F, a)
+def _identity(x):
+    return x
 
 
 def _ppowmod(F, a, e, m):
@@ -517,15 +457,6 @@ def _ppowmod(F, a, e, m):
         a = _pdivmod(F, _pmul(F, a, a), m)[1]
         e >>= 1
     return out
-
-
-def _derivative(F, a):
-    p, mul = F.p, F.mul
-    return _trim([mul(i % p, c) for i, c in enumerate(a)][1:])
-
-
-def _poly(F, a) -> Poly:
-    return Poly(F, [_element(F, c) for c in a])
 
 
 def row_reduce(F, rows) -> dict:
@@ -595,8 +526,7 @@ def squarefree_decomposition(f: Poly):
     if f.is_zero():
         raise ValueError("zero polynomial")
     F = f.field
-    return [(_poly(F, g), m)
-            for g, m in _squarefree(F, _monic(F, [c._code for c in f.coeffs]))]
+    return [(Poly(F, g), m) for g, m in _squarefree(F, _monic(F, f.coeffs))]
 
 
 def _frobenius_kernel(F, f):
@@ -674,23 +604,23 @@ def factor(f: Poly):
     F = f.field
     lead = f.leading()
     pairs = []
-    for g, m in _squarefree(F, _monic(F, [c._code for c in f.coeffs])):
+    for g, m in _squarefree(F, _monic(F, f.coeffs)):
         irreducibles = [g] if len(g) <= 2 else _equal_degree_split(
             F, g, _frobenius_kernel(F, g), random.Random(_SPLIT_SEED))
         pairs += [(h, m) for h in irreducibles]
     pairs.sort(key=lambda t: (len(t[0]), t[0]))
-    return lead, [(_poly(F, g), m) for g, m in pairs]
+    return lead, [(Poly(F, g), m) for g, m in pairs]
 
 
-def first_root(f: Poly) -> GFElement:
+def first_root(f: Poly) -> int:
     """The first root of f in its coefficient field, in canonical order."""
     field = f.field
     add, mul = field.add, field.mul
-    codes = [c._code for c in reversed(f.coeffs)]
-    for cand in field.elements():
-        x, acc = cand._code, 0
+    codes = f.coeffs[::-1]
+    for x in field.elements():
+        acc = 0
         for c in codes:
             acc = add(mul(acc, x), c)
         if not acc:
-            return cand
+            return x
     raise ValueError(f"{f!r} has no root in {field!r}")

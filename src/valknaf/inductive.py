@@ -21,7 +21,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import inf
 
-from .poly import Poly
+from .poly import Poly, power
 from .residuefield import extend_residue
 
 INFINITY = inf
@@ -149,17 +149,16 @@ class Tower:
         """Unit u in kappa_i with [monomial(exps)] = u * [canonical monomial].
 
         exps has slots 0..i and is consumed (mutated to the canonical form):
-        phi_j^(s*e_j) = (z_j * Q_j)^s carries s = exps[j] // e_j down.  A
-        negative s divides by z_j, as powers of one / z_j, since a negative
-        power of an int is a float.
+        phi_j^(s*e_j) = (z_j * Q_j)^s carries s = exps[j] // e_j down; a
+        negative s divides by z_j.
         """
-        one = unit = self.field_at(i).one
+        F = self.field_at(i)
+        unit = F.one
         for j in range(i, 0, -1):
             lev = self.levels[j - 1]
             s, exps[j] = divmod(exps[j], lev.e)
             if s:
-                z = self.z_up(j, i)
-                unit = unit * (z ** s if s > 0 else (one / z) ** -s)
+                unit = F.mul(unit, power(F, self.z_up(j, i), s))
                 for idx, q in enumerate(lev.q_exps):
                     exps[idx] += s * q
         return unit
@@ -193,7 +192,8 @@ class Tower:
         vals = [None if d.is_zero() else self._val(i - 1, d)
                 for d in digits]
         w = min(v + j * lev.mu for j, v in enumerate(vals) if v is not None)
-        total = lev.resfield.zero
+        F, below = lev.resfield, self.field_at(i - 1)
+        total = F.zero
         common_a = None
         for j, v in enumerate(vals):
             if v is None or v + j * lev.mu != w:
@@ -204,9 +204,10 @@ class Tower:
             assert a == common_a, "tight exponents disagree mod e"
             r = self.reduce_at(i - 1, digits[j])
             u = self.monomial_unit(i - 1, v, lev.q_exps, s)
-            total = total + lev.embed_prev(r * u) * lev.z ** s
+            total = F.add(total, F.mul(lev.embed_prev(below.mul(r, u)),
+                                       power(F, lev.z, s)))
         if not total:
-            raise RuntimeError("graded reduction vanished; tower is corrupt")
+            raise ValueError("graded reduction vanished; tower is corrupt")
         return total
 
     def lift_at(self, i, r, w) -> Poly:
@@ -220,6 +221,7 @@ class Tower:
             return Poly.constant(self.base.field,
                                  self.base.lift_shifted(r, w))
         lev = self.levels[i - 1]
+        below = self.field_at(i - 1)
         exps_w = self.canonical_exps(i, w)
         a = exps_w[i]
         comps = lev.decompose(r)
@@ -230,7 +232,7 @@ class Tower:
             j = s * lev.e + a
             wc = w - j * lev.mu
             u = self.monomial_unit(i - 1, wc, lev.q_exps, s)
-            r_s = r_s * (self.field_at(i - 1).one / u)
+            r_s = below.mul(r_s, below.inv(u))
             acc = acc + self.lift_at(i - 1, r_s, wc) * lev.phi ** j
         return acc
 
@@ -263,12 +265,13 @@ class Tower:
         fdeg = psi.degree
         units = [self.monomial_unit(k, (fdeg - t) * e * lam, lev.q_exps, t)
                  for t in range(fdeg + 1)]
+        F = self.field_at(k)
         acc = lev.phi ** (e * fdeg)
         for t in range(fdeg):
             c = psi[t]
             if not c:
                 continue
-            target = c * units[fdeg] * (self.field_at(k).one / units[t])
+            target = F.mul(F.mul(c, units[fdeg]), F.inv(units[t]))
             coeff = self.lift_at(k, target, (fdeg - t) * e * lam)
             acc = acc + coeff * lev.phi ** (t * e)
         return acc

@@ -22,10 +22,10 @@ from math import inf
 from .funcfield import (FunctionField, _fmt_tpoly, clear_denominators,
                         primitive_gcd, split_order, t_derivative,
                         x_derivative)
-from .gf import GF, GFElement
+from .gf import GF
 from .inductive import INFINITY, Tower, phi_expansion
 from .ordgroup import LexGroup
-from .poly import Poly, QQ
+from .poly import Poly, QQ, power
 from .raminv import ExtensionInvariants
 from .residuefield import extend_residue, factor_over
 
@@ -45,7 +45,9 @@ class BaseValuation:
     Both are the order at a prime `_pi` of a Euclidean ring R, the int p in
     Z or a monic irreducible `Poly` pi in k[t], extended to the fraction
     field.  The constructors differ only in the two maps they set: `_reduce`
-    from R onto the residue field R/(pi) and `_lift` from it back into R.
+    from the remainders mod pi onto the residue field R/(pi) and `_lift`
+    from it back into R.  For p-adic both are the identity, since a residue
+    of F_p is the code of its least nonnegative representative.
 
     Provides the stage-0 interface the inductive tower machinery consumes:
     `field` (domain adapter), `residue_field`, `value_of`, `shifted_reduce`
@@ -63,8 +65,7 @@ class BaseValuation:
         self = object.__new__(cls)
         self.field = field
         self._pi = pi
-        # field.one first: QQ.coerce(p) is an int, and int ** -v a float
-        self.uniformizer = field.one * field.coerce(pi)
+        self.uniformizer = field.coerce(pi)
         self.residue_field = residue_field
         self.residue_char = residue_field.characteristic
         self._reduce = reduce
@@ -76,7 +77,7 @@ class BaseValuation:
     def padic(cls, p: int) -> "BaseValuation":
         """The p-adic valuation on Q, with residue field F_p."""
         residue = GF(p, 1)  # validates that p is prime
-        return cls._new(QQ, p, residue, residue.coerce, GFElement.int_value,
+        return cls._new(QQ, p, residue, _identity, _identity,
                         f"{p}-adic valuation on Q")
 
     @classmethod
@@ -89,19 +90,21 @@ class BaseValuation:
         number fields, which are out of scope).
         """
         if not isinstance(pi, Poly):
-            pi = Poly(constant_field, list(pi))
-        if pi.field is not constant_field:
-            pi = Poly(constant_field, list(pi.coeffs))
+            pi = Poly(constant_field, [constant_field.coerce(c) for c in pi])
+        if pi.field != constant_field:
+            raise ValueError(f"{pi!r} is not a polynomial over "
+                             f"{constant_field!r}")
         if pi.degree < 1 or not pi.is_monic():
             raise ValueError("uniformizer must be monic of degree >= 1")
         pairs = factor_over(constant_field, pi)
         if len(pairs) != 1 or pairs[0][1] != 1 or pairs[0][0] != pi:
             raise ValueError(f"{pi!r} is not irreducible over {constant_field!r}")
         ext = extend_residue(constant_field, pi)
-        # f % pi first, in k[t]: f(root) alone runs in the larger field
+        # split_order hands over remainders mod pi, so the evaluation at the
+        # root, in the larger field, runs on fewer than deg pi coefficients
         return cls._new(
             FunctionField(constant_field), pi, ext.new_field,
-            lambda f: (f % pi).map_coeffs(ext.embed, ext.new_field)(ext.root),
+            lambda f: f.map_coeffs(ext.embed, ext.new_field)(ext.root),
             lambda r: Poly(constant_field, ext.decompose(r)),
             f"({_fmt_tpoly(pi)})-adic valuation on {constant_field!r}(t)")
 
@@ -122,20 +125,22 @@ class BaseValuation:
         """Residue of a / uniformizer^v; requires value_of(a) >= v."""
         a = self.field.coerce(a)
         v = _as_int(v)
+        R = self.residue_field
         if not a:
-            return self.residue_field.zero
+            return R.zero
         m, num = split_order(a.numerator, self._pi)
         k, den = split_order(a.denominator, self._pi)
         if m - k < v:
             raise ValueError("shifted element has negative value")
         if m - k > v:
-            return self.residue_field.zero
-        return self._reduce(num) * (self.residue_field.one / self._reduce(den))
+            return R.zero
+        return R.mul(self._reduce(num), R.inv(self._reduce(den)))
 
     def lift_shifted(self, r, w: int):
         """A field element of value w whose shifted residue is r (r != 0)."""
-        return (self.field.coerce(self._lift(r))
-                * self.uniformizer ** _as_int(w))
+        F = self.field
+        return F.mul(F.coerce(self._lift(r)),
+                     power(F, self.uniformizer, _as_int(w)))
 
 
 @dataclass(frozen=True)
@@ -166,6 +171,10 @@ class LocalFactor:
     certificate: str = ""
 
 
+def _identity(x):
+    return x
+
+
 def _as_int(w) -> int:
     if isinstance(w, Fraction):
         if w.denominator != 1:
@@ -175,9 +184,9 @@ def _as_int(w) -> int:
 
 
 def _poly_over(v: BaseValuation, g) -> Poly:
-    if isinstance(g, Poly) and g.field is v.field:
-        return g
-    coeffs = g.coeffs if isinstance(g, Poly) else list(g)
+    """g, a Poly or a coefficient list, over v.field (Q or k(t)), each
+    coefficient coerced as a value from outside: an int is an integer."""
+    coeffs = g.coeffs if isinstance(g, Poly) else g
     return Poly(v.field, [v.field.coerce(c) for c in coeffs])
 
 
@@ -236,7 +245,7 @@ def _segment_residual(tower: Tower, digits, vals, lam: Fraction, j0: int, j1: in
             coeffs.append(kappa.zero)
             continue
         r = tower.reduce_at(k, digits[j])
-        coeffs.append(r * tower.monomial_unit(k, val, q_exps, t))
+        coeffs.append(kappa.mul(r, tower.monomial_unit(k, val, q_exps, t)))
     return Poly(kappa, coeffs)
 
 

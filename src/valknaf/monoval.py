@@ -31,7 +31,7 @@ from math import gcd, inf
 from .gf import FiniteField
 from .numtheory import iroot, primefactors
 from .ordgroup import LexGroup, RationalVector, lex_compare, subgroup_index
-from .poly import Poly, RationalField
+from .poly import Poly, RationalField, power
 from .raminv import ExtensionInvariants, validate
 
 INFINITY = inf
@@ -129,7 +129,8 @@ def mono_value(v: MonomialValuation, poly):
 
 
 def _is_qth_power(field, c, q: int) -> bool:
-    """Is c a q-th power in the field (q prime, or 4 for the special case)?"""
+    """Is the element c a q-th power in the field (q prime, or 4 for the
+    special case)?"""
     if isinstance(field, RationalField):
         c = Fraction(c)
         if c == 0:
@@ -138,15 +139,15 @@ def _is_qth_power(field, c, q: int) -> bool:
             return False
         return all(iroot(m, q) ** q == m
                    for m in (abs(c.numerator), c.denominator))
-    c = field.coerce(c)
     if not c:
         return True
     g = gcd(q, field.q - 1)
-    return c ** ((field.q - 1) // g) == field.one
+    return power(field, c, (field.q - 1) // g) == field.one
 
 
 def _binomial_irreducible(field, g: int, c) -> bool:
-    """Classical criterion for z^n - c*x^a*y^b irreducible over k(x,y).
+    """Classical criterion for z^n - c*x^a*y^b irreducible over k(x,y), c an
+    element of the field.
 
     z^n - u is irreducible iff u is not a q-th power in the field for any
     prime q dividing n, and, when 4 divides n, u is not of the form -4*s^4.
@@ -159,7 +160,7 @@ def _binomial_irreducible(field, g: int, c) -> bool:
             return False
     # the -4s^4 clause; vacuous in characteristic 2 where -4 = 0
     if g % 4 == 0 and field.characteristic != 2:
-        minus_c_over_4 = -field.coerce(c) * (field.one / field.coerce(4))
+        minus_c_over_4 = field.neg(field.mul(c, field.inv(field.coerce(4))))
         if _is_qth_power(field, minus_c_over_4, 4):
             return False
     return True
@@ -188,7 +189,8 @@ def extend_binomial(v: MonomialValuation, spec: BinomialExtensionSpec) -> list:
             f"{MAX_RESIDUAL_DEGREE}")
     if not _binomial_irreducible(k, g, c):
         raise ValueError(
-            f"z^{n} - {c}*x^{a}*y^{b} is reducible over the base field")
+            f"z^{n} - {k.render(c)}*x^{a}*y^{b} is reducible over the base "
+            "field")
 
     e = n // g
     w = v.monomial_value(a, b) * Fraction(1, n)
@@ -202,7 +204,7 @@ def extend_binomial(v: MonomialValuation, spec: BinomialExtensionSpec) -> list:
     # z^e / x^(a/g) y^(b/g) is a unit whose g-th power is exactly c, so the
     # residual equation is T^g = c-bar with residue unit 1; T^g - c-bar is
     # irreducible by Capelli (module docstring)
-    psi = Poly(k, [-c] + [k.zero] * (g - 1) + [k.one])
+    psi = Poly(k, [k.neg(c)] + [k.zero] * (g - 1) + [k.one])
     inv = ExtensionInvariants(
         gamma_nu=gamma_nu,
         gamma_omega=gamma_omega,
@@ -210,7 +212,7 @@ def extend_binomial(v: MonomialValuation, spec: BinomialExtensionSpec) -> list:
         local_degree=n,
         residue_char=p,
         total_degree=n,
-        provenance=(f"binomial z^{n} = {c}*x^{a}*y^{b}: e = {e}, "
+        provenance=(f"binomial z^{n} = {k.render(c)}*x^{a}*y^{b}: e = {e}, "
                     f"residual factor {psi}"))
     problems = validate(inv)
     if problems:

@@ -1,43 +1,59 @@
-"""Dense univariate polynomials over an arbitrary coefficient field.
+"""Dense univariate polynomials over a field adapter, on one list kernel.
 
-The coefficient domain is any object with attributes `zero` and `one`,
-methods `coerce(x)` and `elem_key(c)` (a canonical sort key used to order
-polynomials deterministically), whose elements support +, -, *, / and ==.
-`QQ` is the adapter for Q; finite fields live in `gf`, rational function
-fields in `funcfield`.
+A field adapter (`QQ` here, finite fields in `gf`, rational function
+fields in `funcfield`) is an object with the attributes `zero`, `one` and
+`characteristic` and the methods `coerce(x)` (a value from outside, such
+as an int, a Fraction or a printable wrapper, into an element),
+`add(a, b)`, `sub(a, b)`, `neg(a)`, `mul(a, b)`, `inv(a)`,
+`render(a)` (the text of an element) and `elem_key(a)` (a canonical sort
+key that orders polynomials deterministically).  Elements need not carry
+their own arithmetic: all of it goes through these ops, and an element
+only has to be hashable and false exactly when it is zero.
 
 An element of QQ is an `int` when it is integral and a `Fraction`
-otherwise, so integral polynomials run on plain ints.  Since `int / int` is
-a float, two field elements are divided only as `a * (field.one / b)`:
-`QQ.one` is `Fraction(1)`, and the quotient stays exact on every field.
+otherwise, so integral polynomials run on plain ints; `QQ.inv` gives an
+int where the inverse is integral.  Since `int / int` is a float, two field
+elements are divided only as `F.mul(a, F.inv(b))`.
 
-Coefficients are stored in ascending order without trailing zeros; the zero
-polynomial has degree -1.  Division by a monic polynomial multiplies by no
-inverse, so dividing an integral polynomial by a monic integral one never
-leaves the integers.
+A polynomial is a tuple of elements in ascending order without trailing
+zeros; the zero polynomial has degree -1.  `Poly` stores the elements it
+is given as they are: it never coerces, so the codes of a finite field are
+never reduced again as integers.  Its arithmetic is the kernel at the end
+of this module, on lists of elements, which reads the field's ops once per
+operation.  Division by a monic polynomial multiplies by no inverse, so
+dividing an integral polynomial by a monic integral one never leaves the
+integers.
 """
 
 from __future__ import annotations
 
+import operator
 from fractions import Fraction
 
 
 class RationalField:
     """Domain adapter for Q: an element is an int when it is integral and a
-    Fraction otherwise.
-
-    `one` is `Fraction(1)`, so `field.one / b` is the exact inverse of b;
-    divide field elements only that way, never as `a / b`.
-    """
+    Fraction otherwise; the ops are Python's operators."""
 
     zero = 0
-    one = Fraction(1)
+    one = 1
     characteristic = 0
+    add = operator.add
+    sub = operator.sub
+    neg = operator.neg
+    mul = operator.mul
+    render = str
 
     def coerce(self, x):
         if type(x) is int:
             return x
         x = Fraction(x)
+        return x.numerator if x.denominator == 1 else x
+
+    @staticmethod
+    def inv(a):
+        """1/a, an int when it is integral."""
+        x = Fraction(1) / a
         return x.numerator if x.denominator == 1 else x
 
     def elem_key(self, c):
@@ -56,30 +72,30 @@ class Poly:
     __slots__ = ("field", "coeffs")
 
     def __init__(self, field, coeffs):
-        coeffs = [field.coerce(c) for c in coeffs]
-        while coeffs and coeffs[-1] == field.zero:
-            coeffs.pop()
-        object.__setattr__(self, "field", field)
-        object.__setattr__(self, "coeffs", tuple(coeffs))
+        """coeffs: elements of field, lowest degree first."""
+        coeffs = list(coeffs)
+        _set_field(self, field)
+        _set_coeffs(self, tuple(_trim(coeffs)))
 
     def __setattr__(self, *args):
         raise AttributeError("Poly is immutable")
 
     @classmethod
     def zero(cls, field):
-        return cls(field, [])
+        return _poly(field, [])
 
     @classmethod
     def one(cls, field):
-        return cls(field, [field.one])
+        return _poly(field, [field.one])
 
     @classmethod
     def x(cls, field):
-        return cls(field, [field.zero, field.one])
+        return _poly(field, [field.zero, field.one])
 
     @classmethod
     def constant(cls, field, c):
-        return cls(field, [c])
+        """The constant polynomial c, c an element of field."""
+        return _poly(field, [c] if c else [])
 
     @property
     def degree(self) -> int:
@@ -114,63 +130,41 @@ class Poly:
     def __hash__(self):
         return hash((id(self.field), self.coeffs))
 
+    def _operand(self, other):
+        """Coefficient list of a polynomial or an element of the field."""
+        if isinstance(other, Poly):
+            if other.field is not self.field and other.field != self.field:
+                raise ValueError("mixed coefficient fields")
+            return other.coeffs
+        return (other,) if other else ()
+
     def __add__(self, other):
-        other = self._coerce_poly(other)
-        n = max(len(self.coeffs), len(other.coeffs))
-        return Poly(self.field, [self[i] + other[i] for i in range(n)])
+        return _poly(self.field,
+                     _padd(self.field, self.coeffs, self._operand(other)))
 
     def __sub__(self, other):
-        other = self._coerce_poly(other)
-        n = max(len(self.coeffs), len(other.coeffs))
-        return Poly(self.field, [self[i] - other[i] for i in range(n)])
+        return _poly(self.field,
+                     _psub(self.field, self.coeffs, self._operand(other)))
 
     def __neg__(self):
-        return Poly(self.field, [-c for c in self.coeffs])
+        neg = self.field.neg
+        return _poly(self.field, [neg(c) for c in self.coeffs])
 
     def __mul__(self, other):
-        if not isinstance(other, Poly):
-            c = self.field.coerce(other)
-            return Poly(self.field, [a * c for a in self.coeffs])
-        if self.is_zero() or other.is_zero():
-            return Poly.zero(self.field)
-        out = [self.field.zero] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a == self.field.zero:
-                continue
-            for j, b in enumerate(other.coeffs):
-                if b != self.field.zero:
-                    out[i + j] = out[i + j] + a * b
-        return Poly(self.field, out)
+        if isinstance(other, Poly):
+            return _poly(self.field,
+                         _pmul(self.field, self.coeffs,
+                               self._operand(other)))
+        return _poly(self.field, _axpy(self.field, [], other, self.coeffs))
 
     __rmul__ = __mul__
 
-    def _coerce_poly(self, other):
-        if isinstance(other, Poly):
-            if other.field != self.field:
-                raise ValueError("mixed coefficient fields")
-            return other
-        return Poly.constant(self.field, self.field.coerce(other))
-
     def __divmod__(self, other):
-        other = self._coerce_poly(other)
-        if other.is_zero():
+        b = self._operand(other)
+        if not b:
             raise ZeroDivisionError("polynomial division by zero")
-        rem = list(self.coeffs)
-        dq = len(self.coeffs) - len(other.coeffs)
-        if dq < 0:
-            return Poly.zero(self.field), self
-        monic = other.is_monic()
-        inv_lead = None if monic else self.field.one / other.leading()
-        quot = [self.field.zero] * (dq + 1)
-        for k in range(dq, -1, -1):
-            c = rem[k + other.degree]
-            if not monic:
-                c = c * inv_lead
-            quot[k] = c
-            if c != self.field.zero:
-                for j, b in enumerate(other.coeffs):
-                    rem[k + j] = rem[k + j] - c * b
-        return Poly(self.field, quot), Poly(self.field, rem[:other.degree])
+        q, r = _pdivmod(self.field, self.coeffs, b)
+        return _poly(self.field, q), _poly(self.field, r)
 
     def __floordiv__(self, other):
         return divmod(self, other)[0]
@@ -181,41 +175,40 @@ class Poly:
     def __pow__(self, n: int):
         if n < 0:
             raise ValueError("negative power of a polynomial")
-        out = Poly.one(self.field)
-        base = self
+        F = self.field
+        out, base = [F.one], list(self.coeffs)
         while n:
             if n & 1:
-                out = out * base
-            base = base * base
+                out = _pmul(F, out, base)
             n >>= 1
-        return out
+            if n:
+                base = _pmul(F, base, base)
+        return _poly(F, out)
 
     def monic(self):
-        if self.is_zero():
-            return self
-        if self.is_monic():
-            return self
-        inv = self.field.one / self.leading()
-        return Poly(self.field, [c * inv for c in self.coeffs])
+        return _poly(self.field, _monic(self.field, self.coeffs))
 
     def derivative(self):
-        return Poly(self.field,
-                    [self.field.coerce(i) * c
-                     for i, c in enumerate(self.coeffs)][1:])
+        return _poly(self.field, _derivative(self.field, self.coeffs))
 
     def __call__(self, point):
+        """Value at point, an element of the field."""
+        add, mul = self.field.add, self.field.mul
         acc = self.field.zero
         for c in reversed(self.coeffs):
-            acc = acc * point + c
+            acc = add(mul(acc, point), c)
         return acc
 
     def compose(self, inner: "Poly") -> "Poly":
-        acc = Poly.zero(self.field)
+        F = self.field
+        b = self._operand(inner)
+        acc = []
         for c in reversed(self.coeffs):
-            acc = acc * inner + Poly.constant(self.field, c)
-        return acc
+            acc = _padd(F, _pmul(F, acc, b), (c,) if c else ())
+        return _poly(F, acc)
 
     def map_coeffs(self, fn, new_field) -> "Poly":
+        """fn applied to each coefficient, fn mapping into new_field."""
         return Poly(new_field, [fn(c) for c in self.coeffs])
 
     def sort_key(self):
@@ -225,22 +218,151 @@ class Poly:
     def __repr__(self):
         if self.is_zero():
             return "0"
+        render, one = self.field.render, self.field.one
         parts = []
         for i, c in enumerate(self.coeffs):
-            if c == self.field.zero:
+            if not c:
                 continue
             if i == 0:
-                parts.append(str(c))
+                parts.append(render(c))
             elif i == 1:
-                parts.append(f"{c}*x" if c != self.field.one else "x")
+                parts.append(f"{render(c)}*x" if c != one else "x")
             else:
-                parts.append(f"{c}*x^{i}" if c != self.field.one else f"x^{i}")
+                parts.append(f"{render(c)}*x^{i}" if c != one else f"x^{i}")
         return " + ".join(parts)
+
+
+_new_poly = object.__new__
+_set_field = Poly.field.__set__
+_set_coeffs = Poly.coeffs.__set__
+
+
+def _poly(field, coeffs) -> Poly:
+    """The Poly of a kernel result: elements of field, trimmed."""
+    out = _new_poly(Poly)
+    _set_field(out, field)
+    _set_coeffs(out, tuple(coeffs))
+    return out
 
 
 def poly_gcd(a: Poly, b: Poly) -> Poly:
     """Monic gcd by the Euclidean algorithm."""
-    while not b.is_zero():
-        a, b = b, a % b
-    return a.monic() if not a.is_zero() else a
+    return _poly(a.field, _pgcd(a.field, list(a.coeffs), a._operand(b)))
 
+
+def power(F, a, e: int):
+    """a^e for an element a of the field F; a negative e inverts a first."""
+    if e < 0:
+        a, e = F.inv(a), -e
+    mul, out = F.mul, F.one
+    while e:
+        if e & 1:
+            out = mul(out, a)
+        e >>= 1
+        if e:
+            a = mul(a, a)
+    return out
+
+
+# ---------------------------------------------------------------------------
+# the kernel: polynomials over a field F as lists (or tuples) of elements,
+# lowest degree first, without trailing zeros ([] is zero).  Each function
+# reads F's ops once and touches no Poly; results are new lists.
+
+
+def _trim(a):
+    while a and not a[-1]:
+        a.pop()
+    return a
+
+
+def _padd(F, a, b):
+    """a + b."""
+    if len(a) < len(b):
+        a, b = b, a
+    add = F.add
+    out = list(a)
+    for i, y in enumerate(b):
+        if y:
+            x = out[i]
+            out[i] = add(x, y) if x else y
+    return _trim(out)
+
+
+def _psub(F, a, b):
+    """a - b."""
+    neg = F.neg
+    return _padd(F, a, [neg(y) for y in b])
+
+
+def _axpy(F, a, c, b):
+    """a + c*b for an element c."""
+    if not c:
+        return list(a)
+    add, mul = F.add, F.mul
+    out = list(a)
+    out += [F.zero] * (len(b) - len(a))
+    for i, y in enumerate(b):
+        if y:
+            y = mul(c, y)
+            x = out[i]
+            out[i] = add(x, y) if x else y
+    return _trim(out)
+
+
+def _monic(F, a):
+    return list(a) if not a or a[-1] == F.one else _axpy(F, [], F.inv(a[-1]),
+                                                         a)
+
+
+def _pmul(F, a, b):
+    """a * b."""
+    if not a or not b:
+        return []
+    add, mul = F.add, F.mul
+    out = [F.zero] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b, i):
+                if y:
+                    y = mul(x, y)
+                    z = out[j]
+                    out[j] = add(z, y) if z else y
+    return out
+
+
+def _pdivmod(F, a, b):
+    """(quotient, remainder) of a by b != []."""
+    dq, db = len(a) - len(b), len(b) - 1
+    if dq < 0:
+        return [], list(a)
+    sub, neg, mul = F.sub, F.neg, F.mul
+    inv = None if b[-1] == F.one else F.inv(b[-1])
+    r = list(a)
+    q = [F.zero] * (dq + 1)
+    for k in range(dq, -1, -1):
+        c = r[k + db]
+        if c:
+            if inv is not None:
+                c = mul(c, inv)
+            q[k] = c
+            for j in range(db):
+                if b[j]:
+                    y = mul(c, b[j])
+                    x = r[k + j]
+                    r[k + j] = sub(x, y) if x else neg(y)
+    del r[db:]
+    return q, _trim(r)
+
+
+def _pgcd(F, a, b):
+    """Monic gcd of a and b by the Euclidean algorithm."""
+    while b:
+        a, b = b, _pdivmod(F, a, b)[1]
+    return _monic(F, a)
+
+
+def _derivative(F, a):
+    """d/dx of a; the integer factor i is reduced mod the characteristic."""
+    p, mul = F.characteristic, F.mul
+    return _trim([mul(i % p if p else i, c) for i, c in enumerate(a)][1:])

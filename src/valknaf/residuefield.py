@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .gf import GF, FiniteField, GFElement, embed, first_root, row_reduce
+from .gf import GF, FiniteField, embed, first_root, row_reduce
 from .gf import factor as gf_factor
 from .poly import QQ, Poly, RationalField
 
@@ -45,7 +45,8 @@ def _factor_rational(f: Poly):
     _, fac = sympy.factor_list(sympy.Poly(expr, x))
     pairs = []
     for g, m in fac:
-        coeffs = [Fraction(str(c)) for c in reversed(sympy.Poly(g, x).all_coeffs())]
+        coeffs = [QQ.coerce(Fraction(str(c)))
+                  for c in reversed(sympy.Poly(g, x).all_coeffs())]
         pairs.append((Poly(QQ, coeffs).monic(), int(m)))
     pairs.sort(key=lambda t: t[0].sort_key())
     return pairs
@@ -54,15 +55,15 @@ def _factor_rational(f: Poly):
 def linear_decomposer(field: FiniteField, basis):
     """Callable writing elements of a finite field over an F_p basis.
 
-    basis: list of n = field.n elements that are F_p-linearly independent.
-    Returns elem -> list of ints (mod p coefficients).
+    basis: list of n = field.n element codes that are F_p-linearly
+    independent.  Returns code -> list of ints (mod p coefficients).
     """
     p = field.p
     n = field.n
     if len(basis) != n:
         raise ValueError("basis has wrong size")
     # invert the basis matrix over F_p (columns = coordinates of basis elems)
-    cols = [b.coeffs for b in basis]
+    cols = [field.coords(b) for b in basis]
     aug = [[col[i] for col in cols] + [int(k == i) for k in range(n)]
            for i in range(n)]
     pivots = row_reduce(GF(p), aug)
@@ -70,8 +71,8 @@ def linear_decomposer(field: FiniteField, basis):
         raise ValueError("basis is linearly dependent")
     inv_rows = [row[n:] for row in aug]
 
-    def decompose(x: GFElement):
-        vec = x.coeffs
+    def decompose(x):
+        vec = field.coords(x)
         return [sum(a * c for a, c in zip(row, vec)) % p for row in inv_rows]
 
     return decompose
@@ -104,7 +105,7 @@ def extend_residue(field, psi: Poly) -> ResidueExtension:
     if d < 1:
         raise ValueError("extension polynomial must have degree >= 1")
     if d == 1:
-        root = -psi[0]
+        root = field.neg(psi[0])
         return ResidueExtension(field, lambda x: x, root, lambda x: [x])
     if isinstance(field, RationalField):
         raise UnsupportedResidueExtension(
@@ -115,22 +116,18 @@ def extend_residue(field, psi: Poly) -> ResidueExtension:
     big = GF(field.p, field.n * d)
     embed_fn = embed(field, big)
     root = first_root(psi.map_coeffs(embed_fn, big))
-    # basis embed(y^u) * root^s of big over F_p
+    # basis embed(y^u) * root^s of big over F_p; y^u has the code p^u
+    n, mul = field.n, big.mul
+    gens = [embed_fn(field.p ** u) for u in range(n)]
     basis = []
     pow_root = big.one
-    gens = [field.generator() ** u for u in range(field.n)]
     for _ in range(d):
-        for g in gens:
-            basis.append(embed_fn(g) * pow_root)
-        pow_root = pow_root * root
+        basis += [mul(g, pow_root) for g in gens]
+        pow_root = mul(pow_root, root)
     fp_dec = linear_decomposer(big, basis)
 
-    def decompose(x: GFElement):
+    def decompose(x):
         flat = fp_dec(x)
-        out = []
-        for s in range(d):
-            coeffs = flat[s * field.n:(s + 1) * field.n]
-            out.append(field.element(coeffs))
-        return out
+        return [field.from_coords(flat[s * n:(s + 1) * n]) for s in range(d)]
 
     return ResidueExtension(big, embed_fn, root, decompose)

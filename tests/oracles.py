@@ -8,7 +8,9 @@ k(t) itself rather than the library's fraction-free k[t][x] gcd, and
 factors over GF(q) by Berlekamp's splitting against every field constant
 rather than the library's randomized equal-degree splitting, roots over
 GF(q) by evaluation at every field element, products in GF(p^n) by a
-schoolbook on digit tuples rather than the library's codes and tables, and
+schoolbook on digit tuples rather than the library's codes and tables,
+polynomial products, division, gcds and values over GF(q) by the operators
+of the `GFElement` wrapper rather than the library's list kernel, and
 the canonical-monomial bookkeeping of an inductive tower by search and one
 carry at a time rather than the library's closed forms.
 """
@@ -363,27 +365,29 @@ def _frobenius_kernel_by_elimination(f):
     for _ in range(n):
         cols.append([power[i] for i in range(n)])
         power = power * xq % f
-    m = [[cols[j][i] - (field.one if i == j else field.zero)
+    zero, one = wrap(field, 0), wrap(field, 1)
+    m = [[wrap(field, cols[j][i]) - (one if i == j else zero)
           for j in range(n)] for i in range(n)]
     pivots = []
     for c in range(n):
         r = len(pivots)
-        piv = next((i for i in range(r, n) if m[i][c] != field.zero), None)
+        piv = next((i for i in range(r, n) if m[i][c]), None)
         if piv is None:
             continue
         m[r], m[piv] = m[piv], m[r]
-        m[r] = [a / m[r][c] for a in m[r]]
+        inv = m[r][c].inverse()
+        m[r] = [a * inv for a in m[r]]
         for i in range(n):
-            if i != r and m[i][c] != field.zero:
+            if i != r and m[i][c]:
                 m[i] = [a - m[i][c] * b for a, b in zip(m[i], m[r])]
         pivots.append(c)
     basis = []
     for free in (c for c in range(n) if c not in pivots):
-        a = [field.zero] * n
-        a[free] = field.one
+        a = [zero] * n
+        a[free] = one
         for r, c in enumerate(pivots):
             a[c] = -m[r][free]
-        basis.append(Poly(field, a))
+        basis.append(Poly(field, codes(a)))
     return basis
 
 
@@ -430,9 +434,91 @@ def ref_mul(field, a, b):
 def roots(f):
     """Roots of f in its coefficient field, in canonical element order.
 
-    Evaluates f at every element of the field.
+    Evaluates f at every element of the field, with `GFElement` operators.
     """
-    return [c for c in f.field.elements() if not f(c)]
+    field, a = f.field, wrapped(f)
+    return [c for c in range(field.q) if not ref_poly_eval(a, wrap(field, c))]
+
+
+# -- polynomials over GF(q) with GFElement operators ----------------------------
+#
+# The reference for the library's polynomial kernel over finite fields: the
+# coefficients are `GFElement` wrappers, lists lowest degree first, and all
+# arithmetic is the wrappers' own operators, one element at a time.
+
+
+def wrap(field, code):
+    """The printable wrapper of an element code."""
+    return field.element(field.coords(code))
+
+
+def wrapped(f):
+    """The coefficients of a Poly over GF(q) as wrappers."""
+    return [wrap(f.field, c) for c in f.coeffs]
+
+
+def codes(a):
+    """The codes of a wrapper list, without trailing zeros."""
+    out = [x.int_value() for x in a]
+    while out and not out[-1]:
+        out.pop()
+    return out
+
+
+def _ref_trim(a):
+    while a and not a[-1]:
+        a.pop()
+    return a
+
+
+def ref_poly_mul(a, b):
+    if not a or not b:
+        return []
+    out = [a[0] - a[0]] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] = out[i + j] + x * y
+    return out
+
+
+def ref_poly_divmod(a, b):
+    """(quotient, remainder) by schoolbook long division, b nonzero."""
+    r = _ref_trim(list(a))
+    zero = b[-1] - b[-1]
+    q = [zero] * max(len(r) - len(b) + 1, 0)
+    inv = b[-1].inverse()
+    while len(r) >= len(b):
+        c = r[-1] * inv
+        shift = len(r) - len(b)
+        q[shift] = c
+        for j, y in enumerate(b):
+            r[shift + j] = r[shift + j] - c * y
+        r.pop()
+        _ref_trim(r)
+    return _ref_trim(q), r
+
+
+def ref_poly_monic(a):
+    if not a:
+        return []
+    inv = a[-1].inverse()
+    return [x * inv for x in a]
+
+
+def ref_poly_gcd(a, b):
+    """Monic gcd by Euclid."""
+    a, b = _ref_trim(list(a)), _ref_trim(list(b))
+    while b:
+        a, b = b, ref_poly_divmod(a, b)[1]
+    return ref_poly_monic(a)
+
+
+def ref_poly_eval(a, x):
+    """Value at the wrapper x, by Horner's rule."""
+    acc = x - x
+    for c in reversed(a):
+        acc = acc * x + c
+    return acc
 
 
 def canonical_exps_by_search(tower, i, w):
@@ -467,17 +553,18 @@ def normalize_exps_by_steps(tower, i, exps):
     phi_j^(e_j) for z_j * Q_j; while exps[j] < 0, trade in the other way.
     Mutates exps like the library does.
     """
-    unit = tower.field_at(i).one
+    F = tower.field_at(i)
+    unit = F.one
     for j in range(i, 0, -1):
         lev = tower.levels[j - 1]
         while exps[j] >= lev.e:
             exps[j] -= lev.e
-            unit = unit * tower.z_up(j, i)
+            unit = F.mul(unit, tower.z_up(j, i))
             for idx, q in enumerate(lev.q_exps):
                 exps[idx] += q
         while exps[j] < 0:
             exps[j] += lev.e
-            unit = unit / tower.z_up(j, i)
+            unit = F.mul(unit, F.inv(tower.z_up(j, i)))
             for idx, q in enumerate(lev.q_exps):
                 exps[idx] -= q
     return unit

@@ -10,6 +10,7 @@ import pytest
 
 from valknaf import cli
 from valknaf.fixtures import FIXTURES, fixture
+from valknaf.inductive import Tower
 from valknaf.problemfile import (ProblemFile, ProblemFileError, parse_problem,
                                  serialize)
 from valknaf.raminv import knaf_decide
@@ -321,6 +322,31 @@ def test_cli_out_of_scope_is_unsupported(tmp_path, capsys, mode, text):
     assert captured.out == ""
     assert captured.err.startswith("unsupported: ")
     assert captured.err.count("\n") == 1
+
+
+def test_cli_corrupt_tower_is_inconsistent(tmp_path, capsys, monkeypatch):
+    # a unit of the graded reduction that vanishes can only come from a
+    # corrupt tower; reduce_at reports it as inconsistent data, in one line.
+    # The unit is zeroed only where reduce_at asks for it: lift_key, which
+    # runs first after each augmentation, would invert a zero unit.
+    real = Tower.monomial_unit
+
+    def zero_unit_in_reduce(self, i, w, q_exps, t):
+        unit = real(self, i, w, q_exps, t)
+        if sys._getframe(1).f_code.co_name == "reduce_at":
+            return self.field_at(i).zero
+        return unit
+
+    monkeypatch.setattr(Tower, "monomial_unit", zero_unit_in_reduce)
+    # x^4 + 8x^2 + 4 at 2 augments three times (test_cli_exit_codes' deep)
+    deep = write(tmp_path, "deep.prob",
+                 SPLIT5.replace("p = 5", "p = 2").replace(
+                     "coeffs = [1, 0, 1]", "coeffs = [4, 0, 8, 0, 1]"))
+    assert cli.main(["split", "--file", deep, "--porcelain"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("inconsistent: graded reduction vanished; "
+                            "tower is corrupt\n")
 
 
 GF5_SPLIT = """\

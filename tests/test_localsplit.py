@@ -8,6 +8,7 @@ import pytest
 
 from oracles import (padic_factor_degrees, squarefree_by_ratfunc_euclid,
                      squarefree_over_q_by_euclid)
+from valknaf import gf
 from valknaf.funcfield import FunctionField, RatFunc
 from valknaf.gf import GF
 from valknaf.localsplit import (BaseValuation, LocalFactor,
@@ -69,11 +70,12 @@ def test_pi_adic_nontrivial_residue_field():
     t = v.field.t
     assert v.value_of((t * t + 1) ** 2 / t) == 2
     r = v.shifted_reduce(t, 0)
-    assert r * r + v.residue_field.one == v.residue_field.zero
+    k9 = v.residue_field
+    assert k9.add(k9.mul(r, r), k9.one) == k9.zero
 
 
 def stage0_bases():
-    y = GF(2, 2).generator()
+    y = GF(2, 2).element([0, 1])
     return [BaseValuation.padic(2), BaseValuation.padic(3),
             BaseValuation.padic(101),
             BaseValuation.pi_adic(GF(3), [1, 1]),
@@ -87,7 +89,7 @@ def stage0_bases():
 def rand_residue(rng, k):
     while True:
         r = (F(rng.randint(-9, 9), rng.randint(1, 9)) if k is QQ
-             else k.element([rng.randrange(k.p) for _ in range(k.n)]))
+             else k.from_coords([rng.randrange(k.p) for _ in range(k.n)]))
         if r:
             return r
 
@@ -264,12 +266,29 @@ def test_split_determinism_and_certificates():
     assert all("slope" in lf.certificate for lf in a)
 
 
+def test_split_over_gf9_residues_builds_no_gfelement(monkeypatch):
+    # x^4 - (t + 1) at pi = t^2 + 1 over F_3(t), the shape of perfbench's
+    # quartic items: residue fields GF(9) and up, and every element of them
+    # stays an int code; GFElement is only the printable wrapper
+    built = []
+    real = gf._element
+    monkeypatch.setattr(gf, "_element",
+                        lambda field, code: built.append(code)
+                        or real(field, code))
+    v = BaseValuation.pi_adic(GF(3), [1, 0, 1])
+    assert v.residue_field is GF(3, 2)
+    t = v.field.t
+    factors = split_extensions(v, [-(t + 1), 0, 0, 0, 1])
+    assert sum(lf.degree for lf in factors) == 4
+    assert built == []
+
+
 # -- the squarefree gate against Euclid over k(t) ----------------------------
 
 def rand_const(rng, k):
     if k is QQ:
         return F(rng.randint(-3, 3))
-    return k.element([rng.randrange(k.p) for _ in range(k.n)])
+    return k.from_coords([rng.randrange(k.p) for _ in range(k.n)])
 
 
 def rand_tpoly(rng, k, degree, nonzero=False):

@@ -227,7 +227,7 @@ def residual_factors(k, g, c):
         _, fac = sympy.factor_list(t ** g - sympy.Rational(c.numerator,
                                                            c.denominator), t)
         return [(sympy.degree(f, t), m) for f, m in fac]
-    psi = Poly(k, [-k.coerce(c)] + [k.zero] * (g - 1) + [k.one])
+    psi = Poly(k, [k.neg(k.coerce(c))] + [k.zero] * (g - 1) + [k.one])
     return [(f.degree, m) for f, m in factor_over(k, psi)]
 
 
