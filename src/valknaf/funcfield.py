@@ -181,14 +181,18 @@ def clear_denominators(g: Poly) -> list:
 
     L is the lcm of the denominators of g's coefficients, monic in k[t].
     """
+    coeffs = g.coeffs
     if isinstance(g.field, RationalField):
-        den = lcm(*(c.denominator for c in g.coeffs))
+        den = lcm(*(c.denominator for c in coeffs))
     else:
+        # a Poly over k(t) may hold ints or k[t] polynomials among its
+        # RatFuncs; coerce is the identity on a RatFunc
+        coeffs = [g.field.coerce(c) for c in coeffs]
         den = Poly.one(g.field.base)
-        for c in g.coeffs:
+        for c in coeffs:
             if c.denominator.degree > 0:
                 den = den * (c.denominator // poly_gcd(den, c.denominator))
-    return [c.numerator * (den // c.denominator) for c in g.coeffs]
+    return [c.numerator * (den // c.denominator) for c in coeffs]
 
 
 def x_derivative(f: list) -> list:

@@ -13,9 +13,11 @@ field's ops `add`, `sub`, `neg`, `mul` and `inv` act on codes (Cohen, GTM
 carry-less shift-and-reduce product for p = 2, and digitwise sums and a
 schoolbook digit product reduced by m for odd p, with inverses a^(q-2).
 Extension fields of at most `_TABLE_MAX_Q` elements replace these kernels
-by tables that the kernel product builds when the field is made: a
-log/antilog pair for a primitive element g, so a product is one addition of
-logs, and for odd p the Zech logarithms log(1 + g^k), so a sum is one too.
+by tables built when the field is made: a log/antilog pair for a primitive
+element g, so a product is one addition of logs, and for odd p the Zech
+logarithms log(1 + g^k), so a sum is one too.  The kernel product finds g;
+the powers of g are stepped through x -> x g as an F_p-linear map, two
+small tables of digit vectors in place of one kernel product per element.
 `zero` and `one` are 0 and 1, and `coerce` turns an int or a Fraction
 (reduced mod p) or a `GFElement` into a code; a code is never coerced
 again, since that would reduce a code of p or more as an integer.
@@ -49,8 +51,9 @@ _SPLIT_SEED = 0
 
 # extension fields up to this size compute through log/antilog and Zech
 # tables; GF(2^13) is the largest field the benchmark workloads build.  The
-# tables of GF(3^8) or GF(2^13) take at most 0.1 s and 0.7 MB to build,
-# those of GF(3^10) about 1 s and 6 MB, so larger fields keep the kernels
+# tables of GF(3^8) or GF(2^13) take about 18 and 7 ms and 0.7 MB to build
+# (2-core x86_64, Python 3.11), those of GF(3^10) about 0.07 s and 6 MB,
+# held as long as the cached field, so larger fields keep the kernels
 _TABLE_MAX_Q = 2 ** 13
 
 
@@ -162,24 +165,56 @@ def _digit_ops(p, n, modulus):
 
 
 def _log_tables(p, n, mul):
-    """(g, exp, log, zech) for GF(p^n), built with the kernel product mul.
+    """(g, exp, log, zech) for GF(p^n), stepping x -> x g as a linear map.
 
     g is the smallest code of order q - 1.  exp[k] = g^k for 0 <= k < 2(q-1),
     so a sum of two logs needs no reduction; log[a] is the k < q - 1 with
     g^k = a (log[0] is unused).  For odd p, zech[k] = log(1 + g^k) for
     0 <= k < 2(q-1), and None at k = (q-1)/2 (and its repeat), where g^k = -1
     and the sum vanishes.  For p = 2 zech is None: addition is XOR.
+
+    The kernel product mul finds g and fills two small tables; the powers
+    are stepped without it.  Multiplication by g is F_p-linear on codes, so
+    with x = a + p^h b, h = n // 2, the digits of x g are the digit sums of
+    a g and (p^h b) g.  The tables hold these products for every a < p^h and
+    b < p^(n-h), their digits packed one per w-bit lane of an int, w wide
+    enough for a sum of two digits; adding two entries adds lanewise, and
+    the low h and high n - h lanes of the sum map back to the code of x g
+    through two dicts that reduce each lane mod p.
     """
     q = p ** n
     order = q - 1
     cofactors = [order // r for r in primefactors(order)]
-    g = next(c for c in range(2, q)
+    # a constant lies in F_p, of order dividing p - 1 < q - 1
+    g = next(c for c in range(p, q)
              if all(_power(mul, c, e) != 1 for e in cofactors))
+    h = n // 2
+    lo = p ** h
+    w = (2 * p - 2).bit_length()
+    shift = w * h
+    mask = (1 << shift) - 1
+
+    def lanes(c):
+        return sum(d << w * i for i, d in enumerate(_decode(c, p, n)))
+
+    def codes(k, unit):
+        # every k lanes of values 0..2p-2 -> unit times the code of them mod p
+        out = {0: 0}
+        for i in range(k):
+            out = {key + (d << w * i): c + d % p * unit * p ** i
+                   for key, c in out.items() for d in range(2 * p - 1)}
+        return out
+
+    low_g = [lanes(mul(a, g)) for a in range(lo)]
+    high_g = [lanes(mul(b * lo, g)) for b in range(q // lo)]
+    low, high = codes(h, 1), codes(n - h, lo)
     exp = [1] * order
     log = [0] * q
     x = 1
     for k in range(1, order):
-        x = mul(x, g)
+        b, a = divmod(x, lo)
+        s = low_g[a] + high_g[b]
+        x = low[s & mask] + high[s >> shift]
         exp[k] = x
         log[x] = k
     exp += exp

@@ -461,7 +461,8 @@ def test_gf_codes_round_trip(p, n):
 
 
 @pytest.mark.parametrize("p,n", [(2, 2), (2, 3), (2, 6), (3, 2), (3, 4),
-                                 (5, 2), (7, 2), (3, 8), (2, 13)])
+                                 (5, 2), (7, 2), (3, 8), (2, 13), (89, 2),
+                                 (5, 5), (7, 4), (3, 7)])
 def test_gf_tables_match_kernels(p, n):
     field = GF(p, n)
     q, order = field.q, field.q - 1
@@ -501,6 +502,23 @@ def test_gf_tables_match_kernels(p, n):
         assert field.neg(a) == neg(a)
         if a:
             assert field.inv(a) == inv(a)
+
+
+@pytest.mark.parametrize("p,n", [(3, 8), (2, 13)])
+def test_gf_tables_step_powers_without_the_kernel(p, n):
+    # the kernel product finds g and fills the two small tables of the
+    # linear map x -> x g; the q - 1 powers of g are stepped without it
+    modulus = GF(p, n).modulus
+    kernel_mul = (_binary_ops(n, modulus) if p == 2
+                  else _digit_ops(p, n, modulus))[3]
+    calls = []
+
+    def mul(a, b):
+        calls.append((a, b))
+        return kernel_mul(a, b)
+
+    _log_tables(p, n, mul)
+    assert 0 < len(calls) < p ** n / 4
 
 
 @pytest.mark.parametrize("p,n", [(2, 1), (2, 3), (3, 2), (5, 2), (7, 1)])
@@ -619,6 +637,17 @@ def test_ratfunc_derivative_leibniz():
         b = RatFunc(K, nb, Poly.one(QQ))
         assert (a * b).d_dt() == a.d_dt() * b + a * b.d_dt()
     assert not K.coerce(F(7, 3)).d_dt()
+
+
+def test_clear_denominators_coerces_coefficients():
+    # a Poly over k(t) keeps int and k[t] coefficients as they were given
+    K = FunctionField(GF(3, 1))
+    t = Poly.x(K.base)
+    one = Poly.one(K.base)
+    assert funcfield.clear_denominators(Poly(K, [-K.t, 0, 1])) == [
+        -t, Poly(K.base, []), one]
+    assert funcfield.clear_denominators(
+        Poly(K, [K.one / (K.t + 1), 2, t])) == [one, 2 * t + 2, t ** 2 + t]
 
 
 # -- residue-field services ----------------------------------------------------
