@@ -31,11 +31,11 @@ def run(args):
 
 for prob in sorted(PROBLEMS.glob("*.prob")):
     mode = MODE_BY_PREFIX[prob.name.split("-", 1)[0]]
-    run([mode, "--file", str(prob)])
+    assert run([mode, "--file", str(prob)]) == 0
 
 print("== the fixtures catalog, by name ==")
-run(["fixtures", "monomial-sqrt-xy"])
-run(["decide", "frobenius-abhyankar", "--porcelain"])
+assert run(["fixtures", "monomial-sqrt-xy"]) == 0
+assert run(["decide", "frobenius-abhyankar", "--porcelain"]) == 0
 
 print("== exit codes on bad inputs ==")
 with tempfile.NamedTemporaryFile("w", suffix=".prob", delete=False) as handle:

@@ -21,7 +21,7 @@ from __future__ import annotations
 import operator
 from math import gcd, lcm
 
-from .poly import Poly, RationalField, poly_gcd
+from .poly import Poly, RationalField, _trim, poly_gcd, render_terms
 
 
 class RatFunc:
@@ -147,19 +147,7 @@ def split_order(x, pi):
 
 
 def _fmt_tpoly(f: Poly) -> str:
-    if f.is_zero():
-        return "0"
-    render, one = f.field.render, f.field.one
-    parts = []
-    for i, c in enumerate(f.coeffs):
-        if not c:
-            continue
-        if i == 0:
-            parts.append(render(c))
-        else:
-            s = "t" if i == 1 else f"t^{i}"
-            parts.append(s if c == one else f"{render(c)}*{s}")
-    return " + ".join(parts)
+    return render_terms(f.coeffs, "t", f.field.render, f.field.one)
 
 
 # -- fraction-free arithmetic in k[t][x] -----------------------------------------
@@ -168,12 +156,6 @@ def _fmt_tpoly(f: Poly) -> str:
 # gcd in k[t] to stay reduced, and gcds over Q likewise in Z[x].  An element
 # of k[t][x] is a list of `Poly` in t, one of Z[x] a list of int, the
 # coefficient of x^i at index i, without trailing zeros ([] is zero).
-
-
-def _trim(f: list) -> list:
-    while f and not f[-1]:
-        f.pop()
-    return f
 
 
 def clear_denominators(g: Poly) -> list:

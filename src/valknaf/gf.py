@@ -11,7 +11,8 @@ An element of GF(p^n) is one int, its canonical code sum c_i p^i, and the
 field's ops `add`, `sub`, `neg`, `mul` and `inv` act on codes (Cohen, GTM
 138): plain arithmetic mod p in GF(p); in GF(p^n), n > 1, XOR and a
 carry-less shift-and-reduce product for p = 2, and digitwise sums and a
-schoolbook digit product reduced by m for odd p, with inverses a^(q-2).
+schoolbook digit product reduced by m for odd p, with inverses a^(q-2)
+by `poly`'s square-and-multiply.
 Extension fields of at most `_TABLE_MAX_Q` elements replace these kernels
 by tables built when the field is made: a log/antilog pair for a primitive
 element g, so a product is one addition of logs, and for odd p the Zech
@@ -22,12 +23,14 @@ small tables of digit vectors in place of one kernel product per element.
 (reduced mod p) or a `GFElement` into a code; a code is never coerced
 again, since that would reduce a code of p or more as an integer.
 `GFElement` is only the printable wrapper that callers of the public API
-may build (`element`); `render` is the one text of a code.
+may build (`element`); `render`, `poly`'s term printer in y, is the one
+text of a code.
 
 A polynomial over GF(q) is a `Poly` of codes or, inside this module, the
 bare list of codes, lowest degree first and without trailing zeros; `poly`'s
 kernel (`_axpy`, `_pmul`, `_pdivmod`, `_pgcd`) does all of its arithmetic
-on the field's ops, and `_ppowmod` adds powers mod a polynomial.
+on the field's ops, and `_ppowmod` adds powers mod a polynomial through
+`poly`'s square-and-multiply.
 Factorization is Berlekamp's method: the kernel of Frobenius minus identity
 gives the split algebra, and factors are separated by equal-degree
 splitting (Cantor-Zassenhaus) on random elements of it, drawn from a
@@ -43,7 +46,7 @@ from functools import lru_cache
 
 from .numtheory import isprime, primefactors
 from .poly import (Poly, _axpy, _derivative, _monic, _pdivmod, _pgcd, _pmul,
-                   _trim)
+                   _power, _trim, render_terms)
 
 # constant seed of the equal-degree splitting; any value gives the same
 # factors, this one fixes the operation counts
@@ -55,17 +58,6 @@ _SPLIT_SEED = 0
 # (2-core x86_64, Python 3.11), those of GF(3^10) about 0.07 s and 6 MB,
 # held as long as the cached field, so larger fields keep the kernels
 _TABLE_MAX_Q = 2 ** 13
-
-
-def _power(mul, a, e):
-    """a^e for a code a and e >= 0, by square-and-multiply with mul."""
-    out = 1
-    while e:
-        if e & 1:
-            out = mul(out, a)
-        a = mul(a, a)
-        e >>= 1
-    return out
 
 
 def _encode(digits, p) -> int:
@@ -127,7 +119,7 @@ def _binary_ops(n, modulus):
                 a ^= mod
         return out
 
-    return add, add, (lambda a: a), mul, (lambda a: _power(mul, a, top - 2))
+    return add, add, (lambda a: a), mul, (lambda a: _power(mul, 1, a, top - 2))
 
 
 def _digit_ops(p, n, modulus):
@@ -161,7 +153,7 @@ def _digit_ops(p, n, modulus):
                     out[j] -= c * y
         return _encode([c % p for c in out[:n]], p)
 
-    return add, sub, neg, mul, (lambda a: _power(mul, a, p ** n - 2))
+    return add, sub, neg, mul, (lambda a: _power(mul, 1, a, p ** n - 2))
 
 
 def _log_tables(p, n, mul):
@@ -187,7 +179,7 @@ def _log_tables(p, n, mul):
     cofactors = [order // r for r in primefactors(order)]
     # a constant lies in F_p, of order dividing p - 1 < q - 1
     g = next(c for c in range(p, q)
-             if all(_power(mul, c, e) != 1 for e in cofactors))
+             if all(_power(mul, 1, c, e) != 1 for e in cofactors))
     h = n // 2
     lo = p ** h
     w = (2 * p - 2).bit_length()
@@ -414,16 +406,7 @@ class FiniteField:
     def render(self, c) -> str:
         if self.n == 1:
             return str(c)
-        parts = []
-        for i, d in enumerate(self.coords(c)):
-            if d == 0:
-                continue
-            if i == 0:
-                parts.append(str(d))
-            else:
-                s = "y" if i == 1 else f"y^{i}"
-                parts.append(s if d == 1 else f"{d}*{s}")
-        return "(" + (" + ".join(parts) if parts else "0") + ")"
+        return f"({render_terms(self.coords(c), 'y')})"
 
     def elem_key(self, c):
         return c
@@ -484,14 +467,8 @@ def _identity(x):
 
 def _ppowmod(F, a, e, m):
     """a^e mod m for code lists a and m."""
-    out = [1]
-    a = _pdivmod(F, a, m)[1]
-    while e:
-        if e & 1:
-            out = _pdivmod(F, _pmul(F, out, a), m)[1]
-        a = _pdivmod(F, _pmul(F, a, a), m)[1]
-        e >>= 1
-    return out
+    return _power(lambda b, c: _pdivmod(F, _pmul(F, b, c), m)[1], [1],
+                  _pdivmod(F, a, m)[1], e)
 
 
 def row_reduce(F, rows) -> dict:
@@ -550,7 +527,7 @@ def _squarefree(F, f):
         c = _pdivmod(F, c, y)[0]
         i += 1
     if len(c) > 1:
-        root = [_power(F.mul, a, F.q // F.p) for a in c[::F.p]]
+        root = [_power(F.mul, 1, a, F.q // F.p) for a in c[::F.p]]
         for g, m in _squarefree(F, root):
             put(g, m * F.p)
     return [(g, m) for m, g in sorted(out.items())]

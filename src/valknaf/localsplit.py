@@ -22,7 +22,7 @@ from math import inf
 from .funcfield import (FunctionField, _fmt_tpoly, clear_denominators,
                         primitive_gcd, split_order, t_derivative,
                         x_derivative)
-from .gf import GF
+from .gf import GF, _identity
 from .inductive import INFINITY, Tower, phi_expansion
 from .ordgroup import LexGroup
 from .poly import Poly, QQ, power
@@ -169,10 +169,6 @@ class LocalFactor:
     f: int
     degree: int
     certificate: str = ""
-
-
-def _identity(x):
-    return x
 
 
 def _as_int(w) -> int:

@@ -22,13 +22,16 @@ never reduced again as integers.  Its arithmetic is the kernel at the end
 of this module, on lists of elements, which reads the field's ops once per
 operation.  Division by a monic polynomial multiplies by no inverse, so
 dividing an integral polynomial by a monic integral one never leaves the
-integers.
+integers.  This module also owns, for every field adapter, exponentiation
+(`_power`, square-and-multiply on any product) and the term printer
+(`render_terms`): `Poly` prints in x, k(t) in t and GF(p^n) in y.
 """
 
 from __future__ import annotations
 
 import operator
 from fractions import Fraction
+from functools import partial
 
 
 class RationalField:
@@ -176,14 +179,7 @@ class Poly:
         if n < 0:
             raise ValueError("negative power of a polynomial")
         F = self.field
-        out, base = [F.one], list(self.coeffs)
-        while n:
-            if n & 1:
-                out = _pmul(F, out, base)
-            n >>= 1
-            if n:
-                base = _pmul(F, base, base)
-        return _poly(F, out)
+        return _poly(F, _power(partial(_pmul, F), [F.one], self.coeffs, n))
 
     def monic(self):
         return _poly(self.field, _monic(self.field, self.coeffs))
@@ -216,20 +212,8 @@ class Poly:
                 tuple(self.field.elem_key(c) for c in self.coeffs))
 
     def __repr__(self):
-        if self.is_zero():
-            return "0"
-        render, one = self.field.render, self.field.one
-        parts = []
-        for i, c in enumerate(self.coeffs):
-            if not c:
-                continue
-            if i == 0:
-                parts.append(render(c))
-            elif i == 1:
-                parts.append(f"{render(c)}*x" if c != one else "x")
-            else:
-                parts.append(f"{render(c)}*x^{i}" if c != one else f"x^{i}")
-        return " + ".join(parts)
+        F = self.field
+        return render_terms(self.coeffs, "x", F.render, F.one)
 
 
 _new_poly = object.__new__
@@ -254,7 +238,12 @@ def power(F, a, e: int):
     """a^e for an element a of the field F; a negative e inverts a first."""
     if e < 0:
         a, e = F.inv(a), -e
-    mul, out = F.mul, F.one
+    return _power(F.mul, F.one, a, e)
+
+
+def _power(mul, out, a, e):
+    """out * a^e for e >= 0 by square-and-multiply with the product mul;
+    no squaring follows the last bit of e."""
     while e:
         if e & 1:
             out = mul(out, a)
@@ -262,6 +251,23 @@ def power(F, a, e: int):
         if e:
             a = mul(a, a)
     return out
+
+
+def render_terms(coeffs, var, render=str, one=1) -> str:
+    """The text of sum coeffs[i] var^i, lowest degree first.
+
+    Zero terms and unit coefficients are left out; "0" if no term is left.
+    """
+    parts = []
+    for i, c in enumerate(coeffs):
+        if not c:
+            continue
+        if i == 0:
+            parts.append(render(c))
+        else:
+            mono = var if i == 1 else f"{var}^{i}"
+            parts.append(mono if c == one else f"{render(c)}*{mono}")
+    return " + ".join(parts) or "0"
 
 
 # ---------------------------------------------------------------------------

@@ -73,11 +73,7 @@ def ramification_index(inv: ExtensionInvariants) -> int:
 
 def defect(inv: ExtensionInvariants) -> int:
     """d = local_degree / (e * f); raises if the data is inconsistent."""
-    problems = validate(inv)
-    if problems:
-        raise ValueError("inconsistent extension data: " + "; ".join(problems))
-    e = ramification_index(inv)
-    return inv.local_degree // (e * inv.residue_degree)
+    return knaf_decide(inv).d
 
 
 def validate(inv: ExtensionInvariants) -> list:

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .gf import GF, FiniteField, embed, first_root, row_reduce
+from .gf import GF, FiniteField, _identity, embed, first_root, row_reduce
 from .gf import factor as gf_factor
 from .poly import QQ, Poly, RationalField
 
@@ -106,7 +106,7 @@ def extend_residue(field, psi: Poly) -> ResidueExtension:
         raise ValueError("extension polynomial must have degree >= 1")
     if d == 1:
         root = field.neg(psi[0])
-        return ResidueExtension(field, lambda x: x, root, lambda x: [x])
+        return ResidueExtension(field, _identity, root, lambda x: [x])
     if isinstance(field, RationalField):
         raise UnsupportedResidueExtension(
             "residual factor of degree > 1 over the rational residue field; "

@@ -17,6 +17,7 @@ carry at a time rather than the library's closed forms.
 
 from fractions import Fraction
 from itertools import product
+from math import lcm
 
 import sympy
 
@@ -33,36 +34,39 @@ def _lex_lt(a, b):
 
 
 def _span_elements(gens, rank, bound):
-    """All integer combinations of gens with coefficients in [-bound, bound]."""
-    if not gens:
-        return {tuple([Fraction(0)] * rank)}
+    """All integer combinations of gens with coefficients in [-bound, bound].
+
+    The box is enumerated on integer vectors, the generators scaled by the
+    lcm L of their denominators; only the points returned become Fractions.
+    """
+    fracs = [[Fraction(c) for c in g] for g in gens]
+    scale = lcm(*(c.denominator for g in fracs for c in g))
+    ints = [[int(c * scale) for c in g] for g in fracs]
     pts = set()
     for coeffs in product(range(-bound, bound + 1), repeat=len(gens)):
-        v = [Fraction(0)] * rank
-        for c, g in zip(coeffs, gens):
+        v = [0] * rank
+        for c, g in zip(coeffs, ints):
             if c:
                 for i in range(rank):
-                    v[i] += c * Fraction(g[i])
+                    v[i] += c * g[i]
         pts.add(tuple(v))
-    return pts
+    return {tuple(Fraction(c, scale) for c in v) for v in pts}
 
 
 def initial_set_box(gens_omega, gens_nu, rank, start=4):
     """Witness set {x in big : 0 <= x < every positive small element}.
 
-    Pure box enumeration: candidates and killers both range over coefficient
-    boxes, the box growing until two consecutive sizes agree.
+    Pure box enumeration: candidates range over a coefficient box of the big
+    group and are compared with the lex-least positive element of the small
+    group's box, the box growing until two consecutive sizes agree.
     """
     prev = None
     for bound in range(start, start + 13, 2):
         omega_pts = _span_elements(gens_omega, rank, bound)
-        nu_pos = [v for v in _span_elements(gens_nu, rank, bound)
-                  if _lex_sign(v) > 0]
-        zero = tuple([Fraction(0)] * rank)
-        cur = sorted(
-            (x for x in omega_pts
-             if _lex_sign(x) >= 0 and all(_lex_lt(x, v) for v in nu_pos)),
-            key=lambda t: t)
+        least = min((v for v in _span_elements(gens_nu, rank, bound)
+                     if _lex_sign(v) > 0), default=None)
+        cur = sorted(x for x in omega_pts if _lex_sign(x) >= 0
+                     and (least is None or _lex_lt(x, least)))
         if cur == prev:
             return cur
         prev = cur

@@ -11,9 +11,9 @@ import sympy
 from valknaf import funcfield
 from valknaf.funcfield import FunctionField, RatFunc
 from valknaf.gf import (GF, GFElement, _TABLE_MAX_Q, _binary_ops, _digit_ops,
-                       _log_tables, embed, factor, first_root,
+                       _log_tables, _ppowmod, embed, factor, first_root,
                        squarefree_decomposition)
-from valknaf.poly import Poly, QQ, poly_gcd, power
+from valknaf.poly import Poly, QQ, _pdivmod, _pmul, poly_gcd, power
 from valknaf.residuefield import (UnsupportedResidueExtension, extend_residue,
                                   factor_over, linear_decomposer)
 
@@ -129,6 +129,50 @@ def test_poly_compose_and_evaluate():
     f = rand_gf_poly(rng, k7, 3)
     assert f ** 4 == f * f * f * f
     assert (f ** 0).is_one()
+
+
+# 0 to 3 and 2^k - 1, 2^k: the boundaries of the squaring skipped after the
+# last bit of the exponent
+POWER_EXPONENTS = (0, 1, 2, 3, 4, 7, 8, 15, 16)
+
+
+@pytest.mark.parametrize("field", [QQ, GF(3), GF(2, 3)], ids=repr)
+def test_powers_match_repeated_products(field):
+    rng = random.Random(f"power:{field!r}")
+    if field is QQ:
+        a, m = rand_q_poly(rng, 2), Poly(QQ, [F(1, 2), -3, 0, 1])
+    else:
+        a, m = rand_gf_poly(rng, field, 2), rand_gf_poly(rng, field, 3, True)
+    prod = [field.one]
+    for n in range(POWER_EXPONENTS[-1] + 1):
+        if n in POWER_EXPONENTS:
+            assert (a ** n).coeffs == tuple(prod)
+            assert _ppowmod(field, a.coeffs, n, m.coeffs) == _pdivmod(
+                field, prod, m.coeffs)[1]
+        prod = _pmul(field, prod, a.coeffs)
+
+
+def test_printed_forms():
+    k9, K = GF(3, 2), FunctionField(GF(3))
+    t, s = K.t, FunctionField(QQ).t
+    cases = (
+        (Poly.zero(QQ), "0"),
+        (Poly(QQ, [1, 0, 1]), "1 + x^2"),
+        (Poly(QQ, [-1, 2, F(1, 2)]), "-1 + 2*x + 1/2*x^2"),
+        (Poly(k9, [0, 4, 1]), "(1 + y)*x + x^2"),
+        (Poly(k9, [1, 6]), "(1) + (2*y)*x"),
+        (K.zero, "0"),
+        (2 * t * t + 1, "1 + 2*t^2"),
+        (t, "t"),
+        ((t + 1) / (t * t + 1), "(1 + t)/(1 + t^2)"),
+        (s / 2, "1/2*t"),
+        (GF(3, 3).element([0, 0, 1]), "(y^2)"),
+    )
+    for value, text in cases:
+        assert repr(value) == text
+    assert [k9.render(c) for c in (0, 1, 3, 4, 6)] == [
+        "(0)", "(1)", "(y)", "(1 + y)", "(2*y)"]
+    assert GF(5).render(3) == "3"
 
 
 # on both sides of _TABLE_MAX_Q: GF(3^9) and GF(2^14) run the kernels
