@@ -10,7 +10,7 @@ Subpackages by theme:
 - `monoval`: rank-2 monomial valuations on k(x, y) and their tame binomial
   extensions.
 - `cli` / `problemfile` / `fixtures`: the command-line front end, the
-  problem-file format, and the named example catalog.
+  problem-file format and its meaning, and the named example catalog.
 """
 
 from .fixtures import FIXTURES, Fixture, fixture

@@ -39,10 +39,6 @@ INFINITY = inf
 # largest g = gcd(n, a, b), the degree of the residual polynomial T^g - c,
 # that extend_binomial builds; every fixture, demo and workload has g <= 12
 MAX_RESIDUAL_DEGREE = 2 ** 16
-# q of a problem file's GF(q) token must lie below this, checked on the
-# integer before it is split into p^n, so a q of thousands of digits fails
-# fast; every fixture, demo and workload has q <= 2^13
-MAX_FIELD_ORDER = 2 ** 128
 
 
 class WildBinomialError(NotImplementedError):

@@ -48,12 +48,10 @@ class RationalVector(tuple):
 
 def lex_compare(x, y) -> int:
     """-1, 0 or 1 according to the lexicographic order on Q^r."""
-    x = RationalVector(x)
-    y = RationalVector(y)
-    for a, b in zip(x, y, strict=True):
-        if a != b:
-            return -1 if a < b else 1
-    return 0
+    if len(x) != len(y):
+        raise ValueError(f"vectors of lengths {len(x)} and {len(y)}")
+    x, y = tuple(x), tuple(y)
+    return (x > y) - (x < y)
 
 
 def _xgcd(a: int, b: int):

@@ -241,15 +241,16 @@ def power(F, a, e: int):
     return _power(F.mul, F.one, a, e)
 
 
-def _power(mul, out, a, e):
-    """out * a^e for e >= 0 by square-and-multiply with the product mul;
-    no squaring follows the last bit of e."""
-    while e:
-        if e & 1:
+def _power(mul, one, a, e):
+    """a^e for e >= 0 by left-to-right square-and-multiply with the product
+    mul, one for e = 0: bitlen(e) - 1 squarings, popcount(e) - 1 products."""
+    if not e:
+        return one
+    out = a
+    for bit in bin(e)[3:]:
+        out = mul(out, out)
+        if bit == "1":
             out = mul(out, a)
-        e >>= 1
-        if e:
-            a = mul(a, a)
     return out
 
 

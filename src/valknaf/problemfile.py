@@ -1,4 +1,4 @@
-"""Line-oriented problem files: parsing, schema checking, serialization.
+"""Line-oriented problem files: grammar, schema and meaning.
 
 A problem file is UTF-8 text of `key = value` lines grouped under bracketed
 section headers, with `#` comments and a top-level `version` and `mode`.
@@ -7,6 +7,9 @@ Values are integers, rationals `p/q`, vectors `(a, b, ...)`, lists
 fixes which sections and keys may appear; unknown keys and sections are
 rejected with their line number, as are malformed values.  `serialize` and
 `parse_problem` are mutually inverse on well-formed `ProblemFile` values.
+The meaning of a problem is here too: `problem_invariants` builds what a
+decide, split or binomial problem names and returns the `ExtensionInvariants`
+its engine finds; the CLI and the fixture catalog both decide through it.
 """
 
 from __future__ import annotations
@@ -16,7 +19,13 @@ import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .ordgroup import RationalVector
+from .gf import GF
+from .localsplit import BaseValuation, split_extensions, to_extension_invariants
+from .monoval import BinomialExtensionSpec, MonomialValuation, extend_binomial
+from .numtheory import isprime, perfect_power
+from .ordgroup import LexGroup, RationalVector
+from .poly import Poly, QQ
+from .raminv import ExtensionInvariants
 
 FORMAT_VERSION = 1
 
@@ -305,3 +314,138 @@ def serialize(problem: ProblemFile) -> str:
         for key, value in entries:
             lines.append(f"{key} = {_fmt_value(value)}")
     return "\n".join(lines) + "\n"
+
+
+# -- meaning ---------------------------------------------------------------------
+
+_GF_RE = re.compile(r"GF\((\d+)\)")
+# q of a problem file's GF(q) token must lie below this, checked on the
+# integer before it is split into p^n, so a q of thousands of digits fails
+# fast; every fixture, demo and workload has q <= 2^13
+MAX_FIELD_ORDER = 2 ** 128
+
+
+def _prime_power(q: int):
+    p, n = perfect_power(q)
+    if not isprime(p):
+        raise ProblemFileError(f"{q} is not a prime power")
+    return p, n
+
+
+def _constant_field(token: str):
+    if token == "Q":
+        return QQ
+    m = _GF_RE.fullmatch(token)
+    if m:
+        q = parse_int(m.group(1))
+        if q >= MAX_FIELD_ORDER:
+            raise ProblemFileError(
+                f"GF(q) with q of {q.bit_length()} bits is beyond the field "
+                f"order bound 2^{MAX_FIELD_ORDER.bit_length() - 1}")
+        return GF(*_prime_power(q))
+    raise ProblemFileError(
+        f"unknown field {token!r} (expected Q, Q(t) or GF(q))")
+
+
+def _field_element(field, x):
+    """x coerced into field; a rational with no image there is a file error."""
+    try:
+        return field.coerce(x)
+    except ZeroDivisionError:
+        raise ProblemFileError(
+            f"{x} is not an element of {field!r}: its denominator is "
+            f"divisible by {field.characteristic}") from None
+
+
+def lex_group(problem: ProblemFile, name: str) -> LexGroup:
+    """The lex group of section [name]: its `rank` and `gen` vectors."""
+    rank = problem.get(name, "rank")
+    gens = problem.get_all(name, "gen")
+    for g in gens:
+        if len(g) != rank:
+            raise ProblemFileError(
+                f"[{name}] generator {g} does not have {rank} entries")
+    return LexGroup(rank, gens)
+
+
+def _base_valuation(problem: ProblemFile) -> BaseValuation:
+    token = problem.get("base", "field")
+    p = problem.get("base", "p", None)
+    pi = problem.get("base", "pi", None)
+    if token == "Q":
+        if p is None or pi is not None:
+            raise ProblemFileError("field Q takes `p = <prime>` and no pi")
+        return BaseValuation.padic(p)
+    constants = QQ if token == "Q(t)" else _constant_field(token)
+    if pi is None or p is not None:
+        raise ProblemFileError(
+            f"field {token} takes `pi = [c0, ..., 1]` and no p")
+    if not all(isinstance(c, Fraction) for c in pi):
+        raise ProblemFileError("pi coefficients must be rationals")
+    return BaseValuation.pi_adic(
+        constants, Poly(constants, [_field_element(constants, c) for c in pi]))
+
+
+def _coefficient(v: BaseValuation, entry):
+    if isinstance(entry, RationalVector):
+        if v.field is QQ:
+            raise ProblemFileError(
+                "vector coefficients (polynomials in t) need a "
+                "function-field base")
+        return v.field.from_coeff_lists(
+            [_field_element(v.field.base, c) for c in entry])
+    return _field_element(v.field, entry)
+
+
+def _split_input(problem: ProblemFile):
+    v = _base_valuation(problem)
+    coeffs = problem.get("polynomial", "coeffs")
+    if not coeffs:
+        raise ProblemFileError("coeffs must not be empty")
+    return v, Poly(v.field, [_coefficient(v, c) for c in coeffs])
+
+
+def _binomial_input(problem: ProblemFile):
+    token = problem.get("base", "field")
+    if token == "Q(t)":
+        raise ProblemFileError("binomial mode takes a constant field: Q or GF(q)")
+    k = _constant_field(token)
+    v = MonomialValuation(k, problem.get("base", "weight_x"),
+                          problem.get("base", "weight_y"))
+    c = problem.get("extension", "c")
+    if not isinstance(c, (Fraction, RationalVector)):
+        raise ProblemFileError(
+            f"c must be a rational or a vector like (1, 0), not {c!r}")
+    if isinstance(c, RationalVector):
+        if k is QQ:
+            raise ProblemFileError("vector constants need a GF(q) base")
+        if any(x.denominator != 1 for x in c):
+            raise ProblemFileError("GF element coordinates must be integers")
+        c = k.element(int(x) for x in c)
+    else:
+        c = _field_element(k, c)
+    spec = BinomialExtensionSpec(problem.get("extension", "n"),
+                                 problem.get("extension", "a"),
+                                 problem.get("extension", "b"), c)
+    return v, spec
+
+
+def problem_invariants(problem: ProblemFile, depth_limit: int = 16) -> list:
+    """The `ExtensionInvariants` of a decide, split or binomial problem, one
+    per extension; a split recurses at most depth_limit deep."""
+    if problem.mode == "decide":
+        return [ExtensionInvariants(
+            gamma_nu=lex_group(problem, "gamma_nu"),
+            gamma_omega=lex_group(problem, "gamma_omega"),
+            residue_degree=problem.get("extension", "residue_degree"),
+            local_degree=problem.get("extension", "local_degree"),
+            residue_char=problem.get("extension", "residue_char"),
+            total_degree=problem.get("extension", "total_degree", None),
+            provenance=problem.get("extension", "label", ""))]
+    if problem.mode == "split":
+        v, g = _split_input(problem)
+        return [to_extension_invariants(v, lf, g.degree)
+                for lf in split_extensions(v, g, depth_limit=depth_limit)]
+    if problem.mode == "binomial":
+        return extend_binomial(*_binomial_input(problem))
+    raise ProblemFileError(f"mode {problem.mode} has no extension invariants")

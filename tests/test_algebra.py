@@ -13,7 +13,8 @@ from valknaf.funcfield import FunctionField, RatFunc
 from valknaf.gf import (GF, GFElement, _TABLE_MAX_Q, _binary_ops, _digit_ops,
                        _log_tables, _ppowmod, embed, factor, first_root,
                        squarefree_decomposition)
-from valknaf.poly import Poly, QQ, _pdivmod, _pmul, poly_gcd, power
+from valknaf.poly import (Poly, QQ, _pdivmod, _pmul, _power, poly_gcd,
+                          power)
 from valknaf.residuefield import (UnsupportedResidueExtension, extend_residue,
                                   factor_over, linear_decomposer)
 
@@ -131,8 +132,8 @@ def test_poly_compose_and_evaluate():
     assert (f ** 0).is_one()
 
 
-# 0 to 3 and 2^k - 1, 2^k: the boundaries of the squaring skipped after the
-# last bit of the exponent
+# 0 to 3 and 2^k - 1, 2^k: the exponents that take no step of the bit loop
+# and the boundaries of that loop
 POWER_EXPONENTS = (0, 1, 2, 3, 4, 7, 8, 15, 16)
 
 
@@ -150,6 +151,24 @@ def test_powers_match_repeated_products(field):
             assert _ppowmod(field, a.coeffs, n, m.coeffs) == _pdivmod(
                 field, prod, m.coeffs)[1]
         prod = _pmul(field, prod, a.coeffs)
+
+
+@pytest.mark.parametrize("e", [1, 2, 3, 6, 7, 8, 3 ** 8 - 2, 2 ** 13 - 2])
+def test_power_makes_no_product_by_one(e):
+    # an element a^k is written k, so a product adds exponents and a product
+    # by one has an operand 0
+    calls = []
+
+    def mul(x, y):
+        calls.append((x, y))
+        return x + y
+
+    assert _power(mul, 0, 1, 0) == 0 and not calls
+    assert _power(mul, 0, 1, e) == e
+    assert all(x and y for x, y in calls)
+    squarings = sum(x == y for x, y in calls)
+    assert squarings == e.bit_length() - 1
+    assert len(calls) - squarings == bin(e).count("1") - 1
 
 
 def test_printed_forms():

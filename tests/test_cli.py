@@ -87,6 +87,8 @@ def test_round_trip_all_fixture_problems():
     for fx in FIXTURES:
         again = parse_problem(serialize(fx.problem))
         assert again == fx.problem, fx.name
+        # equal values of another type (an int for a Fraction) read apart
+        assert repr(again) == repr(fx.problem), fx.name
 
 
 @pytest.mark.parametrize("text,line,fragment", [
@@ -132,6 +134,24 @@ def test_fixture_catalog_rows_match_expected():
         rows = tuple((k.e, k.f, k.eps, k.d, k.eft)
                      for k in map(knaf_decide, fx.invariants()))
         assert rows == fx.expected, fx.name
+
+
+def _porcelain_rows(text):
+    rows = []
+    for line in text.splitlines():
+        cells = dict(kv.split("=", 1) for kv in line.split("\t"))
+        rows.append((int(cells["e"]), int(cells["f"]), int(cells["eps"]),
+                     int(cells["d"]), cells["eft"] == "true"))
+    return tuple(rows)
+
+
+@pytest.mark.parametrize("fx", FIXTURES, ids=lambda fx: fx.name)
+def test_fixture_problem_files_run_to_expected(fx, tmp_path, capsys):
+    rows = tuple((r.e, r.f, r.eps, r.d, r.eft) for r in cli.run(fx.problem))
+    assert rows == fx.expected
+    path = write(tmp_path, f"{fx.name}.prob", serialize(fx.problem))
+    assert cli.main([fx.problem.mode, "--file", path, "--porcelain"]) == 0
+    assert _porcelain_rows(capsys.readouterr().out) == fx.expected
 
 
 def test_fixture_lookup():

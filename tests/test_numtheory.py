@@ -5,10 +5,9 @@ import random
 import pytest
 import sympy
 
-from valknaf.cli import _prime_power
 from valknaf.numtheory import (PSI_13, iroot, isprime, perfect_power,
                                primefactors)
-from valknaf.problemfile import ProblemFileError
+from valknaf.problemfile import ProblemFileError, _prime_power
 
 # the least strong pseudoprime to the first 12 prime bases (2 ... 37), so the
 # 13th base, 41, is what keeps it out
