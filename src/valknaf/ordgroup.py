@@ -1,10 +1,10 @@
 """Finitely generated subgroups of Q^r ordered lexicographically.
 
-A group is stored through a canonical basis: clear denominators, bring the
-integer generator matrix to row Hermite normal form, and restore the scale.
-Two generating sets of the same subgroup therefore produce equal `LexGroup`
-objects, and containment and index questions reduce to exact integer
-linear algebra on the basis rows.
+A group G is stored as (den, rows): den is the least positive integer with
+den * G in Z^r, and rows is the integer row Hermite normal form of den * G.
+Both are canonical, so two generating sets of one group give equal `LexGroup`
+objects, and containment, index and initial index are integer linear algebra
+on the rows; `RationalVector`s are built only for `basis` and printing.
 
 The value groups of valuations of finite rank embed into some Q^r with the
 lexicographic order, which is why everything here is phrased for Q^r.  The
@@ -23,7 +23,8 @@ class RationalVector(tuple):
     """Immutable vector in Q^r; componentwise arithmetic, hashable."""
 
     def __new__(cls, coords):
-        return super().__new__(cls, (Fraction(c) for c in coords))
+        return super().__new__(cls, (c if isinstance(c, Fraction)
+                                     else Fraction(c) for c in coords))
 
     def __add__(self, other):
         return RationalVector(a + b for a, b in zip(self, other, strict=True))
@@ -73,7 +74,7 @@ def _hnf(rows, ncols):
     """Row Hermite normal form of an integer matrix, zero rows dropped.
 
     Pivots are positive, entries above a pivot are reduced into [0, pivot).
-    The result depends only on the row lattice.
+    The rows (tuples) and their pivot columns depend only on the row lattice.
     """
     mat = [list(r) for r in rows if any(r)]
     top = 0
@@ -98,82 +99,88 @@ def _hnf(rows, ncols):
             mat[top], mat[i] = row_top, row_i
         if mat[top][col] < 0:
             mat[top] = [-x for x in mat[top]]
-        pivots.append((top, col))
+        pivots.append(col)
         top += 1
-    for i, col in pivots:
+    for i, col in enumerate(pivots):
         p = mat[i][col]
         for j in range(i):
             q = mat[j][col] // p
             if q:
                 mat[j] = [x - q * y for x, y in zip(mat[j], mat[i])]
-    return mat[:top]
+    return tuple(map(tuple, mat[:top])), tuple(pivots)
 
 
-def _pivot(row) -> int:
-    for j, c in enumerate(row):
-        if c:
-            return j
-    raise ValueError("zero row has no pivot")
+def _clear_denominators(vectors):
+    """(den, [den * v]) for the least den > 0 making every den * v integral;
+    an entry that is neither int nor Fraction is read as Fraction(c)."""
+    vectors = [[c if isinstance(c, (int, Fraction)) else Fraction(c)
+                for c in v] for v in vectors]
+    den = lcm(1, *(c.denominator for v in vectors for c in v))
+    return den, [[c.numerator * (den // c.denominator) for c in v]
+                 for v in vectors]
+
+
+def _vector(row, den) -> RationalVector:
+    return RationalVector(Fraction(a, den) for a in row)
 
 
 class LexGroup:
-    """Finitely generated subgroup of Q^r with the lex order on Q^r.
+    """Finitely generated subgroup G of Q^r with the lex order on Q^r.
 
-    `rank` is the ambient dimension r; the group's own rank is
-    `len(self.basis)`.  The basis is the (scaled) Hermite normal form of any
-    generating set, so equal groups compare equal.
+    `rank` is the ambient dimension r.  `den` is the least positive integer
+    with den * G in Z^r, and `rows` is the row Hermite normal form of den * G
+    (pivot columns `pivots`); both are canonical, so equal groups are equal.
     """
 
     def __init__(self, rank, generators=()):
         self.rank = int(rank)
-        gens = [RationalVector(g) for g in generators]
-        for g in gens:
+        self.den, int_rows = _clear_denominators(generators)
+        for g in int_rows:
             if len(g) != self.rank:
-                raise ValueError(
-                    f"generator {g} has length {len(g)}, expected {self.rank}")
-        den = 1
-        for g in gens:
-            for c in g:
-                den = lcm(den, c.denominator)
-        int_rows = [[int(c * den) for c in g] for g in gens]
-        self.basis = tuple(
-            RationalVector(Fraction(a, den) for a in row)
-            for row in _hnf(int_rows, self.rank))
+                raise ValueError(f"generator {_vector(g, self.den)} has "
+                                 f"length {len(g)}, expected {self.rank}")
+        self.rows, self.pivots = _hnf(int_rows, self.rank)
+
+    @property
+    def basis(self) -> tuple:
+        """The rows scaled back into Q^r: a basis of G as RationalVectors."""
+        return tuple(_vector(row, self.den) for row in self.rows)
 
     def __eq__(self, other):
-        return (isinstance(other, LexGroup)
-                and self.rank == other.rank and self.basis == other.basis)
+        return (isinstance(other, LexGroup) and self.rank == other.rank
+                and self.den == other.den and self.rows == other.rows)
 
     def __hash__(self):
-        return hash((self.rank, self.basis))
+        return hash((self.rank, self.den, self.rows))
 
     def __repr__(self):
         gens = ", ".join(repr(b) for b in self.basis)
         return f"LexGroup({self.rank}, [{gens}])"
 
     def is_zero(self):
-        return not self.basis
+        return not self.rows
 
-    def solve(self, x):
-        """Integer coefficients expressing x over self.basis, or None."""
-        x = RationalVector(x)
-        if len(x) != self.rank:
-            raise ValueError("ambient rank mismatch")
-        rem = list(x)
+    def _coefficients(self, nums, den):
+        """Integer coefficients of the vector nums / den over the basis, or
+        None; rows and vector meet at the common scale den * self.den."""
+        rem = [n * self.den for n in nums]
         coeffs = []
-        for row in self.basis:
-            c = _pivot(row)
-            q = rem[c] / row[c]
-            if q.denominator != 1:
+        for row, c in zip(self.rows, self.pivots):
+            q, r = divmod(rem[c], row[c] * den)
+            if r:
                 return None
-            q = int(q)
             coeffs.append(q)
             if q:
                 for j in range(c, self.rank):
-                    rem[j] -= q * row[j]
-        if any(rem):
-            return None
-        return coeffs
+                    rem[j] -= q * den * row[j]
+        return None if any(rem) else coeffs
+
+    def solve(self, x):
+        """Integer coefficients expressing x over self.basis, or None."""
+        den, (nums,) = _clear_denominators([x])
+        if len(nums) != self.rank:
+            raise ValueError("ambient rank mismatch")
+        return self._coefficients(nums, den)
 
     def contains(self, x) -> bool:
         return self.solve(x) is not None
@@ -193,20 +200,22 @@ def subgroup_index(group: LexGroup, subgroup: LexGroup):
 
     Raises ValueError if subgroup is not contained in group.  At equal rank
     the two HNF bases share their pivot columns, so the change of basis is
-    triangular and the index is the product of the pivot ratios.
+    triangular and the index is the product of the pivot ratios
+    (h_c / den_h) / (g_c / den_g).
     """
     if group.rank != subgroup.rank:
         raise ValueError("ambient rank mismatch")
-    for h in subgroup.basis:
-        if group.solve(h) is None:
-            raise ValueError(f"{h} is not an element of the larger group")
-    if len(subgroup.basis) < len(group.basis):
+    for h in subgroup.rows:
+        if group._coefficients(h, subgroup.den) is None:
+            raise ValueError(f"{_vector(h, subgroup.den)} is not an element "
+                             "of the larger group")
+    if len(subgroup.rows) < len(group.rows):
         return inf
-    index = 1
-    for h, b in zip(subgroup.basis, group.basis):
-        c = _pivot(b)
-        index *= h[c] / b[c]
-    return int(index)
+    num = den = 1
+    for h, g, c in zip(subgroup.rows, group.rows, group.pivots):
+        num *= h[c] * group.den
+        den *= g[c] * subgroup.den
+    return num // den
 
 
 def initial_index(group: LexGroup, subgroup: LexGroup) -> int:
@@ -221,9 +230,9 @@ def initial_index(group: LexGroup, subgroup: LexGroup) -> int:
         raise ValueError("initial segment is infinite for infinite index")
     if group.is_zero():
         return 1
-    omega, nu = group.basis[-1], subgroup.basis[-1]
-    c = _pivot(omega)
-    return int(nu[c] / omega[c])
+    c = group.pivots[-1]
+    return (subgroup.rows[-1][c] * group.den
+            // (group.rows[-1][c] * subgroup.den))
 
 
 def initial_set(group: LexGroup, subgroup: LexGroup) -> list:

@@ -84,18 +84,23 @@ def validate(inv: ExtensionInvariants) -> list:
     characteristic 0 and a power of p in residue characteristic p, and
     local_degree <= total_degree when the total degree is declared.
     """
-    problems = []
+    return _check(inv)[0]
+
+
+def _check(inv: ExtensionInvariants):
+    """(validate(inv), e); e is None when the groups do not give it."""
+    problems, e = [], None
     if inv.gamma_nu.rank != inv.gamma_omega.rank:
         problems.append("value groups live in different ambient ranks")
-        return problems
+        return problems, e
     try:
         e = subgroup_index(inv.gamma_omega, inv.gamma_nu)
     except ValueError:
         problems.append("gamma_nu is not a subgroup of gamma_omega")
-        return problems
+        return problems, e
     if e is inf:
         problems.append("[gamma_omega : gamma_nu] is infinite")
-        return problems
+        return problems, e
     if inv.residue_degree < 1:
         problems.append("residue_degree must be a positive integer")
     if inv.local_degree < 1:
@@ -103,12 +108,12 @@ def validate(inv: ExtensionInvariants) -> list:
     if inv.residue_char != 0 and not isprime(inv.residue_char):
         problems.append("residue_char must be 0 or a prime")
     if problems:
-        return problems
+        return problems, e
     ef = e * inv.residue_degree
     if inv.local_degree % ef != 0:
         problems.append(
             f"e*f = {ef} does not divide local_degree = {inv.local_degree}")
-        return problems
+        return problems, e
     d = inv.local_degree // ef
     if inv.residue_char == 0 and d != 1:
         problems.append(
@@ -121,7 +126,7 @@ def validate(inv: ExtensionInvariants) -> list:
         problems.append(
             f"local_degree {inv.local_degree} exceeds total_degree "
             f"{inv.total_degree}")
-    return problems
+    return problems, e
 
 
 def knaf_decide(inv: ExtensionInvariants) -> KnafVerdict:
@@ -129,10 +134,9 @@ def knaf_decide(inv: ExtensionInvariants) -> KnafVerdict:
 
     Raises ValueError (with the violation list) on inconsistent data.
     """
-    problems = validate(inv)
+    problems, e = _check(inv)
     if problems:
         raise ValueError("inconsistent extension data: " + "; ".join(problems))
-    e = ramification_index(inv)
     eps = initial_index(inv.gamma_omega, inv.gamma_nu)
     d = inv.local_degree // (e * inv.residue_degree)
     defectless = d == 1

@@ -11,6 +11,7 @@ import pytest
 from valknaf import cli
 from valknaf.fixtures import FIXTURES, fixture
 from valknaf.inductive import Tower
+from valknaf.ordgroup import LexGroup, initial_index, subgroup_index
 from valknaf.problemfile import (ProblemFile, ProblemFileError, parse_problem,
                                  serialize)
 from valknaf.raminv import knaf_decide
@@ -608,3 +609,62 @@ def test_workload_items_do_not_import_sympy(tmp_path):
                           text=True, env=child_env(), timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.count("\n") == 10
+
+
+GROUP4 = """\
+version = 1
+mode = group
+
+[gamma_nu]
+rank = 4
+gen = (1, 4/3, 1/7, 2/5)
+gen = (0, 2/3, 25/28, 1/6)
+gen = (0, 0, 9/4, 4/3)
+gen = (0, 0, 0, 5/3)
+
+[gamma_omega]
+rank = 4
+gen = (1/2, 1/3, 0, 1/5)
+gen = (0, 2/3, 1/7, 0)
+gen = (0, 0, 3/4, 1/6)
+gen = (0, 0, 0, 5/6)
+"""
+
+DECIDE4 = GROUP4.replace("mode = group", "mode = decide") + """
+[extension]
+residue_degree = 2
+local_degree = 24
+residue_char = 0
+label = rank4
+"""
+
+
+def test_group_and_decide_compute_on_integers(monkeypatch):
+    # once a problem is parsed, the lattice work runs on ints: no Fraction
+    group, decide = parse_problem(GROUP4), parse_problem(DECIDE4)
+    omega = LexGroup(3, [(F(1, 2), 0, F(1, 3)), (0, F(1, 5), 0),
+                         (0, 0, F(2, 7))])
+    nu = LexGroup(3, [(1, 0, F(2, 3)), (0, F(3, 5), 0), (0, 0, F(4, 7))])
+    new = F.__new__
+    made = []
+
+    def counting(cls, *args, **kwargs):
+        made.append(args)
+        return new(cls, *args, **kwargs)
+
+    calls = {"group": lambda: cli.run(group),
+             "decide": lambda: cli.run(decide),
+             "rank-3 indices": lambda: [subgroup_index(omega, nu),
+                                        initial_index(omega, nu)]}
+    counts, results = {}, {}
+    monkeypatch.setattr(F, "__new__", counting)
+    for name, call in calls.items():
+        made.clear()
+        results[name] = call()
+        counts[name] = len(made)
+    monkeypatch.undo()
+    assert counts == {name: 0 for name in calls}
+    (g,), (d,) = results["group"], results["decide"]
+    assert (g.e, g.eps, g.initial) == (12, 2, False)
+    assert (d.e, d.f, d.eps, d.d, d.eft) == (12, 2, 2, 1, False)
+    assert results["rank-3 indices"] == [12, 2]

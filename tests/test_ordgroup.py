@@ -31,6 +31,11 @@ def test_vector_arithmetic():
     assert 2 * v == RationalVector((1, 6))
     assert (-v).is_zero() is False
     assert (v - v).is_zero()
+    # a Fraction entry is kept, not copied; other entries are read as Fraction
+    half = F(1, 2)
+    kept = RationalVector((half, 3, "1/3"))
+    assert kept[0] is half
+    assert all(type(c) is Fraction for c in kept)
 
 
 def test_canonical_basis_independent_of_generators():
@@ -191,3 +196,62 @@ def test_random_pairs_against_box_oracle():
         check(big, small, rng.choice([F(1, 3), F(2), F(7, 2)]))
         checked += 1
     assert checked == 60
+
+
+def _random_unimodular(rng, k, steps=12):
+    """A k x k integer matrix of determinant +-1, built by row operations."""
+    u = [[int(i == j) for j in range(k)] for i in range(k)]
+    for _ in range(steps):
+        i = rng.randrange(k)
+        j = rng.randrange(k)
+        if i == j:
+            u[i] = [-x for x in u[i]]
+        else:
+            c = rng.randint(-3, 3)
+            u[i] = [x + c * y for x, y in zip(u[i], u[j])]
+    return u
+
+
+def test_equal_groups_from_different_denominators():
+    a = LexGroup(1, [(F(1, 2),), (F(1, 3),)])
+    b = LexGroup(1, [(F(1, 6),)])
+    assert a == b and hash(a) == hash(b)
+    assert a != LexGroup(1, [(F(1, 3),)])
+    rng = random.Random(15)
+    for ambient in range(1, 5):
+        for _ in range(25):
+            k = rng.randint(1, ambient + 1)
+            gens = [[F(rng.randint(-6, 6), rng.randint(1, 6))
+                     for _ in range(ambient)] for _ in range(k)]
+            u = _random_unimodular(rng, k)
+            moved = [[sum(u[i][m] * gens[m][j] for m in range(k))
+                      for j in range(ambient)] for i in range(k)]
+            g, h = LexGroup(ambient, gens), LexGroup(ambient, moved)
+            assert g == h and hash(g) == hash(h), (gens, moved)
+            assert g.scale(2) != g or g.is_zero()
+
+
+@pytest.mark.parametrize("rank,gens,basis", [
+    (3, [(1, 0, F(1, 3)), (0, 0, F(1, 2))], "((1, 0, 1/3), (0, 0, 1/2))"),
+    (3, [(F(1, 4), F(1, 6), F(-1, 3)), (F(2, 5), 0, 1), (0, F(3, 7), F(1, 2))],
+     "((1/20, 1/42, 409/6), (0, 1/21, 443/6), (0, 0, 83))"),
+    (4, [(F(1, 2), F(1, 3), 0, F(1, 5)), (0, F(2, 3), F(1, 7), 0),
+         (0, 0, F(3, 4), F(1, 6)), (F(1, 2), 0, 0, F(5, 6))],
+     "((1/2, 0, 0, 5/6), (0, 1/3, 0, 253/10), (0, 0, 1/28, 593/30), "
+     "(0, 0, 0, 389/15))"),
+    (2, [], "()"),
+])
+def test_basis_is_rational_hnf(rank, gens, basis):
+    g = LexGroup(rank, gens)
+    assert str(g.basis) == basis
+    assert all(isinstance(b, RationalVector) for b in g.basis)
+    assert all(type(c) is Fraction for b in g.basis for c in b)
+    assert LexGroup(rank, g.basis) == g
+    assert all(g.solve(x) is not None for x in gens)
+
+
+def test_generators_read_as_fractions():
+    half = LexGroup(1, [(F(1, 2),)])
+    assert LexGroup(1, [("1/2",)]) == half
+    assert LexGroup(1, [(0.5,)]) == half
+    assert half.contains(("3/2",)) and not half.contains((0.25,))

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from valknaf import ordgroup, raminv
 from valknaf.ordgroup import LexGroup, initial_set
 from valknaf.raminv import (ExtensionInvariants, defect, frobenius_defect,
                             knaf_decide, ramification_index, validate)
@@ -70,6 +71,27 @@ def test_initial_condition_blocks_finite_type():
     v = knaf_decide(inv)
     assert (v.e, v.f, v.eps, v.d) == (2, 1, 1, 1)
     assert v.defectless and not v.initial_condition and not v.eft
+
+
+def test_knaf_decide_computes_the_index_at_most_twice(monkeypatch):
+    # validate's check hands e on; only initial_index's own check repeats it
+    index = ordgroup.subgroup_index
+    calls = []
+
+    def counting(group, subgroup):
+        calls.append((group, subgroup))
+        return index(group, subgroup)
+
+    monkeypatch.setattr(raminv, "subgroup_index", counting)
+    monkeypatch.setattr(ordgroup, "subgroup_index", counting)
+    inv = ExtensionInvariants(gamma_nu=LexGroup(2, [(1, 0), (0, 1)]),
+                              gamma_omega=LexGroup(2, [(F(1, 2), 0),
+                                                       (0, F(1, 3))]),
+                              residue_degree=1, local_degree=6,
+                              residue_char=0)
+    v = knaf_decide(inv)
+    assert (v.e, v.eps, v.d) == (6, 3, 1)
+    assert len(calls) <= 2
 
 
 def test_validate_catches_bad_data():
