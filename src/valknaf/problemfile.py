@@ -5,8 +5,18 @@ section headers, with `#` comments and a top-level `version` and `mode`.
 Values are integers, rationals `p/q`, vectors `(a, b, ...)`, lists
 `[v0, v1, ...]` (entries rational or vector), or bare words.  Each mode
 fixes which sections and keys may appear; unknown keys and sections are
-rejected with their line number, as are malformed values.  `serialize` and
-`parse_problem` are mutually inverse on well-formed `ProblemFile` values.
+rejected with their line number, as are malformed values.  `parse_problem`
+reads a file in one pass.  One compiled pattern matches each whole line: a
+blank or comment line, a section header, or a `key = value` whose value,
+when it is one rational, one vector of rationals or one word, it captures
+directly.  Any other value is a list or a mistake, and one compiled scanner
+cuts it into tokens: a rational, a vector of rationals, a word, or a single
+other character such as `(`, `)`, `[`, `]` or `,`.  Each Fraction is built
+once from its scanned digits.  The schema is checked as each header and key
+is read.  A syntax error raises at once.  The first schema error is kept and
+raised when the scan ends, so a syntax error on a later line wins over it.
+`serialize` and `parse_problem` are mutually inverse on well-formed
+`ProblemFile` values.
 The meaning of a problem is here too: `problem_invariants` builds what a
 decide, split or binomial problem names and returns the `ExtensionInvariants`
 its engine finds; the CLI and the fixture catalog both decide through it.
@@ -74,31 +84,22 @@ class ProblemFile:
 
 # -- grammar -------------------------------------------------------------------
 
-_SECTION_RE = re.compile(r"\[([a-z_]+)\]")
-_ASSIGN_RE = re.compile(r"([A-Za-z_][A-Za-z0-9_]*)\s*=\s*(\S.*)")
-_RATIONAL_RE = re.compile(r"([+-]?\d+)(?:\s*/\s*(\d+))?")
-_WORD_RE = re.compile(r"[A-Za-z][-A-Za-z0-9_^()]*")
-
-
-def _split_top(s: str, line: int) -> list:
-    """Split on commas outside parentheses."""
-    parts, depth, cur = [], 0, []
-    for ch in s:
-        if ch == "(":
-            depth += 1
-        elif ch == ")":
-            depth -= 1
-            if depth < 0:
-                raise ProblemFileError("unbalanced parentheses", line)
-        if ch == "," and depth == 0:
-            parts.append("".join(cur))
-            cur = []
-        else:
-            cur.append(ch)
-    if depth:
-        raise ProblemFileError("unbalanced parentheses", line)
-    parts.append("".join(cur))
-    return parts
+_RATIONAL = r"([+-]?\d+)(?:\s*/\s*(\d+))?"
+_R = r"[+-]?\d+(?:\s*/\s*\d+)?"  # _RATIONAL without its groups
+# a rational (numerator and denominator digits), a vector of rationals or a
+# word: 4 groups
+_ITEM = (_RATIONAL + r"|(\(\s*" + _R + r"(?:\s*,\s*" + _R + r")*\s*\))"
+         r"|([A-Za-z][-A-Za-z0-9_^()]*)")
+_RATIONAL_RE = re.compile(_RATIONAL)
+# a whole line: blank or comment, `[section]`, or `key = value` with the
+# value one item or any other text
+_LINE_RE = re.compile(
+    r"\s*(?:\[([a-z_]+)\]|([A-Za-z_][A-Za-z0-9_]*)\s*=\s*(?:" + _ITEM
+    + r"|([^#\s](?:[^#]*[^#\s])?)))?\s*(?:#.*)?")
+# one token of a value with the blanks before it: an item, or one other
+# character such as ( ) [ ] , -- findall gives (text, num, den, vector,
+# word, char)
+_TOKEN_RE = re.compile(r"(\s*(?:" + _ITEM + r"|(\S)))")
 
 
 def parse_int(digits: str, line=None) -> int:
@@ -111,46 +112,87 @@ def parse_int(digits: str, line=None) -> int:
             f"limit of {sys.get_int_max_str_digits()} digits", line) from None
 
 
-def _parse_rational(s: str, line: int) -> Fraction:
-    m = _RATIONAL_RE.fullmatch(s.strip())
-    if not m:
-        raise ProblemFileError(f"malformed rational {s.strip()!r}", line)
-    num, den = parse_int(m.group(1), line), parse_int(m.group(2) or "1", line)
-    if den == 0:
-        raise ProblemFileError("zero denominator", line)
-    return Fraction(num, den)
+def _text(tokens) -> str:
+    """The source text of a run of tokens, stripped."""
+    return "".join(t[0] for t in tokens).strip()
 
 
-def _parse_vector(s: str, line: int) -> RationalVector:
-    body = s.strip()[1:-1].strip()
+def _split(tokens, line: int) -> list:
+    """Runs of tokens between the commas outside parentheses; the
+    parentheses inside words count."""
+    runs, start, depth = [], 0, 0
+    for i, (_, _, _, _, word, char) in enumerate(tokens):
+        if char == ",":
+            if not depth:
+                runs.append(tokens[start:i])
+                start = i + 1
+            continue
+        for c in word or char:
+            if c == "(":
+                depth += 1
+            elif c == ")":
+                depth -= 1
+                if depth < 0:
+                    raise ProblemFileError("unbalanced parentheses", line)
+    if depth:
+        raise ProblemFileError("unbalanced parentheses", line)
+    runs.append(tokens[start:])
+    return runs
+
+
+def _read(num, den, vector, word, line: int):
+    """The value of one scanned item: a Fraction built from its digits, a
+    RationalVector of such Fractions, or a word."""
+    if vector:
+        pairs = _RATIONAL_RE.findall(vector)
+    elif num:
+        pairs = ((num, den),)
+    else:
+        return word
+    try:
+        values = [Fraction(int(n), int(d)) if d else Fraction(int(n))
+                  for n, d in pairs]
+    except ZeroDivisionError:
+        raise ProblemFileError("zero denominator", line) from None
+    except ValueError:  # more digits than the int-string limit
+        for n, d in pairs:
+            parse_int(n, line)
+            parse_int(d or "1", line)
+        raise
+    # the entries are Fractions already: no coercion
+    return tuple.__new__(RationalVector, values) if vector else values[0]
+
+
+def _item(tokens, line: int):
+    """A rational, a vector `(a, b, ...)` of rationals or a word."""
+    if len(tokens) == 1 and not tokens[0][5]:
+        return _read(*tokens[0][1:5], line)
+    text = _text(tokens)
+    if text[:1] != "(":
+        raise ProblemFileError(f"malformed value {text!r}", line)
+    # not a vector of rationals: name the first fault of its entries
+    if text[-1] != ")":
+        raise ProblemFileError("unterminated vector", line)
+    body = _TOKEN_RE.findall(text, 1, len(text) - 1)
     if not body:
         raise ProblemFileError("empty vector", line)
-    return RationalVector(_parse_rational(p, line) for p in _split_top(body, line))
+    for run in _split(body, line):
+        if len(run) != 1 or not run[0][1]:
+            raise ProblemFileError(f"malformed rational {_text(run)!r}", line)
+        _read(*run[0][1:5], line)  # its digit-limit or zero-denominator error
+    raise AssertionError(f"{text!r} scans as a vector of rationals")
 
 
-def _parse_value(s: str, line: int):
-    s = s.strip()
-    if s.startswith("["):
-        if not s.endswith("]"):
-            raise ProblemFileError("unterminated list", line)
-        body = s[1:-1].strip()
-        if not body:
-            return ()
-        return tuple(_parse_item(p, line) for p in _split_top(body, line))
-    return _parse_item(s, line)
-
-
-def _parse_item(s: str, line: int):
-    s = s.strip()
-    if s.startswith("("):
-        if not s.endswith(")"):
-            raise ProblemFileError("unterminated vector", line)
-        return _parse_vector(s, line)
-    if _RATIONAL_RE.fullmatch(s):
-        return _parse_rational(s, line)
-    if _WORD_RE.fullmatch(s):
-        return s
-    raise ProblemFileError(f"malformed value {s!r}", line)
+def _value(s: str, line: int):
+    """An item, or a list `[v0, v1, ...]` of items."""
+    if s[0] != "[":
+        return _item(_TOKEN_RE.findall(s), line)
+    if s[-1] != "]":
+        raise ProblemFileError("unterminated list", line)
+    tokens = _TOKEN_RE.findall(s, 1, len(s) - 1)
+    if not tokens:
+        return ()
+    return tuple(_item(run, line) for run in _split(tokens, line))
 
 
 # -- schema --------------------------------------------------------------------
@@ -186,6 +228,15 @@ SCHEMAS = {
 }
 
 
+# SCHEMAS with each tag read once: mode -> section -> key ->
+# (type tag, optional, repeatable)
+_KEY_SPECS = {
+    mode: {name: {key: (tag.rstrip("?+"), tag.endswith("?"), tag.endswith("+"))
+                  for key, tag in keys.items()}
+           for name, keys in sections.items()}
+    for mode, sections in SCHEMAS.items()}
+
+
 def _check_type(key: str, value, tag: str, line: int):
     """Normalize value against a type tag; ints come back as python int."""
     if tag == "int":
@@ -207,90 +258,111 @@ def _check_type(key: str, value, tag: str, line: int):
     return value  # tag "value": anything goes
 
 
+def _missing_key(specs: dict, seen: set, name: str, header_line: int):
+    """The error for the first required key of section [name] not seen.
+
+    seen holds only keys of specs, so none is missing when it holds them
+    all; callers skip the call then."""
+    for key, (_, optional, _) in specs.items():
+        if not optional and key not in seen:
+            return ProblemFileError(
+                f"section [{name}] is missing key {key!r}", header_line)
+    return None
+
+
 def parse_problem(text) -> ProblemFile:
-    """Parse problem text (bytes or str) and check it against its mode schema."""
+    """Parse problem text (bytes or str) and check it against its mode schema.
+
+    One pass: each line is checked as it is read.  A syntax error raises at
+    once; the first schema error is kept and raised when the scan ends, so
+    a syntax error on a later line still wins over it, and a missing
+    `version` or `mode` wins over both.
+    """
     if isinstance(text, bytes):
         try:
             text = text.decode("utf-8")
         except UnicodeDecodeError as exc:
             raise ProblemFileError(f"not valid UTF-8: {exc}") from None
 
-    version = mode = None
-    # raw[name] = (header line, list of (key, value, line))
-    raw, order, current = {}, [], None
+    version = mode = mode_specs = specs = error = None
+    sections, names = [], set()
+    name = header_line = entries = seen = None
+    fullmatch = _LINE_RE.fullmatch
     for lineno, rawline in enumerate(text.splitlines(), start=1):
-        line = rawline.split("#", 1)[0].strip()
-        if not line:
+        m = fullmatch(rawline)
+        if m is None:
+            line = rawline.split("#", 1)[0].strip()
+            raise ProblemFileError(f"expected `key = value`, got {line!r}",
+                                   lineno)
+        header, key, num, den, vector, word, value = m.groups()
+        if header:
+            if header in names:
+                raise ProblemFileError(f"duplicate section [{header}]", lineno)
+            names.add(header)
+            if specs and not error and len(seen) < len(specs):
+                error = _missing_key(specs, seen, name, header_line)
+            name, header_line, entries, seen = header, lineno, [], set()
+            sections.append((name, entries))
+            if mode_specs:
+                specs = mode_specs.get(name)
+                if specs is None and not error:
+                    error = ProblemFileError(
+                        f"section [{name}] is not allowed in mode {mode}",
+                        lineno)
             continue
-        m = _SECTION_RE.fullmatch(line)
-        if m:
-            name = m.group(1)
-            if name in raw:
-                raise ProblemFileError(f"duplicate section [{name}]", lineno)
-            raw[name] = (lineno, [])
-            order.append(name)
-            current = name
+        if key is None:
             continue
-        m = _ASSIGN_RE.fullmatch(line)
-        if not m:
-            raise ProblemFileError(f"expected `key = value`, got {line!r}", lineno)
-        key, value = m.group(1), _parse_value(m.group(2), lineno)
-        if current is None:
-            if key == "version":
-                if version is not None:
-                    raise ProblemFileError("duplicate version", lineno)
-                version = _check_type(key, value, "int", lineno)
-                if version != FORMAT_VERSION:
-                    raise ProblemFileError(
-                        f"unsupported format version {version} "
-                        f"(expected {FORMAT_VERSION})", lineno)
-            elif key == "mode":
-                if mode is not None:
-                    raise ProblemFileError("duplicate mode", lineno)
-                mode = _check_type(key, value, "word", lineno)
-                if mode not in SCHEMAS:
-                    raise ProblemFileError(
-                        f"unknown mode {mode!r} (expected one of "
-                        f"{', '.join(sorted(SCHEMAS))})", lineno)
+        value = (_value(value, lineno) if value else
+                 _read(num, den, vector, word, lineno))
+        if name is not None:
+            if error or not specs:
+                continue
+            spec = specs.get(key)
+            if spec is None:
+                error = ProblemFileError(
+                    f"unknown key {key!r} in section [{name}]", lineno)
+            elif key in seen and not spec[2]:
+                error = ProblemFileError(f"duplicate key {key!r}", lineno)
             else:
+                seen.add(key)
+                try:
+                    entries.append(
+                        (key, _check_type(key, value, spec[0], lineno)))
+                except ProblemFileError as exc:
+                    error = exc
+        elif key == "version":
+            if version is not None:
+                raise ProblemFileError("duplicate version", lineno)
+            version = _check_type(key, value, "int", lineno)
+            if version != FORMAT_VERSION:
                 raise ProblemFileError(
-                    f"unknown top-level key {key!r}", lineno)
+                    f"unsupported format version {version} "
+                    f"(expected {FORMAT_VERSION})", lineno)
+        elif key == "mode":
+            if mode is not None:
+                raise ProblemFileError("duplicate mode", lineno)
+            mode = _check_type(key, value, "word", lineno)
+            if mode not in SCHEMAS:
+                raise ProblemFileError(
+                    f"unknown mode {mode!r} (expected one of "
+                    f"{', '.join(sorted(SCHEMAS))})", lineno)
+            mode_specs = _KEY_SPECS[mode]
         else:
-            raw[current][1].append((key, value, lineno))
+            raise ProblemFileError(f"unknown top-level key {key!r}", lineno)
 
     if version is None:
         raise ProblemFileError("missing `version = 1`")
     if mode is None:
         raise ProblemFileError("missing `mode = ...`")
-
-    schema = SCHEMAS[mode]
-    sections = []
-    for name in order:
-        header_line, items = raw[name]
-        keyspec = schema.get(name)
-        if keyspec is None:
-            raise ProblemFileError(
-                f"section [{name}] is not allowed in mode {mode}", header_line)
-        seen, entries = {}, []
-        for key, value, lineno in items:
-            tag = keyspec.get(key)
-            if tag is None:
-                raise ProblemFileError(
-                    f"unknown key {key!r} in section [{name}]", lineno)
-            if key in seen and not tag.endswith("+"):
-                raise ProblemFileError(f"duplicate key {key!r}", lineno)
-            seen[key] = True
-            entries.append((key, _check_type(key, value, tag.rstrip("?+"), lineno)))
-        for key, tag in keyspec.items():
-            if not tag.endswith("?") and key not in seen:
-                raise ProblemFileError(
-                    f"section [{name}] is missing key {key!r}", header_line)
-        sections.append((name, tuple(entries)))
-    for name in schema:
-        if name not in raw:
+    if specs and not error and len(seen) < len(specs):
+        error = _missing_key(specs, seen, name, header_line)
+    if error:
+        raise error
+    for name in SCHEMAS[mode]:
+        if name not in names:
             raise ProblemFileError(f"mode {mode} requires a section [{name}]")
-
-    return ProblemFile(version=version, mode=mode, sections=tuple(sections))
+    return ProblemFile(version=version, mode=mode, sections=tuple(
+        (name, tuple(entries)) for name, entries in sections))
 
 
 # -- serialization ---------------------------------------------------------------
@@ -387,6 +459,9 @@ def _base_valuation(problem: ProblemFile) -> BaseValuation:
 
 
 def _coefficient(v: BaseValuation, entry):
+    if isinstance(entry, str):
+        raise ProblemFileError("coeffs must hold rationals or vectors like "
+                               f"(0, 1), not {entry!r}")
     if isinstance(entry, RationalVector):
         if v.field is QQ:
             raise ProblemFileError(

@@ -12,14 +12,21 @@ schoolbook on digit tuples rather than the library's codes and tables,
 polynomial products, division, gcds and values over GF(q) by the operators
 of the `GFElement` wrapper rather than the library's list kernel, and
 the canonical-monomial bookkeeping of an inductive tower by search and one
-carry at a time rather than the library's closed forms.
+carry at a time rather than the library's closed forms, and problem files
+by a cascade of string splits and a second schema loop rather than the
+library's one-pass token scanner.
 """
 
+import re
 from fractions import Fraction
 from itertools import product
 from math import lcm
 
 import sympy
+
+from valknaf.ordgroup import RationalVector
+from valknaf.problemfile import (FORMAT_VERSION, SCHEMAS, ProblemFile,
+                                 ProblemFileError, parse_int)
 
 
 def _lex_sign(v):
@@ -572,3 +579,185 @@ def normalize_exps_by_steps(tower, i, exps):
             for idx, q in enumerate(lev.q_exps):
                 exps[idx] -= q
     return unit
+
+
+# -- the problem-file grammar as a cascade of string splits ---------------------
+# The reference for `problemfile.parse_problem`: each line is matched twice,
+# a value is cut at its top-level commas by a character loop and each piece
+# classified by `fullmatch`, and the schema is checked in a second loop once
+# every line is read.
+
+_SECTION_RE = re.compile(r"\[([a-z_]+)\]")
+_ASSIGN_RE = re.compile(r"([A-Za-z_][A-Za-z0-9_]*)\s*=\s*(\S.*)")
+_RATIONAL_RE = re.compile(r"([+-]?\d+)(?:\s*/\s*(\d+))?")
+_WORD_RE = re.compile(r"[A-Za-z][-A-Za-z0-9_^()]*")
+
+
+def _split_top(s: str, line: int) -> list:
+    """Split on commas outside parentheses."""
+    parts, depth, cur = [], 0, []
+    for ch in s:
+        if ch == "(":
+            depth += 1
+        elif ch == ")":
+            depth -= 1
+            if depth < 0:
+                raise ProblemFileError("unbalanced parentheses", line)
+        if ch == "," and depth == 0:
+            parts.append("".join(cur))
+            cur = []
+        else:
+            cur.append(ch)
+    if depth:
+        raise ProblemFileError("unbalanced parentheses", line)
+    parts.append("".join(cur))
+    return parts
+
+
+def _parse_rational(s: str, line: int) -> Fraction:
+    m = _RATIONAL_RE.fullmatch(s.strip())
+    if not m:
+        raise ProblemFileError(f"malformed rational {s.strip()!r}", line)
+    num, den = parse_int(m.group(1), line), parse_int(m.group(2) or "1", line)
+    if den == 0:
+        raise ProblemFileError("zero denominator", line)
+    return Fraction(num, den)
+
+
+def _parse_vector(s: str, line: int) -> RationalVector:
+    body = s.strip()[1:-1].strip()
+    if not body:
+        raise ProblemFileError("empty vector", line)
+    return RationalVector(_parse_rational(p, line) for p in _split_top(body, line))
+
+
+def _parse_value(s: str, line: int):
+    s = s.strip()
+    if s.startswith("["):
+        if not s.endswith("]"):
+            raise ProblemFileError("unterminated list", line)
+        body = s[1:-1].strip()
+        if not body:
+            return ()
+        return tuple(_parse_item(p, line) for p in _split_top(body, line))
+    return _parse_item(s, line)
+
+
+def _parse_item(s: str, line: int):
+    s = s.strip()
+    if s.startswith("("):
+        if not s.endswith(")"):
+            raise ProblemFileError("unterminated vector", line)
+        return _parse_vector(s, line)
+    if _RATIONAL_RE.fullmatch(s):
+        return _parse_rational(s, line)
+    if _WORD_RE.fullmatch(s):
+        return s
+    raise ProblemFileError(f"malformed value {s!r}", line)
+
+
+def _check_type(key: str, value, tag: str, line: int):
+    """Normalize value against a type tag; ints come back as python int."""
+    if tag == "int":
+        if isinstance(value, Fraction) and value.denominator == 1:
+            return int(value)
+        raise ProblemFileError(f"{key} must be an integer", line)
+    if tag == "vector":
+        if isinstance(value, RationalVector):
+            return value
+        raise ProblemFileError(f"{key} must be a vector like (1, 0)", line)
+    if tag == "list":
+        if isinstance(value, tuple) and not isinstance(value, RationalVector):
+            return value
+        raise ProblemFileError(f"{key} must be a list like [c0, c1, 1]", line)
+    if tag == "word":
+        if isinstance(value, str):
+            return value
+        raise ProblemFileError(f"{key} must be a name", line)
+    return value  # tag "value": anything goes
+
+
+def parse_problem_reference(text) -> ProblemFile:
+    """Parse problem text (bytes or str) and check it against its mode schema."""
+    if isinstance(text, bytes):
+        try:
+            text = text.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise ProblemFileError(f"not valid UTF-8: {exc}") from None
+
+    version = mode = None
+    # raw[name] = (header line, list of (key, value, line))
+    raw, order, current = {}, [], None
+    for lineno, rawline in enumerate(text.splitlines(), start=1):
+        line = rawline.split("#", 1)[0].strip()
+        if not line:
+            continue
+        m = _SECTION_RE.fullmatch(line)
+        if m:
+            name = m.group(1)
+            if name in raw:
+                raise ProblemFileError(f"duplicate section [{name}]", lineno)
+            raw[name] = (lineno, [])
+            order.append(name)
+            current = name
+            continue
+        m = _ASSIGN_RE.fullmatch(line)
+        if not m:
+            raise ProblemFileError(f"expected `key = value`, got {line!r}", lineno)
+        key, value = m.group(1), _parse_value(m.group(2), lineno)
+        if current is None:
+            if key == "version":
+                if version is not None:
+                    raise ProblemFileError("duplicate version", lineno)
+                version = _check_type(key, value, "int", lineno)
+                if version != FORMAT_VERSION:
+                    raise ProblemFileError(
+                        f"unsupported format version {version} "
+                        f"(expected {FORMAT_VERSION})", lineno)
+            elif key == "mode":
+                if mode is not None:
+                    raise ProblemFileError("duplicate mode", lineno)
+                mode = _check_type(key, value, "word", lineno)
+                if mode not in SCHEMAS:
+                    raise ProblemFileError(
+                        f"unknown mode {mode!r} (expected one of "
+                        f"{', '.join(sorted(SCHEMAS))})", lineno)
+            else:
+                raise ProblemFileError(
+                    f"unknown top-level key {key!r}", lineno)
+        else:
+            raw[current][1].append((key, value, lineno))
+
+    if version is None:
+        raise ProblemFileError("missing `version = 1`")
+    if mode is None:
+        raise ProblemFileError("missing `mode = ...`")
+
+    schema = SCHEMAS[mode]
+    sections = []
+    for name in order:
+        header_line, items = raw[name]
+        keyspec = schema.get(name)
+        if keyspec is None:
+            raise ProblemFileError(
+                f"section [{name}] is not allowed in mode {mode}", header_line)
+        seen, entries = {}, []
+        for key, value, lineno in items:
+            tag = keyspec.get(key)
+            if tag is None:
+                raise ProblemFileError(
+                    f"unknown key {key!r} in section [{name}]", lineno)
+            if key in seen and not tag.endswith("+"):
+                raise ProblemFileError(f"duplicate key {key!r}", lineno)
+            seen[key] = True
+            entries.append((key, _check_type(key, value, tag.rstrip("?+"), lineno)))
+        for key, tag in keyspec.items():
+            if not tag.endswith("?") and key not in seen:
+                raise ProblemFileError(
+                    f"section [{name}] is missing key {key!r}", header_line)
+        sections.append((name, tuple(entries)))
+    for name in schema:
+        if name not in raw:
+            raise ProblemFileError(f"mode {mode} requires a section [{name}]")
+
+    return ProblemFile(version=version, mode=mode, sections=tuple(sections))

@@ -407,6 +407,25 @@ def test_cli_binomial_constant_not_a_value(tmp_path, capsys, field):
     assert "foo" in err
 
 
+@pytest.mark.parametrize("base,coeffs", [
+    ("field = GF(3)\npi = [0, 1]", "[(0, -1), 0, z]"),
+    ("field = Q(t)\npi = [0, 1]", "[(0, -1), 0, z]"),
+    ("field = Q\np = 5", "[1, 0, z]"),
+], ids=["GF(3)", "Q(t)", "Q"])
+def test_cli_split_word_coefficient_is_file_error(tmp_path, capsys, base,
+                                                  coeffs):
+    # a word among the coefficients escaped as a TypeError traceback over
+    # GF(3)(t) and Q(t), and as exit 2 over Q
+    text = SPLIT5.replace("field = Q\np = 5", base).replace(
+        "[1, 0, 1]", coeffs)
+    path = write(tmp_path, "w.prob", text)
+    assert cli.main(["split", "--file", path]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("error: coeffs must hold rationals or vectors "
+                            "like (0, 1), not 'z'\n")
+
+
 def gf_split(q, coeffs):
     return GF5_SPLIT.replace("GF(5)", f"GF({q})").format(pi="[0, 1]",
                                                         coeffs=coeffs)

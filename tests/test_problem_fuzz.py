@@ -8,7 +8,9 @@ line other than `version` and `mode`.  The last edit keeps the header and
 the section lines, so its files get past the parser and into the engines.
 Every edited file must still end in a documented exit code, and a nonzero
 exit must come with exactly one line on stderr.  The pool holds integers
-above 2^53, so the engines' exact arithmetic is fuzzed too.
+above 2^53, so the engines' exact arithmetic is fuzzed too, and lists and
+vectors that hold words or nested parentheses, so a value edit can put a
+word among a list's coefficients.
 """
 
 import contextlib
@@ -29,7 +31,7 @@ TOKENS = ("0", "1", "-1", "2", "3", "5", "7", "1/5", "1/0", str(10 ** 18 + 3),
           "-4000048000216000432000324",
           "(1, 0)", "(0, 1)", "(1/2, 0)", "()", "[1, 0, 1]", "[0, 1]",
           "[(0, -1), 0, 1]", "[]", "Q", "Q(t)", "GF(4)", "GF(6)", "GF(1)",
-          "foo")
+          "foo", "[1, foo, 1]", "[(0, 1), GF(4)]", "(1, foo)", "((1, 0), 1)")
 HEADER_KEYS = ("version", "mode")
 
 
