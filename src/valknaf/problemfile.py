@@ -92,14 +92,16 @@ _ITEM = (_RATIONAL + r"|(\(\s*" + _R + r"(?:\s*,\s*" + _R + r")*\s*\))"
          r"|([A-Za-z][-A-Za-z0-9_^()]*)")
 _RATIONAL_RE = re.compile(_RATIONAL)
 # a whole line: blank or comment, `[section]`, or `key = value` with the
-# value one item or any other text
+# value one item or any other text.  Each run of blanks can be taken by one
+# `\s*` only, so a line that does not match fails in linear time.
 _LINE_RE = re.compile(
-    r"\s*(?:\[([a-z_]+)\]|([A-Za-z_][A-Za-z0-9_]*)\s*=\s*(?:" + _ITEM
-    + r"|([^#\s](?:[^#]*[^#\s])?)))?\s*(?:#.*)?")
-# one token of a value with the blanks before it: an item, or one other
+    r"\s*(?:(?:\[([a-z_]+)\]|([A-Za-z_][A-Za-z0-9_]*)\s*=\s*(?:" + _ITEM
+    + r"|([^#\s](?:[^#]*[^#\s])?)))\s*)?(?:#.*)?")
+# one token of a value with the blanks after it: an item, or one other
 # character such as ( ) [ ] , -- findall gives (text, num, den, vector,
-# word, char)
-_TOKEN_RE = re.compile(r"(\s*(?:" + _ITEM + r"|(\S)))")
+# word, char).  The search skips blanks before the first token, and no
+# blank can start two tokens, so a value scans in linear time.
+_TOKEN_RE = re.compile(r"((?:" + _ITEM + r"|(\S))\s*)")
 
 
 def parse_int(digits: str, line=None) -> int:
@@ -143,24 +145,22 @@ def _split(tokens, line: int) -> list:
 def _read(num, den, vector, word, line: int):
     """The value of one scanned item: a Fraction built from its digits, a
     RationalVector of such Fractions, or a word."""
-    if vector:
-        pairs = _RATIONAL_RE.findall(vector)
-    elif num:
-        pairs = ((num, den),)
-    else:
-        return word
     try:
-        values = [Fraction(int(n), int(d)) if d else Fraction(int(n))
-                  for n, d in pairs]
+        if vector:
+            # the entries are Fractions already: no coercion
+            return tuple.__new__(RationalVector, [
+                Fraction(int(n), int(d)) if d else Fraction(int(n))
+                for n, d in _RATIONAL_RE.findall(vector)])
+        if num:
+            return Fraction(int(num), int(den)) if den else Fraction(int(num))
+        return word
     except ZeroDivisionError:
         raise ProblemFileError("zero denominator", line) from None
     except ValueError:  # more digits than the int-string limit
-        for n, d in pairs:
+        for n, d in _RATIONAL_RE.findall(vector) if vector else [(num, den)]:
             parse_int(n, line)
             parse_int(d or "1", line)
         raise
-    # the entries are Fractions already: no coercion
-    return tuple.__new__(RationalVector, values) if vector else values[0]
 
 
 def _item(tokens, line: int):
@@ -241,7 +241,7 @@ def _check_type(key: str, value, tag: str, line: int):
     """Normalize value against a type tag; ints come back as python int."""
     if tag == "int":
         if isinstance(value, Fraction) and value.denominator == 1:
-            return int(value)
+            return value.numerator
         raise ProblemFileError(f"{key} must be an integer", line)
     if tag == "vector":
         if isinstance(value, RationalVector):

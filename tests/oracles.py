@@ -26,7 +26,7 @@ import sympy
 
 from valknaf.ordgroup import RationalVector
 from valknaf.problemfile import (FORMAT_VERSION, SCHEMAS, ProblemFile,
-                                 ProblemFileError, parse_int)
+                                 ProblemFileError, _check_type, parse_int)
 
 
 def _lex_sign(v):
@@ -585,7 +585,8 @@ def normalize_exps_by_steps(tower, i, exps):
 # The reference for `problemfile.parse_problem`: each line is matched twice,
 # a value is cut at its top-level commas by a character loop and each piece
 # classified by `fullmatch`, and the schema is checked in a second loop once
-# every line is read.
+# every line is read.  The type check `_check_type` is shared with the
+# scanner.
 
 _SECTION_RE = re.compile(r"\[([a-z_]+)\]")
 _ASSIGN_RE = re.compile(r"([A-Za-z_][A-Za-z0-9_]*)\s*=\s*(\S.*)")
@@ -654,27 +655,6 @@ def _parse_item(s: str, line: int):
     if _WORD_RE.fullmatch(s):
         return s
     raise ProblemFileError(f"malformed value {s!r}", line)
-
-
-def _check_type(key: str, value, tag: str, line: int):
-    """Normalize value against a type tag; ints come back as python int."""
-    if tag == "int":
-        if isinstance(value, Fraction) and value.denominator == 1:
-            return int(value)
-        raise ProblemFileError(f"{key} must be an integer", line)
-    if tag == "vector":
-        if isinstance(value, RationalVector):
-            return value
-        raise ProblemFileError(f"{key} must be a vector like (1, 0)", line)
-    if tag == "list":
-        if isinstance(value, tuple) and not isinstance(value, RationalVector):
-            return value
-        raise ProblemFileError(f"{key} must be a list like [c0, c1, 1]", line)
-    if tag == "word":
-        if isinstance(value, str):
-            return value
-        raise ProblemFileError(f"{key} must be a name", line)
-    return value  # tag "value": anything goes
 
 
 def parse_problem_reference(text) -> ProblemFile:

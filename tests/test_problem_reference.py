@@ -6,10 +6,12 @@ or the same exception type and message, line number included.  Inputs are
 the demo problems, every fixture's serialized problem, edited demo problems
 (valid and malformed), and made texts: a mode's sections and keys with
 values of the right kind, padded with blanks, tabs, comments and `1 / 2`
-spacing, with lines dropped or made-up lines put in.  A last test pins that
-the scanner builds exactly one Fraction per rational token.
+spacing, with lines dropped or made-up lines put in.  Two last tests pin
+that long runs of blanks scan in linear time and that the scanner builds
+exactly one Fraction per rational token.
 """
 
+import time
 from fractions import Fraction
 
 import pytest
@@ -176,6 +178,29 @@ def made_problems(draw):
 @given(made_problems())
 def test_parse_matches_reference_on_made_texts(text):
     assert_same(text)
+
+
+BLANKS = " " * 100_000
+
+# a run of blanks that a pattern could split between two `\s*` takes time
+# quadratic in its length to fail; 1e5 blanks would then take minutes
+LONG_BLANK_TEXTS = [
+    f"{BLANKS}!\n",
+    "version = 1\nmode = split\n[base]\nfield = Q\np = 5\n[polynomial]\n"
+    f"coeffs = [1{BLANKS}]\n",
+    "version = 1\nmode = split\n[base]\nfield = Q\np = 5\n[polynomial]\n"
+    f"coeffs = [(1{BLANKS}, 1){BLANKS}, 1{BLANKS}/ 2{BLANKS}]\n",
+    f"version = 1{BLANKS}!\n",
+    f"version ={BLANKS}#\n",
+]
+
+
+@pytest.mark.parametrize("text", LONG_BLANK_TEXTS, ids=range(5))
+def test_long_blank_runs_parse_in_linear_time(text):
+    start = time.perf_counter()
+    mine = outcome(parse_problem, text)
+    assert time.perf_counter() - start < 1.0
+    assert mine == outcome(parse_problem_reference, text)
 
 
 def _rationals_in(value) -> int:
