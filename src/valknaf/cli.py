@@ -6,6 +6,8 @@ engine on a problem file), `binomial` (rank-2 monomial engine) and
 `fixtures` (the named catalog).  Problems are read from `--file` (`-` for
 stdin) in the line-oriented format of `problemfile`, which also gives a
 problem and a fixture their invariants (`problemfile.problem_invariants`).
+`_parse_args` reads the command line from the table `_COMMANDS`; `-h`
+prints `USAGE`, and a usage error is one line ending in its command's usage.
 Exit codes: 0 success, 1 usage or problem-file syntax error or an exceeded
 resource bound (`monoval.MAX_RESIDUAL_DEGREE`,
 `problemfile.MAX_FIELD_ORDER`), 2 inconsistent data (validation or engine
@@ -15,9 +17,10 @@ rejection, "inconsistent: ...") or input outside the supported scope
 
 from __future__ import annotations
 
-import argparse
+import re
 import sys
 from dataclasses import dataclass
+from types import SimpleNamespace
 from typing import Optional
 
 from .fixtures import FIXTURES, fixture
@@ -123,52 +126,132 @@ def _emit(rows, mode: str, porcelain: bool, out) -> None:
 
 # -- argument handling -----------------------------------------------------------
 
+USAGE = """\
+valknaf group    --file FILE [--porcelain]
+valknaf decide  (--file FILE | FIXTURE) [--porcelain]
+valknaf split    --file FILE [--porcelain] [--depth N]
+valknaf binomial --file FILE [--porcelain]
+valknaf fixtures [FIXTURE] [--porcelain]
+"""
+_HELP = ("-h", "--help")
+# command -> (its options, the attribute of its optional positional, whether
+# --file is required)
+_COMMANDS = {
+    "group": (_HELP + ("--file", "--porcelain"), None, True),
+    "decide": (_HELP + ("--file", "--porcelain"), "fixture", False),
+    "split": (_HELP + ("--file", "--porcelain", "--depth"), None, True),
+    "binomial": (_HELP + ("--file", "--porcelain"), None, True),
+    "fixtures": (_HELP + ("--porcelain",), "name", False),
+}
+_USAGE_LINES = {line.split()[1]: " ".join(line.split())
+                for line in USAGE.splitlines()}
+_NEGATIVE_NUMBER = re.compile(r"^-\d+$|^-\d*\.\d+$")
+
+
 class _UsageError(Exception):
-    pass
+    """A usage error; its one line ends with the usage of its command."""
+
+    def __init__(self, message, command=None):
+        usage = _USAGE_LINES.get(command, "valknaf {%s} ..." %
+                                 ",".join(_COMMANDS))
+        super().__init__(f"{message}; usage: {usage}")
 
 
-class _Parser(argparse.ArgumentParser):
-    def error(self, message):
-        raise _UsageError(f"{self.prog}: error: {message}\n"
-                          f"{self.format_usage().rstrip()}")
+def _option(token, options, command=None):
+    """(option, its value after `=` or None) for an option token, (None,
+    None) for an unknown option, None for a positional: `-`, a negative
+    number, a token with a space.  A long option may be cut to a unique
+    prefix, and `-hX` is -h with the value X."""
+    if token[:1] != "-" or token == "-":
+        return None
+    head, eq, value = token.partition("=")
+    if head not in options:
+        if token[1] == "-":
+            matches = [o for o in options if o.startswith(head)]
+            if len(matches) > 1:
+                raise _UsageError(f"ambiguous option: {token!r} could match "
+                                  f"{', '.join(matches)}", command)
+            head = matches[0] if matches else None
+        elif token[1] == "h":
+            head, eq, value = "-h", "=", token[2:]
+        else:
+            head = None
+    if head is None and (_NEGATIVE_NUMBER.match(token) or " " in token):
+        return None
+    if head == "-h" and value and not value.strip("h"):
+        eq = ""  # `-hh` is -h twice
+    return head, value if eq and head else None
 
 
-def _build_parser() -> _Parser:
-    parser = _Parser(prog="valknaf",
-                     description="ramification invariants and the "
-                                 "essentially-finite-type criterion")
-    sub = parser.add_subparsers(dest="command", required=True)
+def _parse_args(argv):
+    """The attributes `_dispatch` reads, from a command line; None for help.
 
-    def with_io(p, file_required=True):
-        p.add_argument("--file", metavar="PATH",
-                       required=file_required,
-                       help="problem file (- for stdin)")
-        p.add_argument("--porcelain", action="store_true",
-                       help="stable machine-readable key=value rows")
-
-    with_io(sub.add_parser("group", help="index and initial index of a "
-                                         "lex group extension"))
-    decide = sub.add_parser("decide", help="Knaf verdict on declared "
-                                           "invariants or a fixture")
-    decide.add_argument("fixture", nargs="?", metavar="FIXTURE",
-                        help="named fixture to decide")
-    with_io(decide, file_required=False)
-    split = sub.add_parser("split", help="extensions of a rank-1 valuation "
-                                         "to K[x]/(g)")
-    with_io(split)
-    split.add_argument("--depth", type=int, default=16, metavar="N",
-                       help="recursion depth limit (default 16)")
-    with_io(sub.add_parser("binomial", help="tame binomial extension of a "
-                                            "monomial valuation"))
-    fixtures_p = sub.add_parser("fixtures", help="list the fixture catalog")
-    fixtures_p.add_argument("name", nargs="?", metavar="FIXTURE",
-                            help="show a single fixture")
-    fixtures_p.add_argument("--porcelain", action="store_true",
-                            help="stable machine-readable key=value rows")
-    return parser
-
-
-_PARSER = _build_parser()
+    The command is the first positional, and only -h is known before it.
+    After it options and the optional positional come in any order, the
+    last of a repeated option wins, and every token after `--` is a
+    positional.  tests/test_argv_reference.py holds this reader to the
+    argument parser it replaced.
+    """
+    i = next((i for i, t in enumerate(argv)
+              if t == "--" or _option(t, _HELP) is None), len(argv))
+    command = argv[i] if i < len(argv) else None
+    options, positional, file_required = _COMMANDS.get(command,
+                                                       ((), None, False))
+    end = argv.index("--") if "--" in argv else len(argv)
+    kinds = [_option(t, _HELP) for t in argv[:i]]
+    args = {"command": command, "file": None, "porcelain": False, "depth": 16,
+            "fixture": None, "name": None}
+    extras, filled = [], None
+    steps = iter(range(len(argv)))
+    for j in steps:
+        if j == i:  # the tokens after the command are read once it is known
+            if command not in _COMMANDS:
+                raise _UsageError(f"invalid choice: {command!r} (choose from "
+                                  f"{', '.join(_COMMANDS)})")
+            kinds += [None] + [_option(t, options, command)
+                               for t in argv[i + 1:end]]
+            kinds += [None] * (len(argv) - len(kinds))
+            continue
+        if kinds[j] is None:
+            if j == end and (positional or filled == j - 1):
+                continue  # a `--` next to the positional
+            if positional:
+                args[positional], positional, filled = argv[j], None, j
+            else:
+                extras.append(argv[j])
+            continue
+        option, value = kinds[j]
+        if option in ("--file", "--depth"):
+            if value is None:
+                if j + 1 == end or kinds[j + 1] is not None:
+                    raise _UsageError(f"argument {option}: expected one "
+                                      "argument", command)
+                value = argv[next(steps)]
+            if option == "--depth":
+                try:
+                    value = int(value)
+                except ValueError:
+                    raise _UsageError(f"argument --depth: invalid int value: "
+                                      f"{value!r}", command) from None
+            args[option[2:]] = value
+        elif value is not None:
+            raise _UsageError(f"argument {option}: ignored explicit argument "
+                              f"{value!r}", command)
+        elif option == "--porcelain":
+            args["porcelain"] = True
+        elif option:
+            return None
+        else:
+            extras.append(argv[j])
+    if command is None:
+        raise _UsageError("the following arguments are required: command")
+    if file_required and args["file"] is None:
+        raise _UsageError("the following arguments are required: --file",
+                          command)
+    if extras:
+        raise _UsageError("unrecognized arguments: "
+                          + " ".join(map(repr, extras)), command)
+    return SimpleNamespace(**args)
 
 
 def _read_problem(path: str, expected_mode: str) -> ProblemFile:
@@ -199,31 +282,28 @@ def _dispatch(args, out) -> int:
 
     if args.command == "decide" and args.fixture is not None:
         if args.file:
-            raise _UsageError("decide takes a fixture name or --file, not both")
+            raise _UsageError("decide takes a fixture name or --file, not "
+                              "both", "decide")
         rows = fixture_rows(fixture(args.fixture))
         _emit(rows, "decide", args.porcelain, out)
         return 0
     if args.command == "decide" and not args.file:
-        raise _UsageError("decide needs a fixture name or --file")
+        raise _UsageError("decide needs a fixture name or --file", "decide")
 
-    depth = getattr(args, "depth", 16)
-    if depth < 1:
-        raise _UsageError("--depth must be at least 1")
+    if args.depth < 1:
+        raise _UsageError("--depth must be at least 1", "split")
     problem = _read_problem(args.file, args.command)
-    rows = run(problem, depth_limit=depth)
+    rows = run(problem, depth_limit=args.depth)
     _emit(rows, problem.mode, args.porcelain, out)
     return 0
 
 
 def main(argv=None) -> int:
     try:
-        args = _PARSER.parse_args(argv)
-    except _UsageError as exc:
-        print(exc, file=sys.stderr)
-        return 1
-    except SystemExit as exc:  # --help
-        return int(exc.code or 0)
-    try:
+        args = _parse_args(sys.argv[1:] if argv is None else argv)
+        if args is None:
+            sys.stdout.write(USAGE)
+            return 0
         return _dispatch(args, sys.stdout)
     except (_UsageError, ProblemFileError, ResidualDegreeError, OSError,
             LookupError) as exc:

@@ -533,14 +533,6 @@ def _squarefree(F, f):
     return [(g, m) for m, g in sorted(out.items())]
 
 
-def squarefree_decomposition(f: Poly):
-    """[(g, m)] with f = lc * prod g^m, the g monic squarefree coprime."""
-    if f.is_zero():
-        raise ValueError("zero polynomial")
-    F = f.field
-    return [(Poly(F, g), m) for g, m in _squarefree(F, _monic(F, f.coeffs))]
-
-
 def _frobenius_kernel(F, f):
     """Basis of {b : b^q = b mod f} as code lists of degree < deg f."""
     n = len(f) - 1

@@ -110,9 +110,6 @@ class Poly:
     def __bool__(self):
         return bool(self.coeffs)
 
-    def is_one(self) -> bool:
-        return len(self.coeffs) == 1 and self.coeffs[0] == self.field.one
-
     def is_monic(self) -> bool:
         return bool(self.coeffs) and self.coeffs[-1] == self.field.one
 
@@ -194,14 +191,6 @@ class Poly:
         for c in reversed(self.coeffs):
             acc = add(mul(acc, point), c)
         return acc
-
-    def compose(self, inner: "Poly") -> "Poly":
-        F = self.field
-        b = self._operand(inner)
-        acc = []
-        for c in reversed(self.coeffs):
-            acc = _padd(F, _pmul(F, acc, b), (c,) if c else ())
-        return _poly(F, acc)
 
     def map_coeffs(self, fn, new_field) -> "Poly":
         """fn applied to each coefficient, fn mapping into new_field."""

@@ -6,17 +6,21 @@ counts by breadth-first Hensel lifting of modular factorizations seeded from
 sympy's factorization mod p, squarefreeness over k(t) by Euclid over
 k(t) itself rather than the library's fraction-free k[t][x] gcd, and
 factors over GF(q) by Berlekamp's splitting against every field constant
-rather than the library's randomized equal-degree splitting, roots over
-GF(q) by evaluation at every field element, products in GF(p^n) by a
+rather than the library's randomized equal-degree splitting, squarefree
+parts over GF(q) by trial division with every monic polynomial rather than
+the library's gcds with the derivative, roots over GF(q) by evaluation at
+every field element, products in GF(p^n) by a
 schoolbook on digit tuples rather than the library's codes and tables,
 polynomial products, division, gcds and values over GF(q) by the operators
 of the `GFElement` wrapper rather than the library's list kernel, and
 the canonical-monomial bookkeeping of an inductive tower by search and one
 carry at a time rather than the library's closed forms, and problem files
 by a cascade of string splits and a second schema loop rather than the
-library's one-pass token scanner.
+library's one-pass token scanner, and command lines by the argparse parser
+the CLI used before its table-driven reader.
 """
 
+import argparse
 import re
 from fractions import Fraction
 from itertools import product
@@ -451,6 +455,42 @@ def roots(f):
     return [c for c in range(field.q) if not ref_poly_eval(a, wrap(field, c))]
 
 
+def compose(f, inner):
+    """f(inner) by Horner's rule on `Poly` operators."""
+    from valknaf.poly import Poly
+
+    acc = Poly.zero(f.field)
+    for c in reversed(f.coeffs):
+        acc = acc * inner + Poly.constant(f.field, c)
+    return acc
+
+
+def squarefree_by_trial_division(f):
+    """[(g, m)] with f = lc * prod g^m, the g monic squarefree coprime.
+
+    The reference for `gf._squarefree`: the monic irreducible factors of f
+    by trial division with every monic polynomial in order of degree, each
+    divided out as often as it goes, and g the product of those of
+    multiplicity m.
+    """
+    from valknaf.poly import Poly
+
+    field, rest, parts = f.field, f.monic(), {}
+    d = 1
+    while 2 * d <= rest.degree:
+        for low in product(range(field.q), repeat=d):
+            g = Poly(field, list(low) + [field.one])
+            m = 0
+            while (rest % g).is_zero():
+                rest, m = rest // g, m + 1
+            if m:
+                parts[m] = parts.get(m, Poly.one(field)) * g
+        d += 1
+    if rest.degree > 0:
+        parts[1] = parts.get(1, Poly.one(field)) * rest
+    return [(g, m) for m, g in sorted(parts.items())]
+
+
 # -- polynomials over GF(q) with GFElement operators ----------------------------
 #
 # The reference for the library's polynomial kernel over finite fields: the
@@ -741,3 +781,54 @@ def parse_problem_reference(text) -> ProblemFile:
             raise ProblemFileError(f"mode {mode} requires a section [{name}]")
 
     return ProblemFile(version=version, mode=mode, sections=tuple(sections))
+
+
+# -- the command line, as argparse read it ---------------------------------------
+#
+# The reference for `cli._parse_args`: the argparse parser that the CLI built
+# before it read its command line from a table, kept as it was.
+
+
+class ArgvError(Exception):
+    pass
+
+
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):
+        raise ArgvError(f"{self.prog}: error: {message}\n"
+                        f"{self.format_usage().rstrip()}")
+
+
+def argv_reference() -> _Parser:
+    parser = _Parser(prog="valknaf",
+                     description="ramification invariants and the "
+                                 "essentially-finite-type criterion")
+    sub = parser.add_subparsers(dest="command", required=True)
+
+    def with_io(p, file_required=True):
+        p.add_argument("--file", metavar="PATH",
+                       required=file_required,
+                       help="problem file (- for stdin)")
+        p.add_argument("--porcelain", action="store_true",
+                       help="stable machine-readable key=value rows")
+
+    with_io(sub.add_parser("group", help="index and initial index of a "
+                                         "lex group extension"))
+    decide = sub.add_parser("decide", help="Knaf verdict on declared "
+                                           "invariants or a fixture")
+    decide.add_argument("fixture", nargs="?", metavar="FIXTURE",
+                        help="named fixture to decide")
+    with_io(decide, file_required=False)
+    split = sub.add_parser("split", help="extensions of a rank-1 valuation "
+                                         "to K[x]/(g)")
+    with_io(split)
+    split.add_argument("--depth", type=int, default=16, metavar="N",
+                       help="recursion depth limit (default 16)")
+    with_io(sub.add_parser("binomial", help="tame binomial extension of a "
+                                            "monomial valuation"))
+    fixtures_p = sub.add_parser("fixtures", help="list the fixture catalog")
+    fixtures_p.add_argument("name", nargs="?", metavar="FIXTURE",
+                            help="show a single fixture")
+    fixtures_p.add_argument("--porcelain", action="store_true",
+                            help="stable machine-readable key=value rows")
+    return parser

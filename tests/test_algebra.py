@@ -11,16 +11,17 @@ import sympy
 from valknaf import funcfield
 from valknaf.funcfield import FunctionField, RatFunc
 from valknaf.gf import (GF, GFElement, _TABLE_MAX_Q, _binary_ops, _digit_ops,
-                       _log_tables, _ppowmod, embed, factor, first_root,
-                       squarefree_decomposition)
+                       _log_tables, _ppowmod, _squarefree, embed, factor,
+                       first_root)
 from valknaf.poly import (Poly, QQ, _pdivmod, _pmul, _power, poly_gcd,
                           power)
 from valknaf.residuefield import (UnsupportedResidueExtension, extend_residue,
                                   factor_over, linear_decomposer)
 
-from oracles import (berlekamp_by_enumeration, codes, ref_mul, ref_poly_divmod,
-                     ref_poly_eval, ref_poly_gcd, ref_poly_monic, ref_poly_mul,
-                     roots, wrap, wrapped)
+from oracles import (berlekamp_by_enumeration, codes, compose, ref_mul,
+                     ref_poly_divmod, ref_poly_eval, ref_poly_gcd,
+                     ref_poly_monic, ref_poly_mul, roots,
+                     squarefree_by_trial_division, wrap, wrapped)
 
 
 def rand_gf_poly(rng, field, degree, monic=False):
@@ -124,12 +125,12 @@ def test_poly_compose_and_evaluate():
     for _ in range(20):
         f = rand_gf_poly(rng, k7, rng.randint(0, 4))
         g = rand_gf_poly(rng, k7, rng.randint(0, 3))
-        h = f.compose(g)
+        h = compose(f, g)
         for c in k7.elements():
             assert h(c) == f(g(c))
     f = rand_gf_poly(rng, k7, 3)
     assert f ** 4 == f * f * f * f
-    assert (f ** 0).is_one()
+    assert f ** 0 == Poly.one(k7)
 
 
 # 0 to 3 and 2^k - 1, 2^k: the exponents that take no step of the bit loop
@@ -324,7 +325,7 @@ def test_factor_matches_enumeration_oracle(p, n):
         assert factor(a * b * b * lead) == (lead, expected)
         # inseparable h(x^p) = r(x)^p
         h = rand_squarefree(rng, field, rng.randint(1, 3))
-        f = h.compose(Poly.x(field) ** p)
+        f = compose(h, Poly.x(field) ** p)
         assert f.derivative().is_zero()
         r = pth_root(h)
         assert r ** p == f
@@ -336,6 +337,12 @@ def test_factor_rejects_zero():
         factor(Poly.zero(GF(2, 1)))
 
 
+def squarefree_decomposition(f):
+    """gf._squarefree on f made monic, as (Poly, multiplicity) pairs."""
+    F = f.field
+    return [(Poly(F, g), m) for g, m in _squarefree(F, list(f.monic().coeffs))]
+
+
 def test_squarefree_decomposition_reconstructs():
     rng = random.Random(20240828)
     k2 = GF(2, 1)
@@ -345,6 +352,7 @@ def test_squarefree_decomposition_reconstructs():
         h = f * f * g
         prod = Poly.one(k2)
         parts = squarefree_decomposition(h)
+        assert parts == squarefree_by_trial_division(h)
         for part, m in parts:
             assert part.is_monic()
             assert poly_gcd(part, part.derivative()).degree <= 0
@@ -360,11 +368,13 @@ def test_squarefree_decomposition_inseparable_part():
     g = Poly(k3, [2, 1, 1])  # x^2 + x + 2, no roots in F_3
     assert not roots(g)
     # over F_3, g(x^3) = g(x)^3; the p-th-root path must see through it
-    f = g.compose(Poly(k3, [0, 0, 0, 1]))
+    f = compose(g, Poly(k3, [0, 0, 0, 1]))
     assert f.derivative().is_zero()
     assert squarefree_decomposition(f) == [(g, 3)]
     mixed = f * Poly(k3, [1, 1])
     assert squarefree_decomposition(mixed) == [(Poly(k3, [1, 1]), 1), (g, 3)]
+    assert squarefree_by_trial_division(mixed) == [(Poly(k3, [1, 1]), 1),
+                                                   (g, 3)]
 
 
 def test_roots_match_linear_factors():

@@ -315,6 +315,19 @@ residue_char = 0
         (["decide"], 1, "fixture name or --file"),
         (["split", "--file", syntax, "--depth", "0"], 1, "depth"),
         (["nonsense"], 1, "invalid choice"),
+        ([], 1, "the following arguments are required: command"),
+        (["split"], 1, "the following arguments are required: --file"),
+        (["split", "--file"], 1, "argument --file: expected one argument"),
+        (["split", "--file", "--porcelain"], 1, "expected one argument"),
+        (["split", "--file", syntax, "--depth", "x"], 1,
+         "invalid int value: 'x'"),
+        (["split", "--file", syntax, "extra"], 1,
+         "unrecognized arguments: 'extra'"),
+        (["--porcelain", "split", "--file", syntax, "a\nb"], 1,
+         "unrecognized arguments: '--porcelain' 'a\\nb'"),
+        (["group", "--=x"], 1, "ambiguous option"),
+        (["group", "--porcelain=yes", "--file", syntax], 1,
+         "ignored explicit argument 'yes'"),
         (["binomial", "--file", wild], 2, "wild"),
         (["split", "--file", nonsq], 2, "squarefree"),
         (["decide", "--file", baddec], 2, "does not divide"),
@@ -323,8 +336,48 @@ residue_char = 0
     ]
     for argv, code, fragment in cases:
         assert cli.main(argv) == code, argv
-        err = capsys.readouterr().err
+        out, err = capsys.readouterr()
         assert fragment in err, (argv, err)
+        if code:
+            assert out == "" and err.count("\n") == 1, (argv, err)
+
+
+@pytest.mark.parametrize("argv,usage", [
+    ([], "valknaf {group,decide,split,binomial,fixtures} ..."),
+    (["split"], "valknaf split --file FILE [--porcelain] [--depth N]"),
+    (["decide"], "valknaf decide (--file FILE | FIXTURE) [--porcelain]"),
+    (["fixtures", "a", "b"], "valknaf fixtures [FIXTURE] [--porcelain]"),
+])
+def test_cli_usage_error_is_one_line(capsys, argv, usage):
+    assert cli.main(argv) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: ")
+    assert err.endswith(f"; usage: {usage}\n") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv", [["-h"], ["--help"], ["split", "--help"],
+                                  ["decide", "-h", "--bogus"],
+                                  ["fixtures", "--he"]])
+def test_cli_help_prints_usage(capsys, argv):
+    assert cli.main(argv) == 0
+    out, err = capsys.readouterr()
+    assert out == cli.USAGE and err == ""
+    assert out.splitlines()[2] == (
+        "valknaf split    --file FILE [--porcelain] [--depth N]")
+
+
+def test_cli_usage_is_the_readme_block():
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(
+        encoding="utf-8")
+    section = readme[readme.index("## Command line"):]
+    assert section.split("```\n")[1] == cli.USAGE
+
+
+def test_cli_main_reads_sys_argv(capsys, monkeypatch):
+    monkeypatch.setattr(sys, "argv", ["valknaf", "fixtures", "i-at-3",
+                                      "--porc"])
+    assert cli.main() == 0
+    assert capsys.readouterr().out.startswith("label=i-at-3[1]\t")
 
 
 @pytest.mark.parametrize("mode,text", [
