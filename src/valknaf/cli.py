@@ -269,7 +269,8 @@ def _read_problem(path: str, expected_mode: str) -> ProblemFile:
 
 def _dispatch(args, out) -> int:
     if args.command == "fixtures":
-        catalog = [fixture(args.name)] if args.name else list(FIXTURES)
+        catalog = ([fixture(args.name)] if args.name is not None
+                   else list(FIXTURES))
         for fx in catalog:
             rows = fixture_rows(fx)
             if args.porcelain:

@@ -2,7 +2,12 @@
 
 A tower is a chain of levels (phi_i, mu_i): monic key polynomials with
 assigned values.  The tower valuation of any polynomial is computed through
-phi-adic expansions: V_i(f) = min_j (V_{i-1}(c_j) + j * mu_i).
+phi-adic expansions: V_i(f) = min_j (V_{i-1}(c_j) + j * mu_i).  A tower of
+k levels holds its values as ints in units of 1/D, D = e_1 * ... * e_k,
+so no value, comparison or exponent below the public API is a Fraction;
+`val`, `canonical_exps`, `monomial_unit`, `lift_at` and `augment` take
+and give Fractions.  `grade` expands each digit once and records, for the
+digits that attain the value, what `residue` needs to compute the class.
 
 The graded pieces are handled through explicit monomials pi^(a_0) *
 phi_1^(a_1) * ... * phi_i^(a_i).  Every value w in the current value group
@@ -60,12 +65,25 @@ class Level:
 
 
 class Tower:
-    """Base valuation plus a tuple of completed levels."""
+    """Base valuation plus a tuple of completed levels.
+
+    With D = e_1 * ... * e_k the ramification product of all k levels,
+    every value of the tower lies in (1/D) Z, and below the public API it
+    is held as the int w * D.  The tables `mu_units` (mu_j * D), `_steps`
+    (D / D_j) and `_inv` ((mu_j * D_j)^-1 mod e_j) are indexed by level
+    j = 0..k and made once here; at j = 0, `_steps` holds D and the others
+    an unused 0.
+    """
 
     def __init__(self, base, levels=()):
         self.base = base
         self.levels = tuple(levels)
         self._z_cache = {}
+        self.denom = den = self.levels[-1].denom if self.levels else 1
+        self.mu_units = [0] + [int(lev.mu * den) for lev in self.levels]
+        self._steps = [den] + [den // lev.denom for lev in self.levels]
+        self._inv = [0] + [pow(int(lev.mu * lev.denom), -1, lev.e)
+                           for lev in self.levels]
 
     @property
     def depth(self) -> int:
@@ -80,7 +98,7 @@ class Tower:
         return self.levels[i - 1].denom if i else 1
 
     def ramification_product(self) -> int:
-        return self.denom_at(self.depth)
+        return self.denom
 
     def residue_product(self) -> int:
         out = 1
@@ -88,51 +106,106 @@ class Tower:
             out *= lev.f
         return out
 
-    # -- values ------------------------------------------------------------
+    def _units(self, w) -> int:
+        """The value w as an int in units of 1/D."""
+        wd = Fraction(w) * self.denom
+        if wd.denominator != 1:
+            raise ValueError(f"{w} is not in the value group")
+        return wd.numerator
 
-    def val(self, f: Poly):
-        """Tower value of f under all levels."""
-        return self._val(self.depth, f)
+    # -- values and classes ------------------------------------------------
 
-    def _val(self, i, f):
-        if f.is_zero():
-            return INFINITY
+    def grade(self, i, f: Poly):
+        """(V, parts) of a nonzero f at level i, each digit expanded once.
+
+        V is the value of f, in units of 1/D.  parts is what `residue`
+        needs for the class of f, so that the class is computed only where
+        it is asked for: at level 0 the remainders that the base's
+        `split` gives, at level i the (j, V_j, parts_j) of each digit of f
+        in phi_i that attains V.
+        """
         if i == 0:
             if f.degree > 0:
                 raise ValueError("stage-0 values are defined for constants")
-            return self.base.value_of(f[0])
-        lev = self.levels[i - 1]
-        best = INFINITY
-        for j, digit in enumerate(phi_expansion(f, lev.phi)):
+            v, num, den = self.base.split(f[0])
+            return v * self.denom, (num, den)
+        mu = self.mu_units[i]
+        best = tight = None
+        for j, digit in enumerate(phi_expansion(f, self.levels[i - 1].phi)):
             if digit.is_zero():
                 continue
-            w = self._val(i - 1, digit) + j * lev.mu
-            if w < best:
-                best = w
-        return best
+            v, parts = self.grade(i - 1, digit)
+            w = v + j * mu
+            if best is None or w < best:
+                best, tight = w, [(j, v, parts)]
+            elif w == best:
+                tight.append((j, v, parts))
+        return best, tight
+
+    def residue(self, i, parts):
+        """Class r in kappa_i with [f] = r * monomial, from `grade`'s parts.
+
+        The digits of f in phi_i that attain its value are reduced at
+        their own values, normalized onto the canonical monomial and
+        summed.
+        """
+        if i == 0:
+            return self.base.residue(*parts)
+        lev = self.levels[i - 1]
+        F, below = lev.resfield, self.field_at(i - 1)
+        total = F.zero
+        common_a = None
+        for j, v, sub in parts:
+            s, a = divmod(j, lev.e)
+            if common_a is None:
+                common_a = a
+            assert a == common_a, "tight exponents disagree mod e"
+            r = self.residue(i - 1, sub)
+            u = self.unit_at(i - 1, v, lev.q_exps, s)
+            total = F.add(total, F.mul(lev.embed_prev(below.mul(r, u)),
+                                       power(F, lev.z, s)))
+        if not total:
+            raise ValueError("graded reduction vanished; tower is corrupt")
+        return total
+
+    def val(self, f: Poly):
+        """Tower value of f under all levels."""
+        if f.is_zero():
+            return INFINITY
+        return Fraction(self.grade(self.depth, f)[0], self.denom)
+
+    def reduce_at(self, i, f: Poly):
+        """Class of f at its own value: r in kappa_i with [f] = r * monomial.
+
+        f must be nonzero with degree below deg phi_(i+1) (for i = depth,
+        any expansion coefficient of the current key qualifies).
+        """
+        if f.is_zero():
+            raise ValueError("cannot reduce zero")
+        return self.residue(i, self.grade(i, f)[1])
 
     # -- canonical monomials and units --------------------------------------
 
     def canonical_exps(self, i, w):
-        """Exponents (a_0, ..., a_i) of the canonical monomial of value w.
+        """Exponents (a_0, ..., a_i) of the canonical monomial of value w."""
+        return self.exps_at(i, self._units(w))
+
+    def exps_at(self, i, w: int):
+        """canonical_exps for the value w / D.
 
         With D_j = e_1 * ... * e_j, w lies in Gamma_(j-1) + a_j * mu_j exactly
         when (w - a_j * mu_j) * D_j is divisible by e_j; mu_j * D_j is an
         integer prime to e_j, so a_j = (w * D_j) / (mu_j * D_j) mod e_j.
         """
-        w = Fraction(w)
+        if w % self._steps[i]:
+            raise ValueError(f"{Fraction(w, self.denom)} is not in the "
+                             f"level-{i} value group")
         exps = [0] * (i + 1)
         for j in range(i, 0, -1):
-            lev = self.levels[j - 1]
-            wd = w * lev.denom
-            if wd.denominator != 1:
-                raise ValueError(f"{w} is not in the level-{i} value group")
-            a = int(wd) * pow(int(lev.mu * lev.denom), -1, lev.e) % lev.e
+            a = w // self._steps[j] * self._inv[j] % self.levels[j - 1].e
             exps[j] = a
-            w -= a * lev.mu
-        if w.denominator != 1:
-            raise ValueError("value is not in the value group")
-        exps[0] = int(w)
+            w -= a * self.mu_units[j]
+        exps[0] = w // self.denom
         return exps
 
     def z_up(self, j, i):
@@ -169,46 +242,16 @@ class Tower:
         M_w is the canonical monomial of value w at level i and Q the
         monomial with exponents q_exps (slots 0..i).
         """
-        exps = self.canonical_exps(i, w)
+        return self.unit_at(i, self._units(w), q_exps, t)
+
+    def unit_at(self, i, w: int, q_exps, t):
+        """monomial_unit for the value w / D."""
+        exps = self.exps_at(i, w)
         for idx, q in enumerate(q_exps):
             exps[idx] += t * q
         return self.normalize_exps(i, exps)
 
-    # -- graded reduction and lifting ---------------------------------------
-
-    def reduce_at(self, i, f: Poly):
-        """Class of f at its own value: r in kappa_i with [f] = r * monomial.
-
-        f must be nonzero with degree below deg phi_(i+1) (for i = depth,
-        any expansion coefficient of the current key qualifies).
-        """
-        if f.is_zero():
-            raise ValueError("cannot reduce zero")
-        if i == 0:
-            a = f[0]
-            return self.base.shifted_reduce(a, self.base.value_of(a))
-        lev = self.levels[i - 1]
-        digits = phi_expansion(f, lev.phi)
-        vals = [None if d.is_zero() else self._val(i - 1, d)
-                for d in digits]
-        w = min(v + j * lev.mu for j, v in enumerate(vals) if v is not None)
-        F, below = lev.resfield, self.field_at(i - 1)
-        total = F.zero
-        common_a = None
-        for j, v in enumerate(vals):
-            if v is None or v + j * lev.mu != w:
-                continue
-            s, a = divmod(j, lev.e)
-            if common_a is None:
-                common_a = a
-            assert a == common_a, "tight exponents disagree mod e"
-            r = self.reduce_at(i - 1, digits[j])
-            u = self.monomial_unit(i - 1, v, lev.q_exps, s)
-            total = F.add(total, F.mul(lev.embed_prev(below.mul(r, u)),
-                                       power(F, lev.z, s)))
-        if not total:
-            raise ValueError("graded reduction vanished; tower is corrupt")
-        return total
+    # -- lifting ---------------------------------------------------------------
 
     def lift_at(self, i, r, w) -> Poly:
         """Polynomial with tower value w (level i) reducing to r.
@@ -241,7 +284,7 @@ class Tower:
     def augment(self, phi: Poly, lam: Fraction, psi: Poly) -> "Tower":
         """Append the level (phi -> lam) with chosen residual factor psi."""
         lam = Fraction(lam)
-        prev_den = self.denom_at(self.depth)
+        prev_den = self.denom
         e = (lam * prev_den).denominator
         q_exps = self.canonical_exps(self.depth, e * lam)
         ext = extend_residue(self.field_at(self.depth), psi)

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import inf
+from math import gcd, inf
 
 from .funcfield import (FunctionField, _fmt_tpoly, clear_denominators,
                         primitive_gcd, split_order, t_derivative,
@@ -50,8 +50,10 @@ class BaseValuation:
     of F_p is the code of its least nonnegative representative.
 
     Provides the stage-0 interface the inductive tower machinery consumes:
-    `field` (domain adapter), `residue_field`, `value_of`, `shifted_reduce`
-    and `lift_shifted`.  Values of nonzero elements are integers; the
+    `field` (domain adapter), `residue_field`, `split` and `residue` (the
+    value and the residue of an element, from one `split_order` each of its
+    numerator and denominator), `value_of`, `shifted_reduce` and
+    `lift_shifted`.  Values of nonzero elements are integers; the
     uniformizer has value 1.
     """
 
@@ -118,22 +120,32 @@ class BaseValuation:
         a = self.field.coerce(a)
         if not a:
             return INFINITY
-        return (split_order(a.numerator, self._pi)[0]
-                - split_order(a.denominator, self._pi)[0])
+        return self.split(a)[0]
 
     def shifted_reduce(self, a, v: int):
         """Residue of a / uniformizer^v; requires value_of(a) >= v."""
         a = self.field.coerce(a)
         v = _as_int(v)
-        R = self.residue_field
         if not a:
-            return R.zero
+            return self.residue_field.zero
+        m, num, den = self.split(a)
+        if m < v:
+            raise ValueError("shifted element has negative value")
+        if m > v:
+            return self.residue_field.zero
+        return self.residue(num, den)
+
+    def split(self, a):
+        """(v, num, den) for a nonzero field element a: v is its value, num
+        and den the remainders mod pi of its numerator and denominator
+        freed of pi, one `split_order` each."""
         m, num = split_order(a.numerator, self._pi)
         k, den = split_order(a.denominator, self._pi)
-        if m - k < v:
-            raise ValueError("shifted element has negative value")
-        if m - k > v:
-            return R.zero
+        return m - k, num, den
+
+    def residue(self, num, den):
+        """Residue of a / uniformizer^v from the remainders `split` gave."""
+        R = self.residue_field
         return R.mul(self._reduce(num), R.inv(self._reduce(den)))
 
     def lift_shifted(self, r, w: int):
@@ -191,14 +203,14 @@ def _cross(o, a, b):
 
 
 def _lower_hull(points):
-    """Edges (x1, x2, slope) of the lower convex hull, points with increasing x."""
+    """Edges ((x1, y1), (x2, y2)) of the lower convex hull, points with
+    increasing x."""
     hull = []
     for p in points:
         while len(hull) >= 2 and _cross(hull[-2], hull[-1], p) <= 0:
             hull.pop()
         hull.append(p)
-    return [(x1, x2, Fraction(y2 - y1, x2 - x1))
-            for (x1, y1), (x2, y2) in zip(hull, hull[1:])]
+    return list(zip(hull, hull[1:]))
 
 
 def newton_polygon(v: BaseValuation, g) -> list:
@@ -213,35 +225,38 @@ def newton_polygon(v: BaseValuation, g) -> list:
     if not g[0]:
         raise ValueError("zero constant term: split off the zero root first")
     points = [(j, v.value_of(c)) for j, c in enumerate(g.coeffs) if c]
-    return [NewtonPolygonSegment(slope=slope, length=x2 - x1)
-            for x1, x2, slope in _lower_hull(points)]
+    return [NewtonPolygonSegment(slope=Fraction(y2 - y1, x2 - x1),
+                                 length=x2 - x1)
+            for (x1, y1), (x2, y2) in _lower_hull(points)]
 
 
-def _segment_residual(tower: Tower, digits, vals, lam: Fraction, j0: int, j1: int) -> Poly:
-    """Residual polynomial of the polygon segment from j0 to j1, slope -lam.
+def _segment_residual(tower: Tower, grades, num: int, e: int, j0: int,
+                      j1: int) -> Poly:
+    """Residual polynomial of the polygon segment from j0 to j1.
 
-    digits is the key-adic expansion of the current polynomial, vals maps
-    the nonzero digit positions to their tower values.  The coefficient of
-    T^t collects the digit at j0 + t*e, reduced at its own value and
-    normalized onto the canonical monomial of the common value, so that the
-    result is a well-defined polynomial over the current residue field with
-    nonzero constant and leading coefficients.
+    grades maps the positions of the nonzero digits of the current
+    polynomial in the key to their `Tower.grade` (value, parts); the
+    segment's slope is -num / (e * D) with num / e in lowest terms, D the
+    tower's `denom`.  The coefficient of T^t collects the digit at
+    j0 + t*e when it lies on the segment, reduced at its own value and
+    normalized onto the canonical monomial of the common value, so that
+    the result is a well-defined polynomial over the current residue field
+    with nonzero constant and leading coefficients.
     """
     k = tower.depth
     kappa = tower.field_at(k)
-    e = (lam * tower.denom_at(k)).denominator
-    q_exps = tower.canonical_exps(k, e * lam)
-    w0 = vals[j0] + j0 * lam
+    q_exps = tower.exps_at(k, num)  # e * (-slope) is num / D
+    v0 = grades[j0][0]
     assert (j1 - j0) % e == 0, "segment width must be a multiple of e"
     coeffs = []
     for t in range((j1 - j0) // e + 1):
         j = j0 + t * e
-        val = vals.get(j)
-        if val is None or val + j * lam != w0:
+        graded = grades.get(j)
+        if graded is None or (graded[0] - v0) * e != (j0 - j) * num:
             coeffs.append(kappa.zero)
             continue
-        r = tower.reduce_at(k, digits[j])
-        coeffs.append(kappa.mul(r, tower.monomial_unit(k, val, q_exps, t)))
+        r = tower.residue(k, graded[1])
+        coeffs.append(kappa.mul(r, tower.unit_at(k, graded[0], q_exps, t)))
     return Poly(kappa, coeffs)
 
 
@@ -258,10 +273,12 @@ def residual_polynomial(v: BaseValuation, g, seg: NewtonPolygonSegment) -> Poly:
         raise ValueError(f"{seg} is not a segment of the polygon of {g!r}")
     # the polygon starts at x = 0 (nonzero constant term)
     x1 = sum(s.length for s in segments[:segments.index(seg)])
-    digits = phi_expansion(g, Poly.x(v.field))
-    vals = {j: v.value_of(d[0]) for j, d in enumerate(digits) if not d.is_zero()}
-    return _segment_residual(Tower(v), digits, vals, -seg.slope,
-                             x1, x1 + seg.length)
+    tower = Tower(v)
+    grades = {j: tower.grade(0, d)
+              for j, d in enumerate(phi_expansion(g, Poly.x(v.field)))
+              if not d.is_zero()}
+    return _segment_residual(tower, grades, -seg.slope.numerator,
+                             seg.slope.denominator, x1, x1 + seg.length)
 
 
 def split_extensions(v: BaseValuation, g, depth_limit: int = 16) -> list:
@@ -310,18 +327,28 @@ def _explore(tower, key, G, path, steps, out, depth_limit):
             return
         digits = phi_expansion(G, key)
         assert not digits[0].is_zero(), "repeated key divisor in squarefree input"
-    vals = {j: tower.val(d) for j, d in enumerate(digits) if not d.is_zero()}
-    if len(vals) < 2:
+    k = tower.depth
+    grades = {j: tower.grade(k, d) for j, d in enumerate(digits)
+              if not d.is_zero()}
+    if len(grades) < 2:
         raise ValueError("inconsistent data: expansion left no polygon points")
-    bound = tower.val(key) if tower.depth else None
-    for x1, x2, slope in _lower_hull(vals.items()):
-        lam = -slope
-        if bound is not None and lam <= bound:
+    # Values are ints in units of 1/D, D = tower.denom.  The key's own
+    # value is e*f*mu of the top level (lift_key's contract).
+    bound = None
+    if k:
+        lev = tower.levels[-1]
+        bound = lev.e * lev.f * tower.mu_units[k]
+    for (x1, y1), (x2, y2) in _lower_hull(
+            [(j, graded[0]) for j, graded in grades.items()]):
+        # the segment's slope is -num / (e_seg * D), num / e_seg in lowest terms
+        common = gcd(y1 - y2, x2 - x1)
+        num, e_seg = (y1 - y2) // common, (x2 - x1) // common
+        if bound is not None and num <= e_seg * bound:
             # This segment's roots were already peeled off at an earlier
             # branching point; only values above the key's own value are new.
             continue
-        resid = _segment_residual(tower, digits, vals, lam, x1, x2)
-        e_seg = (lam * tower.denom_at(tower.depth)).denominator
+        slope = Fraction(-num, e_seg * tower.denom)
+        resid = _segment_residual(tower, grades, num, e_seg, x1, x2)
         for psi, mult in factor_over(tower.field_at(tower.depth), resid):
             branch = path + ((slope, psi.sort_key()),)
             step = (f"[deg {key.degree}] slope {slope}, residual factor "
@@ -336,7 +363,7 @@ def _explore(tower, key, G, path, steps, out, depth_limit):
             if tower.depth >= depth_limit:
                 raise UnresolvedBranchError(
                     depth_limit, " -> ".join(steps + (step,)))
-            deeper = tower.augment(key, lam, psi)
+            deeper = tower.augment(key, -slope, psi)
             _explore(deeper, deeper.lift_key(), G, branch,
                      steps + (step,), out, depth_limit)
 

@@ -14,7 +14,10 @@ schoolbook on digit tuples rather than the library's codes and tables,
 polynomial products, division, gcds and values over GF(q) by the operators
 of the `GFElement` wrapper rather than the library's list kernel, and
 the canonical-monomial bookkeeping of an inductive tower by search and one
-carry at a time rather than the library's closed forms, and problem files
+carry at a time rather than the library's closed forms, tower values,
+classes and residual polynomials by the Fraction recursions that expand
+each digit anew per call rather than the library's one graded pass on
+integer values, and problem files
 by a cascade of string splits and a second schema loop rather than the
 library's one-pass token scanner, and command lines by the argparse parser
 the CLI used before its table-driven reader.
@@ -28,7 +31,9 @@ from math import lcm
 
 import sympy
 
+from valknaf.inductive import INFINITY, phi_expansion
 from valknaf.ordgroup import RationalVector
+from valknaf.poly import Poly, power
 from valknaf.problemfile import (FORMAT_VERSION, SCHEMAS, ProblemFile,
                                  ProblemFileError, _check_type, parse_int)
 
@@ -619,6 +624,88 @@ def normalize_exps_by_steps(tower, i, exps):
             for idx, q in enumerate(lev.q_exps):
                 exps[idx] -= q
     return unit
+
+
+# -- tower values and classes, one expansion per call --------------------------
+# The references for `Tower.grade` and `Tower.residue`: `tower_val` and
+# `tower_reduce_at` are the recursions `Tower._val` and `Tower.reduce_at`
+# before the graded pass, on Fraction values; `reduce_at` expands each digit
+# again and reruns `_val` one level down.  `segment_residual` is
+# `localsplit._segment_residual` as it was on those values.
+
+
+def tower_val(tower, i, f):
+    """Value of f at level i of tower, a Fraction (or int at level 0)."""
+    if f.is_zero():
+        return INFINITY
+    if i == 0:
+        if f.degree > 0:
+            raise ValueError("stage-0 values are defined for constants")
+        return tower.base.value_of(f[0])
+    lev = tower.levels[i - 1]
+    best = INFINITY
+    for j, digit in enumerate(phi_expansion(f, lev.phi)):
+        if digit.is_zero():
+            continue
+        w = tower_val(tower, i - 1, digit) + j * lev.mu
+        if w < best:
+            best = w
+    return best
+
+
+def tower_reduce_at(tower, i, f):
+    """Class of f at its own value: r in kappa_i with [f] = r * monomial."""
+    if f.is_zero():
+        raise ValueError("cannot reduce zero")
+    if i == 0:
+        a = f[0]
+        return tower.base.shifted_reduce(a, tower.base.value_of(a))
+    lev = tower.levels[i - 1]
+    digits = phi_expansion(f, lev.phi)
+    vals = [None if d.is_zero() else tower_val(tower, i - 1, d)
+            for d in digits]
+    w = min(v + j * lev.mu for j, v in enumerate(vals) if v is not None)
+    F, below = lev.resfield, tower.field_at(i - 1)
+    total = F.zero
+    common_a = None
+    for j, v in enumerate(vals):
+        if v is None or v + j * lev.mu != w:
+            continue
+        s, a = divmod(j, lev.e)
+        if common_a is None:
+            common_a = a
+        assert a == common_a, "tight exponents disagree mod e"
+        r = tower_reduce_at(tower, i - 1, digits[j])
+        u = tower.monomial_unit(i - 1, v, lev.q_exps, s)
+        total = F.add(total, F.mul(lev.embed_prev(below.mul(r, u)),
+                                   power(F, lev.z, s)))
+    if not total:
+        raise ValueError("graded reduction vanished; tower is corrupt")
+    return total
+
+
+def segment_residual(tower, digits, vals, lam, j0, j1):
+    """Residual polynomial of the polygon segment from j0 to j1, slope -lam.
+
+    digits is the key-adic expansion of the current polynomial, vals maps
+    the nonzero digit positions to their `tower_val` values.
+    """
+    k = tower.depth
+    kappa = tower.field_at(k)
+    e = (lam * tower.denom_at(k)).denominator
+    q_exps = tower.canonical_exps(k, e * lam)
+    w0 = vals[j0] + j0 * lam
+    assert (j1 - j0) % e == 0, "segment width must be a multiple of e"
+    coeffs = []
+    for t in range((j1 - j0) // e + 1):
+        j = j0 + t * e
+        val = vals.get(j)
+        if val is None or val + j * lam != w0:
+            coeffs.append(kappa.zero)
+            continue
+        r = tower_reduce_at(tower, k, digits[j])
+        coeffs.append(kappa.mul(r, tower.monomial_unit(k, val, q_exps, t)))
+    return Poly(kappa, coeffs)
 
 
 # -- the problem-file grammar as a cascade of string splits ---------------------

@@ -312,6 +312,7 @@ residue_char = 0
         (["split", "--file", str(tmp_path / "absent.prob")], 1, "absent"),
         (["group", "--file", write(tmp_path, "m.prob", SPLIT5)], 1, "mode"),
         (["decide", "no-such"], 1, "unknown fixture"),
+        (["fixtures", ""], 1, "error: unknown fixture ''; "),
         (["decide"], 1, "fixture name or --file"),
         (["split", "--file", syntax, "--depth", "0"], 1, "depth"),
         (["nonsense"], 1, "invalid choice"),
@@ -400,18 +401,18 @@ def test_cli_out_of_scope_is_unsupported(tmp_path, capsys, mode, text):
 
 def test_cli_corrupt_tower_is_inconsistent(tmp_path, capsys, monkeypatch):
     # a unit of the graded reduction that vanishes can only come from a
-    # corrupt tower; reduce_at reports it as inconsistent data, in one line.
-    # The unit is zeroed only where reduce_at asks for it: lift_key, which
-    # runs first after each augmentation, would invert a zero unit.
-    real = Tower.monomial_unit
+    # corrupt tower; Tower.residue reports it as inconsistent data, in one
+    # line.  The unit is zeroed only where residue asks for it: lift_key,
+    # which runs first after each augmentation, would invert a zero unit.
+    real = Tower.unit_at
 
-    def zero_unit_in_reduce(self, i, w, q_exps, t):
+    def zero_unit_in_residue(self, i, w, q_exps, t):
         unit = real(self, i, w, q_exps, t)
-        if sys._getframe(1).f_code.co_name == "reduce_at":
+        if sys._getframe(1).f_code.co_name == "residue":
             return self.field_at(i).zero
         return unit
 
-    monkeypatch.setattr(Tower, "monomial_unit", zero_unit_in_reduce)
+    monkeypatch.setattr(Tower, "unit_at", zero_unit_in_residue)
     # x^4 + 8x^2 + 4 at 2 augments three times (test_cli_exit_codes' deep)
     deep = write(tmp_path, "deep.prob",
                  SPLIT5.replace("p = 5", "p = 2").replace(

@@ -1,5 +1,6 @@
 """Tests for the inductive-valuation tower machinery."""
 
+import math
 import random
 from fractions import Fraction as F
 
@@ -7,10 +8,12 @@ import pytest
 
 from valknaf.gf import GF
 from valknaf.inductive import INFINITY, Tower, phi_expansion
-from valknaf.localsplit import BaseValuation
-from valknaf.poly import Poly, QQ
+from valknaf.localsplit import (BaseValuation, _lower_hull, _segment_residual,
+                                newton_polygon, residual_polynomial)
+from valknaf.poly import Poly, QQ, power
 
-from oracles import canonical_exps_by_search, normalize_exps_by_steps
+from oracles import (canonical_exps_by_search, normalize_exps_by_steps,
+                     segment_residual, tower_reduce_at, tower_val)
 
 
 def make_wild_tower():
@@ -53,6 +56,16 @@ def make_mixed_tower():
     return t2, t2.lift_key()
 
 
+def make_carry_tower():
+    """Depth-2 tower over v_5 with e = 2 twice: the level-2 monomial Q_2 =
+    5^2 * x carries onto z_1 = 2, so the units of level-2 classes are not 1."""
+    v5 = BaseValuation.padic(5)
+    F5 = GF(5, 1)
+    t1 = Tower(v5).augment(Poly.x(QQ), F(1, 2), Poly(F5, [3, 1]))  # T - 2
+    t2 = t1.augment(t1.lift_key(), F(5, 4), Poly(F5, [3, 0, 1]))  # T^2 + 3
+    return t2, t2.lift_key()
+
+
 def make_big_integer_tower():
     """Depth-2 tower over the t-adic valuation on Q(t), residue roots > 2^53."""
     vt = BaseValuation.pi_adic(QQ, [0, 1])
@@ -63,7 +76,7 @@ def make_big_integer_tower():
 
 
 TOWERS = [make_wild_tower, make_tame_tower, make_funcfield_tower,
-          make_mixed_tower, make_big_integer_tower]
+          make_mixed_tower, make_carry_tower, make_big_integer_tower]
 
 
 def test_phi_expansion_reassembles():
@@ -215,3 +228,138 @@ def test_normalize_exps_match_single_carries(maker):
             unit = tower.normalize_exps(i, ours)
             assert unit == normalize_exps_by_steps(tower, i, ref), (i, exps)
             assert ours == ref, (i, exps)
+
+
+def random_poly(rng, tower, degree):
+    """Random polynomial over the tower's base field of degree at most
+    degree, each coefficient a small element times pi^m, m in -2..3."""
+    field, pi = tower.base.field, tower.base.uniformizer
+    coeffs = []
+    for _ in range(degree + 1):
+        if field is QQ:
+            c = field.coerce(F(rng.randint(-9, 9), rng.randint(1, 4)))
+        else:
+            c = field.from_coeff_lists(
+                [rng.randint(0, 2) for _ in range(rng.randint(1, 3))])
+        coeffs.append(field.mul(c, power(field, pi, rng.randint(-2, 3))))
+    return Poly(field, coeffs)
+
+
+def random_residue(rng, tower, i):
+    kappa = tower.field_at(i)
+    if hasattr(kappa, "q"):
+        return rng.randrange(1, kappa.q)
+    return F(rng.randint(1, 9), rng.randint(1, 4))
+
+
+def next_key_degree(tower, key, i):
+    return tower.levels[i].phi.degree if i < tower.depth else key.degree
+
+
+@pytest.mark.parametrize("maker", TOWERS)
+def test_graded_pass_matches_reference(maker):
+    # at every level, for f of degree below deg phi_(i+1): random ones and
+    # lifts (whose digits all attain the value) plus a random tail
+    tower, key = maker()
+    rng = random.Random(61129)
+    den = tower.denom
+    for i in range(tower.depth + 1):
+        bound = next_key_degree(tower, key, i)
+        for _ in range(25):
+            f = random_poly(rng, tower, rng.randrange(bound))
+            if rng.random() < 0.5:
+                w = F(rng.randint(-4 * den, 4 * den), tower.denom_at(i))
+                lifted = tower.lift_at(i, random_residue(rng, tower, i), w)
+                f = lifted + f * Poly.constant(
+                    f.field, power(f.field, tower.base.uniformizer, 6))
+            if f.is_zero():
+                continue
+            value, parts = tower.grade(i, f)
+            assert F(value, den) == tower_val(tower, i, f), (i, f)
+            assert tower.residue(i, parts) == tower_reduce_at(tower, i, f), (
+                i, f)
+            assert tower.reduce_at(i, f) == tower_reduce_at(tower, i, f)
+
+
+@pytest.mark.parametrize("maker", TOWERS)
+def test_segment_residual_matches_reference(maker):
+    # random G in the tower's key; every edge of its polygon at the top
+    # level, and every segment of a random g's polygon at depth 0
+    tower, key = maker()
+    rng = random.Random(30853)
+    k, den = tower.depth, tower.denom
+    base = Tower(tower.base)
+    for _ in range(8):
+        G = sum((random_poly(rng, tower, key.degree - 1) * key ** j
+                 for j in range(rng.randint(1, 4))), key ** 4)
+        digits = phi_expansion(G, key)
+        vals = {j: tower_val(tower, k, d) for j, d in enumerate(digits)
+                if not d.is_zero()}
+        grades = {j: tower.grade(k, d) for j, d in enumerate(digits)
+                  if not d.is_zero()}
+        for (x1, y1), (x2, y2) in _lower_hull(
+                [(j, v) for j, (v, _) in grades.items()]):
+            lam = F(y1 - y2, (x2 - x1) * den)
+            num, e = (lam * den).numerator, (lam * den).denominator
+            assert (_segment_residual(tower, grades, num, e, x1, x2)
+                    == segment_residual(tower, digits, vals, lam, x1, x2))
+
+        g = random_poly(rng, tower, rng.randint(1, 6))
+        g = g + Poly.x(g.field) ** (g.degree + 1)
+        if not g[0]:
+            continue
+        digits = [Poly.constant(g.field, c) for c in g.coeffs]
+        vals = {j: tower.base.value_of(c) for j, c in enumerate(g.coeffs)
+                if c}
+        x1 = 0
+        for seg in newton_polygon(tower.base, g):
+            x2 = x1 + seg.length
+            assert residual_polynomial(tower.base, g, seg) == segment_residual(
+                base, digits, vals, -seg.slope, x1, x2)
+            x1 = x2
+
+
+def test_split_engine_grades_on_integers(monkeypatch):
+    # once a polynomial is expanded, its values, classes and residual
+    # polynomials are computed on ints: no Fraction is made
+    g = Poly(QQ, [4, 0, 8, 0, 1])
+    deep, key = make_wild_tower()
+    towers = {"depth 0": (Tower(BaseValuation.padic(2)), Poly.x(QQ)),
+              "depth 3": (deep, key)}
+    digits = {name: phi_expansion(g, k) for name, (_, k) in towers.items()}
+    new = F.__new__
+    made = []
+
+    def counting(cls, *args, **kwargs):
+        made.append(args)
+        return new(cls, *args, **kwargs)
+
+    def graded_pass(tower, digits):
+        grades = {j: tower.grade(tower.depth, d) for j, d in enumerate(digits)
+                  if not d.is_zero()}
+        out = []
+        for (x1, y1), (x2, y2) in _lower_hull(
+                [(j, v) for j, (v, _) in grades.items()]):
+            common = math.gcd(y1 - y2, x2 - x1)
+            out.append(_segment_residual(
+                tower, grades, (y1 - y2) // common, (x2 - x1) // common,
+                x1, x2))
+        return out
+
+    counts, results = {}, {}
+    monkeypatch.setattr(F, "__new__", counting)
+    for name, (tower, _) in towers.items():
+        made.clear()
+        results[name] = graded_pass(tower, digits[name])
+        counts[name] = len(made)
+    monkeypatch.undo()
+    assert counts == {name: 0 for name in towers}
+    assert results["depth 0"] == [Poly(GF(2, 1), [1, 0, 1])]
+    for name, (tower, _) in towers.items():
+        vals = {j: tower_val(tower, tower.depth, d)
+                for j, d in enumerate(digits[name]) if not d.is_zero()}
+        hull = _lower_hull([(j, v * tower.denom) for j, v in vals.items()])
+        assert results[name] == [
+            segment_residual(tower, digits[name], vals,
+                             F(y1 - y2, (x2 - x1) * tower.denom), x1, x2)
+            for (x1, y1), (x2, y2) in hull]
