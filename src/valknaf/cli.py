@@ -10,9 +10,10 @@ problem and a fixture their invariants (`problemfile.problem_invariants`).
 prints `USAGE`, and a usage error is one line ending in its command's usage.
 Exit codes: 0 success, 1 usage or problem-file syntax error or an exceeded
 resource bound (`monoval.MAX_RESIDUAL_DEGREE`,
-`problemfile.MAX_FIELD_ORDER`), 2 inconsistent data (validation or engine
-rejection, "inconsistent: ...") or input outside the supported scope
-("unsupported: ..."), 3 branch unresolved within the recursion depth.
+`problemfile.MAX_FIELD_ORDER`, `localsplit.MAX_DEPTH` for `--depth`), 2
+inconsistent data (validation or engine rejection, "inconsistent: ...") or
+input outside the supported scope ("unsupported: ..."), 3 branch
+unresolved within the recursion depth.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from types import SimpleNamespace
 from typing import Optional
 
 from .fixtures import FIXTURES, fixture
-from .localsplit import UnresolvedBranchError
+from .localsplit import MAX_DEPTH, UnresolvedBranchError
 from .monoval import ResidualDegreeError
 from .ordgroup import initial_index, subgroup_index
 from .problemfile import (ProblemFile, ProblemFileError, lex_group,
@@ -291,8 +292,9 @@ def _dispatch(args, out) -> int:
     if args.command == "decide" and not args.file:
         raise _UsageError("decide needs a fixture name or --file", "decide")
 
-    if args.depth < 1:
-        raise _UsageError("--depth must be at least 1", "split")
+    if not 1 <= args.depth <= MAX_DEPTH:
+        raise _UsageError(f"--depth must be between 1 and {MAX_DEPTH}",
+                          "split")
     problem = _read_problem(args.file, args.command)
     rows = run(problem, depth_limit=args.depth)
     _emit(rows, problem.mode, args.porcelain, out)

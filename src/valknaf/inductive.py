@@ -3,10 +3,10 @@
 A tower is a chain of levels (phi_i, mu_i): monic key polynomials with
 assigned values.  The tower valuation of any polynomial is computed through
 phi-adic expansions: V_i(f) = min_j (V_{i-1}(c_j) + j * mu_i).  A tower of
-k levels holds its values as ints in units of 1/D, D = e_1 * ... * e_k,
-so no value, comparison or exponent below the public API is a Fraction;
-`val`, `canonical_exps`, `monomial_unit`, `lift_at` and `augment` take
-and give Fractions.  `grade` expands each digit once and records, for the
+k levels takes and gives every value as an int in units of 1/D,
+D = e_1 * ... * e_k (`Tower.denom`), so no value, comparison or exponent
+is a Fraction; only `val` gives one, and `augment` takes the new key's
+value as one.  `grade` expands each digit once and records, for the
 digits that attain the value, what `residue` needs to compute the class.
 
 The graded pieces are handled through explicit monomials pi^(a_0) *
@@ -68,11 +68,11 @@ class Tower:
     """Base valuation plus a tuple of completed levels.
 
     With D = e_1 * ... * e_k the ramification product of all k levels,
-    every value of the tower lies in (1/D) Z, and below the public API it
-    is held as the int w * D.  The tables `mu_units` (mu_j * D), `_steps`
-    (D / D_j) and `_inv` ((mu_j * D_j)^-1 mod e_j) are indexed by level
-    j = 0..k and made once here; at j = 0, `_steps` holds D and the others
-    an unused 0.
+    every value of the tower lies in (1/D) Z, and every method but `val`
+    and `augment` takes and gives it as the int w * D.  The tables
+    `mu_units` (mu_j * D), `_steps` (D / D_j) and `_inv`
+    ((mu_j * D_j)^-1 mod e_j) are indexed by level j = 0..k and made once
+    here; at j = 0, `_steps` holds D and the others an unused 0.
     """
 
     def __init__(self, base, levels=()):
@@ -93,25 +93,11 @@ class Tower:
         """Residue field kappa_i (kappa_0 = residue field of the base)."""
         return self.levels[i - 1].resfield if i else self.base.residue_field
 
-    def denom_at(self, i) -> int:
-        """e_1 * ... * e_i, so Gamma_i = (1/denom) Z."""
-        return self.levels[i - 1].denom if i else 1
-
-    def ramification_product(self) -> int:
-        return self.denom
-
     def residue_product(self) -> int:
         out = 1
         for lev in self.levels:
             out *= lev.f
         return out
-
-    def _units(self, w) -> int:
-        """The value w as an int in units of 1/D."""
-        wd = Fraction(w) * self.denom
-        if wd.denominator != 1:
-            raise ValueError(f"{w} is not in the value group")
-        return wd.numerator
 
     # -- values and classes ------------------------------------------------
 
@@ -186,12 +172,8 @@ class Tower:
 
     # -- canonical monomials and units --------------------------------------
 
-    def canonical_exps(self, i, w):
-        """Exponents (a_0, ..., a_i) of the canonical monomial of value w."""
-        return self.exps_at(i, self._units(w))
-
-    def exps_at(self, i, w: int):
-        """canonical_exps for the value w / D.
+    def canonical_exps(self, i, w: int):
+        """Exponents (a_0, ..., a_i) of the canonical monomial of value w.
 
         With D_j = e_1 * ... * e_j, w lies in Gamma_(j-1) + a_j * mu_j exactly
         when (w - a_j * mu_j) * D_j is divisible by e_j; mu_j * D_j is an
@@ -236,45 +218,40 @@ class Tower:
                     exps[idx] += s * q
         return unit
 
-    def monomial_unit(self, i, w, q_exps, t):
+    def unit_at(self, i, w: int, q_exps, t):
         """Unit u in kappa_i with [M_w] * [Q]^t = u * [canonical monomial].
 
         M_w is the canonical monomial of value w at level i and Q the
         monomial with exponents q_exps (slots 0..i).
         """
-        return self.unit_at(i, self._units(w), q_exps, t)
-
-    def unit_at(self, i, w: int, q_exps, t):
-        """monomial_unit for the value w / D."""
-        exps = self.exps_at(i, w)
+        exps = self.canonical_exps(i, w)
         for idx, q in enumerate(q_exps):
             exps[idx] += t * q
         return self.normalize_exps(i, exps)
 
     # -- lifting ---------------------------------------------------------------
 
-    def lift_at(self, i, r, w) -> Poly:
+    def lift_at(self, i, r, w: int) -> Poly:
         """Polynomial with tower value w (level i) reducing to r.
 
         Inverse of reduce_at: reduce_at(i, lift_at(i, r, w)) == r.
         """
         if not r:
             raise ValueError("cannot lift zero")
+        a = self.canonical_exps(i, w)[i]
         if i == 0:
             return Poly.constant(self.base.field,
-                                 self.base.lift_shifted(r, w))
+                                 self.base.lift_shifted(r, a))
         lev = self.levels[i - 1]
         below = self.field_at(i - 1)
-        exps_w = self.canonical_exps(i, w)
-        a = exps_w[i]
         comps = lev.decompose(r)
         acc = Poly.zero(self.base.field)
         for s, r_s in enumerate(comps):
             if not r_s:
                 continue
             j = s * lev.e + a
-            wc = w - j * lev.mu
-            u = self.monomial_unit(i - 1, wc, lev.q_exps, s)
+            wc = w - j * self.mu_units[i]
+            u = self.unit_at(i - 1, wc, lev.q_exps, s)
             r_s = below.mul(r_s, below.inv(u))
             acc = acc + self.lift_at(i - 1, r_s, wc) * lev.phi ** j
         return acc
@@ -285,8 +262,9 @@ class Tower:
         """Append the level (phi -> lam) with chosen residual factor psi."""
         lam = Fraction(lam)
         prev_den = self.denom
-        e = (lam * prev_den).denominator
-        q_exps = self.canonical_exps(self.depth, e * lam)
+        scaled = lam * prev_den  # e * lam is scaled.numerator / prev_den
+        e = scaled.denominator
+        q_exps = self.canonical_exps(self.depth, scaled.numerator)
         ext = extend_residue(self.field_at(self.depth), psi)
         level = Level(phi=phi, mu=lam, e=e, f=psi.degree, psi=psi,
                       z=ext.root, resfield=ext.new_field,
@@ -304,9 +282,10 @@ class Tower:
         """
         lev = self.levels[-1]
         k = self.depth - 1  # lifting happens over the tower below the top
-        e, lam, psi = lev.e, lev.mu, lev.psi
+        e, psi = lev.e, lev.psi
         fdeg = psi.degree
-        units = [self.monomial_unit(k, (fdeg - t) * e * lam, lev.q_exps, t)
+        step = e * self.mu_units[-1]  # e * mu in units of 1/D
+        units = [self.unit_at(k, (fdeg - t) * step, lev.q_exps, t)
                  for t in range(fdeg + 1)]
         F = self.field_at(k)
         acc = lev.phi ** (e * fdeg)
@@ -315,6 +294,6 @@ class Tower:
             if not c:
                 continue
             target = F.mul(F.mul(c, units[fdeg]), F.inv(units[t]))
-            coeff = self.lift_at(k, target, (fdeg - t) * e * lam)
+            coeff = self.lift_at(k, target, (fdeg - t) * step)
             acc = acc + coeff * lev.phi ** (t * e)
         return acc

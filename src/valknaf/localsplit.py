@@ -245,7 +245,7 @@ def _segment_residual(tower: Tower, grades, num: int, e: int, j0: int,
     """
     k = tower.depth
     kappa = tower.field_at(k)
-    q_exps = tower.exps_at(k, num)  # e * (-slope) is num / D
+    q_exps = tower.canonical_exps(k, num)  # e * (-slope) is num / D
     v0 = grades[j0][0]
     assert (j1 - j0) % e == 0, "segment width must be a multiple of e"
     coeffs = []
@@ -281,22 +281,28 @@ def residual_polynomial(v: BaseValuation, g, seg: NewtonPolygonSegment) -> Poly:
                              seg.slope.denominator, x1, x1 + seg.length)
 
 
+# largest depth_limit: each augmentation level adds a frame to _explore and
+# to each recursion through the tower (grade, residue, lift_at), and about
+# 500 levels overflow Python's recursion limit
+MAX_DEPTH = 256
+
+
 def split_extensions(v: BaseValuation, g, depth_limit: int = 16) -> list:
     """All extensions of v to K[x]/(g), for monic squarefree g.
 
     Returns LocalFactor records sorted by the (slope, residual factor)
     branch path that produced them, so identical inputs give identically
     ordered output.  Raises ValueError on non-monic or non-squarefree
-    input and UnresolvedBranchError if a branch is still ambiguous at
-    depth_limit augmentation levels.
+    input or a depth_limit outside 1..MAX_DEPTH, and UnresolvedBranchError
+    if a branch is still ambiguous at depth_limit augmentation levels.
     """
     g = _poly_over(v, g)
     if g.degree < 1:
         raise ValueError("need a polynomial of degree >= 1")
     if not g.is_monic():
         raise ValueError("input polynomial must be monic")
-    if depth_limit < 1:
-        raise ValueError("depth_limit must be positive")
+    if not 1 <= depth_limit <= MAX_DEPTH:
+        raise ValueError(f"depth_limit must be between 1 and {MAX_DEPTH}")
     if not _is_squarefree(g):
         raise ValueError(
             "input polynomial is not squarefree over the base field "
@@ -319,8 +325,7 @@ def _explore(tower, key, G, path, steps, out, depth_limit):
         # The key divides G: over these henselian-complete bases a key
         # polynomial is irreducible, so it is itself a local factor.
         out.append((path + ((inf, ()),), _terminal(
-            tower, key.degree, tower.ramification_product(),
-            tower.residue_product(),
+            key.degree, tower.denom, tower.residue_product(),
             steps + (f"[deg {key.degree}] exact key divisor",))))
         G = G // key
         if G.degree < 1:
@@ -355,8 +360,7 @@ def _explore(tower, key, G, path, steps, out, depth_limit):
                     f"{psi} (multiplicity {mult})")
             if mult == 1:
                 out.append((branch, _terminal(
-                    tower, key.degree * e_seg * psi.degree,
-                    tower.ramification_product() * e_seg,
+                    key.degree * e_seg * psi.degree, tower.denom * e_seg,
                     tower.residue_product() * psi.degree,
                     steps + (step,))))
                 continue
@@ -368,7 +372,7 @@ def _explore(tower, key, G, path, steps, out, depth_limit):
                      steps + (step,), out, depth_limit)
 
 
-def _terminal(tower, degree, e, f, steps) -> LocalFactor:
+def _terminal(degree, e, f, steps) -> LocalFactor:
     if e * f != degree:
         raise ValueError(
             f"inconsistent data: factor of degree {degree} with e*f = {e * f}")

@@ -447,6 +447,8 @@ def _base_valuation(problem: ProblemFile) -> BaseValuation:
     if token == "Q":
         if p is None or pi is not None:
             raise ProblemFileError("field Q takes `p = <prime>` and no pi")
+        if not isprime(p):
+            raise ProblemFileError(f"{p} is not prime")
         return BaseValuation.padic(p)
     constants = QQ if token == "Q(t)" else _constant_field(token)
     if pi is None or p is not None:
@@ -496,6 +498,9 @@ def _binomial_input(problem: ProblemFile):
             raise ProblemFileError("vector constants need a GF(q) base")
         if any(x.denominator != 1 for x in c):
             raise ProblemFileError("GF element coordinates must be integers")
+        if len(c) > k.n:
+            raise ProblemFileError(f"a GF({k.q}) element has at most {k.n} "
+                                   f"coordinates, not {len(c)}")
         c = k.element(int(x) for x in c)
     else:
         c = _field_element(k, c)

@@ -588,7 +588,7 @@ def canonical_exps_by_search(tower, i, w):
     exps = [0] * (i + 1)
     for j in range(i, 0, -1):
         lev = tower.levels[j - 1]
-        prev_den = tower.denom_at(j - 1)
+        prev_den = lev.denom // lev.e
         for a in range(lev.e):
             if ((w - a * lev.mu) * prev_den).denominator == 1:
                 exps[j] = a
@@ -634,6 +634,14 @@ def normalize_exps_by_steps(tower, i, exps):
 # `localsplit._segment_residual` as it was on those values.
 
 
+def value_units(tower, w):
+    """The value w, a Fraction or int, as an int in units of 1/tower.denom."""
+    w = Fraction(w) * tower.denom
+    if w.denominator != 1:
+        raise ValueError(f"{w / tower.denom} is not in the value group")
+    return w.numerator
+
+
 def tower_val(tower, i, f):
     """Value of f at level i of tower, a Fraction (or int at level 0)."""
     if f.is_zero():
@@ -676,7 +684,7 @@ def tower_reduce_at(tower, i, f):
             common_a = a
         assert a == common_a, "tight exponents disagree mod e"
         r = tower_reduce_at(tower, i - 1, digits[j])
-        u = tower.monomial_unit(i - 1, v, lev.q_exps, s)
+        u = tower.unit_at(i - 1, value_units(tower, v), lev.q_exps, s)
         total = F.add(total, F.mul(lev.embed_prev(below.mul(r, u)),
                                    power(F, lev.z, s)))
     if not total:
@@ -692,8 +700,8 @@ def segment_residual(tower, digits, vals, lam, j0, j1):
     """
     k = tower.depth
     kappa = tower.field_at(k)
-    e = (lam * tower.denom_at(k)).denominator
-    q_exps = tower.canonical_exps(k, e * lam)
+    e = (lam * tower.denom).denominator
+    q_exps = tower.canonical_exps(k, value_units(tower, e * lam))
     w0 = vals[j0] + j0 * lam
     assert (j1 - j0) % e == 0, "segment width must be a multiple of e"
     coeffs = []
@@ -704,7 +712,8 @@ def segment_residual(tower, digits, vals, lam, j0, j1):
             coeffs.append(kappa.zero)
             continue
         r = tower_reduce_at(tower, k, digits[j])
-        coeffs.append(kappa.mul(r, tower.monomial_unit(k, val, q_exps, t)))
+        coeffs.append(kappa.mul(
+            r, tower.unit_at(k, value_units(tower, val), q_exps, t)))
     return Poly(kappa, coeffs)
 
 

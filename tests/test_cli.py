@@ -290,6 +290,10 @@ def test_cli_exit_codes(tmp_path, capsys):
     deep = write(tmp_path, "deep.prob",
                  SPLIT5.replace("p = 5", "p = 2").replace(
                      "coeffs = [1, 0, 1]", "coeffs = [4, 0, 8, 0, 1]"))
+    notprime = {p: write(tmp_path, f"p{p}.prob", SPLIT5.replace(
+        "p = 5", f"p = {p}")) for p in (4, 0, -3)}
+    longvec = write(tmp_path, "long.prob", BINO.replace(
+        "GF(5)", "GF(4)").replace("c = 1", "c = (1, 0, 0)"))
     baddec = write(tmp_path, "bad.prob", """\
 version = 1
 mode = decide
@@ -315,6 +319,13 @@ residue_char = 0
         (["fixtures", ""], 1, "error: unknown fixture ''; "),
         (["decide"], 1, "fixture name or --file"),
         (["split", "--file", syntax, "--depth", "0"], 1, "depth"),
+        (["split", "--file", syntax, "--depth", "257"], 1,
+         "--depth must be between 1 and 256"),
+        (["split", "--file", notprime[4]], 1, "error: 4 is not prime"),
+        (["split", "--file", notprime[0]], 1, "error: 0 is not prime"),
+        (["split", "--file", notprime[-3]], 1, "error: -3 is not prime"),
+        (["binomial", "--file", longvec], 1,
+         "error: a GF(4) element has at most 2 coordinates, not 3"),
         (["nonsense"], 1, "invalid choice"),
         ([], 1, "the following arguments are required: command"),
         (["split"], 1, "the following arguments are required: --file"),

@@ -13,7 +13,8 @@ from valknaf.localsplit import (BaseValuation, _lower_hull, _segment_residual,
 from valknaf.poly import Poly, QQ, power
 
 from oracles import (canonical_exps_by_search, normalize_exps_by_steps,
-                     segment_residual, tower_reduce_at, tower_val)
+                     segment_residual, tower_reduce_at, tower_val,
+                     value_units)
 
 
 def make_wild_tower():
@@ -79,6 +80,11 @@ TOWERS = [make_wild_tower, make_tame_tower, make_funcfield_tower,
           make_mixed_tower, make_carry_tower, make_big_integer_tower]
 
 
+def level_denom(tower, i):
+    """D_i = e_1 * ... * e_i: the values of level i lie in (1/D_i) Z."""
+    return tower.levels[i - 1].denom if i else 1
+
+
 def test_phi_expansion_reassembles():
     rng = random.Random(20240818)
     phi = Poly(QQ, [2, 1, 0, 1])
@@ -96,7 +102,7 @@ def test_phi_expansion_reassembles():
 def test_tower_bookkeeping():
     tower, key = make_wild_tower()
     assert tower.depth == 3
-    assert tower.ramification_product() == 2
+    assert tower.denom == 2
     assert tower.residue_product() == 1
     assert key.degree == 2
     # assigned values are reproduced by the expansion-based evaluation
@@ -141,14 +147,13 @@ def test_reduce_lift_round_trip(maker):
     rng = random.Random(55331)
     k = tower.depth
     kappa = tower.field_at(k)
-    den = tower.denom_at(k)
     elements = [x for x in kappa.elements() if x] if hasattr(kappa, "elements") else None
     for _ in range(30):
         r = (rng.choice(elements) if elements
              else F(rng.randint(1, 9), rng.randint(1, 4)))
-        w = F(rng.randint(-6, 6), den)
+        w = rng.randint(-6, 6)  # in units of 1/D, here the level-k unit
         lifted = tower.lift_at(k, r, w)
-        assert tower.val(lifted) == w
+        assert tower.val(lifted) == F(w, tower.denom)
         assert lifted.degree < key.degree
         assert tower.reduce_at(k, lifted) == r
 
@@ -161,17 +166,16 @@ def test_reduce_respects_graded_multiplication(maker):
     rng = random.Random(7241)
     k = tower.depth
     kappa = tower.field_at(k)
-    den = tower.denom_at(k)
     pi = Poly.constant(tower.base.field,
                        tower.base.field.coerce(tower.base.uniformizer))
     elements = [x for x in kappa.elements() if x] if hasattr(kappa, "elements") else None
     for _ in range(15):
         r = (rng.choice(elements) if elements
              else F(rng.randint(1, 9), rng.randint(1, 4)))
-        w = F(rng.randint(-4, 4), den)
+        w = rng.randint(-4, 4)
         f = tower.lift_at(k, r, w)
         g = f * pi
-        assert tower.val(g) == w + 1
+        assert tower.val(g) == F(w, tower.denom) + 1
         assert tower.reduce_at(k, g) == r
 
 
@@ -203,15 +207,15 @@ def test_canonical_exps_match_search(maker):
     tower, _ = maker()
     rng = random.Random(40417)
     for i in range(tower.depth + 1):
-        den = tower.denom_at(i)
+        den = level_denom(tower, i)
         for _ in range(60):
             w = F(rng.randint(-5 * den, 5 * den), den)
-            assert tower.canonical_exps(i, w) == canonical_exps_by_search(
-                tower, i, w), (i, w)
+            assert tower.canonical_exps(i, value_units(tower, w)) == (
+                canonical_exps_by_search(tower, i, w)), (i, w)
         if i < tower.depth and tower.levels[i].e > 1:
-            outside = F(1, tower.denom_at(i + 1))
+            outside = F(1, level_denom(tower, i + 1))
             with pytest.raises(ValueError):
-                tower.canonical_exps(i, outside)
+                tower.canonical_exps(i, value_units(tower, outside))
             with pytest.raises(ValueError):
                 canonical_exps_by_search(tower, i, outside)
 
@@ -268,7 +272,8 @@ def test_graded_pass_matches_reference(maker):
         for _ in range(25):
             f = random_poly(rng, tower, rng.randrange(bound))
             if rng.random() < 0.5:
-                w = F(rng.randint(-4 * den, 4 * den), tower.denom_at(i))
+                w = rng.randint(-4 * den, 4 * den) * (
+                    den // level_denom(tower, i))
                 lifted = tower.lift_at(i, random_residue(rng, tower, i), w)
                 f = lifted + f * Poly.constant(
                     f.field, power(f.field, tower.base.uniformizer, 6))
@@ -363,3 +368,27 @@ def test_split_engine_grades_on_integers(monkeypatch):
             segment_residual(tower, digits[name], vals,
                              F(y1 - y2, (x2 - x1) * tower.denom), x1, x2)
             for (x1, y1), (x2, y2) in hull]
+
+
+def test_split_engine_lifts_on_integers(monkeypatch):
+    # lift_key and the lift_at it calls step through values as ints; the
+    # Q(t) tower is left out, its Q coefficients are Fractions by right
+    makers = [make_wild_tower, make_tame_tower, make_funcfield_tower,
+              make_mixed_tower, make_carry_tower]
+    towers = {maker.__name__: maker() for maker in makers}
+    new = F.__new__
+    made = []
+
+    def counting(cls, *args, **kwargs):
+        made.append(args)
+        return new(cls, *args, **kwargs)
+
+    counts, keys = {}, {}
+    monkeypatch.setattr(F, "__new__", counting)
+    for name, (tower, _) in towers.items():
+        made.clear()
+        keys[name] = tower.lift_key()
+        counts[name] = len(made)
+    monkeypatch.undo()
+    assert counts == {name: 0 for name in towers}
+    assert keys == {name: key for name, (_, key) in towers.items()}

@@ -11,7 +11,7 @@ from oracles import (padic_factor_degrees, squarefree_by_ratfunc_euclid,
 from valknaf import gf
 from valknaf.funcfield import FunctionField, RatFunc
 from valknaf.gf import GF
-from valknaf.localsplit import (BaseValuation, LocalFactor,
+from valknaf.localsplit import (MAX_DEPTH, BaseValuation, LocalFactor,
                                 NewtonPolygonSegment, UnresolvedBranchError,
                                 newton_polygon, residual_polynomial,
                                 _is_squarefree, split_extensions,
@@ -246,6 +246,11 @@ def test_split_depth_limit():
     with pytest.raises(UnresolvedBranchError) as exc:
         split_extensions(V2, [4, 0, 8, 0, 1], depth_limit=1)
     assert "slope" in str(exc.value)
+    # a bound outside 1..MAX_DEPTH is refused before any work: deeper
+    # branches would overflow Python's recursion limit
+    for limit in (0, MAX_DEPTH + 1):
+        with pytest.raises(ValueError, match="depth_limit"):
+            split_extensions(V2, [4, 0, 8, 0, 1], depth_limit=limit)
 
 
 def test_split_unsupported_rational_residue_growth():
