@@ -15,10 +15,10 @@ has a unique canonical exponent vector with 0 <= a_j < e_j for j >= 1; the
 defining relations [phi_j^(e_j)] = z_j * [Q_j] (Q_j the canonical monomial of
 value e_j * mu_j) let any exponent vector be normalized onto the canonical
 one at the cost of a unit in the current residue field.  `reduce_at` and
-`lift_at` are mutually inverse through exactly this bookkeeping, which is
-the consistency the augmentation step needs: the new residue generator z is
-a root of the chosen residual factor psi, and the residue field grows by
-deg psi.
+`lift_at` are mutually inverse through exactly this bookkeeping.  A level
+keeps a root z of its residual factor psi, not psi: the residue field
+grows by deg psi, and the next key, phi^(e*f) plus one `lift_at` of the
+class of -phi^(e*f), has psi as its residual polynomial since psi(z) = 0.
 """
 
 from __future__ import annotations
@@ -46,16 +46,15 @@ def phi_expansion(f: Poly, phi: Poly):
 class Level:
     """One completed augmentation step."""
 
-    __slots__ = ("phi", "mu", "e", "f", "psi", "z", "resfield",
-                 "embed_prev", "decompose", "q_exps", "denom")
+    __slots__ = ("phi", "mu", "e", "f", "z", "resfield", "embed_prev",
+                 "decompose", "q_exps", "denom")
 
-    def __init__(self, phi, mu, e, f, psi, z, resfield, embed_prev,
-                 decompose, q_exps, denom):
+    def __init__(self, phi, mu, e, f, z, resfield, embed_prev, decompose,
+                 q_exps, denom):
         self.phi = phi
         self.mu = mu              # value assigned to phi
         self.e = e                # [Gamma_i : Gamma_{i-1}]
         self.f = f                # deg psi = [kappa_i : kappa_{i-1}]
-        self.psi = psi            # minimal polynomial of z over kappa_{i-1}
         self.z = z                # chosen root of psi in resfield
         self.resfield = resfield  # kappa_i
         self.embed_prev = embed_prev    # kappa_{i-1} -> kappa_i
@@ -78,7 +77,6 @@ class Tower:
     def __init__(self, base, levels=()):
         self.base = base
         self.levels = tuple(levels)
-        self._z_cache = {}
         self.denom = den = self.levels[-1].denom if self.levels else 1
         self.mu_units = [0] + [int(lev.mu * den) for lev in self.levels]
         self._steps = [den] + [den // lev.denom for lev in self.levels]
@@ -192,13 +190,10 @@ class Tower:
 
     def z_up(self, j, i):
         """Image of z_j in kappa_i (j <= i)."""
-        key = (j, i)
-        if key not in self._z_cache:
-            x = self.levels[j - 1].z
-            for m in range(j + 1, i + 1):
-                x = self.levels[m - 1].embed_prev(x)
-            self._z_cache[key] = x
-        return self._z_cache[key]
+        x = self.levels[j - 1].z
+        for m in range(j + 1, i + 1):
+            x = self.levels[m - 1].embed_prev(x)
+        return x
 
     def normalize_exps(self, i, exps):
         """Unit u in kappa_i with [monomial(exps)] = u * [canonical monomial].
@@ -266,34 +261,24 @@ class Tower:
         e = scaled.denominator
         q_exps = self.canonical_exps(self.depth, scaled.numerator)
         ext = extend_residue(self.field_at(self.depth), psi)
-        level = Level(phi=phi, mu=lam, e=e, f=psi.degree, psi=psi,
-                      z=ext.root, resfield=ext.new_field,
-                      embed_prev=ext.embed, decompose=ext.decompose,
-                      q_exps=q_exps, denom=prev_den * e)
+        level = Level(phi=phi, mu=lam, e=e, f=psi.degree, z=ext.root,
+                      resfield=ext.new_field, embed_prev=ext.embed,
+                      decompose=ext.decompose, q_exps=q_exps,
+                      denom=prev_den * e)
         return Tower(self.base, self.levels + (level,))
 
     def lift_key(self) -> Poly:
-        """Key polynomial of the next stage, from the top level's psi.
+        """Key polynomial of the next stage: phi^(e*f) plus one `lift_at`.
 
-        phi' = phi^(e*f') + sum_{t<f'} C_t phi^(t*e) with the C_t chosen so
-        the residual polynomial of phi' along (phi, mu) is a unit multiple
-        of psi; then V_new(phi') = f'*e*mu and the minimal polynomial of the
-        new residue generator is psi.
+        In kappa_k the single digit of phi^(e*f) reduces to u * z^f, u the
+        unit carrying [Q]^f onto the canonical monomial of value e*f*mu.
+        Its negative rho is lifted at that value; as psi(z) = 0, the
+        coordinates of rho over z^t (t < f) are u * psi_t, so the residual
+        polynomial of phi' along (phi, mu) is a unit multiple of psi, and
+        V_new(phi') = f*e*mu.
         """
-        lev = self.levels[-1]
-        k = self.depth - 1  # lifting happens over the tower below the top
-        e, psi = lev.e, lev.psi
-        fdeg = psi.degree
-        step = e * self.mu_units[-1]  # e * mu in units of 1/D
-        units = [self.unit_at(k, (fdeg - t) * step, lev.q_exps, t)
-                 for t in range(fdeg + 1)]
-        F = self.field_at(k)
-        acc = lev.phi ** (e * fdeg)
-        for t in range(fdeg):
-            c = psi[t]
-            if not c:
-                continue
-            target = F.mul(F.mul(c, units[fdeg]), F.inv(units[t]))
-            coeff = self.lift_at(k, target, (fdeg - t) * step)
-            acc = acc + coeff * lev.phi ** (t * e)
-        return acc
+        lev, k = self.levels[-1], self.depth
+        F, ef = lev.resfield, lev.e * lev.f
+        u = lev.embed_prev(self.unit_at(k - 1, 0, lev.q_exps, lev.f))
+        rho = F.neg(F.mul(u, power(F, lev.z, lev.f)))
+        return lev.phi ** ef + self.lift_at(k, rho, ef * self.mu_units[k])

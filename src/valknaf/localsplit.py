@@ -30,13 +30,15 @@ from .raminv import ExtensionInvariants
 from .residuefield import extend_residue, factor_over
 
 class UnresolvedBranchError(RuntimeError):
-    """A branch hit the recursion depth limit before it was isolated."""
+    """A branch hit the depth limit before it was isolated: the message
+    names the last step, `certificate` keeps every step."""
 
     def __init__(self, depth_limit: int, certificate: str):
         self.depth_limit = depth_limit
         self.certificate = certificate
-        super().__init__(
-            f"branch not isolated within depth {depth_limit}: {certificate}")
+        last = certificate.rsplit(" -> ", 1)[-1]
+        super().__init__(f"branch not isolated within depth {depth_limit}; "
+                         f"last step: {last}")
 
 
 class BaseValuation:
@@ -330,7 +332,7 @@ def _explore(tower, key, G, path, steps, out, depth_limit):
         G = G // key
         if G.degree < 1:
             return
-        digits = phi_expansion(G, key)
+        digits = digits[1:]  # phi-adic digits are unique
         assert not digits[0].is_zero(), "repeated key divisor in squarefree input"
     k = tower.depth
     grades = {j: tower.grade(k, d) for j, d in enumerate(digits)

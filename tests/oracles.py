@@ -17,7 +17,9 @@ the canonical-monomial bookkeeping of an inductive tower by search and one
 carry at a time rather than the library's closed forms, tower values,
 classes and residual polynomials by the Fraction recursions that expand
 each digit anew per call rather than the library's one graded pass on
-integer values, and problem files
+integer values, the next key polynomial by a loop over the coefficients of
+psi with a table of units rather than the library's single lift of a
+class, and problem files
 by a cascade of string splits and a second schema loop rather than the
 library's one-pass token scanner, and command lines by the argparse parser
 the CLI used before its table-driven reader.
@@ -715,6 +717,39 @@ def segment_residual(tower, digits, vals, lam, j0, j1):
         coeffs.append(kappa.mul(
             r, tower.unit_at(k, value_units(tower, val), q_exps, t)))
     return Poly(kappa, coeffs)
+
+
+# -- the next key, one coefficient of psi at a time ----------------------------
+# The reference for `Tower.lift_key`: `lift_key` as it was when a level kept
+# its residual factor psi, with its own table of units and a loop over the
+# coefficients of psi; psi is passed in, since a level keeps only its root z.
+
+
+def lift_key_reference(tower, psi):
+    """Key polynomial of the next stage, from the top level's psi.
+
+    phi' = phi^(e*f') + sum_{t<f'} C_t phi^(t*e) with the C_t chosen so
+    the residual polynomial of phi' along (phi, mu) is a unit multiple
+    of psi; then V_new(phi') = f'*e*mu and the minimal polynomial of the
+    new residue generator is psi.
+    """
+    lev = tower.levels[-1]
+    k = tower.depth - 1  # lifting happens over the tower below the top
+    e = lev.e
+    fdeg = psi.degree
+    step = e * tower.mu_units[-1]  # e * mu in units of 1/D
+    units = [tower.unit_at(k, (fdeg - t) * step, lev.q_exps, t)
+             for t in range(fdeg + 1)]
+    F = tower.field_at(k)
+    acc = lev.phi ** (e * fdeg)
+    for t in range(fdeg):
+        c = psi[t]
+        if not c:
+            continue
+        target = F.mul(F.mul(c, units[fdeg]), F.inv(units[t]))
+        coeff = tower.lift_at(k, target, (fdeg - t) * step)
+        acc = acc + coeff * lev.phi ** (t * e)
+    return acc
 
 
 # -- the problem-file grammar as a cascade of string splits ---------------------

@@ -413,8 +413,9 @@ def test_cli_out_of_scope_is_unsupported(tmp_path, capsys, mode, text):
 def test_cli_corrupt_tower_is_inconsistent(tmp_path, capsys, monkeypatch):
     # a unit of the graded reduction that vanishes can only come from a
     # corrupt tower; Tower.residue reports it as inconsistent data, in one
-    # line.  The unit is zeroed only where residue asks for it: lift_key,
-    # which runs first after each augmentation, would invert a zero unit.
+    # line.  The unit is zeroed only where residue asks for it: lift_at,
+    # which lift_key calls first after each augmentation, would invert a
+    # zero unit.
     real = Tower.unit_at
 
     def zero_unit_in_residue(self, i, w, q_exps, t):

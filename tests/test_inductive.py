@@ -8,13 +8,14 @@ import pytest
 
 from valknaf.gf import GF
 from valknaf.inductive import INFINITY, Tower, phi_expansion
-from valknaf.localsplit import (BaseValuation, _lower_hull, _segment_residual,
-                                newton_polygon, residual_polynomial)
+from valknaf.localsplit import (BaseValuation, _is_squarefree, _lower_hull,
+                                _segment_residual, newton_polygon,
+                                residual_polynomial, split_extensions)
 from valknaf.poly import Poly, QQ, power
 
-from oracles import (canonical_exps_by_search, normalize_exps_by_steps,
-                     segment_residual, tower_reduce_at, tower_val,
-                     value_units)
+from oracles import (canonical_exps_by_search, lift_key_reference,
+                     normalize_exps_by_steps, segment_residual,
+                     tower_reduce_at, tower_val, value_units)
 
 
 def make_wild_tower():
@@ -392,3 +393,58 @@ def test_split_engine_lifts_on_integers(monkeypatch):
     monkeypatch.undo()
     assert counts == {name: 0 for name in towers}
     assert keys == {name: key for name, (_, key) in towers.items()}
+
+
+def sweep_inputs(rng, v, count):
+    """count monic squarefree g = h^m + pi^k * u over v's field, h monic
+    of degree 1-3 and u of lower degree with constant coefficients: close
+    to a power of h, so the split engine augments, often with deg psi > 1."""
+    K = v.field
+    if K is QQ:
+        def const():
+            return K.coerce(rng.randint(-3, 3))
+    else:
+        def const():
+            return K.from_coeff_lists([rng.randrange(K.base.q)])
+    out = []
+    while len(out) < count:
+        d = rng.randint(1, 3)
+        h = Poly(K, [const() for _ in range(d)] + [K.one])
+        u = Poly(K, [const() for _ in range(rng.randint(1, 2 * d))])
+        pi_k = Poly.constant(K, power(K, v.uniformizer, rng.randint(1, 3)))
+        g = h ** rng.choice((2, 2, 3)) + u * pi_k
+        if _is_squarefree(g):
+            out.append(g)
+    return out
+
+
+def test_lift_key_matches_reference(monkeypatch):
+    # the single lift of -[phi^(e*f)] against the loop over psi's
+    # coefficients, on the test towers and on every augmentation a seeded
+    # split sweep over Q_2, Q_3, F_3(t) and GF(4)(t) makes; the makers of
+    # the test towers augment 11 times in all
+    made = []
+    augment = Tower.augment
+
+    def capturing(self, phi, lam, psi):
+        tower = augment(self, phi, lam, psi)
+        made.append((tower, psi))
+        return tower
+
+    monkeypatch.setattr(Tower, "augment", capturing)
+    for maker in TOWERS:
+        maker()
+    towers = len(made)
+    assert towers == 11
+    rng = random.Random(70411)
+    bases = [BaseValuation.padic(2), BaseValuation.padic(3),
+             BaseValuation.pi_adic(GF(3), [0, 1]),
+             BaseValuation.pi_adic(GF(2, 2), [0, 1])]
+    for v in bases:
+        for g in sweep_inputs(rng, v, 40):
+            split_extensions(v, g)
+    monkeypatch.undo()
+    assert len(made) - towers >= 150
+    assert sum(psi.degree > 1 for _, psi in made[towers:]) >= 30
+    for tower, psi in made:
+        assert tower.lift_key() == lift_key_reference(tower, psi), psi

@@ -225,6 +225,12 @@ def test_split_exact_division_path():
     assert efd(split_extensions(V2, [F(-1, 4), 0, 1])) == [(1, 1, 1), (1, 1, 1)]
     # x(x^2 - 2) has the zero root split off via exact key division
     assert efd(split_extensions(V2, [0, -2, 0, 1])) == [(2, 1, 2), (1, 1, 1)]
+    # (x^2 + 2)(x^2 + 6): the depth-1 key x^2 + 2 divides g exactly, and the
+    # quotient's digits are the ones left after the zero remainder
+    factors = split_extensions(V2, [12, 0, 8, 0, 1])
+    assert efd(factors) == [(2, 1, 2), (2, 1, 2)]
+    assert any(lf.certificate.endswith("[deg 2] exact key divisor")
+               for lf in factors)
 
 
 def test_split_rejects_bad_input():
@@ -251,6 +257,20 @@ def test_split_depth_limit():
     for limit in (0, MAX_DEPTH + 1):
         with pytest.raises(ValueError, match="depth_limit"):
             split_extensions(V2, [4, 0, 8, 0, 1], depth_limit=limit)
+
+
+def test_unresolved_message_is_one_bounded_line():
+    # roots 1 and 1 + 3^60 stay together for 60 levels; the message names
+    # the limit and the last step, the certificate keeps every step
+    g = [1 + 3 ** 60, -(2 + 3 ** 60), 1]
+    for limit in (10, 40):
+        with pytest.raises(UnresolvedBranchError) as exc:
+            split_extensions(V3, g, depth_limit=limit)
+        message = str(exc.value)
+        assert len(message) <= 200 and "\n" not in message
+        assert f"not isolated within depth {limit}" in message
+        assert f"slope -{limit}," in message
+    assert exc.value.certificate.count(" -> ") == 40
 
 
 def test_split_unsupported_rational_residue_growth():
