@@ -36,6 +36,11 @@ gives the split algebra, and factors are separated by equal-degree
 splitting (Cantor-Zassenhaus) on random elements of it, drawn from a
 generator with a constant seed, so results and operation counts repeat
 from run to run.
+Root search (`first_root`) splits the same way on c x + a, isolates one
+root and returns the least code of its Frobenius orbit; its cost is
+polynomial in the degree and in log q, and nothing in the engine
+enumerates the elements of a field.  Embeddings and residue extensions
+share its roots through one cache, `_embedding_root`.
 """
 
 from __future__ import annotations
@@ -400,7 +405,11 @@ class FiniteField:
         return GFElement(self, coeffs + [0] * (self.n - len(coeffs)))
 
     def elements(self):
-        """All q element codes, in canonical (increasing) order."""
+        """All q element codes, in canonical (increasing) order.
+
+        No engine path calls this; tests and the benchmark tracer's count
+        of enumerated elements do.
+        """
         yield from range(self.q)
 
     def render(self, c) -> str:
@@ -432,24 +441,29 @@ def GF(p: int, n: int = 1) -> FiniteField:
 
 
 @lru_cache(maxsize=None)
-def _embedding_root(small: FiniteField, big: FiniteField) -> int:
-    """Image of small's generator in big: first root in canonical order."""
-    if small.p != big.p or big.n % small.n != 0:
-        raise ValueError(f"no embedding of {small} into {big}")
-    return first_root(Poly(big, small.modulus))
+def _embedding_root(big: FiniteField, coeffs: tuple, over: int) -> int:
+    """`first_root` of the polynomial with the codes coeffs over big.
+
+    Cached: embeddings and residue extensions adjoin the same roots again
+    and again, and a root search costs more than a small field's scan.
+    """
+    return first_root(Poly(big, coeffs), over)
 
 
 def embed(small: FiniteField, big: FiniteField):
     """The canonical embedding GF(p^a) -> GF(p^ab) on codes, as a callable.
 
-    The prime field has the same codes in every extension, so its
+    The generator y of small goes to the least root of small's modulus in
+    big.  The prime field has the same codes in every extension, so its
     embedding is the identity.
     """
     if small is big:
         return _identity
-    root = _embedding_root(small, big)
+    if small.p != big.p or big.n % small.n != 0:
+        raise ValueError(f"no embedding of {small} into {big}")
     if small.n == 1:
         return _identity
+    root = _embedding_root(big, small.modulus, 1)
     add, mul = big.add, big.mul
 
     def phi(x):
@@ -571,9 +585,18 @@ def _splitting_poly(F, b, f):
         return _axpy(F, _ppowmod(F, b, (F.q - 1) // 2, f), F.neg(1), [1])
     power = trace = b
     for _ in range(F.n - 1):
-        power = _pdivmod(F, _pmul(F, power, power), f)[1]
+        power = _square2(F, power, f)
         trace = _axpy(F, trace, 1, power)
     return trace
+
+
+def _square2(F, a, f):
+    """a^2 mod f in characteristic 2, where squaring is additive: the
+    coefficients are squared in place of a full product."""
+    mul = F.mul
+    sq = [0] * (2 * len(a) - 1)
+    sq[::2] = [mul(c, c) for c in a]
+    return _pdivmod(F, sq, f)[1]
 
 
 def _equal_degree_split(F, f, kernel, rng):
@@ -616,15 +639,46 @@ def factor(f: Poly):
     return lead, [(Poly(F, g), m) for g, m in pairs]
 
 
-def first_root(f: Poly) -> int:
-    """The first root of f in its coefficient field, in canonical order."""
-    field = f.field
-    add, mul = field.add, field.mul
-    codes = f.coeffs[::-1]
-    for x in field.elements():
-        acc = 0
-        for c in codes:
-            acc = add(mul(acc, x), c)
-        if not acc:
-            return x
-    raise ValueError(f"{f!r} has no root in {field!r}")
+def first_root(f: Poly, over: int) -> int:
+    """The least code of a root of f, for f irreducible over GF(p^over).
+
+    Contract: the coefficients of f lie in the subfield GF(p^over) of
+    F = f.field, f is irreducible over it, and f splits in F.  Its roots are
+    then one orbit under x -> x^(p^over).  Equal-degree splitting isolates
+    one of them, keeping the smaller gcd factor at each split; b = c x + a
+    is drawn from all of F with c != 0 (an element of GF(p^over) never
+    separates two conjugate roots, and b = x + a never separates two roots
+    of equal trace in characteristic 2).  The least code of its orbit is
+    the answer.  The first split yields b^q mod f, and b^q = b, i.e.
+    x^q = x mod f, holds exactly when f has deg f distinct roots in F;
+    otherwise ValueError is raised.
+    """
+    F = f.field
+    g = _monic(F, f.coeffs)
+    d = len(g) - 1
+    if d < 1:
+        raise ValueError(f"{f!r} is not of positive degree")
+    rng = random.Random(_SPLIT_SEED)
+    checked = False
+    while len(g) > 2:
+        b = [rng.randrange(F.q), rng.randrange(1, F.q)]
+        s = _splitting_poly(F, b, g)
+        if not checked:
+            # b^q from s: the trace s satisfies s^2 = s + b + b^q in
+            # characteristic 2; else s + 1 = b^((q-1)/2)
+            if F.p == 2:
+                bq = _axpy(F, _axpy(F, _square2(F, s, g), 1, s), 1, b)
+            else:
+                h = _axpy(F, s, 1, [1])
+                bq = _pdivmod(F, _pmul(F, _pmul(F, h, h), b), g)[1]
+            if bq != b:
+                raise ValueError(f"{f!r} has no {d} distinct roots in {F!r}")
+            checked = True
+        h = _pgcd(F, g, s)
+        if 1 < len(h) < len(g):
+            rest = _pdivmod(F, g, h)[0]
+            g = h if len(h) <= len(rest) else rest
+    orbit = [F.neg(g[0])]
+    for _ in range(d - 1):
+        orbit.append(_power(F.mul, 1, orbit[-1], F.p ** over))
+    return min(orbit)

@@ -11,7 +11,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .gf import GF, FiniteField, _identity, embed, first_root, row_reduce
+from .gf import (GF, FiniteField, _embedding_root, _identity, embed,
+                 row_reduce)
 from .gf import factor as gf_factor
 from .poly import QQ, Poly, RationalField
 
@@ -115,7 +116,7 @@ def extend_residue(field, psi: Poly) -> ResidueExtension:
         raise TypeError(f"cannot extend {field!r}")
     big = GF(field.p, field.n * d)
     embed_fn = embed(field, big)
-    root = first_root(psi.map_coeffs(embed_fn, big))
+    root = _embedding_root(big, psi.map_coeffs(embed_fn, big).coeffs, field.n)
     # basis embed(y^u) * root^s of big over F_p; y^u has the code p^u
     n, mul = field.n, big.mul
     gens = [embed_fn(field.p ** u) for u in range(n)]

@@ -391,21 +391,61 @@ def test_roots_match_linear_factors():
     assert roots(f) == [1, 3]
 
 
-@pytest.mark.parametrize("p,n", [(2, 2), (3, 2), (2, 5), (5, 2)])
-def test_first_root_is_first_of_roots(p, n):
-    field = GF(p, n)
+def rand_irreducible(rng, field, degree):
+    """A random monic irreducible polynomial of the given degree."""
+    while True:
+        g = rand_gf_poly(rng, field, degree, monic=True)
+        if [h.degree for h, _ in factor(g)[1]] == [degree]:
+            return g
+
+
+@pytest.mark.parametrize("p,n,draws", [
+    (2, 2, 12), (3, 2, 12), (2, 5, 12), (5, 2, 12), (2, 6, 12), (3, 4, 12),
+    (2, 14, 3),
+])
+def test_first_root_is_first_of_roots(p, n, draws):
+    # f irreducible over a random subfield GF(p^k) of GF(p^n), of degree
+    # n / k, embedded: its roots are one orbit of x -> x^(p^k)
+    big = GF(p, n)
     rng = random.Random(p * 100 + n)
-    seen = {True: 0, False: 0}
-    for _ in range(40):
-        f = rand_gf_poly(rng, field, rng.randint(1, 4))
+    degrees = set()
+    for _ in range(draws):
+        k = rng.choice([k for k in range(1, n + 1) if n % k == 0])
+        small = GF(p, k)
+        g = rand_irreducible(rng, small, n // k)
+        f = g.map_coeffs(embed(small, big), big)
         found = roots(f)
-        seen[bool(found)] += 1
-        if found:
-            assert first_root(f) == found[0], f
-        else:
-            with pytest.raises(ValueError):
-                first_root(f)
-    assert seen[True] and seen[False]
+        assert len(found) == f.degree
+        assert first_root(f, k) == found[0], (g, k)
+        degrees.add(f.degree)
+    assert max(degrees) > 1
+
+
+def test_first_root_beyond_enumeration():
+    # GF(p^2) = F_p[y]/(y^2 + 1) for p = 3 mod 4; the roots of t^2 - 2 are
+    # +-s y with s^2 = -2, of codes s p and (p - s) p
+    p = 10 ** 18 + 3
+    big = GF(p, 2)
+    assert big.modulus == (1, 0, 1)
+    s = pow(-2 % p, (p + 1) // 4, p)
+    assert s * s % p == -2 % p
+    f = Poly(big, [big.coerce(-2), 0, 1])
+    assert first_root(f, 1) == min(s, p - s) * p
+
+
+@pytest.mark.parametrize("p,coeffs", [
+    (5, [-2, 0, 1]), (2, [1, 1, 1]), (7, [1, 0, 1]),
+    (5, [1, -2, 1]), (2, [1, 0, 1]), (3, [1, 0, 0, 1]),
+], ids=["no-root-5", "no-root-2", "no-root-7", "double-5", "double-2",
+        "triple-3"])
+def test_first_root_rejects_contract_breach(p, coeffs):
+    # no roots, or a repeated root: x^q = x mod f fails, and the search
+    # raises instead of splitting forever; a quadratic irreducible over
+    # GF(p) stays irreducible over GF(p^3)
+    for n in (1, 3):
+        field = GF(p, n)
+        with pytest.raises(ValueError):
+            first_root(Poly(field, [field.coerce(c) for c in coeffs]), 1)
 
 
 # -- embeddings and element arithmetic ----------------------------------------

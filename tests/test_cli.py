@@ -603,6 +603,66 @@ def test_cli_prime_near_1e18(tmp_path, name):
         assert f"\te={e}\tf={f}\teps={eps}\t" in row
 
 
+# inputs whose residue extensions once enumerated a large field: GF(p^2)
+# for p near 1e18, GF(2^22), and GF(3^12) below a quartic; each row is
+# (e, f), and the e f of each input sum to its degree
+FORMERLY_HANGING = {
+    "x2-t-over-big-prime-square": ("""\
+version = 1
+mode = split
+
+[base]
+field = GF(1000000000000000003)
+pi = [-2, 0, 1]
+
+[polynomial]
+coeffs = [(0, -1), 0, 1]
+""", 2, [(1, 1), (1, 1)]),
+    "phi22-squared-plus-2": ("""\
+version = 1
+mode = split
+
+[base]
+field = Q
+p = 2
+
+[polynomial]
+coeffs = [3, 2, 1, 0, 2, 2, 2, 2, 3, 2, 2, 2, 7, 4, 6, 4, 5, 8, 8, 6, 6, 4, \
+9, 6, 7, 6, 7, 4, 7, 6, 8, 4, 3, 4, 5, 4, 3, 0, 2, 2, 2, 0, 0, 0, 1]
+""", 44, None),
+    "quartic-at-deg-pi-12": ("""\
+version = 1
+mode = split
+
+[base]
+field = GF(3)
+pi = [1, 2, 2, 2, 0, 2, 1, 1, 0, 2, 1, 2, 1]
+
+[polynomial]
+coeffs = [(2, 2), 0, 0, 0, 1]
+""", 4, None),
+}
+
+
+@pytest.mark.parametrize("name", sorted(FORMERLY_HANGING))
+def test_cli_formerly_hanging(tmp_path, name):
+    # run in a child so that a root search that enumerates the residue
+    # field fails here instead of hanging the suite
+    text, degree, expected = FORMERLY_HANGING[name]
+    path = write(tmp_path, "hang.prob", text)
+    proc = subprocess.run(
+        [sys.executable, "-m", "valknaf.cli", "split", "--file", path,
+         "--porcelain"],
+        capture_output=True, text=True, env=child_env(), timeout=10)
+    assert proc.returncode == 0, proc.stderr
+    rows = [dict(field.split("=", 1) for field in line.split("\t"))
+            for line in proc.stdout.splitlines()]
+    ef = [(int(r["e"]), int(r["f"])) for r in rows]
+    assert sum(e * f for e, f in ef) == degree
+    if expected is not None:
+        assert ef == expected
+
+
 def test_cli_run_api():
     rows = cli.run(parse_problem(SPLIT5))
     assert len(rows) == 2

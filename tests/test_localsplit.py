@@ -8,7 +8,7 @@ import pytest
 
 from oracles import (padic_factor_degrees, squarefree_by_ratfunc_euclid,
                      squarefree_over_q_by_euclid)
-from valknaf import gf
+from valknaf import gf, inductive, localsplit
 from valknaf.funcfield import FunctionField, RatFunc
 from valknaf.gf import GF
 from valknaf.localsplit import (MAX_DEPTH, BaseValuation, LocalFactor,
@@ -306,6 +306,58 @@ def test_split_over_gf9_residues_builds_no_gfelement(monkeypatch):
     factors = split_extensions(v, [-(t + 1), 0, 0, 0, 1])
     assert sum(lf.degree for lf in factors) == 4
     assert built == []
+
+
+def rand_irreducible_mod(rng, p, n):
+    """Coefficients of a random monic irreducible of degree n over GF(p)."""
+    while True:
+        phi = [rng.randrange(p) for _ in range(n)] + [1]
+        if [h.degree for h, _ in gf.factor(Poly(GF(p), phi))[1]] == [n]:
+            return phi
+
+
+def test_split_enumerates_no_field(monkeypatch):
+    # a seeded sweep of splits whose residue extensions adjoin roots of
+    # degree up to 13, with every enumeration of a finite field refused
+    def refuse(field):
+        raise AssertionError(f"{field} enumerated")
+
+    wide = []
+
+    def counted(real):
+        def extend(field, psi):
+            wide.append(psi.degree > 1)
+            return real(field, psi)
+        return extend
+
+    monkeypatch.setattr(gf.FiniteField, "elements", refuse)
+    for module in (localsplit, inductive):
+        monkeypatch.setattr(module, "extend_residue",
+                            counted(module.extend_residue))
+    rng = random.Random(2113)
+    cases = [(V2, Poly(QQ, [1, 1, 1])), (V3, Poly(QQ, [1, 0, 1]))]
+    for v in (V2, V3):
+        cases += [(v, rand_monic_squarefree(rng, max_deg=5))
+                  for _ in range(8)]
+    y = GF(2, 2).element([0, 1])
+    for v in (BaseValuation.pi_adic(GF(3), [1, 0, 1]),
+              BaseValuation.pi_adic(GF(2, 2), [y, 1, 1])):
+        K = v.field
+        for _ in range(6):
+            while True:
+                g = Poly(K, [K.from_coeff_lists([rng.randrange(K.base.q)
+                                                 for _ in range(3)])
+                             for _ in range(rng.randint(2, 4))] + [K.one])
+                if _is_squarefree(g):
+                    break
+            cases.append((v, g))
+    for p, n in ((2, 13), (3, 8)):
+        phi = Poly(QQ, rand_irreducible_mod(rng, p, n))
+        cases.append((BaseValuation.padic(p), phi * phi + p))
+    for v, g in cases:
+        factors = split_extensions(v, g)
+        assert sum(lf.e * lf.f for lf in factors) == g.degree
+    assert sum(wide) >= 4
 
 
 # -- the squarefree gate against Euclid over k(t) ----------------------------
