@@ -13,7 +13,7 @@ resource bound (`monoval.MAX_RESIDUAL_DEGREE`,
 `problemfile.MAX_FIELD_ORDER`, `localsplit.MAX_DEPTH` for `--depth`), 2
 inconsistent data (validation or engine rejection, "inconsistent: ...") or
 input outside the supported scope ("unsupported: ..."), 3 branch
-unresolved within the recursion depth.
+unresolved within `--depth` augmentation steps.
 """
 
 from __future__ import annotations

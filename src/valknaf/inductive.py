@@ -1,9 +1,9 @@
 """Inductive (MacLane-style) valuation towers over a discrete base valuation.
 
-A tower is a chain of levels (phi_i, mu_i): monic key polynomials with
-assigned values.  The tower valuation of any polynomial is computed through
-phi-adic expansions: V_i(f) = min_j (V_{i-1}(c_j) + j * mu_i).  A tower of
-k levels takes and gives every value as an int in units of 1/D,
+A tower is an optimal MacLane chain of levels (phi_i, mu_i): monic keys of
+strictly increasing degree with assigned values.  Its valuation is computed
+through phi-adic expansions: V_i(f) = min_j (V_{i-1}(c_j) + j * mu_i).  A
+tower of k levels takes and gives every value as an int in units of 1/D,
 D = e_1 * ... * e_k (`Tower.denom`), so no value, comparison or exponent
 is a Fraction; only `val` gives one, and `augment` takes the new key's
 value as one.  `grade` expands each digit once and records, for the
@@ -44,7 +44,7 @@ def phi_expansion(f: Poly, phi: Poly):
 
 
 class Level:
-    """One completed augmentation step."""
+    """One level of an optimal chain: e*f >= 2 unless it is the top."""
 
     __slots__ = ("phi", "mu", "e", "f", "z", "resfield", "embed_prev",
                  "decompose", "q_exps", "denom")
@@ -254,18 +254,21 @@ class Tower:
     # -- augmentation --------------------------------------------------------
 
     def augment(self, phi: Poly, lam: Fraction, psi: Poly) -> "Tower":
-        """Append the level (phi -> lam) with chosen residual factor psi."""
+        """The tower [v; phi -> lam], replacing a top level of e*f = 1."""
+        below = self
+        if self.levels and self.levels[-1].e * self.levels[-1].f == 1:
+            below = Tower(self.base, self.levels[:-1])
         lam = Fraction(lam)
-        prev_den = self.denom
+        prev_den = below.denom
         scaled = lam * prev_den  # e * lam is scaled.numerator / prev_den
         e = scaled.denominator
-        q_exps = self.canonical_exps(self.depth, scaled.numerator)
-        ext = extend_residue(self.field_at(self.depth), psi)
+        q_exps = below.canonical_exps(below.depth, scaled.numerator)
+        ext = extend_residue(below.field_at(below.depth), psi)
         level = Level(phi=phi, mu=lam, e=e, f=psi.degree, z=ext.root,
                       resfield=ext.new_field, embed_prev=ext.embed,
                       decompose=ext.decompose, q_exps=q_exps,
                       denom=prev_den * e)
-        return Tower(self.base, self.levels + (level,))
+        return Tower(self.base, below.levels + (level,))
 
     def lift_key(self) -> Poly:
         """Key polynomial of the next stage: phi^(e*f) plus one `lift_at`.

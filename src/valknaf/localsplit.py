@@ -283,9 +283,9 @@ def residual_polynomial(v: BaseValuation, g, seg: NewtonPolygonSegment) -> Poly:
                              seg.slope.denominator, x1, x1 + seg.length)
 
 
-# largest depth_limit: each augmentation level adds a frame to _explore and
-# to each recursion through the tower (grade, residue, lift_at), and about
-# 500 levels overflow Python's recursion limit
+# largest depth_limit: each augmentation step adds a frame to _explore, and
+# about 1000 steps overflow Python's recursion limit; the tower recursions
+# (grade, residue, lift_at) are at most 1 + log2(deg g) levels deep
 MAX_DEPTH = 256
 
 
@@ -296,7 +296,7 @@ def split_extensions(v: BaseValuation, g, depth_limit: int = 16) -> list:
     branch path that produced them, so identical inputs give identically
     ordered output.  Raises ValueError on non-monic or non-squarefree
     input or a depth_limit outside 1..MAX_DEPTH, and UnresolvedBranchError
-    if a branch is still ambiguous at depth_limit augmentation levels.
+    if a branch is still ambiguous after depth_limit augmentation steps.
     """
     g = _poly_over(v, g)
     if g.degree < 1:
@@ -366,7 +366,7 @@ def _explore(tower, key, G, path, steps, out, depth_limit):
                     tower.residue_product() * psi.degree,
                     steps + (step,))))
                 continue
-            if tower.depth >= depth_limit:
+            if len(path) >= depth_limit:
                 raise UnresolvedBranchError(
                     depth_limit, " -> ".join(steps + (step,)))
             deeper = tower.augment(key, -slope, psi)

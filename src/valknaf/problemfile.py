@@ -512,7 +512,7 @@ def _binomial_input(problem: ProblemFile):
 
 def problem_invariants(problem: ProblemFile, depth_limit: int = 16) -> list:
     """The `ExtensionInvariants` of a decide, split or binomial problem, one
-    per extension; a split recurses at most depth_limit deep."""
+    per extension; a split branch augments at most depth_limit times."""
     if problem.mode == "decide":
         return [ExtensionInvariants(
             gamma_nu=lex_group(problem, "gamma_nu"),

@@ -19,7 +19,8 @@ classes and residual polynomials by the Fraction recursions that expand
 each digit anew per call rather than the library's one graded pass on
 integer values, the next key polynomial by a loop over the coefficients of
 psi with a table of units rather than the library's single lift of a
-class, and problem files
+class, the optimal MacLane chain by the tower that appends every level,
+and problem files
 by a cascade of string splits and a second schema loop rather than the
 library's one-pass token scanner, and command lines by the argparse parser
 the CLI used before its table-driven reader.
@@ -33,11 +34,12 @@ from math import lcm
 
 import sympy
 
-from valknaf.inductive import INFINITY, phi_expansion
+from valknaf.inductive import INFINITY, Level, Tower, phi_expansion
 from valknaf.ordgroup import RationalVector
 from valknaf.poly import Poly, power
 from valknaf.problemfile import (FORMAT_VERSION, SCHEMAS, ProblemFile,
                                  ProblemFileError, _check_type, parse_int)
+from valknaf.residuefield import extend_residue
 
 
 def _lex_sign(v):
@@ -750,6 +752,26 @@ def lift_key_reference(tower, psi):
         coeff = tower.lift_at(k, target, (fdeg - t) * step)
         acc = acc + coeff * lev.phi ** (t * e)
     return acc
+
+
+# -- the appending tower ------------------------------------------------------
+# The reference for `Tower.augment`: `augment` as it was before the chain was
+# kept optimal, appending every level, one with e*f = 1 on top included.
+
+
+def augment_appending(tower, phi, lam, psi):
+    """tower with the level (phi -> lam) appended, chosen residual factor psi."""
+    lam = Fraction(lam)
+    prev_den = tower.denom
+    scaled = lam * prev_den  # e * lam is scaled.numerator / prev_den
+    e = scaled.denominator
+    q_exps = tower.canonical_exps(tower.depth, scaled.numerator)
+    ext = extend_residue(tower.field_at(tower.depth), psi)
+    level = Level(phi=phi, mu=lam, e=e, f=psi.degree, z=ext.root,
+                  resfield=ext.new_field, embed_prev=ext.embed,
+                  decompose=ext.decompose, q_exps=q_exps,
+                  denom=prev_den * e)
+    return Tower(tower.base, tower.levels + (level,))
 
 
 # -- the problem-file grammar as a cascade of string splits ---------------------

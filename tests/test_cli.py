@@ -663,6 +663,25 @@ def test_cli_formerly_hanging(tmp_path, name):
         assert ef == expected
 
 
+def test_cli_close_roots_optimal_chain(tmp_path):
+    # roots 1 and 1 + 3^257 stay together past the largest --depth; each
+    # step's key replaces the one level of e = f = 1, so the 256 steps
+    # grade through one level each instead of through all the steps before
+    n = 257
+    text = SPLIT5.replace("p = 5", "p = 3").replace(
+        "[1, 0, 1]", f"[{1 + 3 ** n}, {-(2 + 3 ** n)}, 1]")
+    path = write(tmp_path, "close.prob", text)
+    proc = subprocess.run(
+        [sys.executable, "-m", "valknaf.cli", "split", "--file", path,
+         "--depth", "256"],
+        capture_output=True, text=True, env=child_env(), timeout=3)
+    assert proc.returncode == 3
+    assert proc.stdout == ""
+    assert proc.stderr == (
+        "unresolved: branch not isolated within depth 256; last step: "
+        "[deg 1] slope -256, residual factor 2 + x (multiplicity 2)\n")
+
+
 def test_cli_run_api():
     rows = cli.run(parse_problem(SPLIT5))
     assert len(rows) == 2

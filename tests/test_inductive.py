@@ -13,13 +13,15 @@ from valknaf.localsplit import (BaseValuation, _is_squarefree, _lower_hull,
                                 residual_polynomial, split_extensions)
 from valknaf.poly import Poly, QQ, power
 
-from oracles import (canonical_exps_by_search, lift_key_reference,
-                     normalize_exps_by_steps, segment_residual,
-                     tower_reduce_at, tower_val, value_units)
+from oracles import (augment_appending, canonical_exps_by_search,
+                     lift_key_reference, normalize_exps_by_steps,
+                     segment_residual, tower_reduce_at, tower_val,
+                     value_units)
 
 
 def make_wild_tower():
-    """Depth-3 tower over v_2 (the one isolating x^4 + 8x^2 + 4)."""
+    """Three augmentations over v_2 (the ones isolating x^4 + 8x^2 + 4);
+    the middle level has e = f = 1, so the optimal chain has depth 2."""
     v2 = BaseValuation.padic(2)
     F2 = GF(2, 1)
     T_plus_1 = Poly(F2, [1, 1])
@@ -101,15 +103,21 @@ def test_phi_expansion_reassembles():
 
 
 def test_tower_bookkeeping():
+    # k1 (degree 2, value 3/2) got e = f = 1, so k2, of the same degree,
+    # replaced its level: the optimal chain is x -> 1/2, k2 -> 2
     tower, key = make_wild_tower()
-    assert tower.depth == 3
+    assert tower.depth == 2
+    assert [lev.phi.degree for lev in tower.levels] == [1, 2]
     assert tower.denom == 2
     assert tower.residue_product() == 1
     assert key.degree == 2
-    # assigned values are reproduced by the expansion-based evaluation
+    # assigned values are reproduced by the expansion-based evaluation,
+    # the replaced key's among them
+    k1 = Tower(tower.base, tower.levels[:1]).lift_key()
+    assert k1.degree == 2 and k1 != tower.levels[1].phi
     assert tower.val(tower.levels[0].phi) == F(1, 2)
-    assert tower.val(tower.levels[1].phi) == F(3, 2)
-    assert tower.val(tower.levels[2].phi) == F(2)
+    assert tower.val(k1) == F(3, 2)
+    assert tower.val(tower.levels[1].phi) == F(2)
     # the lifted key's value is e*f*mu under the augmented tower
     lev = tower.levels[-1]
     assert tower.val(key) == lev.e * lev.f * lev.mu
@@ -331,7 +339,7 @@ def test_split_engine_grades_on_integers(monkeypatch):
     g = Poly(QQ, [4, 0, 8, 0, 1])
     deep, key = make_wild_tower()
     towers = {"depth 0": (Tower(BaseValuation.padic(2)), Poly.x(QQ)),
-              "depth 3": (deep, key)}
+              "depth 2": (deep, key)}
     digits = {name: phi_expansion(g, k) for name, (_, k) in towers.items()}
     new = F.__new__
     made = []
@@ -420,15 +428,19 @@ def sweep_inputs(rng, v, count):
 
 def test_lift_key_matches_reference(monkeypatch):
     # the single lift of -[phi^(e*f)] against the loop over psi's
-    # coefficients, on the test towers and on every augmentation a seeded
+    # coefficients, and the optimal chain against the tower that appends
+    # every level, on the test towers and on every augmentation a seeded
     # split sweep over Q_2, Q_3, F_3(t) and GF(4)(t) makes; the makers of
     # the test towers augment 11 times in all
-    made = []
+    made, appending, current = [], {}, [None]
     augment = Tower.augment
 
     def capturing(self, phi, lam, psi):
         tower = augment(self, phi, lam, psi)
-        made.append((tower, psi))
+        assert self in appending or self.depth == 0
+        ref = augment_appending(appending.get(self, self), phi, lam, psi)
+        appending[tower] = ref
+        made.append((tower, ref, psi, current[0]))
         return tower
 
     monkeypatch.setattr(Tower, "augment", capturing)
@@ -442,9 +454,21 @@ def test_lift_key_matches_reference(monkeypatch):
              BaseValuation.pi_adic(GF(2, 2), [0, 1])]
     for v in bases:
         for g in sweep_inputs(rng, v, 40):
+            current[0] = g
             split_extensions(v, g)
     monkeypatch.undo()
     assert len(made) - towers >= 150
-    assert sum(psi.degree > 1 for _, psi in made[towers:]) >= 30
-    for tower, psi in made:
-        assert tower.lift_key() == lift_key_reference(tower, psi), psi
+    assert sum(psi.degree > 1 for _, _, psi, _ in made[towers:]) >= 30
+    # 30 of the towers left out a level with e*f = 1
+    assert sum(ref.depth > tower.depth for tower, ref, _, _ in made) >= 30
+    for tower, ref, psi, g in made:
+        key = tower.lift_key()
+        assert key == lift_key_reference(tower, psi) == ref.lift_key(), psi
+        for d in phi_expansion(g, key) if g is not None else ():
+            if not d.is_zero():
+                assert tower.val(d) == ref.val(d), (g, key)
+        # key degrees strictly increase, and only the top level may have
+        # e*f = 1
+        degrees = [lev.phi.degree for lev in tower.levels]
+        assert degrees == sorted(set(degrees)), degrees
+        assert all(lev.e * lev.f >= 2 for lev in tower.levels[:-1])

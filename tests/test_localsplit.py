@@ -252,15 +252,17 @@ def test_split_depth_limit():
     with pytest.raises(UnresolvedBranchError) as exc:
         split_extensions(V2, [4, 0, 8, 0, 1], depth_limit=1)
     assert "slope" in str(exc.value)
-    # a bound outside 1..MAX_DEPTH is refused before any work: deeper
-    # branches would overflow Python's recursion limit
+    # a bound outside 1..MAX_DEPTH is refused before any work: the tower
+    # recursions are at most 1 + log2(deg g) levels deep, but every step of
+    # a branch adds a frame to _explore, and about 1000 steps would
+    # overflow Python's recursion limit
     for limit in (0, MAX_DEPTH + 1):
         with pytest.raises(ValueError, match="depth_limit"):
             split_extensions(V2, [4, 0, 8, 0, 1], depth_limit=limit)
 
 
 def test_unresolved_message_is_one_bounded_line():
-    # roots 1 and 1 + 3^60 stay together for 60 levels; the message names
+    # roots 1 and 1 + 3^60 stay together for 60 steps; the message names
     # the limit and the last step, the certificate keeps every step
     g = [1 + 3 ** 60, -(2 + 3 ** 60), 1]
     for limit in (10, 40):
@@ -271,6 +273,29 @@ def test_unresolved_message_is_one_bounded_line():
         assert f"not isolated within depth {limit}" in message
         assert f"slope -{limit}," in message
     assert exc.value.certificate.count(" -> ") == 40
+
+
+def test_close_roots_split_optimal_chain(monkeypatch):
+    # roots 1 and 1 + 3^N stay together for N augmentation steps, each of
+    # e = f = 1, so each step's key, of degree 1, replaces the tower's one
+    # level: a step grades G through one level, not through every step
+    # before it
+    n = 128
+    g = [1 + 3 ** n, -(2 + 3 ** n), 1]
+    calls = []
+    expand = inductive.phi_expansion
+
+    def counting(f, phi):
+        calls.append(phi)
+        return expand(f, phi)
+
+    monkeypatch.setattr(inductive, "phi_expansion", counting)
+    monkeypatch.setattr(localsplit, "phi_expansion", counting)
+    factors = split_extensions(V3, g, depth_limit=n)
+    assert [(lf.e, lf.f) for lf in factors] == [(1, 1), (1, 1)]
+    assert len(calls) <= 5 * n
+    with pytest.raises(UnresolvedBranchError):
+        split_extensions(V3, g, depth_limit=n - 1)
 
 
 def test_split_unsupported_rational_residue_growth():
