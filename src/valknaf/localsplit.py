@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import count, islice
 from math import gcd, inf
 
 from .funcfield import (FunctionField, _fmt_tpoly, clear_denominators,
@@ -24,8 +25,9 @@ from .funcfield import (FunctionField, _fmt_tpoly, clear_denominators,
                         x_derivative)
 from .gf import GF, _identity
 from .inductive import INFINITY, Tower, phi_expansion
+from .numtheory import isprime
 from .ordgroup import LexGroup
-from .poly import Poly, QQ, power
+from .poly import Poly, QQ, _derivative, _pgcd, _trim, power
 from .raminv import ExtensionInvariants
 from .residuefield import extend_residue, factor_over
 
@@ -288,6 +290,12 @@ def residual_polynomial(v: BaseValuation, g, seg: NewtonPolygonSegment) -> Poly:
 # (grade, residue, lift_at) are at most 1 + log2(deg g) levels deep
 MAX_DEPTH = 256
 
+# images _is_squarefree tries.  At seeds 0 and 1 the first to certify was
+# the code 0/1/2 on 106/30/8 and 102/34/8 ft_split items (4 blocks), the
+# prime 2/3/5/7/11/13 on 566/451/177/59/15/3 and 569/422/212/56/8/4 of 1271
+# squarefree qp_split items (31 blocks), at most the 6th on wide_residue
+_SQUAREFREE_TRIES = 6
+
 
 def split_extensions(v: BaseValuation, g, depth_limit: int = 16) -> list:
     """All extensions of v to K[x]/(g), for monic squarefree g.
@@ -412,9 +420,31 @@ def _is_squarefree(g: Poly) -> bool:
     k[t], so the degrees agree, and no rational or k(t) element is ever
     built.  D = gcd(G, dG/dx) divides g, and dG/dt = L'*g + L*dg/dt, so
     gcd(D, dG/dt) = gcd(D, dg/dt) over k(t).
+
+    Before them, an image of G mod a prime or at a point t = a of a finite
+    k (`_specializations`), prime to its derivative, certifies g squarefree:
+    by Gauss's lemma a repeated factor of g repeats in it.  Non-squarefree
+    input, g = h(x^p) such as x^p - t (its images have derivative 0) and g
+    over Q(t) get none; only the gcds decide those, and only they say False.
     """
     G = clear_denominators(g)
+    for F, h in islice(_specializations(G), _SQUAREFREE_TRIES):
+        if len(_pgcd(F, h, _derivative(F, h))) == 1:
+            return True
     d = primitive_gcd(G, x_derivative(G))
     if len(d) > 1 and g.field.characteristic:
         d = primitive_gcd(d, t_derivative(G))
     return len(d) == 1
+
+
+def _specializations(G: list):
+    """(F, h) for the images h of G, nonzero in Z[x] or k[t][x], of G's own
+    x-degree over a finite field F: G mod the primes p, over GF(p), for G in
+    Z[x]; G(a, x) at the codes a of k, over k, for k finite."""
+    images = ()
+    if isinstance(G[-1], int):
+        images = ((GF(p), [c % p for c in G]) for p in count(2) if isprime(p))
+    elif G[-1].field.characteristic:
+        k = G[-1].field
+        images = ((k, [c(a) for c in G]) for a in range(k.q))
+    return ((F, h) for F, h in images if len(_trim(h)) == len(G))

@@ -408,6 +408,25 @@ def rand_kt_poly(rng, K, degree):
     return Poly(K, coeffs + [K.one + K.t * rng.randint(0, 1)])
 
 
+def in_x_to_the_p(h):
+    """h(x^p) for h over k(t), p the characteristic."""
+    p = h.field.characteristic
+    coeffs = [h.field.zero] * (p * h.degree + 1)
+    coeffs[::p] = h.coeffs
+    return Poly(h.field, coeffs)
+
+
+def hard_kt_inputs(rng, K, max_deg):
+    """Inputs over K = k(t), k finite, that no image certifies: g times
+    t^q - t, which vanishes at every point of k, so every image of G loses
+    its degree; h^p, a polynomial in x^p that is not squarefree; and h(x^p),
+    often squarefree but inseparable."""
+    vanish = K.t ** K.base.q - K.t
+    g = rand_kt_poly(rng, K, rng.randint(1, max_deg))
+    h = rand_kt_poly(rng, K, rng.randint(1, 2))
+    return [g * vanish, h ** K.characteristic, in_x_to_the_p(h)]
+
+
 # Euclid over Q(t) swells its coefficients: from degree 4 on, one input can
 # keep the oracle busy for seconds.
 SQUAREFREE_FIELDS = [(GF(2), 4), (GF(3), 4), (GF(5), 4), (GF(2, 2), 4),
@@ -430,15 +449,24 @@ def test_squarefree_gate_matches_ratfunc_euclid(k, max_deg):
         assert not squarefree_by_ratfunc_euclid(hhk)
         assert not _is_squarefree(hhk), hhk
     assert True in verdicts
+    if k.characteristic:
+        for _ in range(4):
+            for g in hard_kt_inputs(rng, K, max_deg):
+                assert _is_squarefree(g) == squarefree_by_ratfunc_euclid(g), g
 
 
 def test_squarefree_gate_fixed_cases():
     cases = []
-    for q in (2, 3, 5):
-        K = FunctionField(GF(q))
+    for k in (GF(2), GF(3), GF(5), GF(2, 2)):
+        K = FunctionField(k)
         t, x = K.t, Poly.x(K)
         p = K.characteristic
+        vanish = t ** k.q - t  # zero at every point of k
         cases += [
+            ((x - 1 / vanish) * (x + t), True),              # lc(G) = vanish
+            ((x - 1 / vanish) ** 2 * (x + t), False),
+            (x * (x - vanish), True),                        # image x^2
+            ((x ** 2 + x * t + K.one) ** p, False),         # h(x^p)
             ((x + t) ** 2 * (x ** 2 + t + 1), False),        # h^2 k
             ((x - t) ** p, False),                           # = x^p - t^p
             (x ** p - t ** p, False),
@@ -509,12 +537,89 @@ def test_squarefree_gate_over_q_matches_euclid():
                 k = rand_q_monic(rng, rng.randint(0, 3), bound, rational)
                 inputs.append(h * h * k)
     inputs += [qp_non_squarefree(rng) for _ in range(30)]
+    # 30030 = 2*3*5*7*11*13: the first six primes drop lc(G) or keep x^2
+    x, c = Poly.x(QQ), F(1, 30030)
+    inputs += [(x - c) * (x + 1), (x - c) ** 2 * (x + 1), x * (x - 30030)]
     verdicts = []
     for g in inputs:
         expected = squarefree_over_q_by_euclid(g)
         assert _is_squarefree(g) == expected, g
         verdicts.append(expected)
     assert verdicts.count(True) >= 50 and verdicts.count(False) >= 90
+
+
+# -- the squarefree certificate ---------------------------------------------
+
+CERTIFICATE_FIELDS = [GF(2), GF(3), GF(5), GF(2, 2), QQ]
+
+
+@pytest.mark.parametrize("k", CERTIFICATE_FIELDS, ids=repr)
+def test_squarefree_certificate_matches_euclid(k, monkeypatch):
+    """With a PRS that never finds a trivial gcd, _is_squarefree says True
+    only on a certificate; the oracle must say True on each of those."""
+    monkeypatch.setattr(localsplit, "primitive_gcd", lambda a, b: [a, b])
+    rng = random.Random(f"certificate:{k!r}")
+    certified = 0
+    for _ in range(40):
+        if k is QQ:
+            bound, rational = rng.choice([(20, False), (20, True),
+                                          (2 ** 80, True)])
+            h = rand_q_monic(rng, rng.randint(1, 2), bound, rational)
+            inputs = [rand_q_monic(rng, rng.randint(1, 6), bound, rational)]
+            non_squarefree = [
+                h * h * rand_q_monic(rng, rng.randint(0, 3), bound, rational),
+                qp_non_squarefree(rng)]
+            oracle = squarefree_over_q_by_euclid
+        else:
+            K = FunctionField(k)
+            h = rand_kt_poly(rng, K, rng.randint(1, 2))
+            inputs = ([rand_kt_poly(rng, K, rng.randint(1, 4))]
+                      + hard_kt_inputs(rng, K, 4))
+            non_squarefree = [h * h * rand_kt_poly(rng, K, rng.randint(0, 2))]
+            oracle = squarefree_by_ratfunc_euclid
+        for g in inputs:
+            if _is_squarefree(g):
+                certified += 1
+                assert oracle(g), g
+        for g in non_squarefree:
+            assert not _is_squarefree(g), g
+    assert certified >= 20
+
+
+def ft_split_poly(rng, q, degree):
+    """Monic g over F_q(t) shaped like the ft_split workload's: coefficients
+    in F_q[t] of degree <= 3, drawn until g(a, x) is squarefree for some a
+    in F_q."""
+    k = GF(q)
+    while True:
+        g = [Poly(k, [rng.randrange(q) for _ in range(4)])
+             for _ in range(degree)] + [Poly.one(k)]
+        for a in range(q):
+            image = Poly(k, [c(a) for c in g])
+            if poly_gcd(image, image.derivative()).degree == 0:
+                return g
+
+
+def test_squarefree_certificate_skips_prs_on_ft_split(monkeypatch):
+    calls = []
+    prs = localsplit.primitive_gcd
+
+    def counted(a, b):
+        calls.append(1)
+        return prs(a, b)
+
+    monkeypatch.setattr(localsplit, "primitive_gcd", counted)
+    rng = random.Random("ft_split")
+    for q in (2, 3, 5):
+        v = vt_over(q)
+        for degree in range(2, 6):
+            for _ in range(3):
+                factors = split_extensions(v, ft_split_poly(rng, q, degree))
+                assert sum(lf.degree for lf in factors) == degree
+    assert not calls
+    for _ in range(5):
+        assert not _is_squarefree(qp_non_squarefree(rng))
+    assert len(calls) >= 5
 
 
 # -- conservation against the Hensel oracle ----------------------------------
