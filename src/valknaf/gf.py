@@ -321,10 +321,6 @@ class GFElement:
     def inverse(self):
         return _element(self.field, self.field.inv(self._code))
 
-    def int_value(self) -> int:
-        """Canonical integer encoding sum c_i p^i (enumeration order)."""
-        return self._code
-
     def __repr__(self):
         return self.field.render(self._code)
 

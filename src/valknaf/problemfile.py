@@ -5,16 +5,16 @@ section headers, with `#` comments and a top-level `version` and `mode`.
 Values are integers, rationals `p/q`, vectors `(a, b, ...)`, lists
 `[v0, v1, ...]` (entries rational or vector), or bare words.  Each mode
 fixes which sections and keys may appear; unknown keys and sections are
-rejected with their line number, as are malformed values.  `parse_problem`
-reads a file in one pass.  One compiled pattern matches each whole line: a
-blank or comment line, a section header, or a `key = value` whose value,
-when it is one rational, one vector of rationals or one word, it captures
-directly.  Any other value is a list or a mistake, and one compiled scanner
-cuts it into tokens: a rational, a vector of rationals, a word, or a single
-other character such as `(`, `)`, `[`, `]` or `,`.  Each Fraction is built
-once from its scanned digits.  The schema is checked as each header and key
-is read.  A syntax error raises at once.  The first schema error is kept and
-raised when the scan ends, so a syntax error on a later line wins over it.
+rejected with their line number, as are malformed values.  One compiled
+pattern matches each whole line: a blank or comment line, a section header,
+or a `key = value` whose value, when it is one rational, one vector of
+rationals or one word, it captures directly.  Any other value is a list or
+a mistake, and one compiled scanner cuts it into tokens: a rational, a
+vector of rationals, a word, or a single other character such as `(`, `)`,
+`[`, `]` or `,`.  Each Fraction is built once from its scanned digits.
+Scan, then schema: the scan raises each syntax error at once and keeps each
+section's entries; one loop over them after the scan checks the schema, so
+a syntax error on a later line wins over a schema error on an earlier one.
 `serialize` and `parse_problem` are mutually inverse on well-formed
 `ProblemFile` values.
 The meaning of a problem is here too: `problem_invariants` builds what a
@@ -258,25 +258,12 @@ def _check_type(key: str, value, tag: str, line: int):
     return value  # tag "value": anything goes
 
 
-def _missing_key(specs: dict, seen: set, name: str, header_line: int):
-    """The error for the first required key of section [name] not seen.
-
-    seen holds only keys of specs, so none is missing when it holds them
-    all; callers skip the call then."""
-    for key, (_, optional, _) in specs.items():
-        if not optional and key not in seen:
-            return ProblemFileError(
-                f"section [{name}] is missing key {key!r}", header_line)
-    return None
-
-
 def parse_problem(text) -> ProblemFile:
     """Parse problem text (bytes or str) and check it against its mode schema.
 
-    One pass: each line is checked as it is read.  A syntax error raises at
-    once; the first schema error is kept and raised when the scan ends, so
-    a syntax error on a later line still wins over it, and a missing
-    `version` or `mode` wins over both.
+    Scan, then schema: the scan raises each syntax error at once, then a
+    missing `version` or `mode` is raised, and then one loop over the
+    sections in file order raises the first schema error.
     """
     if isinstance(text, bytes):
         try:
@@ -284,9 +271,8 @@ def parse_problem(text) -> ProblemFile:
         except UnicodeDecodeError as exc:
             raise ProblemFileError(f"not valid UTF-8: {exc}") from None
 
-    version = mode = mode_specs = specs = error = None
-    sections, names = [], set()
-    name = header_line = entries = seen = None
+    version = mode = items = None
+    raw = {}  # name -> (header line, [(key, value, line), ...]), file order
     fullmatch = _LINE_RE.fullmatch
     for lineno, rawline in enumerate(text.splitlines(), start=1):
         m = fullmatch(rawline)
@@ -296,40 +282,17 @@ def parse_problem(text) -> ProblemFile:
                                    lineno)
         header, key, num, den, vector, word, value = m.groups()
         if header:
-            if header in names:
+            if header in raw:
                 raise ProblemFileError(f"duplicate section [{header}]", lineno)
-            names.add(header)
-            if specs and not error and len(seen) < len(specs):
-                error = _missing_key(specs, seen, name, header_line)
-            name, header_line, entries, seen = header, lineno, [], set()
-            sections.append((name, entries))
-            if mode_specs:
-                specs = mode_specs.get(name)
-                if specs is None and not error:
-                    error = ProblemFileError(
-                        f"section [{name}] is not allowed in mode {mode}",
-                        lineno)
+            items = []
+            raw[header] = (lineno, items)
             continue
         if key is None:
             continue
         value = (_value(value, lineno) if value else
                  _read(num, den, vector, word, lineno))
-        if name is not None:
-            if error or not specs:
-                continue
-            spec = specs.get(key)
-            if spec is None:
-                error = ProblemFileError(
-                    f"unknown key {key!r} in section [{name}]", lineno)
-            elif key in seen and not spec[2]:
-                error = ProblemFileError(f"duplicate key {key!r}", lineno)
-            else:
-                seen.add(key)
-                try:
-                    entries.append(
-                        (key, _check_type(key, value, spec[0], lineno)))
-                except ProblemFileError as exc:
-                    error = exc
+        if items is not None:
+            items.append((key, value, lineno))
         elif key == "version":
             if version is not None:
                 raise ProblemFileError("duplicate version", lineno)
@@ -346,7 +309,6 @@ def parse_problem(text) -> ProblemFile:
                 raise ProblemFileError(
                     f"unknown mode {mode!r} (expected one of "
                     f"{', '.join(sorted(SCHEMAS))})", lineno)
-            mode_specs = _KEY_SPECS[mode]
         else:
             raise ProblemFileError(f"unknown top-level key {key!r}", lineno)
 
@@ -354,15 +316,32 @@ def parse_problem(text) -> ProblemFile:
         raise ProblemFileError("missing `version = 1`")
     if mode is None:
         raise ProblemFileError("missing `mode = ...`")
-    if specs and not error and len(seen) < len(specs):
-        error = _missing_key(specs, seen, name, header_line)
-    if error:
-        raise error
-    for name in SCHEMAS[mode]:
-        if name not in names:
+    mode_specs = _KEY_SPECS[mode]
+    sections = []
+    for name, (header_line, items) in raw.items():
+        specs = mode_specs.get(name)
+        if specs is None:
+            raise ProblemFileError(
+                f"section [{name}] is not allowed in mode {mode}", header_line)
+        entries, seen = [], set()
+        for key, value, lineno in items:
+            spec = specs.get(key)
+            if spec is None:
+                raise ProblemFileError(
+                    f"unknown key {key!r} in section [{name}]", lineno)
+            if key in seen and not spec[2]:
+                raise ProblemFileError(f"duplicate key {key!r}", lineno)
+            seen.add(key)
+            entries.append((key, _check_type(key, value, spec[0], lineno)))
+        for key, (_, optional, _) in specs.items():
+            if not optional and key not in seen:
+                raise ProblemFileError(
+                    f"section [{name}] is missing key {key!r}", header_line)
+        sections.append((name, tuple(entries)))
+    for name in mode_specs:
+        if name not in raw:
             raise ProblemFileError(f"mode {mode} requires a section [{name}]")
-    return ProblemFile(version=version, mode=mode, sections=tuple(
-        (name, tuple(entries)) for name, entries in sections))
+    return ProblemFile(version=version, mode=mode, sections=tuple(sections))
 
 
 # -- serialization ---------------------------------------------------------------
@@ -381,10 +360,8 @@ def serialize(problem: ProblemFile) -> str:
     """Render a ProblemFile as text; parse_problem inverts this exactly."""
     lines = [f"version = {problem.version}", f"mode = {problem.mode}"]
     for name, entries in problem.sections:
-        lines.append("")
-        lines.append(f"[{name}]")
-        for key, value in entries:
-            lines.append(f"{key} = {_fmt_value(value)}")
+        lines += ["", f"[{name}]"]
+        lines += [f"{key} = {_fmt_value(value)}" for key, value in entries]
     return "\n".join(lines) + "\n"
 
 
@@ -487,12 +464,15 @@ def _binomial_input(problem: ProblemFile):
     if token == "Q(t)":
         raise ProblemFileError("binomial mode takes a constant field: Q or GF(q)")
     k = _constant_field(token)
-    v = MonomialValuation(k, problem.get("base", "weight_x"),
-                          problem.get("base", "weight_y"))
+    wx, wy = problem.get("base", "weight_x"), problem.get("base", "weight_y")
+    for key, w in ("weight_x", wx), ("weight_y", wy):
+        if len(w) != 2:
+            raise ProblemFileError(f"[base] {key} {w} does not have 2 entries")
+    v = MonomialValuation(k, wx, wy)
     c = problem.get("extension", "c")
     if not isinstance(c, (Fraction, RationalVector)):
-        raise ProblemFileError(
-            f"c must be a rational or a vector like (1, 0), not {c!r}")
+        raise ProblemFileError("c must be a rational or a vector like (1, 0), "
+                               f"not {_fmt_value(c)!r}")
     if isinstance(c, RationalVector):
         if k is QQ:
             raise ProblemFileError("vector constants need a GF(q) base")

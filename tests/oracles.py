@@ -519,7 +519,7 @@ def wrapped(f):
 
 def codes(a):
     """The codes of a wrapper list, without trailing zeros."""
-    out = [x.int_value() for x in a]
+    out = [x.field.coerce(x) for x in a]
     while out and not out[-1]:
         out.pop()
     return out

@@ -473,6 +473,28 @@ def test_cli_binomial_constant_not_a_value(tmp_path, capsys, field):
     assert "foo" in err
 
 
+@pytest.mark.parametrize("c", ["[1/2, 1]", "[(1, 0), x]", "foo"])
+def test_cli_binomial_constant_reads_as_file_text(tmp_path, capsys, c):
+    # a list was printed as Python reprs, e.g. (Fraction(1, 2), Fraction(1, 1))
+    path = write(tmp_path, "c.prob", BINO.replace("c = 1", f"c = {c}"))
+    assert cli.main(["binomial", "--file", path]) == 1
+    assert capsys.readouterr().err == (
+        f"error: c must be a rational or a vector like (1, 0), not {c!r}\n")
+
+
+@pytest.mark.parametrize("line,bad", [
+    ("weight_x = (1, 0)", "weight_x = (1, 0, 0)"),
+    ("weight_y = (0, 1)", "weight_y = (1)"),
+])
+def test_cli_binomial_weight_length_is_file_error(tmp_path, capsys, line, bad):
+    # a weight of the wrong length exited 2 as inconsistent data
+    path = write(tmp_path, "w.prob", BINO.replace(line, bad))
+    assert cli.main(["binomial", "--file", path]) == 1
+    key, weight = bad.split(" = ")
+    assert capsys.readouterr().err == (
+        f"error: [base] {key} {weight} does not have 2 entries\n")
+
+
 @pytest.mark.parametrize("base,coeffs", [
     ("field = GF(3)\npi = [0, 1]", "[(0, -1), 0, z]"),
     ("field = Q(t)\npi = [0, 1]", "[(0, -1), 0, z]"),

@@ -1,14 +1,15 @@
 """`parse_problem` against the reference parser in `tests/oracles.py`.
 
-The reference is the cascade of string splits that the one-pass scanner
-replaced.  On every input the two must agree: the same `repr` on success,
-or the same exception type and message, line number included.  Inputs are
-the demo problems, every fixture's serialized problem, edited demo problems
-(valid and malformed), and made texts: a mode's sections and keys with
-values of the right kind, padded with blanks, tabs, comments and `1 / 2`
-spacing, with lines dropped or made-up lines put in.  Two last tests pin
-that long runs of blanks scan in linear time and that the scanner builds
-exactly one Fraction per rational token.
+The reference is the cascade of string splits that the scanner replaced.
+On every input the two must agree: the same `repr` on success, or the same
+exception type and message, line number included.  Inputs are the demo
+problems, every fixture's serialized problem, edited demo problems (valid
+and malformed), texts with several faults that pin which error is raised,
+and made texts: a mode's sections and keys with values of the right kind,
+padded with blanks, tabs, comments and `1 / 2` spacing, with lines dropped
+or made-up lines put in.  Two last tests pin that long runs of blanks scan
+in linear time and that the scanner builds exactly one Fraction per
+rational token.
 """
 
 import time
@@ -22,7 +23,8 @@ from oracles import parse_problem_reference
 from test_problem_fuzz import PROBLEMS, edited_problems
 from valknaf.fixtures import FIXTURES
 from valknaf.ordgroup import RationalVector
-from valknaf.problemfile import SCHEMAS, parse_problem, serialize
+from valknaf.problemfile import (SCHEMAS, ProblemFileError, parse_problem,
+                                 serialize)
 
 
 def outcome(parse, text):
@@ -74,6 +76,40 @@ def test_parse_matches_reference_on_tricky_values(key, value):
     text = (f"version = 1\nmode = split\n[base]\nfield = Q\np = 5\n"
             f"[polynomial]\ncoeffs = [1, 0, 1]\n")
     assert_same(text.replace(f"{key} = ", f"{key} = {value} #", 1))
+
+
+HEAD = "version = 1\nmode = split\n"
+
+# texts with several faults, each with the one error that must be raised
+ERROR_ORDER = [
+    # a syntax error on a later line beats a schema error in an earlier
+    # section
+    (HEAD + "[base]\nfield = Q\nq = 7\n[polynomial]\ncoeffs = [1, 0, 1\n",
+     "line 7: unterminated list"),
+    # a missing `version` or `mode` beats every schema error
+    ("mode = split\n[base]\nfield = Q\nq = 7\n",
+     "missing `version = 1`"),
+    ("version = 1\n[extension]\nn = 2\n", "missing `mode = ...`"),
+    # a missing key in one section beats an unknown key in a later one
+    (HEAD + "[base]\np = 5\n[polynomial]\ncoeffs = [1, 0, 1]\nq = 1\n",
+     "line 3: section [base] is missing key 'field'"),
+    # a section not allowed in the mode beats a later duplicate key
+    (HEAD + "[extension]\nn = 2\n[base]\nfield = Q\nfield = Q\n",
+     "line 3: section [extension] is not allowed in mode split"),
+    # a missing required section comes last
+    (HEAD + "[base]\nfield = Q\nq = 7\n",
+     "line 5: unknown key 'q' in section [base]"),
+    (HEAD + "[base]\nfield = Q\np = 5\n",
+     "mode split requires a section [polynomial]"),
+]
+
+
+@pytest.mark.parametrize("text,message", ERROR_ORDER)
+def test_parse_matches_reference_on_error_order(text, message):
+    assert_same(text)
+    with pytest.raises(ProblemFileError) as err:
+        parse_problem(text)
+    assert str(err.value) == message
 
 
 _BLANK = st.sampled_from(["", " ", "  ", "\t", " \t"])
