@@ -2,8 +2,8 @@
 
 GF(p^n) is realized as F_p[y]/(m(y)) where m is the first monic irreducible
 polynomial of degree n in the enumeration that counts coefficient vectors
-(c_0, ..., c_{n-1}) as base-p integers; irreducibility is Berlekamp's test
-over GF(p) (squarefree, and a Frobenius kernel of dimension 1).  Fields are
+(c_0, ..., c_{n-1}) as base-p integers; irreducibility is Ben-Or's test
+over GF(p), the first step of distinct-degree splitting.  Fields are
 cached, so equal parameters give the identical object and elements can be
 compared freely.
 
@@ -31,14 +31,14 @@ bare list of codes, lowest degree first and without trailing zeros; `poly`'s
 kernel (`_axpy`, `_pmul`, `_pdivmod`, `_pgcd`) does all of its arithmetic
 on the field's ops, and `_ppowmod` adds powers mod a polynomial through
 `poly`'s square-and-multiply.
-Factorization is Berlekamp's method: the kernel of Frobenius minus identity
-gives the split algebra, and factors are separated by equal-degree
-splitting (Cantor-Zassenhaus) on random elements of it, drawn from a
-generator with a constant seed, so results and operation counts repeat
-from run to run.
-Root search (`first_root`) splits the same way on c x + a, isolates one
-root and returns the least code of its Frobenius orbit; its cost is
-polynomial in the degree and in log q, and nothing in the engine
+Factorization is Cantor-Zassenhaus: each squarefree part is split by
+distinct degrees, through gcds with x^(q^d) - x, and each product of
+factors of one degree d by equal-degree splitting on random polynomials,
+drawn from a generator with a constant seed, so results and operation
+counts repeat from run to run.
+Root search (`first_root`) uses the same splitter, at d = 1, on c x + a,
+isolates one root and returns the least code of its Frobenius orbit; its
+cost is polynomial in the degree and in log q, and nothing in the engine
 enumerates the elements of a field.  Embeddings and residue extensions
 share its roots through one cache, `_embedding_root`.
 """
@@ -88,8 +88,7 @@ def _canonical_modulus(p, n):
     F = GF(p)
     for k in range(p ** n):
         m = _decode(k, p, n) + [1]
-        if (_pgcd(F, m, _derivative(F, m)) == [1]
-                and len(_frobenius_kernel(F, m)) == 1):
+        if next(_distinct_degree(F, m))[1] == n:
             return tuple(m)
     raise RuntimeError("no irreducible polynomial found")  # unreachable
 
@@ -543,44 +542,56 @@ def _squarefree(F, f):
     return [(g, m) for m, g in sorted(out.items())]
 
 
-def _frobenius_kernel(F, f):
-    """Basis of {b : b^q = b mod f} as code lists of degree < deg f."""
-    n = len(f) - 1
-    xq = _ppowmod(F, [0, 1], F.q, f)
-    # rows of (M - I): image of x^i under Frobenius minus identity
-    rows = []
-    power = [1]
-    for i in range(n):
-        row = power + [0] * (n - len(power))
-        row[i] = F.sub(row[i], 1)
-        rows.append(row)
-        power = _pdivmod(F, _pmul(F, power, xq), f)[1]
-    # kernel of the transpose action: solve sum_i a_i * rows[i] = 0
-    mat = [list(col) for col in zip(*rows)]
-    piv_of_col = row_reduce(F, mat)
-    basis = []
-    for free in range(n):
-        if free in piv_of_col:
-            continue
-        v = [0] * n
-        v[free] = 1
-        for c, row in piv_of_col.items():
-            v[c] = F.neg(mat[row][free])
-        basis.append(_trim(v))
-    return basis
+def _distinct_degree(F, f):
+    """(g, d) for each degree d of an irreducible factor of monic f, rising.
+
+    g = gcd(f, x^(q^d) - x) of f with the factors found so far divided out,
+    so for squarefree f it is the product of the factors of degree d.  The
+    search tries d while 2d <= deg f; what is left is irreducible and comes
+    last.  The first pair has d = deg f exactly when f is irreducible, since
+    a reducible f has a factor of degree <= deg f / 2 (Ben-Or's test).
+    """
+    h = [0, 1]
+    d = 1
+    while 2 * d < len(f):
+        h = _ppowmod(F, h, F.q, f)
+        g = _pgcd(F, f, _axpy(F, h, F.neg(1), [0, 1]))
+        if len(g) > 1:
+            yield g, d
+            f = _pdivmod(F, f, g)[0]
+        d += 1
+    if len(f) > 1:
+        yield f, len(f) - 1
 
 
-def _splitting_poly(F, b, f):
+def _equal_degree(F, f, d, rng):
+    """The irreducible factors of f, a product of distinct ones of degree d.
+
+    f is split by its gcd with `_splitting_poly` of a random b of degree
+    below deg f (Cantor-Zassenhaus), and both parts again.
+    """
+    if len(f) - 1 == d:
+        return [f]
+    while True:
+        b = _trim([rng.randrange(F.q) for _ in range(len(f) - 1)])
+        g = _pgcd(F, f, _splitting_poly(F, b, f, d))
+        if 1 < len(g) < len(f):
+            return (_equal_degree(F, g, d, rng)
+                    + _equal_degree(F, _pdivmod(F, f, g)[0], d, rng))
+
+
+def _splitting_poly(F, b, f, d):
     """A polynomial whose gcd with f collects about half the factors of f.
 
-    On each factor of f, b is a constant c of F_q.  For odd q this is
-    b^((q-1)/2) - 1, which vanishes where c is a nonzero square; for q = 2^n
-    it is the trace sum_{i<n} b^(2^i), which vanishes where Tr(c) = 0.
+    f is a product of irreducibles of degree d, and on each of them b is an
+    element c of GF(q^d).  For odd q this is b^((q^d-1)/2) - 1, which
+    vanishes where c is a nonzero square; for q = 2^n it is the trace
+    sum_{i<nd} b^(2^i), which vanishes where Tr(c) = 0.
     """
     if F.p != 2:
-        return _axpy(F, _ppowmod(F, b, (F.q - 1) // 2, f), F.neg(1), [1])
+        return _axpy(F, _ppowmod(F, b, (F.q ** d - 1) // 2, f), F.neg(1), [1])
     power = trace = b
-    for _ in range(F.n - 1):
+    for _ in range(F.n * d - 1):
         power = _square2(F, power, f)
         trace = _axpy(F, trace, 1, power)
     return trace
@@ -595,27 +606,6 @@ def _square2(F, a, f):
     return _pdivmod(F, sq, f)[1]
 
 
-def _equal_degree_split(F, f, kernel, rng):
-    """Irreducible factors of f, each element of kernel reduced mod f.
-
-    kernel spans the Berlekamp algebra of a multiple of f, so its images
-    mod f span that of f: f is irreducible exactly when they are all
-    constants.
-    """
-    kernel = [_pdivmod(F, b, f)[1] for b in kernel]
-    if all(len(b) <= 1 for b in kernel):
-        return [f]
-    while True:
-        b = []
-        for v in kernel:
-            b = _axpy(F, b, rng.randrange(F.q), v)
-        g = _pgcd(F, f, _splitting_poly(F, b, f))
-        if 1 < len(g) < len(f):
-            return (_equal_degree_split(F, g, kernel, rng)
-                    + _equal_degree_split(F, _pdivmod(F, f, g)[0], kernel,
-                                          rng))
-
-
 def factor(f: Poly):
     """Monic irreducible factors with multiplicity, deterministic order.
 
@@ -626,11 +616,11 @@ def factor(f: Poly):
         raise ValueError("cannot factor the zero polynomial")
     F = f.field
     lead = f.leading()
+    rng = random.Random(_SPLIT_SEED)
     pairs = []
     for g, m in _squarefree(F, _monic(F, f.coeffs)):
-        irreducibles = [g] if len(g) <= 2 else _equal_degree_split(
-            F, g, _frobenius_kernel(F, g), random.Random(_SPLIT_SEED))
-        pairs += [(h, m) for h in irreducibles]
+        for h, d in _distinct_degree(F, g):
+            pairs += [(e, m) for e in _equal_degree(F, h, d, rng)]
     pairs.sort(key=lambda t: (len(t[0]), t[0]))
     return lead, [(Poly(F, g), m) for g, m in pairs]
 
@@ -658,7 +648,7 @@ def first_root(f: Poly, over: int) -> int:
     checked = False
     while len(g) > 2:
         b = [rng.randrange(F.q), rng.randrange(1, F.q)]
-        s = _splitting_poly(F, b, g)
+        s = _splitting_poly(F, b, g, 1)
         if not checked:
             # b^q from s: the trace s satisfies s^2 = s + b + b^q in
             # characteristic 2; else s + 1 = b^((q-1)/2)

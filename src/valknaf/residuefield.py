@@ -24,9 +24,9 @@ class UnsupportedResidueExtension(NotImplementedError):
 def factor_over(field, f: Poly):
     """Monic irreducible factors of f with multiplicity, in a fixed order.
 
-    Finite fields use the in-package deterministic Berlekamp routine;
-    Q delegates to sympy.  Factors are monic, sorted by
-    (degree, coefficient key).
+    Finite fields use the in-package seeded distinct-degree and
+    equal-degree splitting (`gf.factor`); Q delegates to sympy.  Factors
+    are monic, sorted by (degree, coefficient key).
     """
     if isinstance(field, FiniteField):
         _, pairs = gf_factor(f)

@@ -6,7 +6,9 @@ counts by breadth-first Hensel lifting of modular factorizations seeded from
 sympy's factorization mod p, squarefreeness over k(t) by Euclid over
 k(t) itself rather than the library's fraction-free k[t][x] gcd, and
 factors over GF(q) by Berlekamp's splitting against every field constant
-rather than the library's randomized equal-degree splitting, squarefree
+rather than the library's randomized equal-degree splitting, irreducibility
+over GF(q) by Rabin's test rather than the library's distinct-degree pass
+(Ben-Or's test), squarefree
 parts over GF(q) by trial division with every monic polynomial rather than
 the library's gcds with the derivative, roots over GF(q) by evaluation at
 every field element, products in GF(p^n) by a
@@ -36,7 +38,7 @@ import sympy
 
 from valknaf.inductive import INFINITY, Level, Tower, phi_expansion
 from valknaf.ordgroup import RationalVector
-from valknaf.poly import Poly, power
+from valknaf.poly import Poly, poly_gcd, power
 from valknaf.problemfile import (FORMAT_VERSION, SCHEMAS, ProblemFile,
                                  ProblemFileError, _check_type, parse_int)
 from valknaf.residuefield import extend_residue
@@ -435,6 +437,32 @@ def berlekamp_by_enumeration(f):
         if g.degree > 0:
             out.extend(berlekamp_by_enumeration(g))
     return sorted(out, key=Poly.sort_key)
+
+
+def powmod(base, e, mod):
+    out = Poly.one(base.field)
+    base = base % mod
+    while e:
+        if e & 1:
+            out = (out * base) % mod
+        base = (base * base) % mod
+        e >>= 1
+    return out
+
+
+def is_irreducible_rabin(g):
+    """Rabin's test: only Poly arithmetic, independent of gf internals."""
+    q = g.field.q
+    d = g.degree
+    x = Poly.x(g.field)
+    if powmod(x, q ** d, g) != x % g:
+        return False
+    for r in {r for r in range(2, d + 1) if d % r == 0 and
+              all(r % k for k in range(2, r))}:
+        h = powmod(x, q ** (d // r), g) - x
+        if poly_gcd(h, g).degree > 0:
+            return False
+    return True
 
 
 def ref_mul(field, a, b):

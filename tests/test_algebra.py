@@ -11,17 +11,18 @@ import sympy
 from valknaf import funcfield
 from valknaf.funcfield import FunctionField, RatFunc
 from valknaf.gf import (GF, GFElement, _TABLE_MAX_Q, _binary_ops, _digit_ops,
-                       _log_tables, _ppowmod, _squarefree, embed, factor,
-                       first_root)
+                       _distinct_degree, _log_tables, _ppowmod, _squarefree,
+                       embed, factor, first_root)
 from valknaf.poly import (Poly, QQ, _pdivmod, _pmul, _power, poly_gcd,
                           power)
 from valknaf.residuefield import (UnsupportedResidueExtension, extend_residue,
                                   factor_over, linear_decomposer)
 
-from oracles import (berlekamp_by_enumeration, codes, compose, ref_mul,
-                     ref_poly_divmod, ref_poly_eval, ref_poly_gcd,
-                     ref_poly_monic, ref_poly_mul, roots,
-                     squarefree_by_trial_division, wrap, wrapped)
+from oracles import (berlekamp_by_enumeration, codes, compose,
+                     is_irreducible_rabin, ref_mul, ref_poly_divmod,
+                     ref_poly_eval, ref_poly_gcd, ref_poly_monic,
+                     ref_poly_mul, roots, squarefree_by_trial_division, wrap,
+                     wrapped)
 
 
 def rand_gf_poly(rng, field, degree, monic=False):
@@ -35,32 +36,6 @@ def rand_q_poly(rng, degree):
     coeffs = [F(rng.randint(-9, 9), rng.randint(1, 6)) for _ in range(degree)]
     coeffs.append(F(rng.randint(1, 9), rng.randint(1, 6)))
     return Poly(QQ, coeffs)
-
-
-def powmod(base, e, mod):
-    out = Poly.one(base.field)
-    base = base % mod
-    while e:
-        if e & 1:
-            out = (out * base) % mod
-        base = (base * base) % mod
-        e >>= 1
-    return out
-
-
-def is_irreducible_rabin(g):
-    """Rabin's test: only Poly arithmetic, independent of gf internals."""
-    q = g.field.q
-    d = g.degree
-    x = Poly.x(g.field)
-    if powmod(x, q ** d, g) != x % g:
-        return False
-    for r in {r for r in range(2, d + 1) if d % r == 0 and
-              all(r % k for k in range(2, r))}:
-        h = powmod(x, q ** (d // r), g) - x
-        if poly_gcd(h, g).degree > 0:
-            return False
-    return True
 
 
 # -- Poly ---------------------------------------------------------------------
@@ -284,6 +259,44 @@ def test_canonical_modulus_is_first_irreducible(p):
             if is_irreducible_rabin(cand))
         assert GF(p, n).modulus == first.coeffs
         n += 1
+
+
+@pytest.mark.parametrize("p,n,top", [(2, 1, 6), (3, 1, 4), (2, 2, 3)])
+def test_ben_or_matches_rabin(p, n, top):
+    # every monic candidate of degree <= top, squarefree or not, as the
+    # modulus search meets them: the first degree the distinct-degree pass
+    # yields is deg m exactly when Rabin's test accepts m
+    field = GF(p, n)
+    q = field.q
+    for deg in range(1, top + 1):
+        for code in range(q ** deg):
+            m = [code // q ** i % q for i in range(deg)] + [1]
+            first = next(_distinct_degree(field, m))[1]
+            assert (first == deg) == is_irreducible_rabin(Poly(field, m)), m
+
+
+@pytest.mark.parametrize("p,n", [(2, 1), (3, 1), (2, 2), (3, 2), (2, 13),
+                                 (10 ** 18 + 3, 1)])
+def test_factor_equal_degree_products(p, n):
+    # products of distinct irreducibles of one degree d > 1 reach the
+    # equal-degree splitter at d, over GF(2^n) through the trace of
+    # GF(2^(nd)); there are (q^d - q) / d monic irreducibles of prime degree d
+    field = GF(p, n)
+    rng = random.Random(f"equal-degree:{p}^{n}")
+    for d in (2, 3):
+        for _ in range(3):
+            count = min(rng.randint(2, 4), (field.q ** d - field.q) // d)
+            chosen = {}
+            while len(chosen) < count:
+                g = Poly(field, [rng.randrange(field.q) for _ in range(d)]
+                         + [1])
+                if is_irreducible_rabin(g):
+                    chosen[g.coeffs] = g
+            f = Poly.one(field)
+            for g in chosen.values():
+                f = f * g
+            expected = sorted(chosen.values(), key=Poly.sort_key)
+            assert factor(f) == (field.one, [(g, 1) for g in expected])
 
 
 def rand_squarefree(rng, field, degree, coprime_to=None):
