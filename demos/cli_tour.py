@@ -44,10 +44,14 @@ with tempfile.NamedTemporaryFile("w", suffix=".prob", delete=False) as handle:
     bad = handle.name
 assert run(["split", "--file", bad]) == 1
 assert run(["decide", "no-such-fixture"]) == 1
-wild = PROBLEMS / "binomial-sqrt-x.prob"
-text = wild.read_text().replace("n = 2", "n = 5")
+sqrt_x = (PROBLEMS / "binomial-sqrt-x.prob").read_text()
+# z^5 = x over GF(5): char k divides n, and the binomial is still answered
 with tempfile.NamedTemporaryFile("w", suffix=".prob", delete=False) as handle:
-    handle.write(text)
+    handle.write(sqrt_x.replace("n = 2", "n = 5"))
+assert run(["binomial", "--file", handle.name, "--porcelain"]) == 0
+# z^2 = 4 x^2 = (2x)^2 is reducible: inconsistent data
+with tempfile.NamedTemporaryFile("w", suffix=".prob", delete=False) as handle:
+    handle.write(sqrt_x.replace("a = 1", "a = 2").replace("c = 1", "c = 4"))
 assert run(["binomial", "--file", handle.name]) == 2
 assert run(["split", "--file",
             str(PROBLEMS / "split-wild-quartic.prob"), "--depth", "1"]) == 3

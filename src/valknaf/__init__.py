@@ -7,7 +7,7 @@ Subpackages by theme:
   deciding when a valuation extension is of essentially finite type.
 - `localsplit`: extensions of a rank-1 discrete valuation along a monic
   squarefree polynomial, via Newton polygons and residual polynomials.
-- `monoval`: rank-2 monomial valuations on k(x, y) and their tame binomial
+- `monoval`: rank-2 monomial valuations on k(x, y) and their binomial
   extensions.
 - `cli` / `problemfile` / `fixtures`: the command-line front end, the
   problem-file format and its meaning, and the named example catalog.
@@ -19,8 +19,7 @@ from .localsplit import (BaseValuation, LocalFactor, NewtonPolygonSegment,
                          residual_polynomial, split_extensions,
                          to_extension_invariants)
 from .monoval import (BinomialExtensionSpec, MonomialValuation,
-                      ResidualDegreeError, WildBinomialError, extend_binomial,
-                      mono_value)
+                      ResidualDegreeError, extend_binomial, mono_value)
 from .ordgroup import (LexGroup, RationalVector, initial_index, initial_set,
                        lex_compare, subgroup_index)
 from .problemfile import (ProblemFile, ProblemFileError, parse_problem,
@@ -38,7 +37,7 @@ __all__ = [
     "UnresolvedBranchError", "newton_polygon", "residual_polynomial",
     "split_extensions", "to_extension_invariants",
     "BinomialExtensionSpec", "MonomialValuation", "ResidualDegreeError",
-    "WildBinomialError", "extend_binomial", "mono_value",
+    "extend_binomial", "mono_value",
     "ProblemFile", "ProblemFileError", "parse_problem", "serialize",
     "FIXTURES", "Fixture", "fixture",
 ]

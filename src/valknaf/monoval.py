@@ -1,4 +1,4 @@
-"""Rank-2 monomial valuations on k(x,y) and their tame binomial extensions.
+"""Rank-2 monomial valuations on k(x,y) and their binomial extensions.
 
 A monomial valuation assigns x and y rational weight vectors and gives each
 polynomial the lex-least weight of its monomials; with Z-linearly
@@ -6,17 +6,18 @@ independent weights the minimum is attained at a single monomial, which
 makes the assignment a valuation with value group Γ_ν = Z·w_x + Z·w_y of
 rational rank 2 and residue field k.
 
-`extend_binomial` adjoins z with z^n = c·x^a·y^b (tame: the characteristic
-of k does not divide n).  Writing g = gcd(n, a, b) and w = (a·w_x + b·w_y)/n,
-the extended value group is Γ_ν + Z·w with e = [Γ_ω : Γ_ν] = n/g, and
-z^e / (x^(a/g)·y^(b/g)) is a unit U with U^(n/e) = c exactly — the monomial
-of value e·w divides z^n's right-hand side on the nose, so the residual
-equation is T^g = c̄ with unit 1.  By Capelli's theorem T^g − c̄ is
+`extend_binomial` adjoins z with z^n = c·x^a·y^b.  Writing g = gcd(n, a, b)
+and w = (a·w_x + b·w_y)/n, the extended value group is Γ_ν + Z·w with
+e = [Γ_ω : Γ_ν] = n/g, and z^e / (x^(a/g)·y^(b/g)) is a unit U with
+U^(n/e) = c exactly — the monomial of value e·w divides z^n's right-hand
+side on the nose, so the residual equation is T^g = c̄ with unit 1.  By
+Capelli's theorem, which holds in every characteristic, T^g − c̄ is
 irreducible over k exactly when c̄ is no q-th power for a prime q | g and,
 when 4 | g, not in −4k⁴; every such q (and 4) divides n, a and b, so the
 irreducibility test of the binomial has already ruled both out.  There is
-then one extension, with f = g and e·f = n, and tameness makes it
-defectless.
+then one extension, with f = g, and e·f = n makes it defectless.  Over
+GF(q) every element is a p-th power, so an irreducible binomial has p ∤ g
+even when p | n.
 
 These are the smallest instances separating ε from e: the criterion's
 initial condition holds or fails depending on whether w is congruent mod
@@ -39,10 +40,6 @@ INFINITY = inf
 # largest g = gcd(n, a, b), the degree of the residual polynomial T^g - c,
 # that extend_binomial builds; every fixture, demo and workload has g <= 12
 MAX_RESIDUAL_DEGREE = 2 ** 16
-
-
-class WildBinomialError(NotImplementedError):
-    """The characteristic divides n: the extension is out of tame scope."""
 
 
 class ResidualDegreeError(ValueError):
@@ -89,8 +86,7 @@ class BinomialExtensionSpec:
     """The extension K(z)/K with z^n = c * x^a * y^b.
 
     n is a positive integer, a and b integers, c a nonzero constant of the
-    base field; tameness (char k does not divide n) is checked when the
-    extension is computed.
+    base field.
     """
 
     def __init__(self, n: int, a: int, b: int, c):
@@ -165,19 +161,15 @@ def _binomial_irreducible(field, g: int, c) -> bool:
 def extend_binomial(v: MonomialValuation, spec: BinomialExtensionSpec) -> list:
     """All extensions of v to K(z), z^n = c*x^a*y^b, as ExtensionInvariants.
 
-    Raises WildBinomialError when char k divides n, ResidualDegreeError
-    when gcd(n, a, b) exceeds MAX_RESIDUAL_DEGREE, and ValueError when the
-    binomial is reducible or c is zero.
+    Raises ResidualDegreeError when gcd(n, a, b) exceeds
+    MAX_RESIDUAL_DEGREE, and ValueError when the binomial is reducible or c
+    is zero.
     """
     k = v.base_field
     n, a, b = spec.n, spec.a, spec.b
     c = k.coerce(spec.c)
     if not c:
         raise ValueError("c must be a nonzero constant")
-    p = k.characteristic
-    if p and n % p == 0:
-        raise WildBinomialError(
-            f"characteristic {p} divides n = {n}: wild binomials are not supported")
     g = gcd(n, gcd(a, b))
     if g > MAX_RESIDUAL_DEGREE:
         raise ResidualDegreeError(
@@ -206,7 +198,7 @@ def extend_binomial(v: MonomialValuation, spec: BinomialExtensionSpec) -> list:
         gamma_omega=gamma_omega,
         residue_degree=g,
         local_degree=n,
-        residue_char=p,
+        residue_char=k.characteristic,
         total_degree=n,
         provenance=(f"binomial z^{n} = {k.render(c)}*x^{a}*y^{b}: e = {e}, "
                     f"residual factor {psi}"))

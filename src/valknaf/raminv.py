@@ -166,10 +166,10 @@ def frobenius_defect(k_degree: int, gamma: Union[LexGroup, int],
         index = subgroup_index(gamma, gamma.scale(p))
         if index is inf:
             raise ValueError("[Gamma : p*Gamma] must be finite")
+    elif isinstance(gamma, int) and gamma >= 1:
+        index = gamma
     else:
-        index = int(gamma)
-        if index < 1:
-            raise ValueError("declared index must be a positive integer")
+        raise ValueError("declared index must be a positive integer")
     if k_degree < 1 or kappa_insep_degree < 1:
         raise ValueError("degrees must be positive integers")
     denom = index * kappa_insep_degree

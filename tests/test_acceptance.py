@@ -249,17 +249,17 @@ def test_criterion_9_cli_contract(tmp_path, capsys):
     bad_syntax = tmp_path / "bad.prob"
     bad_syntax.write_text("version = 1\nmode = split\n\n[base]\nfield = Q\n"
                           "p = 1//2\n\n[polynomial]\ncoeffs = [1, 0, 1]\n")
-    wild = tmp_path / "wild.prob"
-    wild.write_text("version = 1\nmode = binomial\n\n[base]\nfield = GF(5)\n"
-                    "weight_x = (1, 0)\nweight_y = (0, 1)\n\n[extension]\n"
-                    "n = 5\na = 1\nb = 0\nc = 1\n")
+    reducible = tmp_path / "reducible.prob"  # z^2 = 4 = 2^2 over GF(5)
+    reducible.write_text("version = 1\nmode = binomial\n\n[base]\n"
+                         "field = GF(5)\nweight_x = (1, 0)\nweight_y = (0, 1)\n"
+                         "\n[extension]\nn = 2\na = 0\nb = 0\nc = 4\n")
     deep = tmp_path / "deep.prob"
     deep.write_text("version = 1\nmode = split\n\n[base]\nfield = Q\n"
                     "p = 2\n\n[polynomial]\ncoeffs = [4, 0, 8, 0, 1]\n")
     observed = [
         cli.main(["split", "--file", str(bad_syntax)]),
         cli.main(["decide", "unknown-fixture-name"]),
-        cli.main(["binomial", "--file", str(wild)]),
+        cli.main(["binomial", "--file", str(reducible)]),
         cli.main(["split", "--file", str(deep), "--depth", "1"]),
     ]
     capsys.readouterr()

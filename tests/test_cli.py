@@ -284,6 +284,9 @@ c = (0, 1)
 def test_cli_exit_codes(tmp_path, capsys):
     syntax = write(tmp_path, "syn.prob", SPLIT5.replace("p = 5", "p = 1//2"))
     wild = write(tmp_path, "wild.prob", BINO.replace("n = 2", "n = 5"))
+    # z^5 = 2 over GF(5): 2 is a 5th power, as is every element
+    reducible = write(tmp_path, "red.prob", BINO.replace("n = 2", "n = 5")
+                      .replace("a = 1", "a = 0").replace("c = 1", "c = 2"))
     nonsq = write(tmp_path, "nsq.prob",
                   SPLIT5.replace("coeffs = [1, 0, 1]",
                                  "coeffs = [4, -4, 1]"))  # (x - 2)^2
@@ -340,7 +343,8 @@ residue_char = 0
         (["group", "--=x"], 1, "ambiguous option"),
         (["group", "--porcelain=yes", "--file", syntax], 1,
          "ignored explicit argument 'yes'"),
-        (["binomial", "--file", wild], 2, "wild"),
+        (["binomial", "--file", wild], 0, ""),
+        (["binomial", "--file", reducible], 2, "reducible"),
         (["split", "--file", nonsq], 2, "squarefree"),
         (["decide", "--file", baddec], 2, "does not divide"),
         (["split", "--file", deep, "--depth", "1"], 3, "not isolated"),
@@ -393,13 +397,12 @@ def test_cli_main_reads_sys_argv(capsys, monkeypatch):
 
 
 @pytest.mark.parametrize("mode,text", [
-    ("binomial", BINO.replace("n = 2", "n = 5")),
     # (x^2 + 1)^2 + t at pi = t over Q(t): the residual factor x^2 + 1 would
     # need the residue field Q(i)
     ("split", SPLIT5.replace("field = Q", "field = Q(t)")
      .replace("p = 5", "pi = [0, 1]")
      .replace("[1, 0, 1]", "[(1, 1), 0, 2, 0, 1]")),
-], ids=["wild-binomial", "qt-degree-2-residue"])
+], ids=["qt-degree-2-residue"])
 def test_cli_out_of_scope_is_unsupported(tmp_path, capsys, mode, text):
     # out-of-scope input keeps exit 2 but is told apart from inconsistent data
     path = write(tmp_path, "p.prob", text)

@@ -1,4 +1,4 @@
-"""Tests for rank-2 monomial valuations and tame binomial extensions."""
+"""Tests for rank-2 monomial valuations and binomial extensions."""
 
 import random
 from fractions import Fraction as F
@@ -10,11 +10,13 @@ import sympy
 from valknaf.gf import GF
 from valknaf.monoval import (MAX_RESIDUAL_DEGREE, BinomialExtensionSpec,
                              MonomialValuation, ResidualDegreeError,
-                             WildBinomialError, extend_binomial, mono_value)
+                             extend_binomial, mono_value)
 from valknaf.ordgroup import initial_index, subgroup_index
 from valknaf.poly import QQ, Poly
 from valknaf.residuefield import factor_over
 from valknaf.raminv import knaf_decide, validate
+
+from oracles import coset_count_box, initial_index_box, is_irreducible_rabin
 
 F5 = GF(5, 1)
 F7 = GF(7, 1)
@@ -115,13 +117,60 @@ def test_rank2_fiber_initial_index():
     assert not k.eft
 
 
-# -- errors --------------------------------------------------------------------
+# -- wild binomials (char k divides n) -----------------------------------------
 
-def test_wild_spec_rejected():
-    with pytest.raises(WildBinomialError):
-        extend_binomial(STD, BinomialExtensionSpec(5, 1, 0, 1))
-    with pytest.raises(WildBinomialError):
-        extend_binomial(STD, BinomialExtensionSpec(10, 1, 0, 1))
+def test_wild_spec_answered():
+    k = single(STD, BinomialExtensionSpec(5, 1, 0, 1))
+    assert (k.e, k.f, k.eps, k.d, k.eft) == (5, 1, 1, 1, False)
+    k = single(STD, BinomialExtensionSpec(5, 0, 1, 1))
+    assert (k.e, k.f, k.eps, k.d, k.eft) == (5, 1, 5, 1, True)
+    k = single(STD, BinomialExtensionSpec(10, 2, 4, 2))
+    assert (k.e, k.f, k.eps) == (5, 2, 1)
+    k = single(STD, BinomialExtensionSpec(25, 5, 3, 3))
+    assert (k.e, k.eps) == (25, 5)
+    # 5 | gcd(n, a, b): the right-hand side is a 5th power
+    for spec in (BinomialExtensionSpec(10, 5, 5, 2),
+                 BinomialExtensionSpec(15, 0, 3, 2)):
+        with pytest.raises(ValueError, match="reducible"):
+            extend_binomial(STD, spec)
+
+
+@pytest.mark.parametrize("k", [GF(2), GF(3), GF(2, 2), F5],
+                         ids=["GF2", "GF3", "GF4", "GF5"])
+def test_wild_specs_against_oracles(k):
+    """e and eps by box enumeration, f by Rabin's test on T^g - c."""
+    rng = random.Random(20261019)
+    p = k.characteristic
+    checked = 0
+    for _ in range(50):
+        if checked == 3:
+            break
+        v = MonomialValuation(k, (1, F(rng.randint(0, 2), rng.randint(1, 2))),
+                              (0, 1))
+        n = p * rng.randint(1, 3)
+        g = rng.choice([d for d in range(1, n + 1) if n % d == 0 and d % p])
+        a, b = g * rng.randint(-3, 3), g * rng.randint(-3, 3)
+        c = random_constant(rng, k)
+        try:
+            (inv,) = extend_binomial(v, BinomialExtensionSpec(n, a, b, c))
+        except ValueError:
+            continue
+        checked += 1
+        g = gcd(n, gcd(a, b))
+        assert g % p
+        verdict = knaf_decide(inv)
+        gens_omega = [tuple(w) for w in inv.gamma_omega.basis]
+        gens_nu = [tuple(w) for w in inv.gamma_nu.basis]
+        assert verdict.e == n // g == coset_count_box(gens_omega, gens_nu, 2)
+        assert verdict.eps == initial_index_box(gens_omega, gens_nu, 2)
+        assert verdict.f == g
+        psi = Poly(k, [k.neg(k.coerce(c))] + [k.zero] * (g - 1) + [k.one])
+        assert is_irreducible_rabin(psi)
+        assert verdict.d == 1 and validate(inv) == []
+    assert checked == 3
+
+
+# -- errors --------------------------------------------------------------------
 
 
 def test_reducible_binomial_rejected():
@@ -179,8 +228,6 @@ def test_random_specs_structural():
         except ValueError:
             continue
         n = rng.randint(1, 6)
-        if k.characteristic and n % k.characteristic == 0:
-            continue
         a, b = rng.randint(-4, 4), rng.randint(-4, 4)
         c = (rng.choice([x for x in k.elements() if x])
              if hasattr(k, "elements") else F(rng.randint(1, 9)))
@@ -246,10 +293,9 @@ def random_constant(rng, k):
 def test_residual_binomial_irreducible_exactly_when_accepted(k):
     rng = random.Random(20261018)
     v = MonomialValuation(k, (1, F(1, 2)), (0, 1))
-    p = k.characteristic
     accepted = rejected = 0
     for _ in range(150):
-        n = rng.choice([m for m in range(2, 13) if not p or m % p])
+        n = rng.randint(2, 12)
         g = rng.choice([d for d in range(1, n + 1) if n % d == 0])
         a, b = g * rng.randint(-3, 3), g * rng.randint(-3, 3)
         g = gcd(n, gcd(a, b))
@@ -275,3 +321,6 @@ def test_residual_degree_bound():
     for n in (MAX_RESIDUAL_DEGREE + 1, 10 ** 8, 10 ** 30 + 57):
         with pytest.raises(ResidualDegreeError, match="residual degree"):
             extend_binomial(vq, BinomialExtensionSpec(n, 0, 0, 2))
+    # wild: the bound applies as for tame n
+    with pytest.raises(ResidualDegreeError, match="residual degree"):
+        extend_binomial(STD, BinomialExtensionSpec(5 * 2 ** 17, 0, 0, 2))

@@ -140,6 +140,10 @@ def test_frobenius_defect_declared_index():
     # p-divisible value group: [Gamma : p Gamma] = 1 is declared data
     for p in (2, 3, 5):
         assert frobenius_defect(p, 1, 1, p) == p
+    # a declared index is an int; anything else is refused, not truncated
+    for gamma in (2.5, '2'):
+        with pytest.raises(ValueError):
+            frobenius_defect(4, gamma, 1, 2)
 
 
 def test_frobenius_defect_errors():
