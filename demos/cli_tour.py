@@ -38,21 +38,27 @@ assert run(["fixtures", "monomial-sqrt-xy"]) == 0
 assert run(["decide", "frobenius-abhyankar", "--porcelain"]) == 0
 
 print("== exit codes on bad inputs ==")
-with tempfile.NamedTemporaryFile("w", suffix=".prob", delete=False) as handle:
-    handle.write("version = 1\nmode = split\n\n[base]\nfield = Q\n"
-                 "p = 1//2\n\n[polynomial]\ncoeffs = [1, 0, 1]\n")
-    bad = handle.name
-assert run(["split", "--file", bad]) == 1
-assert run(["decide", "no-such-fixture"]) == 1
-sqrt_x = (PROBLEMS / "binomial-sqrt-x.prob").read_text()
-# z^5 = x over GF(5): char k divides n, and the binomial is still answered
-with tempfile.NamedTemporaryFile("w", suffix=".prob", delete=False) as handle:
-    handle.write(sqrt_x.replace("n = 2", "n = 5"))
-assert run(["binomial", "--file", handle.name, "--porcelain"]) == 0
-# z^2 = 4 x^2 = (2x)^2 is reducible: inconsistent data
-with tempfile.NamedTemporaryFile("w", suffix=".prob", delete=False) as handle:
-    handle.write(sqrt_x.replace("a = 1", "a = 2").replace("c = 1", "c = 4"))
-assert run(["binomial", "--file", handle.name]) == 2
+
+
+def write(name, text):
+    path = Path(scratch) / name
+    path.write_text(text)
+    return str(path)
+
+
+with tempfile.TemporaryDirectory() as scratch:
+    bad = write("bad.prob", "version = 1\nmode = split\n\n[base]\n"
+                "field = Q\np = 1//2\n\n[polynomial]\ncoeffs = [1, 0, 1]\n")
+    assert run(["split", "--file", bad]) == 1
+    assert run(["decide", "no-such-fixture"]) == 1
+    sqrt_x = (PROBLEMS / "binomial-sqrt-x.prob").read_text()
+    # z^5 = x over GF(5): char k divides n, and the binomial is still answered
+    wild = write("wild.prob", sqrt_x.replace("n = 2", "n = 5"))
+    assert run(["binomial", "--file", wild, "--porcelain"]) == 0
+    # z^2 = 4 x^2 = (2x)^2 is reducible: inconsistent data
+    square = write("square.prob", sqrt_x.replace("a = 1", "a = 2")
+                   .replace("c = 1", "c = 4"))
+    assert run(["binomial", "--file", square]) == 2
 assert run(["split", "--file",
             str(PROBLEMS / "split-wild-quartic.prob"), "--depth", "1"]) == 3
 print("all exit codes as documented")

@@ -1,14 +1,17 @@
 """Exact ramification invariants of valuation extensions.
 
-Subpackages by theme:
+Modules by theme:
 
 - `ordgroup`: finitely generated subgroups of Q^r under the lex order.
 - `raminv`: ramification invariants (e, f, eps, d) and the criterion
   deciding when a valuation extension is of essentially finite type.
 - `localsplit`: extensions of a rank-1 discrete valuation along a monic
-  squarefree polynomial, via Newton polygons and residual polynomials.
+  squarefree polynomial, via Newton polygons, residual polynomials and
+  the MacLane towers of `inductive`.
 - `monoval`: rank-2 monomial valuations on k(x, y) and their binomial
   extensions.
+- `gf`, `poly`, `funcfield`, `residuefield`, `numtheory`: the exact
+  arithmetic beneath: GF(p^n), polynomials, k(t), residue fields, integers.
 - `cli` / `problemfile` / `fixtures`: the command-line front end, the
   problem-file format and its meaning, and the named example catalog.
 """

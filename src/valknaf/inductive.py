@@ -105,8 +105,8 @@ class Tower:
         V is the value of f, in units of 1/D.  parts is what `residue`
         needs for the class of f, so that the class is computed only where
         it is asked for: at level 0 the remainders that the base's
-        `split` gives, at level i the (j, V_j, parts_j) of each digit of f
-        in phi_i that attains V.
+        `split` gives, at level i a dict from the position j of each digit
+        of f in phi_i that attains V to that digit's grade (V_j, parts_j).
         """
         if i == 0:
             if f.degree > 0:
@@ -118,39 +118,43 @@ class Tower:
         for j, digit in enumerate(phi_expansion(f, self.levels[i - 1].phi)):
             if digit.is_zero():
                 continue
-            v, parts = self.grade(i - 1, digit)
-            w = v + j * mu
+            graded = self.grade(i - 1, digit)
+            w = graded[0] + j * mu
             if best is None or w < best:
-                best, tight = w, [(j, v, parts)]
+                best, tight = w, {j: graded}
             elif w == best:
-                tight.append((j, v, parts))
+                tight[j] = graded
         return best, tight
 
     def residue(self, i, parts):
         """Class r in kappa_i with [f] = r * monomial, from `grade`'s parts.
 
-        The digits of f in phi_i that attain its value are reduced at
-        their own values, normalized onto the canonical monomial and
-        summed.
+        The digits of f in phi_i that attain its value lie on one line of
+        slope -mu_i, through j mod e_i; its `line_residual` over
+        kappa_(i-1), evaluated at z_i, is the class.
         """
         if i == 0:
             return self.base.residue(*parts)
         lev = self.levels[i - 1]
-        F, below = lev.resfield, self.field_at(i - 1)
-        total = F.zero
-        common_a = None
-        for j, v, sub in parts:
-            s, a = divmod(j, lev.e)
-            if common_a is None:
-                common_a = a
-            assert a == common_a, "tight exponents disagree mod e"
-            r = self.residue(i - 1, sub)
-            u = self.unit_at(i - 1, v, lev.q_exps, s)
-            total = F.add(total, F.mul(lev.embed_prev(below.mul(r, u)),
-                                       power(F, lev.z, s)))
+        line = self.line_residual(i - 1, parts, next(iter(parts)) % lev.e,
+                                  lev.e, lev.q_exps)
+        total = line.map_coeffs(lev.embed_prev, lev.resfield)(lev.z)
         if not total:
             raise ValueError("graded reduction vanished; tower is corrupt")
         return total
+
+    def line_residual(self, i, line, j0, e, q_exps) -> Poly:
+        """Residual polynomial over kappa_i of a line: line maps j0 + s*e
+        to the grade (V_j, parts_j) of a digit at level i, and coefficient s
+        is its class times `unit_at(i, V_j, q_exps, s)`, else 0."""
+        F = self.field_at(i)
+        coeffs = [F.zero] * ((max(line) - j0) // e + 1)
+        for j, (w, parts) in line.items():
+            s, off = divmod(j - j0, e)
+            assert not off, "digit off the line"
+            coeffs[s] = F.mul(self.residue(i, parts),
+                              self.unit_at(i, w, q_exps, s))
+        return Poly(F, coeffs)
 
     def val(self, f: Poly):
         """Tower value of f under all levels."""

@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import count, islice
-from math import gcd, inf
+from math import gcd
 
 from .funcfield import (FunctionField, _fmt_tpoly, clear_denominators,
                         primitive_gcd, split_order, t_derivative,
@@ -31,16 +31,16 @@ from .poly import Poly, QQ, _derivative, _pgcd, _trim, power
 from .raminv import ExtensionInvariants
 from .residuefield import extend_residue, factor_over
 
+
 class UnresolvedBranchError(RuntimeError):
     """A branch hit the depth limit before it was isolated: the message
     names the last step, `certificate` keeps every step."""
 
-    def __init__(self, depth_limit: int, certificate: str):
+    def __init__(self, depth_limit: int, steps: tuple):
         self.depth_limit = depth_limit
-        self.certificate = certificate
-        last = certificate.rsplit(" -> ", 1)[-1]
+        self.certificate = " -> ".join(steps)
         super().__init__(f"branch not isolated within depth {depth_limit}; "
-                         f"last step: {last}")
+                         f"last step: {steps[-1]}")
 
 
 class BaseValuation:
@@ -56,9 +56,9 @@ class BaseValuation:
     Provides the stage-0 interface the inductive tower machinery consumes:
     `field` (domain adapter), `residue_field`, `split` and `residue` (the
     value and the residue of an element, from one `split_order` each of its
-    numerator and denominator), `value_of`, `shifted_reduce` and
-    `lift_shifted`.  Values of nonzero elements are integers; the
-    uniformizer has value 1.
+    numerator and denominator) and `lift_shifted`; `value_of` and
+    `shifted_reduce` are API only.  Values of nonzero elements are
+    integers; the uniformizer has value 1.
     """
 
     def __init__(self):
@@ -98,13 +98,14 @@ class BaseValuation:
         if not isinstance(pi, Poly):
             pi = Poly(constant_field, [constant_field.coerce(c) for c in pi])
         if pi.field != constant_field:
-            raise ValueError(f"{pi!r} is not a polynomial over "
+            raise ValueError(f"{_fmt_tpoly(pi)} is not a polynomial over "
                              f"{constant_field!r}")
         if pi.degree < 1 or not pi.is_monic():
             raise ValueError("uniformizer must be monic of degree >= 1")
         pairs = factor_over(constant_field, pi)
         if len(pairs) != 1 or pairs[0][1] != 1 or pairs[0][0] != pi:
-            raise ValueError(f"{pi!r} is not irreducible over {constant_field!r}")
+            raise ValueError(f"{_fmt_tpoly(pi)} is not irreducible over "
+                             f"{constant_field!r}")
         ext = extend_residue(constant_field, pi)
         # split_order hands over remainders mod pi, so the evaluation at the
         # root, in the larger field, runs on fewer than deg pi coefficients
@@ -241,27 +242,15 @@ def _segment_residual(tower: Tower, grades, num: int, e: int, j0: int,
     grades maps the positions of the nonzero digits of the current
     polynomial in the key to their `Tower.grade` (value, parts); the
     segment's slope is -num / (e * D) with num / e in lowest terms, D the
-    tower's `denom`.  The coefficient of T^t collects the digit at
-    j0 + t*e when it lies on the segment, reduced at its own value and
-    normalized onto the canonical monomial of the common value, so that
-    the result is a well-defined polynomial over the current residue field
-    with nonzero constant and leading coefficients.
+    tower's `denom`.  The digits on the segment make a `line_residual`
+    through j0, with nonzero constant and leading coefficients.
     """
     k = tower.depth
-    kappa = tower.field_at(k)
-    q_exps = tower.canonical_exps(k, num)  # e * (-slope) is num / D
     v0 = grades[j0][0]
-    assert (j1 - j0) % e == 0, "segment width must be a multiple of e"
-    coeffs = []
-    for t in range((j1 - j0) // e + 1):
-        j = j0 + t * e
-        graded = grades.get(j)
-        if graded is None or (graded[0] - v0) * e != (j0 - j) * num:
-            coeffs.append(kappa.zero)
-            continue
-        r = tower.residue(k, graded[1])
-        coeffs.append(kappa.mul(r, tower.unit_at(k, graded[0], q_exps, t)))
-    return Poly(kappa, coeffs)
+    line = {j: graded for j, graded in grades.items()
+            if j0 <= j <= j1 and (graded[0] - v0) * e == (j0 - j) * num}
+    # e * (-slope) is num / D
+    return tower.line_residual(k, line, j0, e, tower.canonical_exps(k, num))
 
 
 def residual_polynomial(v: BaseValuation, g, seg: NewtonPolygonSegment) -> Poly:
@@ -300,8 +289,8 @@ _SQUAREFREE_TRIES = 6
 def split_extensions(v: BaseValuation, g, depth_limit: int = 16) -> list:
     """All extensions of v to K[x]/(g), for monic squarefree g.
 
-    Returns LocalFactor records sorted by the (slope, residual factor)
-    branch path that produced them, so identical inputs give identically
+    Returns LocalFactor records in branch order, an exact key divisor
+    after the segments of its key, so identical inputs give identically
     ordered output.  Raises ValueError on non-monic or non-squarefree
     input or a depth_limit outside 1..MAX_DEPTH, and UnresolvedBranchError
     if a branch is still ambiguous after depth_limit augmentation steps.
@@ -317,10 +306,8 @@ def split_extensions(v: BaseValuation, g, depth_limit: int = 16) -> list:
         raise ValueError(
             "input polynomial is not squarefree over the base field "
             "(repeated factors, possibly of the form h(x^p))")
-    found = []
-    _explore(Tower(v), Poly.x(v.field), g, (), (), found, depth_limit)
-    found.sort(key=lambda item: item[0])
-    factors = [fac for _, fac in found]
+    factors = []
+    _explore(Tower(v), Poly.x(v.field), g, (), factors, depth_limit)
     total = sum(fac.degree for fac in factors)
     if total != g.degree:
         raise ValueError(
@@ -328,17 +315,20 @@ def split_extensions(v: BaseValuation, g, depth_limit: int = 16) -> list:
     return factors
 
 
-def _explore(tower, key, G, path, steps, out, depth_limit):
-    """Expand G in the current key and branch on polygon segments."""
+def _explore(tower, key, G, steps, out, depth_limit):
+    """Expand G in the current key, appending its factors in branch order."""
     digits = phi_expansion(G, key)
+    divisor = ()
     if digits[0].is_zero():
         # The key divides G: over these henselian-complete bases a key
-        # polynomial is irreducible, so it is itself a local factor.
-        out.append((path + ((inf, ()),), _terminal(
+        # polynomial is irreducible, so it is itself a local factor, which
+        # follows the factors of the segments.
+        divisor = (_terminal(
             key.degree, tower.denom, tower.residue_product(),
-            steps + (f"[deg {key.degree}] exact key divisor",))))
+            steps + (f"[deg {key.degree}] exact key divisor",)),)
         G = G // key
         if G.degree < 1:
+            out.extend(divisor)
             return
         digits = digits[1:]  # phi-adic digits are unique
         assert not digits[0].is_zero(), "repeated key divisor in squarefree input"
@@ -365,21 +355,18 @@ def _explore(tower, key, G, path, steps, out, depth_limit):
         slope = Fraction(-num, e_seg * tower.denom)
         resid = _segment_residual(tower, grades, num, e_seg, x1, x2)
         for psi, mult in factor_over(tower.field_at(tower.depth), resid):
-            branch = path + ((slope, psi.sort_key()),)
-            step = (f"[deg {key.degree}] slope {slope}, residual factor "
-                    f"{psi} (multiplicity {mult})")
+            branch = steps + (f"[deg {key.degree}] slope {slope}, residual "
+                              f"factor {psi} (multiplicity {mult})",)
             if mult == 1:
-                out.append((branch, _terminal(
+                out.append(_terminal(
                     key.degree * e_seg * psi.degree, tower.denom * e_seg,
-                    tower.residue_product() * psi.degree,
-                    steps + (step,))))
+                    tower.residue_product() * psi.degree, branch))
                 continue
-            if len(path) >= depth_limit:
-                raise UnresolvedBranchError(
-                    depth_limit, " -> ".join(steps + (step,)))
+            if len(steps) >= depth_limit:
+                raise UnresolvedBranchError(depth_limit, branch)
             deeper = tower.augment(key, -slope, psi)
-            _explore(deeper, deeper.lift_key(), G, branch,
-                     steps + (step,), out, depth_limit)
+            _explore(deeper, deeper.lift_key(), G, branch, out, depth_limit)
+    out.extend(divisor)
 
 
 def _terminal(degree, e, f, steps) -> LocalFactor:

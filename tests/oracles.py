@@ -22,7 +22,8 @@ each digit anew per call rather than the library's one graded pass on
 integer values, the next key polynomial by a loop over the coefficients of
 psi with a table of units rather than the library's single lift of a
 class, the optimal MacLane chain by the tower that appends every level,
-and problem files
+the order of the extensions by a sort on branch paths after the walk
+rather than the library's emission in branch order, and problem files
 by a cascade of string splits and a second schema loop rather than the
 library's one-pass token scanner, and command lines by the argparse parser
 the CLI used before its table-driven reader.
@@ -32,16 +33,18 @@ import argparse
 import re
 from fractions import Fraction
 from itertools import product
-from math import lcm
+from math import gcd, inf, lcm
 
 import sympy
 
 from valknaf.inductive import INFINITY, Level, Tower, phi_expansion
+from valknaf.localsplit import (UnresolvedBranchError, _lower_hull,
+                                _poly_over, _segment_residual, _terminal)
 from valknaf.ordgroup import RationalVector
 from valknaf.poly import Poly, poly_gcd, power
 from valknaf.problemfile import (FORMAT_VERSION, SCHEMAS, ProblemFile,
                                  ProblemFileError, _check_type, parse_int)
-from valknaf.residuefield import extend_residue
+from valknaf.residuefield import extend_residue, factor_over
 
 
 def _lex_sign(v):
@@ -800,6 +803,65 @@ def augment_appending(tower, phi, lam, psi):
                   decompose=ext.decompose, q_exps=q_exps,
                   denom=prev_den * e)
     return Tower(tower.base, tower.levels + (level,))
+
+
+# -- the MacLane walk, sorted afterwards --------------------------------------
+# The reference for the order of `localsplit.split_extensions`: `_explore` as
+# it was when each factor carried its branch path, a tuple of (slope, psi's
+# sort key) pairs closed by (inf, ()) for an exact key divisor, and the
+# factors were sorted by it once the walk was done.
+
+
+def split_extensions_sorted(v, g, depth_limit=16):
+    """The factors of split_extensions(v, g), sorted by branch path."""
+    g = _poly_over(v, g)
+    found = []
+    _explore_with_paths(Tower(v), Poly.x(v.field), g, (), (), found,
+                        depth_limit)
+    found.sort(key=lambda item: item[0])
+    return [fac for _, fac in found]
+
+
+def _explore_with_paths(tower, key, G, path, steps, out, depth_limit):
+    digits = phi_expansion(G, key)
+    if digits[0].is_zero():
+        out.append((path + ((inf, ()),), _terminal(
+            key.degree, tower.denom, tower.residue_product(),
+            steps + (f"[deg {key.degree}] exact key divisor",))))
+        G = G // key
+        if G.degree < 1:
+            return
+        digits = digits[1:]
+    k = tower.depth
+    grades = {j: tower.grade(k, d) for j, d in enumerate(digits)
+              if not d.is_zero()}
+    bound = None
+    if k:
+        lev = tower.levels[-1]
+        bound = lev.e * lev.f * tower.mu_units[k]
+    for (x1, y1), (x2, y2) in _lower_hull(
+            [(j, graded[0]) for j, graded in grades.items()]):
+        common = gcd(y1 - y2, x2 - x1)
+        num, e_seg = (y1 - y2) // common, (x2 - x1) // common
+        if bound is not None and num <= e_seg * bound:
+            continue
+        slope = Fraction(-num, e_seg * tower.denom)
+        resid = _segment_residual(tower, grades, num, e_seg, x1, x2)
+        for psi, mult in factor_over(tower.field_at(tower.depth), resid):
+            branch = path + ((slope, psi.sort_key()),)
+            step = (f"[deg {key.degree}] slope {slope}, residual factor "
+                    f"{psi} (multiplicity {mult})")
+            if mult == 1:
+                out.append((branch, _terminal(
+                    key.degree * e_seg * psi.degree, tower.denom * e_seg,
+                    tower.residue_product() * psi.degree,
+                    steps + (step,))))
+                continue
+            if len(path) >= depth_limit:
+                raise UnresolvedBranchError(depth_limit, steps + (step,))
+            deeper = tower.augment(key, -slope, psi)
+            _explore_with_paths(deeper, deeper.lift_key(), G, branch,
+                                steps + (step,), out, depth_limit)
 
 
 # -- the problem-file grammar as a cascade of string splits ---------------------

@@ -416,14 +416,15 @@ def test_cli_out_of_scope_is_unsupported(tmp_path, capsys, mode, text):
 def test_cli_corrupt_tower_is_inconsistent(tmp_path, capsys, monkeypatch):
     # a unit of the graded reduction that vanishes can only come from a
     # corrupt tower; Tower.residue reports it as inconsistent data, in one
-    # line.  The unit is zeroed only where residue asks for it: lift_at,
+    # line.  The unit is zeroed only where residue asks for it, through
+    # the line_residual it shares with the polygon segments: lift_at,
     # which lift_key calls first after each augmentation, would invert a
     # zero unit.
     real = Tower.unit_at
 
     def zero_unit_in_residue(self, i, w, q_exps, t):
         unit = real(self, i, w, q_exps, t)
-        if sys._getframe(1).f_code.co_name == "residue":
+        if sys._getframe(2).f_code.co_name == "residue":
             return self.field_at(i).zero
         return unit
 
@@ -450,6 +451,22 @@ pi = {pi}
 [polynomial]
 coeffs = {coeffs}
 """
+
+
+@pytest.mark.parametrize("field,pi,message", [
+    ("Q(t)", "[0, 0, 1]", "t^2 is not irreducible over QQ"),
+    ("GF(5)", "[4, 0, 1]", "4 + t^2 is not irreducible over GF(5)"),
+], ids=["Q(t)", "GF(5)"])
+def test_cli_reducible_pi_is_printed_in_t(tmp_path, capsys, field, pi,
+                                          message):
+    # a reducible uniformizer is inconsistent data; the message prints it
+    # as a polynomial in t, as the valuation's description does
+    path = write(tmp_path, "p.prob", GF5_SPLIT.replace("GF(5)", field)
+                 .format(pi=pi, coeffs="[1, 0, 1]"))
+    assert cli.main(["split", "--file", path]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"inconsistent: {message}\n"
 
 
 @pytest.mark.parametrize("mode,text", [

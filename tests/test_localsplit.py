@@ -5,11 +5,13 @@ import random
 from fractions import Fraction as F
 
 import pytest
+import sympy
 
-from oracles import (padic_factor_degrees, squarefree_by_ratfunc_euclid,
+from oracles import (padic_factor_degrees, split_extensions_sorted,
+                     squarefree_by_ratfunc_euclid,
                      squarefree_over_q_by_euclid)
 from valknaf import gf, inductive, localsplit
-from valknaf.funcfield import FunctionField, RatFunc
+from valknaf.funcfield import FunctionField, RatFunc, split_order
 from valknaf.gf import GF
 from valknaf.localsplit import (MAX_DEPTH, BaseValuation, LocalFactor,
                                 NewtonPolygonSegment, UnresolvedBranchError,
@@ -314,6 +316,192 @@ def test_split_determinism_and_certificates():
     assert a == b
     assert all(isinstance(lf, LocalFactor) for lf in a)
     assert all("slope" in lf.certificate for lf in a)
+
+
+# -- branch order ---------------------------------------------------------------
+
+ORDER_BASES = [V2, V3, V5, vt_over(3),
+               BaseValuation.pi_adic(GF(5), [1, 1]),      # pi = t + 1
+               BaseValuation.pi_adic(GF(3), [1, 0, 1])]   # residues in F_9
+
+
+def branch_order_inputs(rng, v, count):
+    """Products of x - a over v's field, a drawn so that the walk meets
+    several segments, several residual factors on one segment and exact
+    key divisors: a = 0 (the key x), a of value 1..3, and a near or equal
+    to the root of the depth-1 key of one of two shared residues; half of
+    them times an Eisenstein quadratic."""
+    K, R = v.field, v.residue_field
+    x = Poly.x(K)
+    out = []
+    for _ in range(count):
+        shared = [rand_residue(rng, R) for _ in range(2)]
+        roots = set()
+        for _ in range(rng.randint(3, 6)):
+            kind, k = rng.randrange(4), rng.randint(1, 3)
+            if kind == 0:
+                a = K.zero
+            elif kind == 1:
+                a = v.lift_shifted(rand_residue(rng, R), k)
+            else:
+                a = K.neg(v.lift_shifted(R.neg(rng.choice(shared)), 0))
+                if kind == 3:
+                    a = K.add(a, v.lift_shifted(rand_residue(rng, R), k))
+            roots.add(a)
+        g = x ** 0
+        for a in roots:
+            g = g * (x - Poly.constant(K, a))
+        if rng.random() < 0.5:
+            g = g * (x * x - Poly.constant(
+                K, v.lift_shifted(rand_residue(rng, R), 1)))
+        out.append(g)
+    return out
+
+
+def test_split_branch_order_matches_sorted_walk():
+    # the walk appends each factor as it finds it; that is the order the
+    # sort on branch paths gave: segments by rising slope, residual
+    # factors in factor_over's order, an exact key divisor after the
+    # segments of its key, deeper branches in place of the factor they
+    # refine.  Certificates are compared too.
+    rng = random.Random(4271)
+    seen = dict.fromkeys(["segments", "factors", "divisor", "divisor not last"],
+                         0)
+    for v in ORDER_BASES:
+        for g in branch_order_inputs(rng, v, 20):
+            factors = split_extensions(v, g)
+            assert factors == split_extensions_sorted(v, g), (v, g)
+            certs = [lf.certificate for lf in factors]
+            first = {c.split(" -> ")[0] for c in certs}
+            slopes = [c.split(",")[0] for c in first if "slope" in c]
+            seen["segments"] += len(set(slopes)) >= 2
+            seen["factors"] += len(set(slopes)) < len(slopes)
+            seen["divisor"] += any(c.endswith("exact key divisor")
+                                   for c in certs)
+            seen["divisor not last"] += any(c.endswith("exact key divisor")
+                                        for c in certs[:-1])
+    assert min(seen.values()) >= 20, seen
+
+
+def test_unresolved_names_first_branch_in_branch_order():
+    # roots 8, 89 share residue 2 and roots 25, 268 residue 1 mod 3; at
+    # depth_limit=1 both branches are unresolved.  The walk stops in the
+    # first in branch order, residual factor 1 + x (the residue 2), whose
+    # key x + 1 has value 2 at 8 and 89: slope -2, not the other's -3
+    x = Poly.x(QQ)
+    g = x ** 0
+    for a in (8, 89, 25, 268):
+        g = g * (x - a)
+    messages = []
+    for split in (split_extensions, split_extensions_sorted):
+        with pytest.raises(UnresolvedBranchError) as exc:
+            split(V3, g, depth_limit=1)
+        messages.append((str(exc.value), exc.value.certificate))
+    assert messages[0] == messages[1]
+    assert messages[0] == (
+        "branch not isolated within depth 1; last step: [deg 1] slope -2, "
+        "residual factor 2 + x (multiplicity 2)",
+        "[deg 1] slope 0, residual factor 1 + x (multiplicity 2) -> "
+        "[deg 1] slope -2, residual factor 2 + x (multiplicity 2)")
+
+
+# -- a discriminant identity at depth 0 -----------------------------------------
+
+def ore_index(v, g):
+    """Ore's index of the x-polygon of g: the sum of the floors of its
+    heights at the abscissae 1, 2, ... under its negative-slope segments.
+    For g integral and monic these end at height 0."""
+    x0, y0, ind = 0, v.value_of(g[0]), 0
+    for seg in newton_polygon(v, g):
+        if seg.slope >= 0:
+            break
+        ind += sum(math.floor(y0 + seg.slope * (x - x0))
+                   for x in range(x0 + 1, x0 + seg.length + 1))
+        x0, y0 = x0 + seg.length, y0 + seg.slope * seg.length
+    assert y0 == 0
+    return ind
+
+
+def one_step_tame(v, g):
+    """split_extensions(v, g) if every factor is isolated at depth 0 and
+    tame, else None."""
+    factors = split_extensions(v, g)
+    if any(" -> " in lf.certificate or lf.e % v.residue_char == 0
+           for lf in factors):
+        return None
+    return factors
+
+
+def assert_discriminant_identity(v, g, v_disc, factors):
+    # Ore: v(disc g) = 2 ind + v(disc of the local algebra), and a tame
+    # factor of ramification e and residue degree f adds f*(e - 1)
+    assert v_disc - 2 * ore_index(v, g) == sum(
+        lf.f * (lf.e - 1) for lf in factors), (v, g)
+
+
+def test_discriminant_identity_at_depth_0_over_q():
+    x = sympy.symbols("x")
+    rng = random.Random(7121)
+    seen = {"index": 0, "ramified": 0}
+    for p in (3, 5, 7, 11):
+        v, checked = BaseValuation.padic(p), 0
+        while checked < 15:
+            n = rng.randint(2, 8)
+            coeffs = [p ** rng.randint(0, n - i) * rng.randint(-p * p, p * p)
+                      if rng.random() < 0.8 else 0 for i in range(n)] + [1]
+            disc = sympy.discriminant(
+                sum(c * x ** i for i, c in enumerate(coeffs)), x)
+            if not coeffs[0] or not disc:
+                continue
+            g = Poly(QQ, coeffs)
+            factors = one_step_tame(v, g)
+            if factors is None:
+                continue
+            assert_discriminant_identity(v, g, v.value_of(int(disc)),
+                                         factors)
+            checked += 1
+            seen["index"] += ore_index(v, g) > 0
+            seen["ramified"] += any(lf.e > 1 for lf in factors)
+    assert min(seen.values()) >= 15, seen
+
+
+def test_discriminant_identity_at_depth_0_over_ft():
+    # disc g is taken of the lift of g to Z[t][x] and reduced mod p: the
+    # discriminant of a monic polynomial is an integer polynomial in its
+    # coefficients.  Both sides count powers of pi, not degrees in t.
+    x, t = sympy.symbols("x t")
+    rng = random.Random(7122)
+    seen = {"index": 0, "ramified": 0}
+    for p, pi in ((3, [0, 1]), (5, [2, 1]), (7, [0, 1]), (3, [1, 0, 1]),
+                  (5, [2, 0, 1])):
+        k = GF(p)
+        v, pi, checked = BaseValuation.pi_adic(k, pi), Poly(k, pi), 0
+        while checked < 8:
+            n = rng.randint(2, 5)
+            coeffs = []
+            for i in range(n):
+                c = Poly(k, [rng.randrange(p)
+                             for _ in range(rng.randint(1, 3))])
+                if rng.random() < 0.6:
+                    c = c * pi ** rng.randint(0, n - i)
+                coeffs.append(c.coeffs)
+            coeffs.append((1,))
+            lift = sum(sum(a * t ** j for j, a in enumerate(c)) * x ** i
+                       for i, c in enumerate(coeffs))
+            disc = Poly(k, [a % p for a in reversed(sympy.Poly(
+                sympy.discriminant(lift, x), t).all_coeffs())])
+            if not coeffs[0] or not disc:
+                continue
+            g = Poly(v.field, [v.field.from_coeff_lists(c) for c in coeffs])
+            factors = one_step_tame(v, g)
+            if factors is None:
+                continue
+            assert_discriminant_identity(v, g, split_order(disc, pi)[0],
+                                         factors)
+            checked += 1
+            seen["index"] += ore_index(v, g) > 0
+            seen["ramified"] += any(lf.e > 1 for lf in factors)
+    assert min(seen.values()) >= 5, seen
 
 
 def test_split_over_gf9_residues_builds_no_gfelement(monkeypatch):
