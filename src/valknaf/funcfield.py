@@ -177,17 +177,6 @@ def clear_denominators(g: Poly) -> list:
     return [c.numerator * (den // c.denominator) for c in coeffs]
 
 
-def x_derivative(f: list) -> list:
-    """d/dx of f in Z[x], or in k[t][x] with the integer factors mapped into
-    k: mod p they are codes of the prime field."""
-    p = 0 if not f or isinstance(f[-1], int) else f[-1].field.characteristic
-    return _trim([a * (i % p if p else i) for i, a in enumerate(f)][1:])
-
-
-def t_derivative(f: list) -> list:
-    return _trim([a.derivative() for a in f])
-
-
 def content(f: list):
     """Gcd of the coefficients of a nonzero f: positive in Z, monic in k[t]."""
     if isinstance(f[-1], int):
@@ -290,15 +279,6 @@ class FunctionField:
 
     def inv(self, a):
         return self.one / a
-
-    def from_coeff_lists(self, num_coeffs, den_coeffs=(1,)):
-        """num/den from the coefficient lists, elements of k, of both."""
-        return RatFunc(self, Poly(self.base, num_coeffs),
-                       Poly(self.base, den_coeffs))
-
-    def elem_key(self, c):
-        return (tuple(self.base.elem_key(a) for a in c.numerator.coeffs),
-                tuple(self.base.elem_key(a) for a in c.denominator.coeffs))
 
     def __repr__(self):
         return f"{self.base}(t)"

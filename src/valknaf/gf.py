@@ -412,9 +412,6 @@ class FiniteField:
             return str(c)
         return f"({render_terms(self.coords(c), 'y')})"
 
-    def elem_key(self, c):
-        return c
-
     def __eq__(self, other):
         return (isinstance(other, FiniteField)
                 and self.p == other.p and self.n == other.n)
@@ -609,7 +606,7 @@ def _square2(F, a, f):
 def factor(f: Poly):
     """Monic irreducible factors with multiplicity, deterministic order.
 
-    Returns (lead, [(g, m), ...]) sorted by (degree, coefficient key);
+    Returns (lead, [(g, m), ...]) sorted by (degree, coefficients);
     lead is the leading coefficient of f.
     """
     if f.is_zero():

@@ -21,8 +21,7 @@ from itertools import count, islice
 from math import gcd
 
 from .funcfield import (FunctionField, _fmt_tpoly, clear_denominators,
-                        primitive_gcd, split_order, t_derivative,
-                        x_derivative)
+                        primitive_gcd, split_order)
 from .gf import GF, _identity
 from .inductive import INFINITY, Tower, phi_expansion
 from .numtheory import isprime
@@ -406,7 +405,9 @@ def _is_squarefree(g: Poly) -> bool:
     a gcd over the field is, up to a unit, the primitive gcd over Z or
     k[t], so the degrees agree, and no rational or k(t) element is ever
     built.  D = gcd(G, dG/dx) divides g, and dG/dt = L'*g + L*dg/dt, so
-    gcd(D, dG/dt) = gcd(D, dg/dt) over k(t).
+    gcd(D, dG/dt) = gcd(D, dg/dt) over k(t).  dG/dx is `poly._derivative`
+    over g's field, whose `mul` scales by an int on Z[x] and on k[t][x]
+    alike; dG/dt differentiates each coefficient in k[t].
 
     Before them, an image of G mod a prime or at a point t = a of a finite
     k (`_specializations`), prime to its derivative, certifies g squarefree:
@@ -418,9 +419,9 @@ def _is_squarefree(g: Poly) -> bool:
     for F, h in islice(_specializations(G), _SQUAREFREE_TRIES):
         if len(_pgcd(F, h, _derivative(F, h))) == 1:
             return True
-    d = primitive_gcd(G, x_derivative(G))
+    d = primitive_gcd(G, _derivative(g.field, G))
     if len(d) > 1 and g.field.characteristic:
-        d = primitive_gcd(d, t_derivative(G))
+        d = primitive_gcd(d, _trim([c.derivative() for c in G]))
     return len(d) == 1
 
 

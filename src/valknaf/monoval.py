@@ -175,10 +175,9 @@ def extend_binomial(v: MonomialValuation, spec: BinomialExtensionSpec) -> list:
         raise ResidualDegreeError(
             f"gcd(n, a, b) = {g} exceeds the residual degree bound "
             f"{MAX_RESIDUAL_DEGREE}")
+    binomial = f"binomial z^{n} = {k.render(c)}*x^{a}*y^{b}"
     if not _binomial_irreducible(k, g, c):
-        raise ValueError(
-            f"z^{n} - {k.render(c)}*x^{a}*y^{b} is reducible over the base "
-            "field")
+        raise ValueError(f"{binomial} is reducible over the base field")
 
     e = n // g
     w = v.monomial_value(a, b) * Fraction(1, n)
@@ -200,8 +199,7 @@ def extend_binomial(v: MonomialValuation, spec: BinomialExtensionSpec) -> list:
         local_degree=n,
         residue_char=k.characteristic,
         total_degree=n,
-        provenance=(f"binomial z^{n} = {k.render(c)}*x^{a}*y^{b}: e = {e}, "
-                    f"residual factor {psi}"))
+        provenance=f"{binomial}: e = {e}, residual factor {psi}")
     problems = validate(inv)
     if problems:
         raise ValueError(f"inconsistent data: {problems}")

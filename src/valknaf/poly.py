@@ -5,10 +5,10 @@ fields in `funcfield`) is an object with the attributes `zero`, `one` and
 `characteristic` and the methods `coerce(x)` (a value from outside, such
 as an int, a Fraction or a printable wrapper, into an element),
 `add(a, b)`, `sub(a, b)`, `neg(a)`, `mul(a, b)`, `inv(a)`,
-`render(a)` (the text of an element) and `elem_key(a)` (a canonical sort
-key that orders polynomials deterministically).  Elements need not carry
-their own arithmetic: all of it goes through these ops, and an element
-only has to be hashable and false exactly when it is zero.
+and `render(a)` (the text of an element).  `coerce` is the one way into a
+field, also for a k[t] polynomial going into k(t).  Elements need not
+carry their own arithmetic: all of it goes through these ops, and an
+element only has to be hashable and false exactly when it is zero.
 
 An element of QQ is an `int` when it is integral and a `Fraction`
 otherwise, so integral polynomials run on plain ints; `QQ.inv` gives an
@@ -58,9 +58,6 @@ class RationalField:
         """1/a, an int when it is integral."""
         x = Fraction(1) / a
         return x.numerator if x.denominator == 1 else x
-
-    def elem_key(self, c):
-        return c
 
     def __repr__(self):
         return "QQ"
@@ -195,10 +192,6 @@ class Poly:
     def map_coeffs(self, fn, new_field) -> "Poly":
         """fn applied to each coefficient, fn mapping into new_field."""
         return Poly(new_field, [fn(c) for c in self.coeffs])
-
-    def sort_key(self):
-        return (self.degree,
-                tuple(self.field.elem_key(c) for c in self.coeffs))
 
     def __repr__(self):
         F = self.field

@@ -446,8 +446,8 @@ def _coefficient(v: BaseValuation, entry):
             raise ProblemFileError(
                 "vector coefficients (polynomials in t) need a "
                 "function-field base")
-        return v.field.from_coeff_lists(
-            [_field_element(v.field.base, c) for c in entry])
+        return v.field.coerce(Poly(
+            v.field.base, [_field_element(v.field.base, c) for c in entry]))
     return _field_element(v.field, entry)
 
 

@@ -26,7 +26,7 @@ def factor_over(field, f: Poly):
 
     Finite fields use the in-package seeded distinct-degree and
     equal-degree splitting (`gf.factor`); Q delegates to sympy.  Factors
-    are monic, sorted by (degree, coefficient key).
+    are monic, sorted by (degree, coefficients).
     """
     if isinstance(field, FiniteField):
         _, pairs = gf_factor(f)
@@ -49,7 +49,7 @@ def _factor_rational(f: Poly):
         coeffs = [QQ.coerce(Fraction(str(c)))
                   for c in reversed(sympy.Poly(g, x).all_coeffs())]
         pairs.append((Poly(QQ, coeffs).monic(), int(m)))
-    pairs.sort(key=lambda t: t[0].sort_key())
+    pairs.sort(key=lambda t: (t[0].degree, t[0].coeffs))
     return pairs
 
 
@@ -110,7 +110,7 @@ def extend_residue(field, psi: Poly) -> ResidueExtension:
         return ResidueExtension(field, _identity, root, lambda x: [x])
     if isinstance(field, RationalField):
         raise UnsupportedResidueExtension(
-            "residual factor of degree > 1 over the rational residue field; "
+            f"a residue field of degree {d} over Q would be a number field; "
             "number-field residue arithmetic is out of scope")
     if not isinstance(field, FiniteField):
         raise TypeError(f"cannot extend {field!r}")

@@ -439,7 +439,7 @@ def berlekamp_by_enumeration(f):
         g = poly_gcd(f, splitter - Poly.constant(field, c))
         if g.degree > 0:
             out.extend(berlekamp_by_enumeration(g))
-    return sorted(out, key=Poly.sort_key)
+    return sorted(out, key=lambda g: (g.degree, g.coeffs))
 
 
 def powmod(base, e, mod):
@@ -848,7 +848,7 @@ def _explore_with_paths(tower, key, G, path, steps, out, depth_limit):
         slope = Fraction(-num, e_seg * tower.denom)
         resid = _segment_residual(tower, grades, num, e_seg, x1, x2)
         for psi, mult in factor_over(tower.field_at(tower.depth), resid):
-            branch = path + ((slope, psi.sort_key()),)
+            branch = path + ((slope, (psi.degree, psi.coeffs)),)
             step = (f"[deg {key.degree}] slope {slope}, residual factor "
                     f"{psi} (multiplicity {mult})")
             if mult == 1:

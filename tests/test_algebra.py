@@ -295,7 +295,8 @@ def test_factor_equal_degree_products(p, n):
             f = Poly.one(field)
             for g in chosen.values():
                 f = f * g
-            expected = sorted(chosen.values(), key=Poly.sort_key)
+            expected = sorted(chosen.values(),
+                              key=lambda g: (g.degree, g.coeffs))
             assert factor(f) == (field.one, [(g, 1) for g in expected])
 
 
@@ -333,7 +334,7 @@ def test_factor_matches_enumeration_oracle(p, n):
         b = rand_squarefree(rng, field, rng.randint(1, 3), coprime_to=a)
         expected = sorted([(g, 1) for g in berlekamp_by_enumeration(a)]
                           + [(g, 2) for g in berlekamp_by_enumeration(b)],
-                          key=lambda t: t[0].sort_key())
+                          key=lambda t: (t[0].degree, t[0].coeffs))
         lead = rng.choice([x for x in field.elements() if x])
         assert factor(a * b * b * lead) == (lead, expected)
         # inseparable h(x^p) = r(x)^p
@@ -787,6 +788,49 @@ def test_factor_over_rationals_known_values():
         (x + F(1, 3), 1), (x + F(1, 2), 1)]
     with pytest.raises(TypeError):
         factor_over("Q", x)
+
+
+def test_factor_over_rationals_in_degree_coefficient_order():
+    # the sympy path orders its factors as gf.factor does: by (degree,
+    # coefficients), each with its multiplicity
+    rng = random.Random(20291019)
+    x = sympy.Symbol("x")
+    seen = dict.fromkeys(("rational", "negative", "tie", "rational tie",
+                          "squared"), 0)
+    for case in range(80):
+        chosen = {}
+        count = rng.randint(2, 4)
+        while len(chosen) < count:
+            d = rng.randint(1, 3)
+            den = rng.randint(2, 6) if rng.random() < 0.5 else 1
+            g = Poly(QQ, [QQ.coerce(F(rng.randint(-9, 9), den))
+                          for _ in range(d)] + [1])
+            if d > 1 and not sympy.Poly(
+                    [sympy.Rational(c) for c in reversed(g.coeffs)], x,
+                    domain="QQ").is_irreducible:
+                continue
+            chosen[g.coeffs] = g
+        factors = list(chosen.values())
+        rng.shuffle(factors)
+        mults = [1] * count
+        if case % 2:
+            mults[0] = 2
+        f = Poly.one(QQ)
+        for g, m in zip(factors, mults):
+            f = f * g ** m
+        expected = sorted(zip(factors, mults),
+                          key=lambda t: (t[0].degree, t[0].coeffs))
+        assert factor_over(QQ, f) == expected
+        rational = [any(type(c) is F for c in g.coeffs) for g in factors]
+        degrees = [g.degree for g in factors]
+        seen["rational"] += any(rational)
+        seen["negative"] += any(c < 0 for g in factors for c in g.coeffs)
+        seen["tie"] += len(set(degrees)) < count
+        seen["rational tie"] += any(
+            degrees[i] == degrees[j] and rational[i] and rational[j]
+            for i in range(count) for j in range(i))
+        seen["squared"] += 2 in mults
+    assert min(seen.values()) >= 10, seen
 
 
 def test_extend_residue_linear_shortcut():

@@ -101,5 +101,5 @@ def test_big_integer_answers_are_exact(tmp_path, capsys, name):
     assert captured.out == stdout
     if code:
         assert captured.err == (
-            "inconsistent: z^4 - -4000048000216000432000324*x^0*y^0 is "
-            "reducible over the base field\n")
+            "inconsistent: binomial z^4 = -4000048000216000432000324*x^0*y^0 "
+            "is reducible over the base field\n")

@@ -402,7 +402,10 @@ def test_cli_main_reads_sys_argv(capsys, monkeypatch):
     ("split", SPLIT5.replace("field = Q", "field = Q(t)")
      .replace("p = 5", "pi = [0, 1]")
      .replace("[1, 0, 1]", "[(1, 1), 0, 2, 0, 1]")),
-], ids=["qt-degree-2-residue"])
+    # pi = t^2 + 1 over Q(t): the residue field Q[t]/(pi) is Q(i)
+    ("split", SPLIT5.replace("field = Q", "field = Q(t)")
+     .replace("p = 5", "pi = [1, 0, 1]")),
+], ids=["qt-degree-2-residue", "qt-degree-2-pi"])
 def test_cli_out_of_scope_is_unsupported(tmp_path, capsys, mode, text):
     # out-of-scope input keeps exit 2 but is told apart from inconsistent data
     path = write(tmp_path, "p.prob", text)
@@ -410,7 +413,20 @@ def test_cli_out_of_scope_is_unsupported(tmp_path, capsys, mode, text):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("unsupported: ")
+    assert "residue field of degree 2 over Q" in captured.err
     assert captured.err.count("\n") == 1
+
+
+def test_cli_simple_quadratic_residual_factor_over_qt(tmp_path, capsys):
+    # x^2 + 1 at pi = t over Q(t): the residual factor x^2 + 1 is simple, so
+    # f = 2 is read off its degree and no number field is built
+    path = write(tmp_path, "p.prob", SPLIT5.replace("field = Q", "field = Q(t)")
+                 .replace("p = 5", "pi = [0, 1]"))
+    assert cli.main(["split", "--file", path, "--porcelain"]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert captured.out.count("\n") == 1
+    assert "\te=1\tf=2\teps=1\t" in captured.out
 
 
 def test_cli_corrupt_tower_is_inconsistent(tmp_path, capsys, monkeypatch):

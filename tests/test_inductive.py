@@ -137,7 +137,7 @@ def test_valuation_axioms(maker):
                 coeffs.append(F(rng.randint(-6, 6), rng.randint(1, 3)))
             else:
                 num = [rng.randint(0, 2) for _ in range(rng.randint(1, 3))]
-                coeffs.append(field.from_coeff_lists(num))
+                coeffs.append(field.coerce(Poly(field.base, num)))
         return Poly(field, coeffs)
 
     for _ in range(40):
@@ -252,8 +252,8 @@ def random_poly(rng, tower, degree):
         if field is QQ:
             c = field.coerce(F(rng.randint(-9, 9), rng.randint(1, 4)))
         else:
-            c = field.from_coeff_lists(
-                [rng.randint(0, 2) for _ in range(rng.randint(1, 3))])
+            c = field.coerce(Poly(field.base, [
+                rng.randint(0, 2) for _ in range(rng.randint(1, 3))]))
         coeffs.append(field.mul(c, power(field, pi, rng.randint(-2, 3))))
     return Poly(field, coeffs)
 
@@ -413,7 +413,7 @@ def sweep_inputs(rng, v, count):
             return K.coerce(rng.randint(-3, 3))
     else:
         def const():
-            return K.from_coeff_lists([rng.randrange(K.base.q)])
+            return K.coerce(Poly(K.base, [rng.randrange(K.base.q)]))
     out = []
     while len(out) < count:
         d = rng.randint(1, 3)

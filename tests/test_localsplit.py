@@ -41,7 +41,8 @@ def test_value_of_examples():
     assert V2.value_of(12) == 2
     assert V5.value_of(F(7, 25)) == -2
     vt = vt_over(3)
-    assert vt.value_of(vt.field.from_coeff_lists([0, 0, 0, 1, 0, 1])) == 3
+    assert vt.value_of(vt.field.coerce(Poly(vt.field.base,
+                                              [0, 0, 0, 1, 0, 1]))) == 3
     assert V2.value_of(0) == float("inf")
 
 
@@ -492,7 +493,7 @@ def test_discriminant_identity_at_depth_0_over_ft():
                 sympy.discriminant(lift, x), t).all_coeffs())])
             if not coeffs[0] or not disc:
                 continue
-            g = Poly(v.field, [v.field.from_coeff_lists(c) for c in coeffs])
+            g = Poly(v.field, [v.field.coerce(Poly(k, c)) for c in coeffs])
             factors = one_step_tame(v, g)
             if factors is None:
                 continue
@@ -558,8 +559,8 @@ def test_split_enumerates_no_field(monkeypatch):
         K = v.field
         for _ in range(6):
             while True:
-                g = Poly(K, [K.from_coeff_lists([rng.randrange(K.base.q)
-                                                 for _ in range(3)])
+                g = Poly(K, [K.coerce(Poly(K.base, [rng.randrange(K.base.q)
+                                                    for _ in range(3)]))
                              for _ in range(rng.randint(2, 4))] + [K.one])
                 if _is_squarefree(g):
                     break
