@@ -5,9 +5,11 @@ strictly increasing degree with assigned values.  Its valuation is computed
 through phi-adic expansions: V_i(f) = min_j (V_{i-1}(c_j) + j * mu_i).  A
 tower of k levels takes and gives every value as an int in units of 1/D,
 D = e_1 * ... * e_k (`Tower.denom`), so no value, comparison or exponent
-is a Fraction; only `val` gives one, and `augment` takes the new key's
-value as one.  `grade` expands each digit once and records, for the
-digits that attain the value, what `residue` needs to compute the class.
+is a Fraction; only `val` gives one, `edges` one per polygon edge, and
+`augment` takes the new key's value as one.  `grade` expands each digit
+once and records, for the digits that attain the value, what `residue`
+needs to compute the class.  `edges` is the one Newton polygon, with its
+residual polynomials, for the MacLane walk and its depth-0 public views.
 
 The graded pieces are handled through explicit monomials pi^(a_0) *
 phi_1^(a_1) * ... * phi_i^(a_i).  Every value w in the current value group
@@ -24,7 +26,7 @@ class of -phi^(e*f), has psi as its residual polynomial since psi(z) = 0.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import inf
+from math import gcd, inf
 
 from .poly import Poly, power
 from .residuefield import extend_residue
@@ -155,6 +157,42 @@ class Tower:
             coeffs[s] = F.mul(self.residue(i, parts),
                               self.unit_at(i, w, q_exps, s))
         return Poly(F, coeffs)
+
+    def edges(self, digits):
+        """Edges (x1, x2, slope, e, residual over kappa_k) by rising slope
+        of the lower Newton polygon of the digits of a polynomial in the
+        top key, each graded once; all runs on ints but the slope,
+        -num / (e * D) with num / e in lowest terms.  Above depth 0, edges
+        at or below the key's own value e*f*mu (`lift_key`'s contract) are
+        skipped: their roots were peeled off at an earlier branching point."""
+        k = self.depth
+        grades = {j: self.grade(k, d) for j, d in enumerate(digits)
+                  if not d.is_zero()}
+        if len(grades) < 2:
+            raise ValueError(
+                "inconsistent data: expansion left no polygon points")
+        hull = []
+        for j, (w, _) in grades.items():
+            while len(hull) >= 2:
+                (j0, w0), (j1, w1) = hull[-2:]
+                if (j1 - j0) * (w - w0) > (w1 - w0) * (j - j0):
+                    break
+                hull.pop()
+            hull.append((j, w))
+        floor = -INFINITY  # depth 0 has no key, so no edge is skipped
+        if k:
+            top = self.levels[-1]
+            floor = top.e * top.f * self.mu_units[k]
+        for (x1, w1), (x2, w2) in zip(hull, hull[1:]):
+            common = gcd(w1 - w2, x2 - x1)
+            num, e = (w1 - w2) // common, (x2 - x1) // common
+            if num <= e * floor:
+                continue
+            line = {j: graded for j, graded in grades.items() if x1 <= j <= x2
+                    and (graded[0] - w1) * e == (x1 - j) * num}
+            yield (x1, x2, Fraction(-num, e * self.denom), e,
+                   self.line_residual(k, line, x1, e,
+                                      self.canonical_exps(k, num)))
 
     def val(self, f: Poly):
         """Tower value of f under all levels."""

@@ -11,6 +11,10 @@ divides g exactly.  The supported bases are complete-residue discrete cases
 (finite or rational residue field), where every extension is defectless, so
 e*f = degree is validated on each factor and a violation is reported as
 inconsistent data rather than silently returned.
+
+The polygon step, with each edge's residual polynomial, is `Tower.edges`
+for `_explore` at every depth; `newton_polygon` and `residual_polynomial`
+are its depth-0 views.
 """
 
 from __future__ import annotations
@@ -18,7 +22,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import count, islice
-from math import gcd
 
 from .funcfield import (FunctionField, _fmt_tpoly, clear_denominators,
                         primitive_gcd, split_order)
@@ -202,54 +205,22 @@ def _poly_over(v: BaseValuation, g) -> Poly:
     return Poly(v.field, [v.field.coerce(c) for c in coeffs])
 
 
-def _cross(o, a, b):
-    return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
-
-
-def _lower_hull(points):
-    """Edges ((x1, y1), (x2, y2)) of the lower convex hull, points with
-    increasing x."""
-    hull = []
-    for p in points:
-        while len(hull) >= 2 and _cross(hull[-2], hull[-1], p) <= 0:
-            hull.pop()
-        hull.append(p)
-    return list(zip(hull, hull[1:]))
+def _stage0_edges(v: BaseValuation, g: Poly):
+    """`Tower(v).edges` of g's coefficients; their lengths sum to deg g."""
+    if g.degree < 1 or not g.is_monic():
+        raise ValueError("polygon needs a monic polynomial of degree >= 1")
+    if not g[0]:
+        raise ValueError("zero constant term: split off the zero root first")
+    return Tower(v).edges([Poly.constant(v.field, c) for c in g.coeffs])
 
 
 def newton_polygon(v: BaseValuation, g) -> list:
     """Lower Newton polygon of g: segments with strictly increasing slopes.
 
-    g must be monic with nonzero constant term (split zero roots off
-    first); the segment lengths then sum to deg g.
+    g must be monic with nonzero constant term (split zero roots off first).
     """
-    g = _poly_over(v, g)
-    if g.degree < 1 or not g.is_monic():
-        raise ValueError("polygon needs a monic polynomial of degree >= 1")
-    if not g[0]:
-        raise ValueError("zero constant term: split off the zero root first")
-    points = [(j, v.value_of(c)) for j, c in enumerate(g.coeffs) if c]
-    return [NewtonPolygonSegment(slope=Fraction(y2 - y1, x2 - x1),
-                                 length=x2 - x1)
-            for (x1, y1), (x2, y2) in _lower_hull(points)]
-
-
-def _segment_residual(tower: Tower, grades, num: int, e: int, j0: int,
-                      j1: int) -> Poly:
-    """Residual polynomial of the polygon segment from j0 to j1.
-
-    grades maps the positions of the nonzero digits of the current
-    polynomial in the key to their `Tower.grade` (value, parts); the
-    segment's slope is -num / (e * D) with num / e in lowest terms, D the
-    tower's `denom`.  The digits on the segment make a `line_residual`
-    through j0, with nonzero constant and leading coefficients.
-    """
-    k = tower.depth
-    v0 = grades[j0][0]
-    line = {j: graded for j, graded in grades.items()
-            if j0 <= j <= j1 and (graded[0] - v0) * e == (j0 - j) * num}
-    # e * (-slope) is num / D
-    return tower.line_residual(k, line, j0, e, tower.canonical_exps(k, num))
+    return [NewtonPolygonSegment(slope=slope, length=x2 - x1)
+            for x1, x2, slope, _, _ in _stage0_edges(v, _poly_over(v, g))]
 
 
 def residual_polynomial(v: BaseValuation, g, seg: NewtonPolygonSegment) -> Poly:
@@ -260,17 +231,10 @@ def residual_polynomial(v: BaseValuation, g, seg: NewtonPolygonSegment) -> Poly:
     segment's contribution to the splitting.
     """
     g = _poly_over(v, g)
-    segments = newton_polygon(v, g)
-    if seg not in segments:
-        raise ValueError(f"{seg} is not a segment of the polygon of {g!r}")
-    # the polygon starts at x = 0 (nonzero constant term)
-    x1 = sum(s.length for s in segments[:segments.index(seg)])
-    tower = Tower(v)
-    grades = {j: tower.grade(0, d)
-              for j, d in enumerate(phi_expansion(g, Poly.x(v.field)))
-              if not d.is_zero()}
-    return _segment_residual(tower, grades, -seg.slope.numerator,
-                             seg.slope.denominator, x1, x1 + seg.length)
+    for x1, x2, slope, _, residual in _stage0_edges(v, g):
+        if NewtonPolygonSegment(slope=slope, length=x2 - x1) == seg:
+            return residual
+    raise ValueError(f"{seg} is not a segment of the polygon of {g!r}")
 
 
 # largest depth_limit: each augmentation step adds a frame to _explore, and
@@ -315,7 +279,9 @@ def split_extensions(v: BaseValuation, g, depth_limit: int = 16) -> list:
 
 
 def _explore(tower, key, G, steps, out, depth_limit):
-    """Expand G in the current key, appending its factors in branch order."""
+    """Expand G in the current key, appending its factors in branch order:
+    `tower.edges` runs hull, tightness test and residual polynomial on int
+    values, one Fraction per edge, and `factor_over` splits each residual."""
     digits = phi_expansion(G, key)
     divisor = ()
     if digits[0].is_zero():
@@ -331,28 +297,7 @@ def _explore(tower, key, G, steps, out, depth_limit):
             return
         digits = digits[1:]  # phi-adic digits are unique
         assert not digits[0].is_zero(), "repeated key divisor in squarefree input"
-    k = tower.depth
-    grades = {j: tower.grade(k, d) for j, d in enumerate(digits)
-              if not d.is_zero()}
-    if len(grades) < 2:
-        raise ValueError("inconsistent data: expansion left no polygon points")
-    # Values are ints in units of 1/D, D = tower.denom.  The key's own
-    # value is e*f*mu of the top level (lift_key's contract).
-    bound = None
-    if k:
-        lev = tower.levels[-1]
-        bound = lev.e * lev.f * tower.mu_units[k]
-    for (x1, y1), (x2, y2) in _lower_hull(
-            [(j, graded[0]) for j, graded in grades.items()]):
-        # the segment's slope is -num / (e_seg * D), num / e_seg in lowest terms
-        common = gcd(y1 - y2, x2 - x1)
-        num, e_seg = (y1 - y2) // common, (x2 - x1) // common
-        if bound is not None and num <= e_seg * bound:
-            # This segment's roots were already peeled off at an earlier
-            # branching point; only values above the key's own value are new.
-            continue
-        slope = Fraction(-num, e_seg * tower.denom)
-        resid = _segment_residual(tower, grades, num, e_seg, x1, x2)
+    for _, _, slope, e_seg, resid in tower.edges(digits):
         for psi, mult in factor_over(tower.field_at(tower.depth), resid):
             branch = steps + (f"[deg {key.degree}] slope {slope}, residual "
                               f"factor {psi} (multiplicity {mult})",)

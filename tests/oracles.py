@@ -19,9 +19,10 @@ the canonical-monomial bookkeeping of an inductive tower by search and one
 carry at a time rather than the library's closed forms, tower values,
 classes and residual polynomials by the Fraction recursions that expand
 each digit anew per call rather than the library's one graded pass on
-integer values, the next key polynomial by a loop over the coefficients of
-psi with a table of units rather than the library's single lift of a
-class, the optimal MacLane chain by the tower that appends every level,
+integer values, the Newton polygon step by a hull, a bound and a residual
+helper apart rather than the library's one `Tower.edges`, the next key
+polynomial by a loop over the coefficients of psi with a table of units
+rather than the library's single lift of a class, the optimal MacLane chain by the tower that appends every level,
 the order of the extensions by a sort on branch paths after the walk
 rather than the library's emission in branch order, and problem files
 by a cascade of string splits and a second schema loop rather than the
@@ -38,8 +39,7 @@ from math import gcd, inf, lcm
 import sympy
 
 from valknaf.inductive import INFINITY, Level, Tower, phi_expansion
-from valknaf.localsplit import (UnresolvedBranchError, _lower_hull,
-                                _poly_over, _segment_residual, _terminal)
+from valknaf.localsplit import UnresolvedBranchError, _poly_over, _terminal
 from valknaf.ordgroup import RationalVector
 from valknaf.poly import Poly, poly_gcd, power
 from valknaf.problemfile import (FORMAT_VERSION, SCHEMAS, ProblemFile,
@@ -665,8 +665,8 @@ def normalize_exps_by_steps(tower, i, exps):
 # The references for `Tower.grade` and `Tower.residue`: `tower_val` and
 # `tower_reduce_at` are the recursions `Tower._val` and `Tower.reduce_at`
 # before the graded pass, on Fraction values; `reduce_at` expands each digit
-# again and reruns `_val` one level down.  `segment_residual` is
-# `localsplit._segment_residual` as it was on those values.
+# again and reruns `_val` one level down.  `segment_residual` is the
+# residual polynomial of one polygon edge as it was on those values.
 
 
 def value_units(tower, w):
@@ -805,6 +805,58 @@ def augment_appending(tower, phi, lam, psi):
     return Tower(tower.base, tower.levels + (level,))
 
 
+# -- the polygon step in localsplit -------------------------------------------
+# The references for `Tower.edges`: the lower hull, the bound that skips
+# edges at or below the key's own value, and the residual polynomial of one
+# edge, as `localsplit` computed them before the polygon step moved into the
+# tower.
+
+
+def _cross(o, a, b):
+    return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
+
+
+def _lower_hull(points):
+    """Edges ((x1, y1), (x2, y2)) of the lower convex hull, points with
+    increasing x."""
+    hull = []
+    for p in points:
+        while len(hull) >= 2 and _cross(hull[-2], hull[-1], p) <= 0:
+            hull.pop()
+        hull.append(p)
+    return list(zip(hull, hull[1:]))
+
+
+def edge_bound(tower):
+    """The key's own value e*f*mu of the top level in units of 1/D, or None
+    at depth 0; an edge of slope -num / (e_seg * D) with
+    num <= e_seg * bound is skipped."""
+    k = tower.depth
+    bound = None
+    if k:
+        lev = tower.levels[-1]
+        bound = lev.e * lev.f * tower.mu_units[k]
+    return bound
+
+
+def _segment_residual(tower, grades, num: int, e: int, j0: int,
+                      j1: int) -> Poly:
+    """Residual polynomial of the polygon segment from j0 to j1.
+
+    grades maps the positions of the nonzero digits of the current
+    polynomial in the key to their `Tower.grade` (value, parts); the
+    segment's slope is -num / (e * D) with num / e in lowest terms, D the
+    tower's `denom`.  The digits on the segment make a `line_residual`
+    through j0, with nonzero constant and leading coefficients.
+    """
+    k = tower.depth
+    v0 = grades[j0][0]
+    line = {j: graded for j, graded in grades.items()
+            if j0 <= j <= j1 and (graded[0] - v0) * e == (j0 - j) * num}
+    # e * (-slope) is num / D
+    return tower.line_residual(k, line, j0, e, tower.canonical_exps(k, num))
+
+
 # -- the MacLane walk, sorted afterwards --------------------------------------
 # The reference for the order of `localsplit.split_extensions`: `_explore` as
 # it was when each factor carried its branch path, a tuple of (slope, psi's
@@ -835,10 +887,7 @@ def _explore_with_paths(tower, key, G, path, steps, out, depth_limit):
     k = tower.depth
     grades = {j: tower.grade(k, d) for j, d in enumerate(digits)
               if not d.is_zero()}
-    bound = None
-    if k:
-        lev = tower.levels[-1]
-        bound = lev.e * lev.f * tower.mu_units[k]
+    bound = edge_bound(tower)
     for (x1, y1), (x2, y2) in _lower_hull(
             [(j, graded[0]) for j, graded in grades.items()]):
         common = gcd(y1 - y2, x2 - x1)

@@ -389,6 +389,20 @@ def test_cli_usage_is_the_readme_block():
     assert section.split("```\n")[1] == cli.USAGE
 
 
+def test_readme_library_example_prints_its_comment(capsys):
+    # the python block under "Library example" prints, line by line, what
+    # the comments on its print calls say
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(
+        encoding="utf-8")
+    section = readme[readme.index("## Library example"):]
+    code = section.split("```python\n")[1].split("```")[0]
+    expected = [line.rsplit("# ", 1)[1] for line in code.splitlines()
+                if "print(" in line]
+    exec(compile(code, "README.md", "exec"), {})
+    assert capsys.readouterr().out.splitlines() == expected == [
+        "e=2 f=1, EFT: True"]
+
+
 def test_cli_main_reads_sys_argv(capsys, monkeypatch):
     monkeypatch.setattr(sys, "argv", ["valknaf", "fixtures", "i-at-3",
                                       "--porc"])

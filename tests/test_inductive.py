@@ -8,15 +8,15 @@ import pytest
 
 from valknaf.gf import GF
 from valknaf.inductive import INFINITY, Tower, phi_expansion
-from valknaf.localsplit import (BaseValuation, _is_squarefree, _lower_hull,
-                                _segment_residual, newton_polygon,
+from valknaf.localsplit import (BaseValuation, NewtonPolygonSegment,
+                                _is_squarefree, newton_polygon,
                                 residual_polynomial, split_extensions)
 from valknaf.poly import Poly, QQ, power
 
-from oracles import (augment_appending, canonical_exps_by_search,
-                     lift_key_reference, normalize_exps_by_steps,
-                     segment_residual, tower_reduce_at, tower_val,
-                     value_units)
+from oracles import (_lower_hull, _segment_residual, augment_appending,
+                     canonical_exps_by_search, edge_bound, lift_key_reference,
+                     normalize_exps_by_steps, segment_residual,
+                     tower_reduce_at, tower_val, value_units)
 
 
 def make_wild_tower():
@@ -295,18 +295,47 @@ def test_graded_pass_matches_reference(maker):
             assert tower.reduce_at(i, f) == tower_reduce_at(tower, i, f)
 
 
+def reference_edges(tower, digits):
+    """The edges `Tower.edges` gives for digits, by the hull, the bound and
+    the residual of tests/oracles.py, and the number the bound skips."""
+    grades = {j: tower.grade(tower.depth, d) for j, d in enumerate(digits)
+              if not d.is_zero()}
+    bound = edge_bound(tower)
+    edges, skipped = [], 0
+    for (x1, y1), (x2, y2) in _lower_hull(
+            [(j, v) for j, (v, _) in grades.items()]):
+        common = math.gcd(y1 - y2, x2 - x1)
+        num, e = (y1 - y2) // common, (x2 - x1) // common
+        if bound is not None and num <= e * bound:
+            skipped += 1
+            continue
+        edges.append((x1, x2, F(-num, e * tower.denom), e,
+                      _segment_residual(tower, grades, num, e, x1, x2)))
+    return edges, skipped
+
+
 @pytest.mark.parametrize("maker", TOWERS)
 def test_segment_residual_matches_reference(maker):
-    # random G in the tower's key; every edge of its polygon at the top
-    # level, and every segment of a random g's polygon at depth 0
+    # every edge of Tower.edges, (x1, x2, slope, e, residual), against the
+    # references, and every edge of the hull, skipped ones included, against
+    # the Fraction oracle: for random G in the tower's key, plus one whose
+    # only edge lies below the key's own value, and at depth 0 for a
+    # random g, whose edges the two public views give
     tower, key = maker()
     rng = random.Random(30853)
     k, den = tower.depth, tower.denom
     base = Tower(tower.base)
-    for _ in range(8):
-        G = sum((random_poly(rng, tower, key.degree - 1) * key ** j
-                 for j in range(rng.randint(1, 4))), key ** 4)
+    field, pi = tower.base.field, tower.base.uniformizer
+    below = key ** 2 + Poly.constant(field, field.inv(pi))
+    skipped = 0
+    for n in range(9):
+        G = below if n == 8 else sum(
+            (random_poly(rng, tower, key.degree - 1) * key ** j
+             for j in range(rng.randint(1, 4))), key ** 4)
         digits = phi_expansion(G, key)
+        edges, skips = reference_edges(tower, digits)
+        assert list(tower.edges(digits)) == edges
+        skipped += skips
         vals = {j: tower_val(tower, k, d) for j, d in enumerate(digits)
                 if not d.is_zero()}
         grades = {j: tower.grade(k, d) for j, d in enumerate(digits)
@@ -317,12 +346,19 @@ def test_segment_residual_matches_reference(maker):
             num, e = (lam * den).numerator, (lam * den).denominator
             assert (_segment_residual(tower, grades, num, e, x1, x2)
                     == segment_residual(tower, digits, vals, lam, x1, x2))
+        if n == 8:
+            continue
 
         g = random_poly(rng, tower, rng.randint(1, 6))
         g = g + Poly.x(g.field) ** (g.degree + 1)
         if not g[0]:
             continue
         digits = [Poly.constant(g.field, c) for c in g.coeffs]
+        edges, skips = reference_edges(base, digits)
+        assert list(base.edges(digits)) == edges and not skips
+        assert newton_polygon(tower.base, g) == [
+            NewtonPolygonSegment(slope, x2 - x1)
+            for x1, x2, slope, _, _ in edges]
         vals = {j: tower.base.value_of(c) for j, c in enumerate(g.coeffs)
                 if c}
         x1 = 0
@@ -331,11 +367,13 @@ def test_segment_residual_matches_reference(maker):
             assert residual_polynomial(tower.base, g, seg) == segment_residual(
                 base, digits, vals, -seg.slope, x1, x2)
             x1 = x2
+    assert skipped
 
 
 def test_split_engine_grades_on_integers(monkeypatch):
     # once a polynomial is expanded, its values, classes and residual
-    # polynomials are computed on ints: no Fraction is made
+    # polynomials are computed on ints: the one Fraction an edge makes is
+    # its slope
     g = Poly(QQ, [4, 0, 8, 0, 1])
     deep, key = make_wild_tower()
     towers = {"depth 0": (Tower(BaseValuation.padic(2)), Poly.x(QQ)),
@@ -348,35 +386,28 @@ def test_split_engine_grades_on_integers(monkeypatch):
         made.append(args)
         return new(cls, *args, **kwargs)
 
-    def graded_pass(tower, digits):
-        grades = {j: tower.grade(tower.depth, d) for j, d in enumerate(digits)
-                  if not d.is_zero()}
-        out = []
-        for (x1, y1), (x2, y2) in _lower_hull(
-                [(j, v) for j, (v, _) in grades.items()]):
-            common = math.gcd(y1 - y2, x2 - x1)
-            out.append(_segment_residual(
-                tower, grades, (y1 - y2) // common, (x2 - x1) // common,
-                x1, x2))
-        return out
-
     counts, results = {}, {}
     monkeypatch.setattr(F, "__new__", counting)
     for name, (tower, _) in towers.items():
         made.clear()
-        results[name] = graded_pass(tower, digits[name])
+        results[name] = list(tower.edges(digits[name]))
         counts[name] = len(made)
     monkeypatch.undo()
-    assert counts == {name: 0 for name in towers}
-    assert results["depth 0"] == [Poly(GF(2, 1), [1, 0, 1])]
+    assert counts == {name: len(results[name]) for name in towers}
+    assert [edge[4] for edge in results["depth 0"]] == [
+        Poly(GF(2, 1), [1, 0, 1])]
     for name, (tower, _) in towers.items():
         vals = {j: tower_val(tower, tower.depth, d)
                 for j, d in enumerate(digits[name]) if not d.is_zero()}
+        bound = edge_bound(tower)
         hull = _lower_hull([(j, v * tower.denom) for j, v in vals.items()])
-        assert results[name] == [
-            segment_residual(tower, digits[name], vals,
-                             F(y1 - y2, (x2 - x1) * tower.denom), x1, x2)
-            for (x1, y1), (x2, y2) in hull]
+        lams = [F(y1 - y2, (x2 - x1) * tower.denom)
+                for (x1, y1), (x2, y2) in hull]
+        assert [edge[2:] for edge in results[name]] == [
+            (-lam, (lam * tower.denom).denominator,
+             segment_residual(tower, digits[name], vals, lam, x1, x2))
+            for ((x1, _), (x2, _)), lam in zip(hull, lams)
+            if bound is None or lam * tower.denom > bound]
 
 
 def test_split_engine_lifts_on_integers(monkeypatch):

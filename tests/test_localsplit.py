@@ -185,8 +185,20 @@ def test_residual_examples():
 
 
 def test_residual_rejects_foreign_segment():
-    with pytest.raises(ValueError):
-        residual_polynomial(V2, [-2, 0, 1], NewtonPolygonSegment(F(-1), 2))
+    # a segment of another polygon, a non-monic g and a zero constant term,
+    # each with its message
+    seg = NewtonPolygonSegment(F(-1, 2), 2)
+    cases = [
+        ([-2, 0, 1], NewtonPolygonSegment(F(-1), 2),
+         "NewtonPolygonSegment(slope=Fraction(-1, 1), length=2) is not a "
+         "segment of the polygon of -2 + x^2"),
+        ([-2, 0, 2], seg, "polygon needs a monic polynomial of degree >= 1"),
+        ([0, -2, 1], seg, "zero constant term: split off the zero root first"),
+    ]
+    for g, segment, message in cases:
+        with pytest.raises(ValueError) as info:
+            residual_polynomial(V2, g, segment)
+        assert str(info.value) == message
 
 
 # -- split_extensions: named instances ---------------------------------------
