@@ -237,7 +237,12 @@ def primitive_gcd(a: list, b: list) -> list:
 
 class FunctionField:
     """Domain adapter for k(t); elements are RatFunc values, whose own
-    operators are the field's ops."""
+    operators are the field's ops.
+
+    One object per constant field, kept in `_cache`; each also holds
+    `pi_adic_memo`, the pi-adic valuations `localsplit.BaseValuation.pi_adic`
+    has built on it, keyed by the coefficients of pi, so clearing `_cache`
+    clears them too."""
 
     _cache = {}
     add = operator.add
@@ -257,6 +262,7 @@ class FunctionField:
         if getattr(self, "base", None) is not None:
             return
         self.base = base
+        self.pi_adic_memo = {}
         self.characteristic = base.characteristic
         self.zero = RatFunc(self, Poly.zero(base), Poly.one(base))
         self.one = RatFunc(self, Poly.one(base), Poly.one(base))

@@ -86,7 +86,13 @@ def _canonical_modulus(p, n):
     if n == 1:
         return (0, 1)
     F = GF(p)
-    for k in range(p ** n):
+    # codes below p are the binomials x^n + c; none is irreducible when a
+    # prime r | n does not divide p - 1, or when 4 | n and p = 3 mod 4
+    # (Capelli; Lang, Algebra VI 9.1), and then the search starts at x^n + x,
+    # the block of about p/n irreducibles, so a build is polynomial in log p
+    no_binomial = (any((p - 1) % r for r in primefactors(n))
+                   or (n % 4 == 0 and p % 4 == 3))
+    for k in range(p if no_binomial else 0, p ** n):
         m = _decode(k, p, n) + [1]
         if next(_distinct_degree(F, m))[1] == n:
             return tuple(m)

@@ -96,6 +96,12 @@ class BaseValuation:
         mapped to the root of pi that `extend_residue` picks; over Q only
         deg pi = 1 is supported (larger residue fields of k(t)/Q would be
         number fields, which are out of scope).
+
+        Valuations are shared: the first call for (k, pi) checks that pi is
+        irreducible and builds the residue field, and later calls return
+        that object, memoized on the `FunctionField` of k(t), so the memo
+        lives and dies with `FunctionField._cache`.  A pi that fails a check
+        is not stored and raises on every call.
         """
         if not isinstance(pi, Poly):
             pi = Poly(constant_field, [constant_field.coerce(c) for c in pi])
@@ -104,6 +110,10 @@ class BaseValuation:
                              f"{constant_field!r}")
         if pi.degree < 1 or not pi.is_monic():
             raise ValueError("uniformizer must be monic of degree >= 1")
+        field = FunctionField(constant_field)
+        memo = field.pi_adic_memo
+        if pi.coeffs in memo:
+            return memo[pi.coeffs]
         pairs = factor_over(constant_field, pi)
         if len(pairs) != 1 or pairs[0][1] != 1 or pairs[0][0] != pi:
             raise ValueError(f"{_fmt_tpoly(pi)} is not irreducible over "
@@ -111,11 +121,12 @@ class BaseValuation:
         ext = extend_residue(constant_field, pi)
         # split_order hands over remainders mod pi, so the evaluation at the
         # root, in the larger field, runs on fewer than deg pi coefficients
-        return cls._new(
-            FunctionField(constant_field), pi, ext.new_field,
+        memo[pi.coeffs] = cls._new(
+            field, pi, ext.new_field,
             lambda f: f.map_coeffs(ext.embed, ext.new_field)(ext.root),
             lambda r: Poly(constant_field, ext.decompose(r)),
             f"({_fmt_tpoly(pi)})-adic valuation on {constant_field!r}(t)")
+        return memo[pi.coeffs]
 
     def __repr__(self):
         return self.description

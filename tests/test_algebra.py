@@ -2,6 +2,7 @@
 
 import math
 import random
+import time
 from fractions import Fraction as F
 from itertools import product
 
@@ -10,9 +11,9 @@ import sympy
 
 from valknaf import funcfield
 from valknaf.funcfield import FunctionField, RatFunc
-from valknaf.gf import (GF, GFElement, _TABLE_MAX_Q, _binary_ops, _digit_ops,
-                       _distinct_degree, _log_tables, _ppowmod, _squarefree,
-                       embed, factor, first_root)
+from valknaf.gf import (GF, FiniteField, GFElement, _TABLE_MAX_Q, _binary_ops,
+                       _digit_ops, _distinct_degree, _log_tables, _ppowmod,
+                       _squarefree, embed, factor, first_root)
 from valknaf.poly import (Poly, QQ, _pdivmod, _pmul, _power, poly_gcd,
                           power)
 from valknaf.residuefield import (UnsupportedResidueExtension, extend_residue,
@@ -259,6 +260,17 @@ def test_canonical_modulus_is_first_irreducible(p):
             if is_irreducible_rabin(cand))
         assert GF(p, n).modulus == first.coeffs
         n += 1
+
+
+@pytest.mark.parametrize("p", [10 ** 9 + 7, 10 ** 18 + 3, 2 ** 61 - 1])
+def test_field_builds_are_polynomial_in_log_p(p):
+    # for n = 3, 4, 5, 7, 8, 10, 11 or 12 one of these p has no irreducible
+    # binomial x^n + c, and the modulus search must not test all p of them
+    for n in range(2, 13):
+        start = time.perf_counter()
+        field = FiniteField(p, n)
+        assert time.perf_counter() - start < 1.0, n
+        assert is_irreducible_rabin(Poly(GF(p), field.modulus)), n
 
 
 @pytest.mark.parametrize("p,n,top", [(2, 1, 6), (3, 1, 4), (2, 2, 3)])

@@ -676,9 +676,33 @@ def test_cli_prime_near_1e18(tmp_path, name):
 
 
 # inputs whose residue extensions once enumerated a large field: GF(p^2)
-# for p near 1e18, GF(2^22), and GF(3^12) below a quartic; each row is
-# (e, f), and the e f of each input sum to its degree
+# for p near 1e18, GF(2^22), and GF(3^12) below a quartic; and two whose
+# base or residue field GF(p^3), p = 1e9 + 7, once tested all p binomials
+# x^3 + c for its modulus; each row is (e, f), and the e f of each input
+# sum to its degree
 FORMERLY_HANGING = {
+    "big-prime-cube-base-field": (f"""\
+version = 1
+mode = split
+
+[base]
+field = GF({(10 ** 9 + 7) ** 3})
+pi = [0, 1]
+
+[polynomial]
+coeffs = [(0, -1), 0, 1]
+""", 2, [(2, 1)]),
+    "big-prime-cube-residue-field": ("""\
+version = 1
+mode = split
+
+[base]
+field = GF(1000000007)
+pi = [5, 1, 0, 1]
+
+[polynomial]
+coeffs = [(0, -1), 0, 1]
+""", 2, [(1, 1), (1, 1)]),
     "x2-t-over-big-prime-square": ("""\
 version = 1
 mode = split

@@ -77,6 +77,72 @@ def test_pi_adic_nontrivial_residue_field():
     assert k9.add(k9.mul(r, r), k9.one) == k9.zero
 
 
+def memo_cases():
+    y = GF(2, 2).element([0, 1])
+    return [(GF(2), [1, 1, 1]), (GF(3), [1, 0, 1]), (GF(2, 2), [y, 1, 1]),
+            (QQ, [F(-7), 1])]
+
+
+@pytest.mark.parametrize("k,pi", memo_cases(), ids=repr)
+def test_pi_adic_memo_builds_once(monkeypatch, k, pi):
+    # the first call for (k, pi) checks pi and builds the residue field;
+    # every later call, pi given as a list or as a Poly, returns that object
+    calls = []
+
+    def counted(name, real):
+        def call(*args):
+            calls.append(name)
+            return real(*args)
+        return call
+
+    for name in ("factor_over", "extend_residue"):
+        monkeypatch.setattr(localsplit, name,
+                            counted(name, getattr(localsplit, name)))
+    monkeypatch.setattr(FunctionField, "_cache", {})
+    v = BaseValuation.pi_adic(k, pi)
+    assert calls == ["factor_over", "extend_residue"]
+    assert BaseValuation.pi_adic(k, pi) is v
+    assert BaseValuation.pi_adic(k, Poly(k, [k.coerce(c) for c in pi])) is v
+    assert v.field.pi_adic_memo == {v._pi.coeffs: v}
+    assert len(calls) == 2
+    monkeypatch.setattr(FunctionField, "_cache", {})
+    fresh = BaseValuation.pi_adic(k, pi)
+    assert fresh is not v and len(calls) == 4
+    assert repr(fresh) == repr(v) and fresh.residue_field is v.residue_field
+
+
+def test_pi_adic_memo_keeps_no_failure():
+    # a reducible pi is never stored, so it raises on every call
+    K = FunctionField(GF(3))
+    for _ in range(3):
+        with pytest.raises(ValueError, match="not irreducible"):
+            BaseValuation.pi_adic(GF(3), [2, 0, 1])
+    assert (2, 0, 1) not in K.pi_adic_memo
+
+
+def test_pi_adic_memo_splits_like_a_fresh_valuation(monkeypatch):
+    # a shared valuation gives the factors and certificates of one just
+    # built, on the same polynomials written over each one's k(t)
+    rng = random.Random(31)
+
+    def over(K, rows):
+        return Poly(K, [K.coerce(Poly(K.base, row)) for row in rows] + [K.one])
+
+    for k, pi in memo_cases():
+        rows = [[[rand_const(rng, k) for _ in range(3)]
+                 for _ in range(rng.randint(2, 4))] for _ in range(12)]
+        v = BaseValuation.pi_adic(k, pi)
+        assert BaseValuation.pi_adic(k, pi) is v
+        rows = [r for r in rows if _is_squarefree(over(v.field, r))]
+        assert len(rows) >= 6
+        memoized = [split_extensions(v, over(v.field, r)) for r in rows]
+        monkeypatch.setattr(FunctionField, "_cache", {})
+        fresh = BaseValuation.pi_adic(k, pi)
+        assert fresh is not v
+        assert memoized == [split_extensions(fresh, over(fresh.field, r))
+                            for r in rows]
+
+
 def stage0_bases():
     y = GF(2, 2).element([0, 1])
     return [BaseValuation.padic(2), BaseValuation.padic(3),
@@ -544,7 +610,9 @@ def rand_irreducible_mod(rng, p, n):
 
 def test_split_enumerates_no_field(monkeypatch):
     # a seeded sweep of splits whose residue extensions adjoin roots of
-    # degree up to 13, with every enumeration of a finite field refused
+    # degree up to 13, with every enumeration of a finite field refused; a
+    # fresh function-field cache makes both pi-adic bases build, and count,
+    # their residue extensions here
     def refuse(field):
         raise AssertionError(f"{field} enumerated")
 
@@ -557,6 +625,7 @@ def test_split_enumerates_no_field(monkeypatch):
         return extend
 
     monkeypatch.setattr(gf.FiniteField, "elements", refuse)
+    monkeypatch.setattr(FunctionField, "_cache", {})
     for module in (localsplit, inductive):
         monkeypatch.setattr(module, "extend_residue",
                             counted(module.extend_residue))
