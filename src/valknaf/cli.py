@@ -27,7 +27,7 @@ from typing import Optional
 from .fixtures import FIXTURES, fixture
 from .localsplit import MAX_DEPTH, UnresolvedBranchError
 from .monoval import ResidualDegreeError
-from .ordgroup import initial_index, subgroup_index
+from .ordgroup import _initial_index, subgroup_index
 from .problemfile import (ProblemFile, ProblemFileError, lex_group,
                           parse_problem, problem_invariants)
 from .raminv import ExtensionInvariants, knaf_decide
@@ -68,7 +68,7 @@ def run(problem: ProblemFile, depth_limit: int = 16) -> list:
         e = subgroup_index(omega, nu)
         if e == float("inf"):
             raise ValueError("[gamma_omega : gamma_nu] is infinite")
-        eps = initial_index(omega, nu)
+        eps = _initial_index(omega, nu)
         return [ReportRow(label="gamma_omega over gamma_nu", e=e, eps=eps,
                           initial=eps == e)]
     invariants = problem_invariants(problem, depth_limit=depth_limit)

@@ -30,12 +30,14 @@ A polynomial over GF(q) is a `Poly` of codes or, inside this module, the
 bare list of codes, lowest degree first and without trailing zeros; `poly`'s
 kernel (`_axpy`, `_pmul`, `_pdivmod`, `_pgcd`) does all of its arithmetic
 on the field's ops, and `_ppowmod` adds powers mod a polynomial through
-`poly`'s square-and-multiply.
+`poly`'s square-and-multiply, reducing each product in place by the
+kernel's one division loop (`_preduce`).
 Factorization is Cantor-Zassenhaus: each squarefree part is split by
 distinct degrees, through gcds with x^(q^d) - x, and each product of
 factors of one degree d by equal-degree splitting on random polynomials,
 drawn from a generator with a constant seed, so results and operation
-counts repeat from run to run.
+counts repeat from run to run; the generator is made at the first
+equal-degree split, which most inputs never reach.
 Root search (`first_root`) uses the same splitter, at d = 1, on c x + a,
 isolates one root and returns the least code of its Frobenius orbit; its
 cost is polynomial in the degree and in log q, and nothing in the engine
@@ -51,7 +53,7 @@ from functools import lru_cache
 
 from .numtheory import isprime, primefactors
 from .poly import (Poly, _axpy, _derivative, _monic, _pdivmod, _pgcd, _pmul,
-                   _power, _trim, render_terms)
+                   _power, _preduce, _trim, render_terms)
 
 # constant seed of the equal-degree splitting; any value gives the same
 # factors, this one fixes the operation counts
@@ -479,8 +481,13 @@ def _identity(x):
 
 def _ppowmod(F, a, e, m):
     """a^e mod m for code lists a and m."""
-    return _power(lambda b, c: _pdivmod(F, _pmul(F, b, c), m)[1], [1],
-                  _pdivmod(F, a, m)[1], e)
+
+    def mulmod(b, c):
+        r = _pmul(F, b, c)
+        _preduce(F, r, m)
+        return r
+
+    return _power(mulmod, [1], _pdivmod(F, a, m)[1], e)
 
 
 def row_reduce(F, rows) -> dict:
@@ -530,6 +537,9 @@ def _squarefree(F, f):
             out[m] = _pmul(F, out[m], g) if m in out else g
 
     c = _pgcd(F, f, _derivative(F, f))
+    if len(c) == 1:
+        # gcd(f, f') = 1, most inputs: f is squarefree (or constant)
+        return [(list(f), 1)] if len(f) > 1 else []
     w = _pdivmod(F, f, c)[0]
     i = 1
     while len(w) > 1:
@@ -606,7 +616,8 @@ def _square2(F, a, f):
     mul = F.mul
     sq = [0] * (2 * len(a) - 1)
     sq[::2] = [mul(c, c) for c in a]
-    return _pdivmod(F, sq, f)[1]
+    _preduce(F, sq, f)
+    return sq
 
 
 def factor(f: Poly):
@@ -619,10 +630,12 @@ def factor(f: Poly):
         raise ValueError("cannot factor the zero polynomial")
     F = f.field
     lead = f.leading()
-    rng = random.Random(_SPLIT_SEED)
+    rng = None
     pairs = []
     for g, m in _squarefree(F, _monic(F, f.coeffs)):
         for h, d in _distinct_degree(F, g):
+            if len(h) - 1 > d:  # the first split makes the generator
+                rng = rng or random.Random(_SPLIT_SEED)
             pairs += [(e, m) for e in _equal_degree(F, h, d, rng)]
     pairs.sort(key=lambda t: (len(t[0]), t[0]))
     return lead, [(Poly(F, g), m) for g, m in pairs]

@@ -28,20 +28,24 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd, inf
 
-from .poly import Poly, power
+from .poly import Poly, _poly, _preduce, power
 from .residuefield import extend_residue
 
 INFINITY = inf
 
 
 def phi_expansion(f: Poly, phi: Poly):
-    """Digits of f in base phi (ascending), each of degree < deg phi."""
+    """Digits of f in base phi (ascending), each of degree < deg phi; each
+    step reduces a list in place, and its quotient is the next dividend."""
     if f.is_zero():
         return [f]
+    F, b = f.field, phi.coeffs
+    r = list(f.coeffs)
     digits = []
-    while not f.is_zero():
-        f, r = divmod(f, phi)
-        digits.append(r)
+    while r:
+        q = _preduce(F, r, b)
+        digits.append(_poly(F, r))
+        r = q
     return digits
 
 

@@ -332,11 +332,15 @@ def _terminal(degree, e, f, steps) -> LocalFactor:
                        certificate=" -> ".join(steps))
 
 
+# Γ_ν of every rank-1 base valuation, normalized to v(π) = 1
+_INTEGERS = LexGroup(1, [(1,)])
+
+
 def to_extension_invariants(v: BaseValuation, lf: LocalFactor,
                             total_degree: int) -> ExtensionInvariants:
     """Package a LocalFactor as ExtensionInvariants with Γ_ν = Z, Γ_ω = (1/e)Z."""
     return ExtensionInvariants(
-        gamma_nu=LexGroup(1, [(1,)]),
+        gamma_nu=_INTEGERS,
         gamma_omega=LexGroup(1, [(Fraction(1, lf.e),)]),
         residue_degree=lf.f,
         local_degree=lf.degree,

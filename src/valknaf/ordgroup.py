@@ -220,14 +220,19 @@ def subgroup_index(group: LexGroup, subgroup: LexGroup):
 
 def initial_index(group: LexGroup, subgroup: LexGroup) -> int:
     """Number of elements of the big group in the lex interval
-    [0, smallest positive part of the small group).
+    [0, smallest positive part of the small group)."""
+    if subgroup_index(group, subgroup) is inf:
+        raise ValueError("initial segment is infinite for infinite index")
+    return _initial_index(group, subgroup)
+
+
+def _initial_index(group: LexGroup, subgroup: LexGroup) -> int:
+    """`initial_index` of a pair already known to have finite index.
 
     An element of the big group below every positive element of the small
     group lies on the ray of the big group's last basis row, so eps is the
     ratio of the two groups' last rows.
     """
-    if subgroup_index(group, subgroup) is inf:
-        raise ValueError("initial segment is infinite for infinite index")
     if group.is_zero():
         return 1
     c = group.pivots[-1]

@@ -20,11 +20,12 @@ zeros; the zero polynomial has degree -1.  `Poly` stores the elements it
 is given as they are: it never coerces, so the codes of a finite field are
 never reduced again as integers.  Its arithmetic is the kernel at the end
 of this module, on lists of elements, which reads the field's ops once per
-operation.  Division by a monic polynomial multiplies by no inverse, so
-dividing an integral polynomial by a monic integral one never leaves the
-integers.  This module also owns, for every field adapter, exponentiation
-(`_power`, square-and-multiply on any product) and the term printer
-(`render_terms`): `Poly` prints in x, k(t) in t and GF(p^n) in y.
+operation; its one division loop, `_preduce`, reduces a list in place.
+Division by a monic polynomial multiplies by no inverse, so dividing an
+integral polynomial by a monic integral one never leaves the integers.
+This module also owns, for every field adapter, exponentiation (`_power`,
+square-and-multiply on any product) and the term printer (`render_terms`):
+`Poly` prints in x, k(t) in t and GF(p^n) in y.
 """
 
 from __future__ import annotations
@@ -213,7 +214,7 @@ def _poly(field, coeffs) -> Poly:
 
 def poly_gcd(a: Poly, b: Poly) -> Poly:
     """Monic gcd by the Euclidean algorithm."""
-    return _poly(a.field, _pgcd(a.field, list(a.coeffs), a._operand(b)))
+    return _poly(a.field, _pgcd(a.field, a.coeffs, a._operand(b)))
 
 
 def power(F, a, e: int):
@@ -256,7 +257,9 @@ def render_terms(coeffs, var, render=str, one=1) -> str:
 # ---------------------------------------------------------------------------
 # the kernel: polynomials over a field F as lists (or tuples) of elements,
 # lowest degree first, without trailing zeros ([] is zero).  Each function
-# reads F's ops once and touches no Poly; results are new lists.
+# reads F's ops once and touches no Poly; results are new lists, but for
+# `_preduce`, the one division loop, which reduces its list in place: a
+# Euclid step or a remainder after a product then copies nothing.
 
 
 def _trim(a):
@@ -322,12 +325,17 @@ def _pmul(F, a, b):
 
 def _pdivmod(F, a, b):
     """(quotient, remainder) of a by b != []."""
-    dq, db = len(a) - len(b), len(b) - 1
+    r = list(a)
+    return _preduce(F, r, b), r
+
+
+def _preduce(F, r, b):
+    """Reduce the list r mod b != [] in place; return the quotient."""
+    dq, db = len(r) - len(b), len(b) - 1
     if dq < 0:
-        return [], list(a)
+        return []
     sub, neg, mul = F.sub, F.neg, F.mul
     inv = None if b[-1] == F.one else F.inv(b[-1])
-    r = list(a)
     q = [F.zero] * (dq + 1)
     for k in range(dq, -1, -1):
         c = r[k + db]
@@ -341,13 +349,16 @@ def _pdivmod(F, a, b):
                     x = r[k + j]
                     r[k + j] = sub(x, y) if x else neg(y)
     del r[db:]
-    return q, _trim(r)
+    _trim(r)
+    return q
 
 
 def _pgcd(F, a, b):
-    """Monic gcd of a and b by the Euclidean algorithm."""
+    """Monic gcd of a and b by the Euclidean algorithm, on one copy of each."""
+    a, b = list(a), list(b)
     while b:
-        a, b = b, _pdivmod(F, a, b)[1]
+        _preduce(F, a, b)
+        a, b = b, a
     return _monic(F, a)
 
 

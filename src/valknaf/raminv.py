@@ -21,7 +21,7 @@ from math import inf
 from typing import Optional, Union
 
 from .numtheory import isprime
-from .ordgroup import LexGroup, initial_index, subgroup_index
+from .ordgroup import LexGroup, _initial_index, subgroup_index
 
 
 @dataclass(frozen=True)
@@ -137,7 +137,7 @@ def knaf_decide(inv: ExtensionInvariants) -> KnafVerdict:
     problems, e = _check(inv)
     if problems:
         raise ValueError("inconsistent extension data: " + "; ".join(problems))
-    eps = initial_index(inv.gamma_omega, inv.gamma_nu)
+    eps = _initial_index(inv.gamma_omega, inv.gamma_nu)
     d = inv.local_degree // (e * inv.residue_degree)
     defectless = d == 1
     initial_condition = eps == e

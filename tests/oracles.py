@@ -24,13 +24,18 @@ helper apart rather than the library's one `Tower.edges`, the next key
 polynomial by a loop over the coefficients of psi with a table of units
 rather than the library's single lift of a class, the optimal MacLane chain by the tower that appends every level,
 the order of the extensions by a sort on branch paths after the walk
-rather than the library's emission in branch order, and problem files
+rather than the library's emission in branch order, division, gcds,
+phi-adic digits, squarefree parts and factors over GF(q) by the kernel
+that copied the dividend and made a quotient at every step, with the
+generator of the equal-degree splitting made on every call, rather than
+the library's one in-place remainder loop, and problem files
 by a cascade of string splits and a second schema loop rather than the
 library's one-pass token scanner, and command lines by the argparse parser
 the CLI used before its table-driven reader.
 """
 
 import argparse
+import random
 import re
 from fractions import Fraction
 from itertools import product
@@ -38,10 +43,12 @@ from math import gcd, inf, lcm
 
 import sympy
 
+from valknaf.gf import _SPLIT_SEED, _distinct_degree, _equal_degree
 from valknaf.inductive import INFINITY, Level, Tower, phi_expansion
 from valknaf.localsplit import UnresolvedBranchError, _poly_over, _terminal
 from valknaf.ordgroup import RationalVector
-from valknaf.poly import Poly, poly_gcd, power
+from valknaf.poly import (Poly, _derivative, _monic, _pmul, _power, _trim,
+                          poly_gcd, power)
 from valknaf.problemfile import (FORMAT_VERSION, SCHEMAS, ProblemFile,
                                  ProblemFileError, _check_type, parse_int)
 from valknaf.residuefield import extend_residue, factor_over
@@ -803,6 +810,95 @@ def augment_appending(tower, phi, lam, psi):
                   decompose=ext.decompose, q_exps=q_exps,
                   denom=prev_den * e)
     return Tower(tower.base, tower.levels + (level,))
+
+
+# -- the kernel that copied at every step --------------------------------------
+# The references for `poly._preduce` and its callers: `_pdivmod` as it was
+# before the one in-place remainder loop, copying the dividend and making a
+# quotient on every call; `_pgcd` taking each Euclid step through it;
+# `phi_expansion` dividing `Poly`s; `gf._squarefree` running its whole loop
+# on squarefree input; and `gf.factor` making its generator on every call.
+
+
+def pdivmod_copying(F, a, b):
+    """(quotient, remainder) of a by b != []."""
+    dq, db = len(a) - len(b), len(b) - 1
+    if dq < 0:
+        return [], list(a)
+    sub, neg, mul = F.sub, F.neg, F.mul
+    inv = None if b[-1] == F.one else F.inv(b[-1])
+    r = list(a)
+    q = [F.zero] * (dq + 1)
+    for k in range(dq, -1, -1):
+        c = r[k + db]
+        if c:
+            if inv is not None:
+                c = mul(c, inv)
+            q[k] = c
+            for j in range(db):
+                if b[j]:
+                    y = mul(c, b[j])
+                    x = r[k + j]
+                    r[k + j] = sub(x, y) if x else neg(y)
+    del r[db:]
+    return q, _trim(r)
+
+
+def pgcd_copying(F, a, b):
+    """Monic gcd of a and b by the Euclidean algorithm."""
+    while b:
+        a, b = b, pdivmod_copying(F, a, b)[1]
+    return _monic(F, a)
+
+
+def phi_expansion_by_poly_division(f, phi):
+    """Digits of f in base phi (ascending), each of degree < deg phi."""
+    if f.is_zero():
+        return [f]
+    digits = []
+    while not f.is_zero():
+        f, r = divmod(f, phi)
+        digits.append(r)
+    return digits
+
+
+def squarefree_full_loop(F, f):
+    """[(g, m)] with monic f = prod g^m, the g monic squarefree coprime."""
+    out = {}
+
+    def put(g, m):
+        if len(g) > 1:
+            out[m] = _pmul(F, out[m], g) if m in out else g
+
+    c = pgcd_copying(F, f, _derivative(F, f))
+    w = pdivmod_copying(F, f, c)[0]
+    i = 1
+    while len(w) > 1:
+        y = pgcd_copying(F, w, c)
+        put(pdivmod_copying(F, w, y)[0], i)
+        w = y
+        c = pdivmod_copying(F, c, y)[0]
+        i += 1
+    if len(c) > 1:
+        root = [_power(F.mul, 1, a, F.q // F.p) for a in c[::F.p]]
+        for g, m in squarefree_full_loop(F, root):
+            put(g, m * F.p)
+    return [(g, m) for m, g in sorted(out.items())]
+
+
+def factor_seeding_each_call(f):
+    """Monic irreducible factors with multiplicity, deterministic order."""
+    if f.is_zero():
+        raise ValueError("cannot factor the zero polynomial")
+    F = f.field
+    lead = f.leading()
+    rng = random.Random(_SPLIT_SEED)
+    pairs = []
+    for g, m in squarefree_full_loop(F, _monic(F, f.coeffs)):
+        for h, d in _distinct_degree(F, g):
+            pairs += [(e, m) for e in _equal_degree(F, h, d, rng)]
+    pairs.sort(key=lambda t: (len(t[0]), t[0]))
+    return lead, [(Poly(F, g), m) for g, m in pairs]
 
 
 # -- the polygon step in localsplit -------------------------------------------

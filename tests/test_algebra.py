@@ -5,25 +5,30 @@ import random
 import time
 from fractions import Fraction as F
 from itertools import product
+from types import SimpleNamespace
 
 import pytest
 import sympy
 
-from valknaf import funcfield
+from valknaf import funcfield, gf
 from valknaf.funcfield import FunctionField, RatFunc
 from valknaf.gf import (GF, FiniteField, GFElement, _TABLE_MAX_Q, _binary_ops,
                        _digit_ops, _distinct_degree, _log_tables, _ppowmod,
                        _squarefree, embed, factor, first_root)
-from valknaf.poly import (Poly, QQ, _pdivmod, _pmul, _power, poly_gcd,
-                          power)
+from valknaf.inductive import phi_expansion
+from valknaf.poly import (Poly, QQ, _monic, _pdivmod, _pgcd, _pmul, _power,
+                          poly_gcd, power)
 from valknaf.residuefield import (UnsupportedResidueExtension, extend_residue,
                                   factor_over, linear_decomposer)
 
+import oracles
 from oracles import (berlekamp_by_enumeration, codes, compose,
-                     is_irreducible_rabin, ref_mul, ref_poly_divmod,
+                     factor_seeding_each_call, is_irreducible_rabin,
+                     pdivmod_copying, pgcd_copying,
+                     phi_expansion_by_poly_division, ref_mul, ref_poly_divmod,
                      ref_poly_eval, ref_poly_gcd, ref_poly_monic,
-                     ref_poly_mul, roots, squarefree_by_trial_division, wrap,
-                     wrapped)
+                     ref_poly_mul, roots, squarefree_by_trial_division,
+                     squarefree_full_loop, wrap, wrapped)
 
 
 def rand_gf_poly(rng, field, degree, monic=False):
@@ -401,6 +406,185 @@ def test_squarefree_decomposition_inseparable_part():
     assert squarefree_decomposition(mixed) == [(Poly(k3, [1, 1]), 1), (g, 3)]
     assert squarefree_by_trial_division(mixed) == [(Poly(k3, [1, 1]), 1),
                                                    (g, 3)]
+
+
+# -- the one remainder loop and the factorizer's setup -----------------------
+# poly._preduce reduces in place; the kernel that copied the dividend and
+# made a quotient at every step, and the factorizer that ran its whole
+# squarefree loop and made its generator on every call, are the references.
+
+
+def _sweep_field(name, rng):
+    """(field, draw of one element, possibly zero, k[t] under k(t) or None)."""
+    if name.startswith("GF"):
+        p, n = {"GF(2)": (2, 1), "GF(7)": (7, 1), "GF(3^4)": (3, 4),
+                "GF(3^9)": (3, 9)}[name]
+        field = GF(p, n)
+        return field, (lambda: rng.randrange(field.q)
+                       if rng.random() < 0.8 else 0), None
+    if name == "QQ-int":
+        return QQ, lambda: rng.randint(-9, 9), None
+    if name == "QQ-frac":
+        return QQ, lambda: QQ.coerce(F(rng.randint(-9, 9),
+                                       rng.randint(1, 4))), None
+    # F_3(t): each element is reduced by poly_gcd on F_3[t]
+    k = GF(3)
+    K = FunctionField(k)
+
+    def tpoly():
+        return Poly(k, [rng.randrange(3) for _ in range(rng.randint(0, 2))])
+
+    def draw():
+        den = tpoly()
+        return RatFunc(K, tpoly(), den if den else Poly.one(k))
+
+    return K, draw, k
+
+
+def _sweep_poly(F, draw, degree, monic=False):
+    """A list of elements of degree `degree` (-1: zero), leading one if
+    monic, else any nonzero leading coefficient."""
+    if degree < 0:
+        return []
+    lead = F.one if monic else F.zero
+    while not lead:
+        lead = draw()
+    return [draw() for _ in range(degree)] + [lead]
+
+
+@pytest.mark.parametrize("name", ["GF(2)", "GF(7)", "GF(3^4)", "GF(3^9)",
+                                  "QQ-int", "QQ-frac", "F3(t)"])
+def test_remainder_loop_matches_copying_kernel(name):
+    rng = random.Random(f"remainder loop:{name}")
+    F, draw, k = _sweep_field(name, rng)
+    # (deg a, deg b): zero and constant operands, a shorter than b, equal
+    # degrees; b is monic or not at random
+    shapes = [(-1, 2), (-1, 0), (0, 0), (0, 3), (1, 4), (3, 3), (5, 5),
+              (4, 0), (6, 2)] + [(rng.randint(-1, 7), rng.randint(0, 5))
+                                 for _ in range(20)]
+    for da, db in shapes:
+        a = _sweep_poly(F, draw, da)
+        b = _sweep_poly(F, draw, db, monic=rng.random() < 0.5)
+        common = _sweep_poly(F, draw, rng.randint(0, 2))
+        ac, bc = _pmul(F, a, common), _pmul(F, b, common)
+        inputs = [a, b, common, ac, bc]
+        kept = [list(x) for x in inputs]
+        assert _pdivmod(F, a, b) == pdivmod_copying(F, a, b)
+        assert _pdivmod(F, tuple(a), tuple(b)) == pdivmod_copying(F, a, b)
+        for x, y in ((a, b), (b, a), (ac, bc), (bc, ac), (a, []), ([], b)):
+            assert _pgcd(F, x, y) == pgcd_copying(F, list(x), list(y))
+            assert _pgcd(F, tuple(x), tuple(y)) == pgcd_copying(F, x, y)
+        phi = _sweep_poly(F, draw, max(db, 1), monic=True)
+        f, key = Poly(F, a), Poly(F, phi)
+        assert phi_expansion(f, key) == phi_expansion_by_poly_division(f, key)
+        assert f.coeffs == tuple(a) and key.coeffs == tuple(phi)
+        if F.characteristic and k is None:
+            assert gf._ppowmod(F, a, F.q + 3, b) == _power(
+                lambda x, y: pdivmod_copying(F, _pmul(F, x, y), b)[1],
+                [1], pdivmod_copying(F, a, b)[1], F.q + 3)
+            for g in (a, ac, _pmul(F, ac, common)):
+                if g:
+                    g = _monic(F, g)
+                    assert gf._squarefree(F, g) == squarefree_full_loop(F, g)
+        assert inputs == kept
+        if k is not None:
+            # the k[t] gcd that normalizes each element of k(t)
+            for x in a:
+                num, den = x.numerator, x.denominator
+                assert poly_gcd(num, den).coeffs == tuple(
+                    pgcd_copying(k, list(num.coeffs), list(den.coeffs)))
+
+
+def counting_random():
+    """A stand-in for the module random whose Random counts the generators
+    made and their randrange draws."""
+    counts = {"made": 0, "draws": 0}
+
+    class Counting(random.Random):
+        def __init__(self, seed):
+            counts["made"] += 1
+            super().__init__(seed)
+
+        def randrange(self, *args):
+            counts["draws"] += 1
+            return super().randrange(*args)
+
+    return SimpleNamespace(Random=Counting), counts
+
+
+def splits(f):
+    """Whether factoring f reaches an equal-degree split."""
+    F = f.field
+    return any(len(h) - 1 > d
+               for g, _ in squarefree_full_loop(F, _monic(F, f.coeffs))
+               for h, d in gf._distinct_degree(F, g))
+
+
+FACTOR_SETUP_FIELDS = ((2, 1), (5, 1), (3, 2), (2, 3))
+
+
+@pytest.mark.parametrize("p,n", FACTOR_SETUP_FIELDS)
+def test_factor_setup_only_when_used(monkeypatch, p, n):
+    # the generator of the equal-degree splitting is made at the first
+    # split, once per factor call, and not at all when no part splits
+    field = GF(p, n)
+    rng = random.Random(f"factor setup:{p}^{n}")
+    fake, counts = counting_random()
+    monkeypatch.setattr(gf, "random", fake)
+    x = Poly.x(field)
+    # irreducible; one factor per degree; two linear factors (a split)
+    inputs = [rand_irreducible(rng, field, 3),
+              x * rand_irreducible(rng, field, 2), x * (x + field.one)]
+    inputs += [rand_gf_poly(rng, field, rng.randint(1, 7)) for _ in range(30)]
+    split = 0
+    for f in inputs:
+        made = counts["made"]
+        factor(f)
+        assert counts["made"] - made == splits(f), f
+        split += splits(f)
+    assert not splits(inputs[0]) and not splits(inputs[1])
+    assert splits(inputs[2])
+    assert 0 < split < len(inputs)
+
+
+@pytest.mark.parametrize("p,n", FACTOR_SETUP_FIELDS)
+def test_factor_setup_draws_like_parent(monkeypatch, p, n):
+    field = GF(p, n)
+    rng = random.Random(f"factor draws:{p}^{n}")
+    new, new_counts = counting_random()
+    old, old_counts = counting_random()
+    monkeypatch.setattr(gf, "random", new)
+    monkeypatch.setattr(oracles, "random", old)
+    for _ in range(30):
+        f = rand_gf_poly(rng, field, rng.randint(0, 8))
+        if rng.random() < 0.3:
+            f = f * f
+        assert factor(f) == factor_seeding_each_call(f)
+        assert new_counts["draws"] == old_counts["draws"]
+    assert new_counts["draws"] > 0
+
+
+def test_squarefree_setup_one_gcd(monkeypatch):
+    calls = []
+
+    def counting(F, a, b):
+        calls.append(1)
+        return _pgcd(F, a, b)
+
+    monkeypatch.setattr(gf, "_pgcd", counting)
+    k = GF(3)
+    x = Poly.x(k)
+    for f, parts in ((x ** 3 + 2 * x + 1, [(x ** 3 + 2 * x + 1, 1)]),
+                     (x * (x + 1), [(x * (x + 1), 1)]),
+                     (Poly.one(k), [])):
+        calls.clear()
+        got = gf._squarefree(k, list(f.coeffs))
+        assert [(Poly(k, g), m) for g, m in got] == parts
+        assert len(calls) == 1
+    calls.clear()
+    assert gf._squarefree(k, list((x ** 2 * (x + 1)).coeffs)) == [
+        ([1, 1], 1), ([0, 1], 2)]
+    assert len(calls) > 1
 
 
 def test_roots_match_linear_factors():

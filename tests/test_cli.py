@@ -778,12 +778,56 @@ def test_cli_close_roots_optimal_chain(tmp_path):
         "[deg 1] slope -256, residual factor 2 + x (multiplicity 2)\n")
 
 
+# binomials over GF(p^3), p = 10^9 + 7: the field is built and
+# z^n = c x^a y^b decided in time polynomial in log p; c = 2 + 3y + y^2
+@pytest.mark.parametrize("n,a,b,code,expected", [
+    (5, 2, 3, 0, "\te=5\tf=1\teps=1\td=1\t"),
+    (6, 2, 4, 2, "inconsistent: binomial z^6 = (2 + 3*y + y^2)*x^2*y^4 is "
+                 "reducible over the base field\n"),
+], ids=["big-prime-cube-binomial", "big-prime-cube-binomial-reducible"])
+def test_cli_binomial_over_big_prime_cube(tmp_path, n, a, b, code, expected):
+    # in a child, as for the formerly hanging inputs, so that a loop over
+    # the field fails here instead of hanging the suite
+    text = (BINO.replace("GF(5)", f"GF({(10 ** 9 + 7) ** 3})")
+            .replace("n = 2", f"n = {n}").replace("a = 1", f"a = {a}")
+            .replace("b = 0", f"b = {b}").replace("c = 1", "c = (2, 3, 1)"))
+    path = write(tmp_path, "cube.prob", text)
+    proc = subprocess.run(
+        [sys.executable, "-m", "valknaf.cli", "binomial", "--file", path,
+         "--porcelain"],
+        capture_output=True, text=True, env=child_env(), timeout=10)
+    assert proc.returncode == code, proc.stderr
+    if code:
+        assert (proc.stdout, proc.stderr) == ("", expected)
+    else:
+        assert proc.stdout.count("\n") == 1 and expected in proc.stdout
+
+
 def test_cli_run_api():
     rows = cli.run(parse_problem(SPLIT5))
     assert len(rows) == 2
     assert all(r.eft and r.e == 1 and r.f == 1 for r in rows)
     grows = cli.run(parse_problem(GROUP))
     assert grows[0].e == 2 and grows[0].eps == 1 and grows[0].f is None
+
+
+def test_cli_rows_compute_one_subgroup_index(monkeypatch):
+    # a group row and each verdict row compute [gamma_omega : gamma_nu]
+    # once; eps is the closed form on the pair of finite index
+    from valknaf import ordgroup, raminv
+    index = ordgroup.subgroup_index
+    calls = []
+
+    def counting(group, subgroup):
+        calls.append((group, subgroup))
+        return index(group, subgroup)
+
+    for module in (cli, ordgroup, raminv):
+        monkeypatch.setattr(module, "subgroup_index", counting)
+    for text, rows in ((GROUP, 1), (SPLIT5, 2)):
+        calls.clear()
+        assert len(cli.run(parse_problem(text))) == rows
+        assert len(calls) == rows
 
 
 def test_shipped_demo_problems_parse_and_run():

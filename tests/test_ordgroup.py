@@ -106,8 +106,13 @@ def test_initial_segment_mixed():
 def test_initial_index_requires_finite_index():
     big = LexGroup(2, [(1, 0), (0, 1)])
     line = LexGroup(2, [(1, 0)])
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="infinite index"):
         initial_index(big, line)
+    # not a subgroup: the check raises before any closed form is read
+    with pytest.raises(ValueError, match="not an element"):
+        initial_index(line, big)
+    with pytest.raises(ValueError, match="not an element"):
+        initial_index(LexGroup(1, [(1,)]), LexGroup(1, [(F(1, 2),)]))
 
 
 def test_zero_groups():

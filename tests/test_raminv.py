@@ -73,8 +73,9 @@ def test_initial_condition_blocks_finite_type():
     assert v.defectless and not v.initial_condition and not v.eft
 
 
-def test_knaf_decide_computes_the_index_at_most_twice(monkeypatch):
-    # validate's check hands e on; only initial_index's own check repeats it
+def test_knaf_decide_computes_one_subgroup_index(monkeypatch):
+    # validate's check hands e on, and eps is the closed form on a pair of
+    # finite index, so the index is computed once
     index = ordgroup.subgroup_index
     calls = []
 
@@ -91,7 +92,16 @@ def test_knaf_decide_computes_the_index_at_most_twice(monkeypatch):
                               residue_char=0)
     v = knaf_decide(inv)
     assert (v.e, v.eps, v.d) == (6, 3, 1)
-    assert len(calls) <= 2
+    assert len(calls) == 1
+    # a rank-1 row as the split engine packages it, and the zero group
+    for gamma_nu, gamma_omega, eps in (
+            (LexGroup(1, [(1,)]), LexGroup(1, [(Fraction(1, 4),)]), 4),
+            (LexGroup(2, []), LexGroup(2, []), 1)):
+        calls.clear()
+        v = knaf_decide(ExtensionInvariants(
+            gamma_nu=gamma_nu, gamma_omega=gamma_omega, residue_degree=1,
+            local_degree=eps, residue_char=2))
+        assert v.eps == eps and len(calls) == 1
 
 
 def test_validate_catches_bad_data():
