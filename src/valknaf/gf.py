@@ -490,35 +490,6 @@ def _ppowmod(F, a, e, m):
     return _power(mulmod, [1], _pdivmod(F, a, m)[1], e)
 
 
-def row_reduce(F, rows) -> dict:
-    """Bring rows (lists of codes of F) to reduced row echelon form.
-
-    Works in place; returns {pivot column: row index}, the pivot rows
-    leading the list in column order.
-    """
-    sub, mul = F.sub, F.mul
-    cols = len(rows[0]) if rows else 0
-    piv_of_col = {}
-    r = 0
-    for c in range(cols):
-        piv = next((i for i in range(r, len(rows)) if rows[i][c]), None)
-        if piv is None:
-            continue
-        rows[r], rows[piv] = rows[piv], rows[r]
-        inv = F.inv(rows[r][c])
-        # rows r, r + 1, ... are zero left of column c
-        pivot = rows[r] = [0] * c + [mul(a, inv) for a in rows[r][c:]]
-        for i in range(len(rows)):
-            fct = rows[i][c]
-            if i != r and fct:
-                rows[i] = rows[i][:c] + [sub(a, mul(fct, b)) if b else a
-                                         for a, b in zip(rows[i][c:],
-                                                         pivot[c:])]
-        piv_of_col[c] = r
-        r += 1
-    return piv_of_col
-
-
 # ---------------------------------------------------------------------------
 # factorization over GF(q)
 

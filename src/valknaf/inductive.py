@@ -18,18 +18,21 @@ defining relations [phi_j^(e_j)] = z_j * [Q_j] (Q_j the canonical monomial of
 value e_j * mu_j) let any exponent vector be normalized onto the canonical
 one at the cost of a unit in the current residue field.  `reduce_at` and
 `lift_at` are mutually inverse through exactly this bookkeeping.  A level
-keeps a root z of its residual factor psi, not psi: the residue field
-grows by deg psi, and the next key, phi^(e*f) plus one `lift_at` of the
-class of -phi^(e*f), has psi as its residual polynomial since psi(z) = 0.
+keeps the `ResidueExtension` kappa_(i-1) -> kappa_i = kappa_(i-1)(z_i) that
+adjoins a root z_i of its residual factor psi, not psi, and the images of
+z_1, ..., z_i in kappa_i, made once when the level is, for the carries.  The
+next key, phi^(e*f) plus one `lift_at` of the class of -phi^(e*f), has psi
+as its residual polynomial since psi(z) = 0.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, inf
+from typing import NamedTuple
 
 from .poly import Poly, _poly, _preduce, power
-from .residuefield import extend_residue
+from .residuefield import ResidueExtension, extend_residue
 
 INFINITY = inf
 
@@ -49,24 +52,17 @@ def phi_expansion(f: Poly, phi: Poly):
     return digits
 
 
-class Level:
+class Level(NamedTuple):
     """One level of an optimal chain: e*f >= 2 unless it is the top."""
 
-    __slots__ = ("phi", "mu", "e", "f", "z", "resfield", "embed_prev",
-                 "decompose", "q_exps", "denom")
-
-    def __init__(self, phi, mu, e, f, z, resfield, embed_prev, decompose,
-                 q_exps, denom):
-        self.phi = phi
-        self.mu = mu              # value assigned to phi
-        self.e = e                # [Gamma_i : Gamma_{i-1}]
-        self.f = f                # deg psi = [kappa_i : kappa_{i-1}]
-        self.z = z                # chosen root of psi in resfield
-        self.resfield = resfield  # kappa_i
-        self.embed_prev = embed_prev    # kappa_{i-1} -> kappa_i
-        self.decompose = decompose      # kappa_i -> [kappa_{i-1}] over z^s
-        self.q_exps = q_exps      # canonical exponents of value e * mu
-        self.denom = denom        # e_1 * ... * e_i
+    phi: Poly
+    mu: Fraction              # value assigned to phi
+    e: int                    # [Gamma_i : Gamma_{i-1}]
+    f: int                    # deg psi = [kappa_i : kappa_{i-1}]
+    ext: ResidueExtension     # kappa_{i-1} -> kappa_i, root z_i
+    zs: tuple                 # images of z_1, ..., z_i in kappa_i
+    q_exps: list              # canonical exponents of value e * mu
+    denom: int                # e_1 * ... * e_i
 
 
 class Tower:
@@ -95,7 +91,9 @@ class Tower:
 
     def field_at(self, i):
         """Residue field kappa_i (kappa_0 = residue field of the base)."""
-        return self.levels[i - 1].resfield if i else self.base.residue_field
+        if i:
+            return self.levels[i - 1].ext.new_field
+        return self.base.residue_field
 
     def residue_product(self) -> int:
         out = 1
@@ -144,7 +142,8 @@ class Tower:
         lev = self.levels[i - 1]
         line = self.line_residual(i - 1, parts, next(iter(parts)) % lev.e,
                                   lev.e, lev.q_exps)
-        total = line.map_coeffs(lev.embed_prev, lev.resfield)(lev.z)
+        ext = lev.ext
+        total = line.map_coeffs(ext.embed, ext.new_field)(ext.root)
         if not total:
             raise ValueError("graded reduction vanished; tower is corrupt")
         return total
@@ -234,13 +233,6 @@ class Tower:
         exps[0] = w // self.denom
         return exps
 
-    def z_up(self, j, i):
-        """Image of z_j in kappa_i (j <= i)."""
-        x = self.levels[j - 1].z
-        for m in range(j + 1, i + 1):
-            x = self.levels[m - 1].embed_prev(x)
-        return x
-
     def normalize_exps(self, i, exps):
         """Unit u in kappa_i with [monomial(exps)] = u * [canonical monomial].
 
@@ -250,11 +242,12 @@ class Tower:
         """
         F = self.field_at(i)
         unit = F.one
+        zs = self.levels[i - 1].zs if i else ()
         for j in range(i, 0, -1):
             lev = self.levels[j - 1]
             s, exps[j] = divmod(exps[j], lev.e)
             if s:
-                unit = F.mul(unit, power(F, self.z_up(j, i), s))
+                unit = F.mul(unit, power(F, zs[j - 1], s))
                 for idx, q in enumerate(lev.q_exps):
                     exps[idx] += s * q
         return unit
@@ -285,7 +278,7 @@ class Tower:
                                  self.base.lift_shifted(r, a))
         lev = self.levels[i - 1]
         below = self.field_at(i - 1)
-        comps = lev.decompose(r)
+        comps = lev.ext.decompose(r)
         acc = Poly.zero(self.base.field)
         for s, r_s in enumerate(comps):
             if not r_s:
@@ -310,10 +303,10 @@ class Tower:
         e = scaled.denominator
         q_exps = below.canonical_exps(below.depth, scaled.numerator)
         ext = extend_residue(below.field_at(below.depth), psi)
-        level = Level(phi=phi, mu=lam, e=e, f=psi.degree, z=ext.root,
-                      resfield=ext.new_field, embed_prev=ext.embed,
-                      decompose=ext.decompose, q_exps=q_exps,
-                      denom=prev_den * e)
+        zs = below.levels[-1].zs if below.levels else ()
+        level = Level(phi, lam, e, psi.degree, ext,
+                      tuple(map(ext.embed, zs)) + (ext.root,), q_exps,
+                      prev_den * e)
         return Tower(self.base, below.levels + (level,))
 
     def lift_key(self) -> Poly:
@@ -327,7 +320,8 @@ class Tower:
         V_new(phi') = f*e*mu.
         """
         lev, k = self.levels[-1], self.depth
-        F, ef = lev.resfield, lev.e * lev.f
-        u = lev.embed_prev(self.unit_at(k - 1, 0, lev.q_exps, lev.f))
-        rho = F.neg(F.mul(u, power(F, lev.z, lev.f)))
+        ext, ef = lev.ext, lev.e * lev.f
+        F = ext.new_field
+        u = ext.embed(self.unit_at(k - 1, 0, lev.q_exps, lev.f))
+        rho = F.neg(F.mul(u, power(F, ext.root, lev.f)))
         return lev.phi ** ef + self.lift_at(k, rho, ef * self.mu_units[k])

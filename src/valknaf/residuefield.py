@@ -2,17 +2,18 @@
 
 The residue fields arising here are either finite fields or Q.  This module
 gives them a uniform face: deterministic factorization of monic polynomials,
-simple extensions by an irreducible (returning the new field, the embedding,
-the chosen root and a decomposition map back onto the old field), and
-F_p-linear decomposition helpers for finite fields.
+and simple extensions by an irreducible, each one `ResidueExtension` record
+(the new field, the embedding, the chosen root and a decomposition map back
+onto the old field).  A finite field's decomposition map comes from
+`linear_decomposer`, which inverts a basis over F_p by Gauss-Jordan mod p.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from typing import Callable, NamedTuple
 
-from .gf import (GF, FiniteField, _embedding_root, _identity, embed,
-                 row_reduce)
+from .gf import GF, FiniteField, _embedding_root, _identity, embed
 from .gf import factor as gf_factor
 from .poly import QQ, Poly, RationalField
 
@@ -63,13 +64,22 @@ def linear_decomposer(field: FiniteField, basis):
     n = field.n
     if len(basis) != n:
         raise ValueError("basis has wrong size")
-    # invert the basis matrix over F_p (columns = coordinates of basis elems)
+    # Gauss-Jordan mod p takes [B | I] to [I | B^-1], B's columns the
+    # coordinates of the basis elements
     cols = [field.coords(b) for b in basis]
     aug = [[col[i] for col in cols] + [int(k == i) for k in range(n)]
            for i in range(n)]
-    pivots = row_reduce(GF(p), aug)
-    if any(c not in pivots for c in range(n)):
-        raise ValueError("basis is linearly dependent")
+    for c in range(n):
+        piv = next((r for r in range(c, n) if aug[r][c]), None)
+        if piv is None:
+            raise ValueError("basis is linearly dependent")
+        aug[c], aug[piv] = aug[piv], aug[c]
+        inv = pow(aug[c][c], -1, p)
+        pivot = aug[c] = [a * inv % p for a in aug[c]]
+        for r, row in enumerate(aug):
+            fct = row[c]
+            if r != c and fct:
+                aug[r] = [(a - fct * b) % p for a, b in zip(row, pivot)]
     inv_rows = [row[n:] for row in aug]
 
     def decompose(x):
@@ -79,19 +89,13 @@ def linear_decomposer(field: FiniteField, basis):
     return decompose
 
 
-class ResidueExtension:
-    """A simple extension old -> old[z]/(psi) of a residue field.
+class ResidueExtension(NamedTuple):
+    """A simple extension old -> old[z]/(psi) of a residue field."""
 
-    Attributes: new_field, embed_fn (old elem -> new elem), root (the chosen
-    root of psi in new_field), decompose (new elem -> list of old-field
-    coefficients over the basis root^s, s < deg psi).
-    """
-
-    def __init__(self, new_field, embed_fn, root, decompose):
-        self.new_field = new_field
-        self.embed = embed_fn
-        self.root = root
-        self.decompose = decompose
+    new_field: object
+    embed: Callable        # old elem -> new elem
+    root: object           # the chosen root z of psi in new_field
+    decompose: Callable    # new elem -> old coefficients over z^s, s < deg psi
 
 
 def extend_residue(field, psi: Poly) -> ResidueExtension:

@@ -16,7 +16,10 @@ schoolbook on digit tuples rather than the library's codes and tables,
 polynomial products, division, gcds and values over GF(q) by the operators
 of the `GFElement` wrapper rather than the library's list kernel, and
 the canonical-monomial bookkeeping of an inductive tower by search and one
-carry at a time rather than the library's closed forms, tower values,
+carry at a time, with each z_j carried into kappa_i through the chain of
+level embeddings, rather than the library's closed forms and table of z
+images, F_p-linear independence by a general row echelon form rather than
+the library's Gauss-Jordan on [B | I], tower values,
 classes and residual polynomials by the Fraction recursions that expand
 each digit anew per call rather than the library's one graded pass on
 integer values, the Newton polygon step by a hull, a bound and a residual
@@ -538,6 +541,41 @@ def squarefree_by_trial_division(f):
     return [(g, m) for m, g in sorted(parts.items())]
 
 
+# -- row echelon form over a finite field -------------------------------------
+# The reference for `residuefield.linear_decomposer`: the general reduced
+# row echelon form over GF(q) that the library used before it inverted
+# [B | I] by Gauss-Jordan on ints mod p.
+
+
+def row_reduce(F, rows) -> dict:
+    """Bring rows (lists of codes of F) to reduced row echelon form.
+
+    Works in place; returns {pivot column: row index}, the pivot rows
+    leading the list in column order.
+    """
+    sub, mul = F.sub, F.mul
+    cols = len(rows[0]) if rows else 0
+    piv_of_col = {}
+    r = 0
+    for c in range(cols):
+        piv = next((i for i in range(r, len(rows)) if rows[i][c]), None)
+        if piv is None:
+            continue
+        rows[r], rows[piv] = rows[piv], rows[r]
+        inv = F.inv(rows[r][c])
+        # rows r, r + 1, ... are zero left of column c
+        pivot = rows[r] = [0] * c + [mul(a, inv) for a in rows[r][c:]]
+        for i in range(len(rows)):
+            fct = rows[i][c]
+            if i != r and fct:
+                rows[i] = rows[i][:c] + [sub(a, mul(fct, b)) if b else a
+                                         for a, b in zip(rows[i][c:],
+                                                         pivot[c:])]
+        piv_of_col[c] = r
+        r += 1
+    return piv_of_col
+
+
 # -- polynomials over GF(q) with GFElement operators ----------------------------
 #
 # The reference for the library's polynomial kernel over finite fields: the
@@ -644,6 +682,15 @@ def canonical_exps_by_search(tower, i, w):
     return exps
 
 
+def z_by_embeddings(tower, j, i):
+    """Image of z_j in kappa_i (j <= i), through the embeddings of levels
+    j + 1, ..., i one after another."""
+    x = tower.levels[j - 1].ext.root
+    for m in range(j + 1, i + 1):
+        x = tower.levels[m - 1].ext.embed(x)
+    return x
+
+
 def normalize_exps_by_steps(tower, i, exps):
     """Unit and canonical exponents of the monomial exps, one carry a step.
 
@@ -657,12 +704,12 @@ def normalize_exps_by_steps(tower, i, exps):
         lev = tower.levels[j - 1]
         while exps[j] >= lev.e:
             exps[j] -= lev.e
-            unit = F.mul(unit, tower.z_up(j, i))
+            unit = F.mul(unit, z_by_embeddings(tower, j, i))
             for idx, q in enumerate(lev.q_exps):
                 exps[idx] += q
         while exps[j] < 0:
             exps[j] += lev.e
-            unit = F.mul(unit, F.inv(tower.z_up(j, i)))
+            unit = F.mul(unit, F.inv(z_by_embeddings(tower, j, i)))
             for idx, q in enumerate(lev.q_exps):
                 exps[idx] -= q
     return unit
@@ -715,7 +762,8 @@ def tower_reduce_at(tower, i, f):
     vals = [None if d.is_zero() else tower_val(tower, i - 1, d)
             for d in digits]
     w = min(v + j * lev.mu for j, v in enumerate(vals) if v is not None)
-    F, below = lev.resfield, tower.field_at(i - 1)
+    ext, below = lev.ext, tower.field_at(i - 1)
+    F = ext.new_field
     total = F.zero
     common_a = None
     for j, v in enumerate(vals):
@@ -727,8 +775,8 @@ def tower_reduce_at(tower, i, f):
         assert a == common_a, "tight exponents disagree mod e"
         r = tower_reduce_at(tower, i - 1, digits[j])
         u = tower.unit_at(i - 1, value_units(tower, v), lev.q_exps, s)
-        total = F.add(total, F.mul(lev.embed_prev(below.mul(r, u)),
-                                   power(F, lev.z, s)))
+        total = F.add(total, F.mul(ext.embed(below.mul(r, u)),
+                                   power(F, ext.root, s)))
     if not total:
         raise ValueError("graded reduction vanished; tower is corrupt")
     return total
@@ -805,10 +853,10 @@ def augment_appending(tower, phi, lam, psi):
     e = scaled.denominator
     q_exps = tower.canonical_exps(tower.depth, scaled.numerator)
     ext = extend_residue(tower.field_at(tower.depth), psi)
-    level = Level(phi=phi, mu=lam, e=e, f=psi.degree, z=ext.root,
-                  resfield=ext.new_field, embed_prev=ext.embed,
-                  decompose=ext.decompose, q_exps=q_exps,
-                  denom=prev_den * e)
+    zs = tuple(ext.embed(z_by_embeddings(tower, j, tower.depth))
+               for j in range(1, tower.depth + 1)) + (ext.root,)
+    level = Level(phi=phi, mu=lam, e=e, f=psi.degree, ext=ext, zs=zs,
+                  q_exps=q_exps, denom=prev_den * e)
     return Tower(tower.base, tower.levels + (level,))
 
 

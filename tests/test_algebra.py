@@ -27,8 +27,9 @@ from oracles import (berlekamp_by_enumeration, codes, compose,
                      pdivmod_copying, pgcd_copying,
                      phi_expansion_by_poly_division, ref_mul, ref_poly_divmod,
                      ref_poly_eval, ref_poly_gcd, ref_poly_monic,
-                     ref_poly_mul, roots, squarefree_by_trial_division,
-                     squarefree_full_loop, wrap, wrapped)
+                     ref_poly_mul, roots, row_reduce,
+                     squarefree_by_trial_division, squarefree_full_loop, wrap,
+                     wrapped)
 
 
 def rand_gf_poly(rng, field, degree, monic=False):
@@ -1089,3 +1090,37 @@ def test_linear_decomposer_roundtrip_and_errors():
         linear_decomposer(k9, [k9.one])
     with pytest.raises(ValueError):
         linear_decomposer(k9, [k9.one, k9.add(k9.one, k9.one)])
+
+
+@pytest.mark.parametrize("p, n", [(2, 6), (3, 5), (5, 3), (10 ** 9 + 7, 2)])
+def test_linear_decomposer_sweep(p, n):
+    # seeded bases, every fourth with its last element a combination of
+    # the others: the reference row echelon form decides independence; an
+    # independent basis recomposes every x, a dependent one raises
+    field = GF(p, n)
+    rng = random.Random(61 * p + n)
+    seen = {True: 0, False: 0}
+
+    def combine(coeffs, basis):
+        acc = field.zero
+        for c, b in zip(coeffs, basis):
+            acc = field.add(acc, field.mul(field.coerce(c), b))
+        return acc
+
+    for trial in range(40):
+        basis = [rng.randrange(field.q) for _ in range(n)]
+        if trial % 4 == 3:
+            basis[-1] = combine([rng.randrange(p) for _ in range(n - 1)],
+                                basis)
+        rank = len(row_reduce(GF(p), [field.coords(b) for b in basis]))
+        seen[rank == n] += 1
+        if rank < n:
+            with pytest.raises(ValueError, match="dependent"):
+                linear_decomposer(field, basis)
+            continue
+        dec = linear_decomposer(field, basis)
+        for x in [0, 1] + [rng.randrange(field.q) for _ in range(10)]:
+            coeffs = dec(x)
+            assert all(0 <= c < p for c in coeffs)
+            assert combine(coeffs, basis) == x
+    assert seen[True] >= 5 and seen[False] >= 5, seen

@@ -813,8 +813,10 @@ def test_cli_run_api():
 
 def test_cli_rows_compute_one_subgroup_index(monkeypatch):
     # a group row and each verdict row compute [gamma_omega : gamma_nu]
-    # once; eps is the closed form on the pair of finite index
-    from valknaf import ordgroup, raminv
+    # once; eps is the closed form on the pair of finite index.  A binomial
+    # row computes it once more, in extend_binomial, to cross-check the
+    # lattice index against n/gcd(n, a, b)
+    from valknaf import monoval, ordgroup, raminv
     index = ordgroup.subgroup_index
     calls = []
 
@@ -822,12 +824,12 @@ def test_cli_rows_compute_one_subgroup_index(monkeypatch):
         calls.append((group, subgroup))
         return index(group, subgroup)
 
-    for module in (cli, ordgroup, raminv):
+    for module in (cli, monoval, ordgroup, raminv):
         monkeypatch.setattr(module, "subgroup_index", counting)
-    for text, rows in ((GROUP, 1), (SPLIT5, 2)):
+    for text, rows, count in ((GROUP, 1, 1), (SPLIT5, 2, 2), (BINO, 1, 2)):
         calls.clear()
         assert len(cli.run(parse_problem(text))) == rows
-        assert len(calls) == rows
+        assert len(calls) == count
 
 
 def test_shipped_demo_problems_parse_and_run():

@@ -12,11 +12,12 @@ from valknaf.localsplit import (BaseValuation, NewtonPolygonSegment,
                                 _is_squarefree, newton_polygon,
                                 residual_polynomial, split_extensions)
 from valknaf.poly import Poly, QQ, power
+from valknaf.residuefield import factor_over
 
 from oracles import (_lower_hull, _segment_residual, augment_appending,
                      canonical_exps_by_search, edge_bound, lift_key_reference,
                      normalize_exps_by_steps, segment_residual,
-                     tower_reduce_at, tower_val, value_units)
+                     tower_reduce_at, tower_val, value_units, z_by_embeddings)
 
 
 def make_wild_tower():
@@ -241,6 +242,81 @@ def test_normalize_exps_match_single_carries(maker):
             unit = tower.normalize_exps(i, ours)
             assert unit == normalize_exps_by_steps(tower, i, ref), (i, exps)
             assert ours == ref, (i, exps)
+
+
+def first_irreducible_quadratic(field):
+    """T^2 + b*T + c over a finite field, (c, b) the least pair of codes
+    for which it is irreducible."""
+    for c in range(1, field.q):
+        for b in range(field.q):
+            psi = Poly(field, [c, b, 1])
+            if factor_over(field, psi) == [(psi, 1)]:
+                return psi
+
+
+def make_wide_tower(v, lams):
+    """Tower over v, x -> lams[0] then lift_key -> lams[i], each level
+    adjoining a root of the first irreducible quadratic: kappa_i is
+    GF(q^(2^i)), so z_1 reaches kappa_2 and above through an embedding
+    that moves its code."""
+    tower = Tower(v)
+    key = Poly.x(v.field)
+    for lam in lams:
+        psi = first_irreducible_quadratic(tower.field_at(tower.depth))
+        tower = tower.augment(key, lam, psi)
+        key = tower.lift_key()
+    return tower, key
+
+
+WIDE = {
+    "Q_2 depth 3": lambda: make_wide_tower(
+        BaseValuation.padic(2), [F(1, 2), F(9, 4), F(37, 4)]),
+    "Q_3 depth 2": lambda: make_wide_tower(
+        BaseValuation.padic(3), [F(1, 3), F(13, 6)]),
+    "F_3(t) depth 2": lambda: make_wide_tower(
+        BaseValuation.pi_adic(GF(3), [0, 1]), [F(1, 2), F(9, 4)]),
+}
+
+
+@pytest.mark.parametrize("name", WIDE)
+def test_z_images_carry_through_embeddings(name):
+    # kappa_1 = GF(p^2): at each level i >= 2 a carry at j = 1 multiplies
+    # by the image of z_1 in kappa_i, which the embeddings move off z_1's
+    # own code.  Units of carries up and down, alone and mixed with the
+    # levels above, and of unit_at, against the oracle that chains each
+    # level's embedding itself; then lift_at and reduce_at round trips
+    tower, key = WIDE[name]()
+    rng = random.Random(27191)
+    e1 = tower.levels[0].e
+    assert tower.field_at(1).n == 2 and e1 > 1
+    for i in range(2, tower.depth + 1):
+        assert z_by_embeddings(tower, 1, i) != tower.levels[0].ext.root
+        den = level_denom(tower, i)
+        bounds = [4] + [3 * lev.e + 2 for lev in tower.levels[:i]]
+        single = [[0, s * e1 + 1] + [0] * (i - 1) for s in (-2, -1, 1, 2)]
+        for exps in single + [[rng.randint(-b, b) for b in bounds]
+                              for _ in range(60)]:
+            ours, ref = list(exps), list(exps)
+            unit = tower.normalize_exps(i, ours)
+            assert unit == normalize_exps_by_steps(tower, i, ref), (i, exps)
+            assert ours == ref, (i, exps)
+        for _ in range(30):
+            w = rng.randint(-4 * den, 4 * den) * (tower.denom // den)
+            q_exps = tower.canonical_exps(
+                i, rng.randint(-den, den) * (tower.denom // den))
+            t = rng.randint(-3, 3)
+            ref = canonical_exps_by_search(tower, i, F(w, tower.denom))
+            ref = [a + t * q for a, q in zip(ref, q_exps)]
+            assert tower.unit_at(i, w, q_exps, t) == (
+                normalize_exps_by_steps(tower, i, ref)), (i, w, q_exps, t)
+        for _ in range(10):
+            r = random_residue(rng, tower, i)
+            w = rng.randint(-4 * den, 4 * den) * (tower.denom // den)
+            lifted = tower.lift_at(i, r, w)
+            assert tower.val(lifted) == F(w, tower.denom)
+            assert lifted.degree < next_key_degree(tower, key, i)
+            assert tower.reduce_at(i, lifted) == r
+            assert tower_reduce_at(tower, i, lifted) == r
 
 
 def random_poly(rng, tower, degree):
