@@ -16,9 +16,13 @@ by `poly`'s square-and-multiply.
 Extension fields of at most `_TABLE_MAX_Q` elements replace these kernels
 by tables built when the field is made: a log/antilog pair for a primitive
 element g, so a product is one addition of logs, and for odd p the Zech
-logarithms log(1 + g^k), so a sum is one too.  The kernel product finds g;
-the powers of g are stepped through x -> x g as an F_p-linear map, two
-small tables of digit vectors in place of one kernel product per element.
+logarithms log(1 + g^k), so a sum is one too.  A build tabulates two
+F_p-linear maps on codes from their images of the basis 1, y, ..., y^(n-1),
+n kernel products each: the Frobenius x -> x^p, through which the test of
+a candidate g takes each power digit by digit in base p, and x -> x g,
+through which the powers of g are stepped.  Each map is two small spans,
+of codes combined by XOR for p = 2 and of digit vectors for odd p, in
+place of one kernel product per element.
 `zero` and `one` are 0 and 1, and `coerce` turns an int or a Fraction
 (reduced mod p) or a `GFElement` into a code; a code is never coerced
 again, since that would reduce a code of p or more as an integer.
@@ -50,6 +54,7 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 from functools import lru_cache
+from operator import pos, xor
 
 from .numtheory import isprime, primefactors
 from .poly import (Poly, _axpy, _derivative, _monic, _pdivmod, _pgcd, _pmul,
@@ -61,9 +66,9 @@ _SPLIT_SEED = 0
 
 # extension fields up to this size compute through log/antilog and Zech
 # tables; GF(2^13) is the largest field the benchmark workloads build.  The
-# tables of GF(3^8) or GF(2^13) take about 18 and 7 ms and 0.7 MB to build
-# (2-core x86_64, Python 3.11), those of GF(3^10) about 0.07 s and 6 MB,
-# held as long as the cached field, so larger fields keep the kernels
+# tables of GF(3^8) or GF(2^13) take about 4.5 and 0.6 ms and 0.7 MB to
+# build (2-core x86_64, Python 3.11), those of GF(3^10) about 24 ms and
+# 6 MB, held as long as the cached field, so larger fields keep the kernels
 _TABLE_MAX_Q = 2 ** 13
 
 
@@ -116,9 +121,6 @@ def _binary_ops(n, modulus):
     mod = _encode(modulus, 2)
     top = 1 << n
 
-    def add(a, b):
-        return a ^ b
-
     def mul(a, b):
         # carry-less product, reducing a * y^i by m(y) as it is shifted
         out = 0
@@ -131,7 +133,7 @@ def _binary_ops(n, modulus):
                 a ^= mod
         return out
 
-    return add, add, (lambda a: a), mul, (lambda a: _power(mul, 1, a, top - 2))
+    return xor, xor, pos, mul, (lambda a: _power(mul, 1, a, top - 2))
 
 
 def _digit_ops(p, n, modulus):
@@ -177,44 +179,111 @@ def _log_tables(p, n, mul):
     0 <= k < 2(q-1), and None at k = (q-1)/2 (and its repeat), where g^k = -1
     and the sum vanishes.  For p = 2 zech is None: addition is XOR.
 
-    The kernel product mul finds g and fills two small tables; the powers
-    are stepped without it.  Multiplication by g is F_p-linear on codes, so
-    with x = a + p^h b, h = n // 2, the digits of x g are the digit sums of
-    a g and (p^h b) g.  The tables hold these products for every a < p^h and
-    b < p^(n-h), their digits packed one per w-bit lane of an int, w wide
-    enough for a sum of two digits; adding two entries adds lanewise, and
-    the low h and high n - h lanes of the sum map back to the code of x g
-    through two dicts that reduce each lane mod p.
+    The Frobenius x -> x^p and x -> x g are F_p-linear on codes, so `linear`
+    tabulates each from its images of the basis 1, y, ..., y^(n-1), n kernel
+    products: with x = a + p^h b, h = n // 2, the image of x is the sum of
+    the images of a and of p^h b, and two spans hold these for every
+    a < p^h and b < p^(n-h).  For p = 2 the spans hold codes and the sum is
+    one XOR.  For odd p they hold digits packed one per w-bit lane of an
+    int, w wide enough for a sum of two digits; adding two entries adds
+    lanewise, and the low h and high n - h lanes of the sum map back to a
+    code through two dicts that reduce each lane mod p.  A candidate c has
+    order q - 1 unless c^e = 1 for e = (q-1)/r, r a prime factor of q - 1;
+    c^e is the product of the conjugates c^(p^i), from the Frobenius
+    table, each raised to the base-p digit e_i of e, so the kernel makes
+    only the digit powers and their product.  The powers of g are then
+    stepped through the table of x -> x g without the kernel.
     """
     q = p ** n
     order = q - 1
-    cofactors = [order // r for r in primefactors(order)]
-    # a constant lies in F_p, of order dividing p - 1 < q - 1
-    g = next(c for c in range(p, q)
-             if all(_power(mul, 1, c, e) != 1 for e in cofactors))
     h = n // 2
     lo = p ** h
-    w = (2 * p - 2).bit_length()
-    shift = w * h
-    mask = (1 << shift) - 1
+    if p == 2:
+        m = lo - 1
 
-    def lanes(c):
-        return sum(d << w * i for i, d in enumerate(_decode(c, p, n)))
+        def span(images):
+            # the XOR of images[i] over the bits i of each a < 2^len(images)
+            out = [0]
+            for c in images:
+                out += [t ^ c for t in out]
+            return out
 
-    def codes(k, unit):
-        # every k lanes of values 0..2p-2 -> unit times the code of them mod p
-        out = {0: 0}
-        for i in range(k):
-            out = {key + (d << w * i): c + d % p * unit * p ** i
-                   for key, c in out.items() for d in range(2 * p - 1)}
-        return out
+        def image(tables, x):
+            return tables[0][x & m] ^ tables[1][x >> h]
+    else:
+        w = (2 * p - 2).bit_length()
+        shift = w * h
+        mask = (1 << shift) - 1
 
-    low_g = [lanes(mul(a, g)) for a in range(lo)]
-    high_g = [lanes(mul(b * lo, g)) for b in range(q // lo)]
-    low, high = codes(h, 1), codes(n - h, lo)
+        def lanes(c):
+            return sum(d << w * i for i, d in enumerate(_decode(c, p, n)))
+
+        def codes(k, unit):
+            # every k lanes of values 0..2p-2 -> unit times their code mod p
+            out = {0: 0}
+            for i in range(k):
+                out = {key + (d << w * i): c + d % p * unit * p ** i
+                       for key, c in out.items() for d in range(2 * p - 1)}
+            return out
+
+        low, high = codes(h, 1), codes(n - h, lo)
+
+        def code(s):
+            # the code of the lanes s, each reduced mod p
+            return low[s & mask] + high[s >> shift]
+
+        def span(images):
+            # the lanes of sum a_i images[i] over the digits a_i of each
+            # a < p^len(images), one multiple of an image at a time
+            out = [0]
+            for c in images:
+                v = lanes(c)
+                block = out
+                for _ in range(p - 1):
+                    block = [lanes(code(t + v)) for t in block]
+                    out += block
+            return out
+
+        def image(tables, x):
+            b, a = divmod(x, lo)
+            return code(tables[0][a] + tables[1][b])
+
+    def linear(images):
+        # the two spans of the F_p-linear map with y^i -> images[i]
+        return span(images[:h]), span(images[h:])
+
+    frobenius = linear([_power(mul, 1, p ** i, p) for i in range(n)])
+    cofactors = [_decode(order // r, p, n) for r in primefactors(order)]
+
+    def primitive(c):
+        conjugates = [c]
+        for _ in range(n - 1):
+            conjugates.append(image(frobenius, conjugates[-1]))
+        for digits in cofactors:
+            power = 1
+            for x, d in zip(conjugates, digits):
+                if d:
+                    x = _power(mul, 1, x, d)
+                    power = x if power == 1 else mul(power, x)
+            if power == 1:
+                return False
+        return True
+
+    # a constant lies in F_p, of order dividing p - 1 < q - 1; the search
+    # runs only when a table field is built, so over fewer than
+    # _TABLE_MAX_Q candidates
+    g = next(c for c in range(p, q) if primitive(c))
+    low_g, high_g = linear([mul(p ** i, g) for i in range(n)])
     exp = [1] * order
     log = [0] * q
     x = 1
+    # the steps inline `image`, which is called once per conjugate
+    if p == 2:
+        for k in range(1, order):
+            x = low_g[x & m] ^ high_g[x >> h]
+            exp[k] = x
+            log[x] = k
+        return g, exp + exp, log, None
     for k in range(1, order):
         b, a = divmod(x, lo)
         s = low_g[a] + high_g[b]
@@ -222,8 +291,6 @@ def _log_tables(p, n, mul):
         exp[k] = x
         log[x] = k
     exp += exp
-    if p == 2:
-        return g, exp, log, None
     # 1 + c adds 1 to the lowest digit of the code c
     zech = [log[c + 1 if c % p != p - 1 else c + 1 - p] for c in exp[:order]]
     zech[order // 2] = None

@@ -13,6 +13,9 @@ parts over GF(q) by trial division with every monic polynomial rather than
 the library's gcds with the derivative, roots over GF(q) by evaluation at
 every field element, products in GF(p^n) by a
 schoolbook on digit tuples rather than the library's codes and tables,
+log/antilog and Zech tables by kernel products for 2 sqrt(q) table entries
+and a primitive element by square-and-multiply rather than the library's
+linear maps tabulated from the images of a basis,
 polynomial products, division, gcds and values over GF(q) by the operators
 of the `GFElement` wrapper rather than the library's list kernel, and
 the canonical-monomial bookkeeping of an inductive tower by search and one
@@ -46,9 +49,10 @@ from math import gcd, inf, lcm
 
 import sympy
 
-from valknaf.gf import _SPLIT_SEED, _distinct_degree, _equal_degree
+from valknaf.gf import _SPLIT_SEED, _decode, _distinct_degree, _equal_degree
 from valknaf.inductive import INFINITY, Level, Tower, phi_expansion
 from valknaf.localsplit import UnresolvedBranchError, _poly_over, _terminal
+from valknaf.numtheory import primefactors
 from valknaf.ordgroup import RationalVector
 from valknaf.poly import (Poly, _derivative, _monic, _pmul, _power, _trim,
                           poly_gcd, power)
@@ -494,6 +498,70 @@ def ref_mul(field, a, b):
         for j in range(n + 1):
             prod[k - n + j] = (prod[k - n + j] - c * m[j]) % p
     return tuple(prod[:n] + [0] * (n - len(prod)))
+
+
+def ref_log_tables(p, n, mul):
+    """(g, exp, log, zech) for GF(p^n), the reference of `gf._log_tables`:
+    each candidate g tested by square-and-multiply, and the tables of
+    x -> x g filled by one kernel product per entry.
+
+    g is the smallest code of order q - 1.  exp[k] = g^k for 0 <= k < 2(q-1),
+    so a sum of two logs needs no reduction; log[a] is the k < q - 1 with
+    g^k = a (log[0] is unused).  For odd p, zech[k] = log(1 + g^k) for
+    0 <= k < 2(q-1), and None at k = (q-1)/2 (and its repeat), where g^k = -1
+    and the sum vanishes.  For p = 2 zech is None: addition is XOR.
+
+    The kernel product mul finds g and fills two small tables; the powers
+    are stepped without it.  Multiplication by g is F_p-linear on codes, so
+    with x = a + p^h b, h = n // 2, the digits of x g are the digit sums of
+    a g and (p^h b) g.  The tables hold these products for every a < p^h and
+    b < p^(n-h), their digits packed one per w-bit lane of an int, w wide
+    enough for a sum of two digits; adding two entries adds lanewise, and
+    the low h and high n - h lanes of the sum map back to the code of x g
+    through two dicts that reduce each lane mod p.
+    """
+    q = p ** n
+    order = q - 1
+    cofactors = [order // r for r in primefactors(order)]
+    # a constant lies in F_p, of order dividing p - 1 < q - 1
+    g = next(c for c in range(p, q)
+             if all(_power(mul, 1, c, e) != 1 for e in cofactors))
+    h = n // 2
+    lo = p ** h
+    w = (2 * p - 2).bit_length()
+    shift = w * h
+    mask = (1 << shift) - 1
+
+    def lanes(c):
+        return sum(d << w * i for i, d in enumerate(_decode(c, p, n)))
+
+    def codes(k, unit):
+        # every k lanes of values 0..2p-2 -> unit times the code of them mod p
+        out = {0: 0}
+        for i in range(k):
+            out = {key + (d << w * i): c + d % p * unit * p ** i
+                   for key, c in out.items() for d in range(2 * p - 1)}
+        return out
+
+    low_g = [lanes(mul(a, g)) for a in range(lo)]
+    high_g = [lanes(mul(b * lo, g)) for b in range(q // lo)]
+    low, high = codes(h, 1), codes(n - h, lo)
+    exp = [1] * order
+    log = [0] * q
+    x = 1
+    for k in range(1, order):
+        b, a = divmod(x, lo)
+        s = low_g[a] + high_g[b]
+        x = low[s & mask] + high[s >> shift]
+        exp[k] = x
+        log[x] = k
+    exp += exp
+    if p == 2:
+        return g, exp, log, None
+    # 1 + c adds 1 to the lowest digit of the code c
+    zech = [log[c + 1 if c % p != p - 1 else c + 1 - p] for c in exp[:order]]
+    zech[order // 2] = None
+    return g, exp, log, zech + zech
 
 
 def roots(f):

@@ -828,10 +828,13 @@ def test_gf_tables_match_kernels(p, n):
             assert field.inv(a) == inv(a)
 
 
-@pytest.mark.parametrize("p,n", [(3, 8), (2, 13)])
+@pytest.mark.parametrize("p,n", [(3, 8), (2, 13), (5, 5)])
 def test_gf_tables_step_powers_without_the_kernel(p, n):
-    # the kernel product finds g and fills the two small tables of the
-    # linear map x -> x g; the q - 1 powers of g are stepped without it
+    # the kernel product gives the images of the basis under x -> x^p and
+    # x -> x g and the digit powers of the primitivity test; the q - 1
+    # powers of g are stepped without it.  Tabulating 2 sqrt(q) products of
+    # x g and testing g by square-and-multiply took 870, 192 and 252.
+    bound = {(3, 8): 400, (2, 13): 32, (5, 5): 100}[p, n]
     modulus = GF(p, n).modulus
     kernel_mul = (_binary_ops(n, modulus) if p == 2
                   else _digit_ops(p, n, modulus))[3]
@@ -842,7 +845,20 @@ def test_gf_tables_step_powers_without_the_kernel(p, n):
         return kernel_mul(a, b)
 
     _log_tables(p, n, mul)
-    assert 0 < len(calls) < p ** n / 4
+    assert 0 < len(calls) <= bound
+
+
+def test_log_tables_match_reference():
+    # every table field: n >= 2 and p^n <= _TABLE_MAX_Q, 50 of them
+    fields = [(p, n) for p in range(2, 91) if sympy.isprime(p)
+              for n in range(2, 14) if p ** n <= _TABLE_MAX_Q]
+    assert len(fields) == 50
+    for p, n in fields:
+        modulus = GF(p, n).modulus
+        mul = (_binary_ops(n, modulus) if p == 2
+               else _digit_ops(p, n, modulus))[3]
+        assert _log_tables(p, n, mul) == oracles.ref_log_tables(p, n, mul), \
+            (p, n)
 
 
 @pytest.mark.parametrize("p,n", [(2, 1), (2, 3), (3, 2), (5, 2), (7, 1)])
