@@ -99,6 +99,9 @@ def _canonical_modulus(p, n):
     # the block of about p/n irreducibles, so a build is polynomial in log p
     no_binomial = (any((p - 1) % r for r in primefactors(n))
                    or (n % 4 == 0 and p % 4 == 3))
+    # the loop runs to the first irreducible, past the binomials when none
+    # of them is one, never to p^n; test_field_builds_are_polynomial_in_log_p
+    # times it for p up to 2^61 - 1
     for k in range(p if no_binomial else 0, p ** n):
         m = _decode(k, p, n) + [1]
         if next(_distinct_degree(F, m))[1] == n:

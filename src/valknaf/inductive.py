@@ -19,10 +19,12 @@ value e_j * mu_j) let any exponent vector be normalized onto the canonical
 one at the cost of a unit in the current residue field.  `reduce_at` and
 `lift_at` are mutually inverse through exactly this bookkeeping.  A level
 keeps the `ResidueExtension` kappa_(i-1) -> kappa_i = kappa_(i-1)(z_i) that
-adjoins a root z_i of its residual factor psi, not psi, and the images of
-z_1, ..., z_i in kappa_i, made once when the level is, for the carries.  The
-next key, phi^(e*f) plus one `lift_at` of the class of -phi^(e*f), has psi
-as its residual polynomial since psi(z) = 0.
+adjoins a root z_i of its residual factor psi, psi with it, and the images
+of z_1, ..., z_i in kappa_i, made once when the level is, for the carries.
+The next key is phi^(e*f) plus the lift of the class of -phi^(e*f), whose
+coordinates over z^t are u * psi_t since psi(z) = 0; they are lifted from
+psi's coefficients, so no `decompose` is made for the key, and the key has
+psi as its residual polynomial.
 """
 
 from __future__ import annotations
@@ -276,9 +278,15 @@ class Tower:
         if i == 0:
             return Poly.constant(self.base.field,
                                  self.base.lift_shifted(r, a))
+        return self._lift_coords(i, self.levels[i - 1].ext.decompose(r), a, w)
+
+    def _lift_coords(self, i, comps, a, w: int) -> Poly:
+        """Lift at value w (level i >= 1, a the phi_i exponent of its
+        canonical monomial) of the class sum_s comps[s] * z_i^s, comps over
+        kappa_(i-1) and not all zero: coordinate s goes to the digit of
+        phi_i^(s*e_i + a), lifted at the value that puts it on w."""
         lev = self.levels[i - 1]
         below = self.field_at(i - 1)
-        comps = lev.ext.decompose(r)
         acc = Poly.zero(self.base.field)
         for s, r_s in enumerate(comps):
             if not r_s:
@@ -310,18 +318,20 @@ class Tower:
         return Tower(self.base, below.levels + (level,))
 
     def lift_key(self) -> Poly:
-        """Key polynomial of the next stage: phi^(e*f) plus one `lift_at`.
+        """Key polynomial of the next stage: phi^(e*f) plus one lift.
 
         In kappa_k the single digit of phi^(e*f) reduces to u * z^f, u the
-        unit carrying [Q]^f onto the canonical monomial of value e*f*mu.
-        Its negative rho is lifted at that value; as psi(z) = 0, the
-        coordinates of rho over z^t (t < f) are u * psi_t, so the residual
-        polynomial of phi' along (phi, mu) is a unit multiple of psi, and
+        unit in kappa_(k-1) carrying [Q]^f onto the canonical monomial of
+        value e*f*mu.  Its negative is lifted at that value; as psi(z) = 0,
+        its coordinates over z^t (t < f) are u * psi_t, taken from the
+        level's psi with no `decompose`.  They are not all zero, since a
+        residual factor has psi_0 != 0.  So the residual polynomial of
+        phi' along (phi, mu) is a unit multiple of psi, and
         V_new(phi') = f*e*mu.
         """
         lev, k = self.levels[-1], self.depth
-        ext, ef = lev.ext, lev.e * lev.f
-        F = ext.new_field
-        u = ext.embed(self.unit_at(k - 1, 0, lev.q_exps, lev.f))
-        rho = F.neg(F.mul(u, power(F, ext.root, lev.f)))
-        return lev.phi ** ef + self.lift_at(k, rho, ef * self.mu_units[k])
+        below, ef = self.field_at(k - 1), lev.e * lev.f
+        u = self.unit_at(k - 1, 0, lev.q_exps, lev.f)
+        comps = [below.mul(u, c) for c in lev.ext.psi.coeffs[:-1]]
+        return lev.phi ** ef + self._lift_coords(k, comps, 0,
+                                                 ef * self.mu_units[k])

@@ -389,6 +389,11 @@ def _specializations(G: list):
     """(F, h) for the images h of G, nonzero in Z[x] or k[t][x], of G's own
     x-degree over a finite field F: G mod the primes p, over GF(p), for G in
     Z[x]; G(a, x) at the codes a of k, over k, for k finite."""
+    # an image is dropped only where the leading coefficient lead vanishes,
+    # so `_is_squarefree`'s first _SQUAREFREE_TRIES images cost at most that
+    # many more tries: over Z, one per prime factor of lead, at most
+    # log2|lead|; over k, one per root a in k of lead in k[t], at most its
+    # degree, however large k.q is
     images = ()
     if isinstance(G[-1], int):
         images = ((GF(p), [c % p for c in G]) for p in count(2) if isprime(p))

@@ -2,15 +2,18 @@
 
 The residue fields arising here are either finite fields or Q.  This module
 gives them a uniform face: deterministic factorization of monic polynomials,
-and simple extensions by an irreducible, each one `ResidueExtension` record
-(the new field, the embedding, the chosen root and a decomposition map back
-onto the old field).  A finite field's decomposition map comes from
-`linear_decomposer`, which inverts a basis over F_p by Gauss-Jordan mod p.
+and simple extensions by an irreducible psi, each one `ResidueExtension`
+record (the new field, the embedding, the chosen root, psi itself and a
+decomposition map back onto the old field).  A finite field's decomposition
+map is made on its first call, by `linear_decomposer`, which inverts a basis
+over F_p by Gauss-Jordan mod p; an extension whose elements are never
+decomposed never inverts one.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cache
 from typing import Callable, NamedTuple
 
 from .gf import GF, FiniteField, _embedding_root, _identity, embed
@@ -90,11 +93,17 @@ def linear_decomposer(field: FiniteField, basis):
 
 
 class ResidueExtension(NamedTuple):
-    """A simple extension old -> old[z]/(psi) of a residue field."""
+    """A simple extension old -> old[z]/(psi) of a residue field.
+
+    psi is kept, so the coordinates of z^(deg psi) over z^s are read off
+    its coefficients without `decompose`; a finite field's `decompose`
+    inverts its F_p basis on the first call and keeps the inverse.
+    """
 
     new_field: object
     embed: Callable        # old elem -> new elem
     root: object           # the chosen root z of psi in new_field
+    psi: Poly              # monic irreducible over old, psi(root) = 0
     decompose: Callable    # new elem -> old coefficients over z^s, s < deg psi
 
 
@@ -111,7 +120,7 @@ def extend_residue(field, psi: Poly) -> ResidueExtension:
         raise ValueError("extension polynomial must have degree >= 1")
     if d == 1:
         root = field.neg(psi[0])
-        return ResidueExtension(field, _identity, root, lambda x: [x])
+        return ResidueExtension(field, _identity, root, psi, lambda x: [x])
     if isinstance(field, RationalField):
         raise UnsupportedResidueExtension(
             f"a residue field of degree {d} over Q would be a number field; "
@@ -121,18 +130,21 @@ def extend_residue(field, psi: Poly) -> ResidueExtension:
     big = GF(field.p, field.n * d)
     embed_fn = embed(field, big)
     root = _embedding_root(big, psi.map_coeffs(embed_fn, big).coeffs, field.n)
-    # basis embed(y^u) * root^s of big over F_p; y^u has the code p^u
     n, mul = field.n, big.mul
-    gens = [embed_fn(field.p ** u) for u in range(n)]
-    basis = []
-    pow_root = big.one
-    for _ in range(d):
-        basis += [mul(g, pow_root) for g in gens]
-        pow_root = mul(pow_root, root)
-    fp_dec = linear_decomposer(big, basis)
+
+    @cache
+    def fp_dec():
+        # basis embed(y^u) * root^s of big over F_p; y^u has the code p^u
+        gens = [embed_fn(field.p ** u) for u in range(n)]
+        basis = []
+        pow_root = big.one
+        for _ in range(d):
+            basis += [mul(g, pow_root) for g in gens]
+            pow_root = mul(pow_root, root)
+        return linear_decomposer(big, basis)
 
     def decompose(x):
-        flat = fp_dec(x)
+        flat = fp_dec()(x)
         return [field.from_coords(flat[s * n:(s + 1) * n]) for s in range(d)]
 
-    return ResidueExtension(big, embed_fn, root, decompose)
+    return ResidueExtension(big, embed_fn, root, psi, decompose)

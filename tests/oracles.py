@@ -876,9 +876,9 @@ def segment_residual(tower, digits, vals, lam, j0, j1):
 
 
 # -- the next key, one coefficient of psi at a time ----------------------------
-# The reference for `Tower.lift_key`: `lift_key` as it was when a level kept
-# its residual factor psi, with its own table of units and a loop over the
-# coefficients of psi; psi is passed in, since a level keeps only its root z.
+# The reference for `Tower.lift_key`: `lift_key` as it was with its own
+# table of units and a loop over the coefficients of psi, one `lift_at` per
+# coefficient; psi is passed in, not read off the level.
 
 
 def lift_key_reference(tower, psi):

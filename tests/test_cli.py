@@ -447,9 +447,9 @@ def test_cli_corrupt_tower_is_inconsistent(tmp_path, capsys, monkeypatch):
     # a unit of the graded reduction that vanishes can only come from a
     # corrupt tower; Tower.residue reports it as inconsistent data, in one
     # line.  The unit is zeroed only where residue asks for it, through
-    # the line_residual it shares with the polygon segments: lift_at,
-    # which lift_key calls first after each augmentation, would invert a
-    # zero unit.
+    # the line_residual it shares with the polygon segments: the
+    # coordinate loop that lift_key and lift_at share, which runs first
+    # after each augmentation, would invert a zero unit.
     real = Tower.unit_at
 
     def zero_unit_in_residue(self, i, w, q_exps, t):

@@ -6,6 +6,7 @@ from fractions import Fraction as F
 
 import pytest
 
+from valknaf import residuefield
 from valknaf.gf import GF
 from valknaf.inductive import INFINITY, Tower, phi_expansion
 from valknaf.localsplit import (BaseValuation, NewtonPolygonSegment,
@@ -17,7 +18,8 @@ from valknaf.residuefield import factor_over
 from oracles import (_lower_hull, _segment_residual, augment_appending,
                      canonical_exps_by_search, edge_bound, lift_key_reference,
                      normalize_exps_by_steps, segment_residual,
-                     tower_reduce_at, tower_val, value_units, z_by_embeddings)
+                     split_extensions_sorted, tower_reduce_at, tower_val,
+                     value_units, z_by_embeddings)
 
 
 def make_wild_tower():
@@ -579,3 +581,35 @@ def test_lift_key_matches_reference(monkeypatch):
         degrees = [lev.phi.degree for lev in tower.levels]
         assert degrees == sorted(set(degrees)), degrees
         assert all(lev.e * lev.f >= 2 for lev in tower.levels[:-1])
+
+
+def test_decomposer_built_on_first_use(monkeypatch):
+    # an extension inverts its F_p basis only when an element is
+    # decomposed, once; lift_key reads psi's coefficients, so a
+    # phi^2 + 3u split over Q at 3 with phi of degree 5 mod 3 (the
+    # wide_residue shape), whose two augmentations adjoin a root of phi,
+    # inverts none
+    calls = []
+    real = residuefield.linear_decomposer
+
+    def counting(field, basis):
+        calls.append(field)
+        return real(field, basis)
+
+    monkeypatch.setattr(residuefield, "linear_decomposer", counting)
+    k3 = GF(3)
+    ext = residuefield.extend_residue(k3, Poly(k3, [1, 2, 0, 1]))
+    assert calls == []
+    assert ext.decompose(ext.root) == [0, 1, 0]
+    assert ext.decompose(ext.new_field.one) == [1, 0, 0]
+    assert calls == [ext.new_field]
+    calls.clear()
+    v3 = BaseValuation.padic(3)
+    phi = Poly(QQ, [1, 0, 0, 2, 1, 1])  # x^5 + x^4 + 2x^3 + 1
+    phi_bar = Poly(k3, phi.coeffs)
+    assert factor_over(k3, phi_bar) == [(phi_bar, 1)]
+    g = phi * phi + Poly.constant(QQ, 3)
+    factors = split_extensions(v3, g)
+    assert calls == []
+    assert [(lf.e, lf.f) for lf in factors] == [(2, 5)]
+    assert factors == split_extensions_sorted(v3, g)
