@@ -36,7 +36,8 @@ kernel (`_axpy`, `_pmul`, `_pdivmod`, `_pgcd`) does all of its arithmetic
 on the field's ops, and `_ppowmod` adds powers mod a polynomial through
 `poly`'s square-and-multiply, reducing each product in place by the
 kernel's one division loop (`_preduce`).
-Factorization is Cantor-Zassenhaus: each squarefree part is split by
+Factorization is Cantor-Zassenhaus (a linear polynomial is its own factor,
+with no gcd): each squarefree part is split by
 distinct degrees, through gcds with x^(q^d) - x, and each product of
 factors of one degree d by equal-degree splitting on random polynomials,
 drawn from a generator with a constant seed, so results and operation
@@ -665,12 +666,14 @@ def factor(f: Poly):
     """Monic irreducible factors with multiplicity, deterministic order.
 
     Returns (lead, [(g, m), ...]) sorted by (degree, coefficients);
-    lead is the leading coefficient of f.
+    lead is the leading coefficient of f.  A linear f is its own factor.
     """
     if f.is_zero():
         raise ValueError("cannot factor the zero polynomial")
     F = f.field
     lead = f.leading()
+    if f.degree == 1:
+        return lead, [(f.monic(), 1)]
     rng = None
     pairs = []
     for g, m in _squarefree(F, _monic(F, f.coeffs)):

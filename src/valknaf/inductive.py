@@ -40,11 +40,16 @@ INFINITY = inf
 
 
 def phi_expansion(f: Poly, phi: Poly):
-    """Digits of f in base phi (ascending), each of degree < deg phi; each
-    step reduces a list in place, and its quotient is the next dividend."""
+    """Digits of f in base phi (ascending), each of degree < deg phi.
+
+    In base x, the key of depth 0, the digits are f's coefficients as
+    constants, and nothing is divided; in any other base each step reduces
+    a list in place, and its quotient is the next dividend."""
     if f.is_zero():
         return [f]
     F, b = f.field, phi.coeffs
+    if len(b) == 2 and not b[0] and b[1] == F.one:
+        return [_poly(F, (c,) if c else ()) for c in f.coeffs]
     r = list(f.coeffs)
     digits = []
     while r:
@@ -153,14 +158,16 @@ class Tower:
     def line_residual(self, i, line, j0, e, q_exps) -> Poly:
         """Residual polynomial over kappa_i of a line: line maps j0 + s*e
         to the grade (V_j, parts_j) of a digit at level i, and coefficient s
-        is its class times `unit_at(i, V_j, q_exps, s)`, else 0."""
+        is its class times `unit_at(i, V_j, q_exps, s)`, else 0.  At level
+        0 there is no level to carry onto, so that unit is 1 and the class
+        is taken as it is."""
         F = self.field_at(i)
         coeffs = [F.zero] * ((max(line) - j0) // e + 1)
         for j, (w, parts) in line.items():
             s, off = divmod(j - j0, e)
             assert not off, "digit off the line"
-            coeffs[s] = F.mul(self.residue(i, parts),
-                              self.unit_at(i, w, q_exps, s))
+            r = self.residue(i, parts)
+            coeffs[s] = F.mul(r, self.unit_at(i, w, q_exps, s)) if i else r
         return Poly(F, coeffs)
 
     def edges(self, digits):
@@ -195,9 +202,9 @@ class Tower:
                 continue
             line = {j: graded for j, graded in grades.items() if x1 <= j <= x2
                     and (graded[0] - w1) * e == (x1 - j) * num}
+            q_exps = self.canonical_exps(k, num) if k else None
             yield (x1, x2, Fraction(-num, e * self.denom), e,
-                   self.line_residual(k, line, x1, e,
-                                      self.canonical_exps(k, num)))
+                   self.line_residual(k, line, x1, e, q_exps))
 
     def val(self, f: Poly):
         """Tower value of f under all levels."""

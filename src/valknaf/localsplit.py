@@ -253,10 +253,13 @@ def residual_polynomial(v: BaseValuation, g, seg: NewtonPolygonSegment) -> Poly:
 # (grade, residue, lift_at) are at most 1 + log2(deg g) levels deep
 MAX_DEPTH = 256
 
-# images _is_squarefree tries.  At seeds 0 and 1 the first to certify was
-# the code 0/1/2 on 106/30/8 and 102/34/8 ft_split items (4 blocks), the
-# prime 2/3/5/7/11/13 on 566/451/177/59/15/3 and 569/422/212/56/8/4 of 1271
-# squarefree qp_split items (31 blocks), at most the 6th on wide_residue
+# images _is_squarefree tries.  split_extensions calls it only for a walk
+# that augments or raises.  At seeds 0 and 1 the first image to certify was
+# the code 0/1 on 12/6 and 13/6 of the 18 and 19 ft_split items that call
+# it (4 blocks, 144 items), the prime 2/3/5/7/11/13 on 218/213/120/43/15/3
+# and 183/215/137/47/8/4 of the 612 and 594 squarefree qp_split items that
+# call it (31 blocks, 1302 items), the 2nd to the 6th on the 126 of 147
+# wide_residue items that call it (7 blocks)
 _SQUAREFREE_TRIES = 6
 
 
@@ -268,6 +271,13 @@ def split_extensions(v: BaseValuation, g, depth_limit: int = 16) -> list:
     ordered output.  Raises ValueError on non-monic or non-squarefree
     input or a depth_limit outside 1..MAX_DEPTH, and UnresolvedBranchError
     if a branch is still ambiguous after depth_limit augmentation steps.
+
+    The walk itself certifies squarefreeness: by Ore's theorem of the
+    residual polynomial, a g whose residual factors are all simple and whose
+    keys divide it at most once is squarefree over the completion, hence
+    over K.  So `_is_squarefree` runs only where that certificate fails: at
+    the first augmentation, at a repeated key divisor, or before the walk
+    raises; at most once per call, and a False from it is the error raised.
     """
     g = _poly_over(v, g)
     if g.degree < 1:
@@ -276,23 +286,36 @@ def split_extensions(v: BaseValuation, g, depth_limit: int = 16) -> list:
         raise ValueError("input polynomial must be monic")
     if not 1 <= depth_limit <= MAX_DEPTH:
         raise ValueError(f"depth_limit must be between 1 and {MAX_DEPTH}")
-    if not _is_squarefree(g):
-        raise ValueError(
-            "input polynomial is not squarefree over the base field "
-            "(repeated factors, possibly of the form h(x^p))")
+    verdict = []
+
+    def require_squarefree():
+        if not verdict:
+            verdict.append(_is_squarefree(g))
+        if not verdict[0]:
+            raise ValueError(
+                "input polynomial is not squarefree over the base field "
+                "(repeated factors, possibly of the form h(x^p))")
+
     factors = []
-    _explore(Tower(v), Poly.x(v.field), g, (), factors, depth_limit)
-    total = sum(fac.degree for fac in factors)
-    if total != g.degree:
-        raise ValueError(
-            f"inconsistent data: local degrees sum to {total}, expected {g.degree}")
+    try:
+        _explore(Tower(v), Poly.x(v.field), g, (), factors, depth_limit,
+                 require_squarefree)
+        total = sum(fac.degree for fac in factors)
+        if total != g.degree:
+            raise ValueError(f"inconsistent data: local degrees sum to "
+                             f"{total}, expected {g.degree}")
+    except (ValueError, UnresolvedBranchError, NotImplementedError):
+        require_squarefree()
+        raise
     return factors
 
 
-def _explore(tower, key, G, steps, out, depth_limit):
+def _explore(tower, key, G, steps, out, depth_limit, require_squarefree):
     """Expand G in the current key, appending its factors in branch order:
     `tower.edges` runs hull, tightness test and residual polynomial on int
-    values, one Fraction per edge, and `factor_over` splits each residual."""
+    values, one Fraction per edge, and `factor_over` splits each residual.
+    A repeated key divisor or residual factor calls `require_squarefree`
+    first, since only a squarefree G lets either stand."""
     digits = phi_expansion(G, key)
     divisor = ()
     if digits[0].is_zero():
@@ -307,7 +330,8 @@ def _explore(tower, key, G, steps, out, depth_limit):
             out.extend(divisor)
             return
         digits = digits[1:]  # phi-adic digits are unique
-        assert not digits[0].is_zero(), "repeated key divisor in squarefree input"
+        if digits[0].is_zero():
+            require_squarefree()
     for _, _, slope, e_seg, resid in tower.edges(digits):
         for psi, mult in factor_over(tower.field_at(tower.depth), resid):
             branch = steps + (f"[deg {key.degree}] slope {slope}, residual "
@@ -317,10 +341,12 @@ def _explore(tower, key, G, steps, out, depth_limit):
                     key.degree * e_seg * psi.degree, tower.denom * e_seg,
                     tower.residue_product() * psi.degree, branch))
                 continue
+            require_squarefree()
             if len(steps) >= depth_limit:
                 raise UnresolvedBranchError(depth_limit, branch)
             deeper = tower.augment(key, -slope, psi)
-            _explore(deeper, deeper.lift_key(), G, branch, out, depth_limit)
+            _explore(deeper, deeper.lift_key(), G, branch, out, depth_limit,
+                     require_squarefree)
     out.extend(divisor)
 
 
@@ -351,6 +377,9 @@ def to_extension_invariants(v: BaseValuation, lf: LocalFactor,
 
 def _is_squarefree(g: Poly) -> bool:
     """Exact squarefreeness over Q, Q(t) or F_q(t).
+
+    `split_extensions` asks only where its walk leaves the question open:
+    at a repeated residual factor or key divisor, or before it raises.
 
     In characteristic 0 this is gcd(g, g') = 1.  In characteristic p the
     x-derivative alone misses inseparable layers (g = h(x^p)), so the

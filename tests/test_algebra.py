@@ -565,6 +565,29 @@ def test_factor_setup_draws_like_parent(monkeypatch, p, n):
     assert new_counts["draws"] > 0
 
 
+LINEAR_FIELDS = {"GF(7)": (7, 1), "table GF(3^4)": (3, 4),
+                 "digits GF(3^9)": (3, 9), "binary GF(2^14)": (2, 14)}
+
+
+@pytest.mark.parametrize("name", LINEAR_FIELDS)
+def test_linear_factor_is_its_own(monkeypatch, name):
+    # a linear f comes back as its own monic factor, as the general path
+    # gives it, with no squarefree gcd and no distinct-degree split
+    field = GF(*LINEAR_FIELDS[name])
+    rng = random.Random(f"linear factor:{name}")
+    inputs = [Poly.x(field), Poly(field, [1, 1])]
+    inputs += [Poly(field, [rng.randrange(field.q), rng.randrange(1, field.q)])
+               for _ in range(20)]
+    expected = [factor_seeding_each_call(f) for f in inputs]
+
+    def general(*args):
+        raise AssertionError("a linear factor took the general path")
+
+    monkeypatch.setattr(gf, "_squarefree", general)
+    monkeypatch.setattr(gf, "_distinct_degree", general)
+    assert [factor(f) for f in inputs] == expected
+
+
 def test_squarefree_setup_one_gcd(monkeypatch):
     calls = []
 

@@ -1,6 +1,7 @@
 """Tests for the problem-file format, the fixture catalog and the CLI."""
 
 import os
+import random
 import subprocess
 import sys
 from fractions import Fraction as F
@@ -776,6 +777,27 @@ def test_cli_close_roots_optimal_chain(tmp_path):
     assert proc.stderr == (
         "unresolved: branch not isolated within depth 256; last step: "
         "[deg 1] slope -256, residual factor 2 + x (multiplicity 2)\n")
+
+
+def test_cli_non_squarefree_rejection_bounded(tmp_path):
+    # h^2 of degree 120 over Q at p = 3: the walk factors its depth-0
+    # residual before it runs the gcd test that rejects the input, so in a
+    # child with a timeout, as for the formerly hanging inputs
+    rng = random.Random("non-squarefree degree 120")
+    h = [rng.randint(-9, 9) for _ in range(60)] + [1]
+    g = [sum(h[i] * h[k - i] for i in range(max(0, k - 60), min(k, 60) + 1))
+         for k in range(121)]
+    text = SPLIT5.replace("p = 5", "p = 3").replace(
+        "[1, 0, 1]", "[" + ", ".join(map(str, g)) + "]")
+    path = write(tmp_path, "h2.prob", text)
+    proc = subprocess.run(
+        [sys.executable, "-m", "valknaf.cli", "split", "--file", path],
+        capture_output=True, text=True, env=child_env(), timeout=20)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr == (
+        "inconsistent: input polynomial is not squarefree over the base "
+        "field (repeated factors, possibly of the form h(x^p))\n")
 
 
 # binomials over GF(p^3), p = 10^9 + 7: the field is built and

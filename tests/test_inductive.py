@@ -6,7 +6,8 @@ from fractions import Fraction as F
 
 import pytest
 
-from valknaf import residuefield
+from valknaf import inductive, residuefield
+from valknaf.funcfield import FunctionField, RatFunc
 from valknaf.gf import GF
 from valknaf.inductive import INFINITY, Tower, phi_expansion
 from valknaf.localsplit import (BaseValuation, NewtonPolygonSegment,
@@ -17,7 +18,8 @@ from valknaf.residuefield import factor_over
 
 from oracles import (_lower_hull, _segment_residual, augment_appending,
                      canonical_exps_by_search, edge_bound, lift_key_reference,
-                     normalize_exps_by_steps, segment_residual,
+                     normalize_exps_by_steps, phi_expansion_by_poly_division,
+                     segment_residual,
                      split_extensions_sorted, tower_reduce_at, tower_val,
                      value_units, z_by_embeddings)
 
@@ -103,6 +105,89 @@ def test_phi_expansion_reassembles():
             acc = acc * phi + digits[j]
         assert acc == f
         assert all(d.degree < phi.degree for d in digits)
+
+
+def expansion_field(name, rng):
+    """(field, draw): a coefficient field of the walk and a random element."""
+    if name == "QQ":
+        return QQ, lambda: F(rng.randint(-9, 9), rng.choice([1, 1, 2, 9]))
+    if name.startswith("GF"):
+        field = GF(*map(int, name[3:-1].split("^")))
+        return field, lambda: rng.randrange(field.q)
+    k = QQ if name == "Q(t)" else GF(3)
+    K = FunctionField(k)
+
+    def tpoly(nonzero):
+        while True:
+            f = Poly(k, [k.coerce(rng.randint(-2, 2))
+                         for _ in range(rng.randint(1, 3))])
+            if f or not nonzero:
+                return f
+
+    return K, lambda: RatFunc(K, tpoly(False), tpoly(True))
+
+
+@pytest.mark.parametrize("name", ["QQ", "GF(7)", "GF(3^4)", "GF(2^5)",
+                                  "F3(t)", "Q(t)"])
+def test_phi_expansion_in_x_divides_nothing(monkeypatch, name):
+    # in base x the digits are the coefficients, as the division path gives
+    # them, and no remainder loop runs; any other base still divides
+    rng = random.Random(f"x-adic digits:{name}")
+    field, draw = expansion_field(name, rng)
+    divisions = []
+    preduce = inductive._preduce
+
+    def counted(*args):
+        divisions.append(1)
+        return preduce(*args)
+
+    monkeypatch.setattr(inductive, "_preduce", counted)
+    x = Poly.x(field)
+    for degree in [-1, 0, 1] + [rng.randint(2, 9) for _ in range(12)]:
+        f = Poly(field, [draw() for _ in range(degree + 1)])
+        digits = phi_expansion(f, x)
+        assert digits == phi_expansion_by_poly_division(f, x)
+        assert all(d.degree < 1 for d in digits)
+    assert not divisions
+    c = next(c for c in iter(draw, None) if c and c != field.one)
+    for key in (x + Poly.constant(field, c), x * c):
+        f = Poly(field, [draw() for _ in range(6)])
+        assert phi_expansion(f, key) == phi_expansion_by_poly_division(f, key)
+    assert divisions
+
+
+def test_depth0_takes_classes_as_they_are(monkeypatch):
+    # with no level to carry onto, a depth-0 residual coefficient is the
+    # class itself: no unit, canonical monomial or carry is computed
+    calls = []
+
+    def counting(name):
+        method = getattr(Tower, name)
+
+        def counted(self, *args):
+            calls.append(name)
+            return method(self, *args)
+        return counted
+
+    for name in ("unit_at", "canonical_exps", "normalize_exps"):
+        monkeypatch.setattr(Tower, name, counting(name))
+    v3, x = BaseValuation.padic(3), Poly.x(QQ)
+    vt = BaseValuation.pi_adic(GF(3), [0, 1])
+    xt, t = Poly.x(vt.field), vt.field.t
+    for v, g, efd in ((v3, x ** 4 - 9 * x + 3, [(4, 1, 4)]),
+                      (v3, x ** 3 + 2 * x + 1, [(1, 3, 3)]),
+                      (v3, (x ** 2 + 9) * (x - 3), [(1, 1, 1), (1, 2, 2)]),
+                      (vt, xt ** 3 - t, [(3, 1, 3)]),
+                      (vt, (xt ** 2 - t) * (xt + 1), [(2, 1, 2), (1, 1, 1)])):
+        assert [(lf.e, lf.f, lf.degree)
+                for lf in split_extensions(v, g)] == efd, g
+        for seg in newton_polygon(v, g):
+            residual_polynomial(v, g, seg)
+    assert not calls
+    # a level above depth 0 still carries
+    tower, _ = make_carry_tower()
+    tower.reduce_at(2, tower.levels[1].phi ** 2)
+    assert calls
 
 
 def test_tower_bookkeeping():

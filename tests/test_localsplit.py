@@ -892,6 +892,109 @@ def test_squarefree_certificate_skips_prs_on_ft_split(monkeypatch):
     assert len(calls) >= 5
 
 
+# -- squarefreeness certified by the walk ------------------------------------
+
+NOT_SQUAREFREE = ("input polynomial is not squarefree over the base field "
+                  "(repeated factors, possibly of the form h(x^p))")
+
+
+def split_accepts(v, g):
+    """False when split_extensions rejects g as not squarefree, with the
+    exact message, else True (other errors are not about squarefreeness)."""
+    try:
+        split_extensions(v, g)
+    except (ValueError, UnresolvedBranchError, NotImplementedError) as exc:
+        if type(exc) is ValueError and str(exc) == NOT_SQUAREFREE:
+            return False
+        assert "squarefree" not in str(exc), exc
+    return True
+
+
+def test_squarefree_walk_matches_euclid():
+    """split_extensions rejects exactly the inputs that Euclid over Q or
+    over k(t) calls not squarefree, with the one message."""
+    rng = random.Random("squarefree walk")
+    x_q = Poly.x(QQ)
+    for v in (V2, V3, V5):
+        verdicts = []
+        for _ in range(12):
+            rational = rng.random() < 0.4
+            h = rand_q_monic(rng, rng.randint(1, 3), 9, rational)
+            k = rand_q_monic(rng, rng.randint(0, 3), 9, rational)
+            for g in (rand_q_monic(rng, rng.randint(1, 7), 20, rational),
+                      h * h * k, x_q * x_q * k, x_q * h,
+                      qp_non_squarefree(rng)):
+                verdicts.append(split_accepts(v, g))
+                assert verdicts[-1] == squarefree_over_q_by_euclid(g), (v, g)
+        assert True in verdicts and False in verdicts
+    for k, max_deg in SQUAREFREE_FIELDS:
+        K = FunctionField(k)
+        x, t = Poly.x(K), K.t
+        p = K.characteristic
+        inputs = []
+        for _ in range(6):
+            h = rand_kt_poly(rng, K, rng.randint(1, 2))
+            inputs += [rand_kt_poly(rng, K, rng.randint(1, max_deg)),
+                       h * h * rand_kt_poly(rng, K, rng.randint(0, 1)),
+                       x * x * rand_kt_poly(rng, K, rng.randint(0, 1))]
+            if p:
+                inputs += hard_kt_inputs(rng, K, max_deg)
+        if p:
+            inputs += [x ** p - t, (x ** p - t) ** 2, (x ** p - 1 / t) ** 2]
+        verdicts = []
+        for pi in ([0, 1], [1, 1]):
+            v = BaseValuation.pi_adic(k, pi)
+            for g in inputs:
+                g = g.monic()
+                verdicts.append(split_accepts(v, g))
+                assert verdicts[-1] == squarefree_by_ratfunc_euclid(g), (pi, g)
+        assert True in verdicts and False in verdicts
+
+
+def test_squarefree_walk_runs_gate_once_where_needed(monkeypatch):
+    """The gcd test runs only where the walk cannot certify squarefreeness:
+    never for a split resolved at depth 0, once for a split that augments,
+    however many branches do, and once for input that is not squarefree."""
+    calls = []
+    gate = localsplit._is_squarefree
+
+    def counted(g):
+        calls.append(g)
+        return gate(g)
+
+    monkeypatch.setattr(localsplit, "_is_squarefree", counted)
+    x = Poly.x(QQ)
+    vt = vt_over(3)
+    xt, t = Poly.x(vt.field), vt.field.t
+    cases = [
+        (V5, x ** 2 + 1, 0, None),
+        (V2, x * (x ** 2 - 2), 0, None),              # one key divisor
+        (V3, x ** 5 - 3, 0, None),
+        (vt, xt ** 3 - t, 0, None),                    # inseparable
+        (V3, (x ** 2 + 1) ** 2 + 3, 1, None),          # augments
+        (V3, ((x - 1) ** 2 + 3) * ((x + 1) ** 2 + 3), 1, None),  # twice
+        (V3, (x + 1) ** 2 * (x + 2), 1, NOT_SQUAREFREE),
+        (V3, x ** 2 * (x + 1), 1, NOT_SQUAREFREE),     # repeated key divisor
+        (V3, ((x ** 2 + 1) ** 2 + 3) ** 2, 1, NOT_SQUAREFREE),
+        (vt, (xt ** 3 - t) ** 2, 1, NOT_SQUAREFREE),
+    ]
+    for v, g, expected, error in cases:
+        calls.clear()
+        if error:
+            with pytest.raises(ValueError) as exc:
+                split_extensions(v, g)
+            assert str(exc.value) == error
+        else:
+            factors = split_extensions(v, g)
+            assert sum(lf.degree for lf in factors) == g.degree
+        assert len(calls) == expected, g
+    # a squarefree branch that hits the depth limit is certified first
+    calls.clear()
+    with pytest.raises(UnresolvedBranchError):
+        split_extensions(V2, [4, 0, 8, 0, 1], depth_limit=1)
+    assert len(calls) == 1
+
+
 # -- conservation against the Hensel oracle ----------------------------------
 
 def rand_monic_squarefree(rng, field=QQ, max_deg=4, rational=False):
