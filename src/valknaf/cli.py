@@ -9,8 +9,8 @@ problem and a fixture their invariants (`problemfile.problem_invariants`).
 `_parse_args` reads the command line from the table `_COMMANDS`; `-h`
 prints `USAGE`, and a usage error is one line ending in its command's usage.
 Exit codes: 0 success, 1 usage or problem-file syntax error or an exceeded
-resource bound (`monoval.MAX_RESIDUAL_DEGREE`,
-`problemfile.MAX_FIELD_ORDER`, `localsplit.MAX_DEPTH` for `--depth`), 2
+resource bound (`monoval.MAX_RESIDUAL_DEGREE`, `problemfile.MAX_FIELD_ORDER`,
+`problemfile.MAX_RANK`, `localsplit.MAX_DEPTH` for `--depth`), 2
 inconsistent data (validation or engine rejection, "inconsistent: ...") or
 input outside the supported scope ("unsupported: ..."), 3 branch
 unresolved within `--depth` augmentation steps.

@@ -1,8 +1,9 @@
 """Finitely generated subgroups of Q^r ordered lexicographically.
 
 A group G is stored as (den, rows): den is the least positive integer with
-den * G in Z^r, and rows is the integer row Hermite normal form of den * G.
-Both are canonical, so two generating sets of one group give equal `LexGroup`
+den * G in Z^r, and rows is the integer row Hermite normal form of den * G,
+built by inserting the generators one at a time into the reduced form.  Both
+are canonical, so two generating sets of one group give equal `LexGroup`
 objects, and containment, index and initial index are integer linear algebra
 on the rows; `RationalVector`s are built only for `basis` and printing.
 
@@ -75,39 +76,30 @@ def _hnf(rows, ncols):
 
     Pivots are positive, entries above a pivot are reduced into [0, pivot).
     The rows (tuples) and their pivot columns depend only on the row lattice.
+    Each row joins `basis` (pivot column -> row), the reduced form of the
+    rows before, so entries stay the size of the result.
     """
-    mat = [list(r) for r in rows if any(r)]
-    top = 0
-    pivots = []
-    for col in range(ncols):
-        piv = None
-        for i in range(top, len(mat)):
-            if mat[i][col]:
-                piv = i
-                break
-        if piv is None:
-            continue
-        mat[top], mat[piv] = mat[piv], mat[top]
-        for i in range(top + 1, len(mat)):
-            if mat[i][col] == 0:
+    basis = {}
+    for v in rows:
+        for c in range(ncols):
+            if not v[c]:
                 continue
-            a, b = mat[top][col], mat[i][col]
-            g, s, t = _xgcd(a, b)
-            u, v = a // g, b // g
-            row_top = [s * x + t * y for x, y in zip(mat[top], mat[i])]
-            row_i = [-v * x + u * y for x, y in zip(mat[top], mat[i])]
-            mat[top], mat[i] = row_top, row_i
-        if mat[top][col] < 0:
-            mat[top] = [-x for x in mat[top]]
-        pivots.append(col)
-        top += 1
-    for i, col in enumerate(pivots):
-        p = mat[i][col]
-        for j in range(i):
-            q = mat[j][col] // p
-            if q:
-                mat[j] = [x - q * y for x, y in zip(mat[j], mat[i])]
-    return tuple(map(tuple, mat[:top])), tuple(pivots)
+            if c not in basis:
+                basis[c] = list(v) if v[c] > 0 else [-x for x in v]
+                break
+            row = basis[c]
+            g, s, t = _xgcd(row[c], v[c])
+            a, b = row[c] // g, v[c] // g
+            basis[c] = [s * x + t * y for x, y in zip(row, v)]
+            v = [a * y - b * x for x, y in zip(row, v)]
+        pivots = sorted(basis)
+        for i, c in enumerate(pivots):
+            for d in pivots[:i]:
+                q = basis[d][c] // basis[c][c]
+                if q:
+                    basis[d] = [x - q * y for x, y in zip(basis[d], basis[c])]
+    pivots = sorted(basis)
+    return tuple(tuple(basis[c]) for c in pivots), tuple(pivots)
 
 
 def _clear_denominators(vectors):

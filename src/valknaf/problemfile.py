@@ -372,6 +372,8 @@ _GF_RE = re.compile(r"GF\((\d+)\)")
 # integer before it is split into p^n, so a q of thousands of digits fails
 # fast; every fixture, demo and workload has q <= 2^13
 MAX_FIELD_ORDER = 2 ** 128
+# the rank of a group section; a pair at the bound takes about 2 s
+MAX_RANK = 128
 
 
 def _prime_power(q: int):
@@ -409,6 +411,9 @@ def _field_element(field, x):
 def lex_group(problem: ProblemFile, name: str) -> LexGroup:
     """The lex group of section [name]: its `rank` and `gen` vectors."""
     rank = problem.get(name, "rank")
+    if rank > MAX_RANK:
+        raise ProblemFileError(
+            f"[{name}] rank {rank} is beyond the rank bound {MAX_RANK}")
     gens = problem.get_all(name, "gen")
     for g in gens:
         if len(g) != rank:

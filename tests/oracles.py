@@ -22,7 +22,9 @@ the canonical-monomial bookkeeping of an inductive tower by search and one
 carry at a time, with each z_j carried into kappa_i through the chain of
 level embeddings, rather than the library's closed forms and table of z
 images, F_p-linear independence by a general row echelon form rather than
-the library's Gauss-Jordan on [B | I], tower values,
+the library's Gauss-Jordan on [B | I], row Hermite normal forms over Z by
+elimination over all rows with one reduction pass at the end rather than the
+library's insertion of one row at a time into the reduced form, tower values,
 classes and residual polynomials by the Fraction recursions that expand
 each digit anew per call rather than the library's one graded pass on
 integer values, the Newton polygon step by a hull, a bound and a residual
@@ -53,7 +55,7 @@ from valknaf.gf import _SPLIT_SEED, _decode, _distinct_degree, _equal_degree
 from valknaf.inductive import INFINITY, Level, Tower, phi_expansion
 from valknaf.localsplit import UnresolvedBranchError, _poly_over, _terminal
 from valknaf.numtheory import primefactors
-from valknaf.ordgroup import RationalVector
+from valknaf.ordgroup import RationalVector, _xgcd
 from valknaf.poly import (Poly, _derivative, _monic, _pmul, _power, _trim,
                           poly_gcd, power)
 from valknaf.problemfile import (FORMAT_VERSION, SCHEMAS, ProblemFile,
@@ -607,6 +609,51 @@ def squarefree_by_trial_division(f):
     if rest.degree > 0:
         parts[1] = parts.get(1, Poly.one(field)) * rest
     return [(g, m) for m, g in sorted(parts.items())]
+
+
+# -- row Hermite normal form over Z -------------------------------------------
+# The reference for `ordgroup._hnf`: the two-phase elimination the library
+# used before it inserted one row at a time into the reduced form. It
+# eliminates every column by extended gcd first and reduces above the pivots
+# only at the end, so its intermediate entries grow far past the result.
+
+
+def ref_hnf(rows, ncols):
+    """Row Hermite normal form of an integer matrix, zero rows dropped:
+    (rows, pivot columns), pivots positive, entries above a pivot reduced
+    into [0, pivot)."""
+    mat = [list(r) for r in rows if any(r)]
+    top = 0
+    pivots = []
+    for col in range(ncols):
+        piv = None
+        for i in range(top, len(mat)):
+            if mat[i][col]:
+                piv = i
+                break
+        if piv is None:
+            continue
+        mat[top], mat[piv] = mat[piv], mat[top]
+        for i in range(top + 1, len(mat)):
+            if mat[i][col] == 0:
+                continue
+            a, b = mat[top][col], mat[i][col]
+            g, s, t = _xgcd(a, b)
+            u, v = a // g, b // g
+            row_top = [s * x + t * y for x, y in zip(mat[top], mat[i])]
+            row_i = [-v * x + u * y for x, y in zip(mat[top], mat[i])]
+            mat[top], mat[i] = row_top, row_i
+        if mat[top][col] < 0:
+            mat[top] = [-x for x in mat[top]]
+        pivots.append(col)
+        top += 1
+    for i, col in enumerate(pivots):
+        p = mat[i][col]
+        for j in range(i):
+            q = mat[j][col] // p
+            if q:
+                mat[j] = [x - q * y for x, y in zip(mat[j], mat[i])]
+    return tuple(map(tuple, mat[:top])), tuple(pivots)
 
 
 # -- row echelon form over a finite field -------------------------------------

@@ -13,8 +13,8 @@ from valknaf import cli
 from valknaf.fixtures import FIXTURES, fixture
 from valknaf.inductive import Tower
 from valknaf.ordgroup import LexGroup, initial_index, subgroup_index
-from valknaf.problemfile import (ProblemFile, ProblemFileError, parse_problem,
-                                 serialize)
+from valknaf.problemfile import (MAX_RANK, ProblemFile, ProblemFileError,
+                                 parse_problem, serialize)
 from valknaf.raminv import knaf_decide
 
 SPLIT5 = """\
@@ -996,3 +996,79 @@ def test_group_and_decide_compute_on_integers(monkeypatch):
     assert (g.e, g.eps, g.initial) == (12, 2, False)
     assert (d.e, d.f, d.eps, d.d, d.eft) == (12, 2, 2, 1, False)
     assert results["rank-3 indices"] == [12, 2]
+
+
+def lattice_pair(mode, rank, consistent, seed=3):
+    """A `group` or `decide` file of two groups of the given rank, each
+    generated by `rank` dense vectors with entries a/b, |a| <= 9 and
+    1 <= b <= 9.  If consistent, gamma_nu = M gamma_omega for M upper
+    bidiagonal with diagonal (2, 3, 1, ..., 1), so e = det M = 6; if not,
+    gamma_nu is drawn like gamma_omega."""
+    rng = random.Random(seed)
+
+    def draw():
+        return [[F(rng.randint(-9, 9), rng.randint(1, 9))
+                 for _ in range(rank)] for _ in range(rank)]
+
+    omega = draw()
+    if consistent:
+        diag = [2, 3] + [1] * (rank - 2)
+        above = [rng.randint(-3, 3) for _ in range(rank)]
+        nu = [[d * x + c * y for x, y in zip(row, up)]
+              for d, c, row, up in zip(diag, above, omega,
+                                       omega[1:] + [[0] * rank])]
+    else:
+        nu = draw()
+    text = f"version = 1\nmode = {mode}\n"
+    for name, gens in (("gamma_nu", nu), ("gamma_omega", omega)):
+        text += f"\n[{name}]\nrank = {rank}\n" + "".join(
+            "gen = (" + ", ".join(map(str, g)) + ")\n" for g in gens)
+    if mode == "decide":
+        text += ("\n[extension]\nresidue_degree = 1\nlocal_degree = 6\n"
+                 "residue_char = 0\n")
+    return text
+
+
+def run_child(path, mode, timeout):
+    return subprocess.run(
+        [sys.executable, "-m", "valknaf.cli", mode, "--file", path,
+         "--porcelain"],
+        capture_output=True, text=True, env=child_env(), timeout=timeout)
+
+
+@pytest.mark.parametrize("mode,rank,consistent", [
+    ("group", 64, True), ("decide", 32, True), ("group", 30, False),
+], ids=["group-64", "decide-32", "random-group-30"])
+def test_cli_high_rank_lattices_finish(tmp_path, mode, rank, consistent):
+    # in a child with a 2 s timeout: elimination over all rows with one
+    # reduction at the end took 10 s at rank 20 and did not finish these
+    # within 30 s, as its intermediate entries grew far past the result's
+    path = write(tmp_path, "lattice.prob",
+                 lattice_pair(mode, rank, consistent))
+    proc = run_child(path, mode, timeout=2)
+    if consistent:
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.count("\n") == 1 and "\te=6\t" in proc.stdout
+    else:
+        assert proc.returncode == 2
+        assert proc.stdout == "" and proc.stderr.count("\n") == 1
+        assert "is not an element of the larger group" in proc.stderr
+
+
+def test_cli_rank_bound_at_bound(tmp_path):
+    # a consistent pair at the bound took 2.0-2.3 s; a 10 s timeout
+    path = write(tmp_path, "bound.prob", lattice_pair("group", MAX_RANK, True))
+    proc = run_child(path, "group", timeout=10)
+    assert proc.returncode == 0, proc.stderr
+    assert "\te=6\t" in proc.stdout
+
+
+@pytest.mark.parametrize("mode", ["group", "decide"])
+def test_cli_rank_bound_past_bound(tmp_path, capsys, mode):
+    rank = MAX_RANK + 1
+    path = write(tmp_path, "past.prob", lattice_pair(mode, rank, True))
+    assert cli.main([mode, "--file", path, "--porcelain"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (f"error: [gamma_nu] rank {rank} is beyond the "
+                            f"rank bound {MAX_RANK}\n")

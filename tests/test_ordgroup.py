@@ -6,10 +6,11 @@ from math import inf
 
 import pytest
 
-from valknaf.ordgroup import (LexGroup, RationalVector, initial_index,
+from valknaf.ordgroup import (LexGroup, RationalVector, _hnf, initial_index,
                               initial_set, lex_compare, subgroup_index)
 
-from oracles import coset_count_box, initial_index_box, initial_set_box
+from oracles import (coset_count_box, initial_index_box, initial_set_box,
+                     ref_hnf)
 
 F = Fraction
 
@@ -260,3 +261,92 @@ def test_generators_read_as_fractions():
     assert LexGroup(1, [("1/2",)]) == half
     assert LexGroup(1, [(0.5,)]) == half
     assert half.contains(("3/2",)) and not half.contains((0.25,))
+
+
+def _random_rows(rng, ncols):
+    """0-9 integer rows of length ncols, mixing sparse, zero, duplicate and
+    dependent rows, so sets of fewer rows than columns, rank-deficient sets
+    and more rows than the rank all occur."""
+    rows = []
+    for _ in range(rng.randint(0, 9)):
+        kind = rng.random()
+        if kind < 0.1:
+            rows.append([0] * ncols)
+        elif kind < 0.2 and rows:
+            rows.append(list(rng.choice(rows)))
+        elif kind < 0.35 and len(rows) >= 2:
+            a, b = rng.sample(rows, 2)
+            c, d = rng.randint(-3, 3), rng.randint(-3, 3)
+            rows.append([c * x + d * y for x, y in zip(a, b)])
+        else:
+            rows.append([rng.randint(-9, 9) if rng.random() < 0.7 else 0
+                         for _ in range(ncols)])
+    return rows
+
+
+def test_hnf_matches_reference():
+    # one insertion at a time into the reduced form against the two-phase
+    # elimination it replaced: the HNF is canonical, so rows and pivots agree
+    assert _hnf([], 3) == ref_hnf([], 3) == ((), ())
+    assert _hnf([[0, 0], [0, 0]], 2) == ((), ())
+    assert _hnf([(0, -4, 6), (0, 2, 1), (0, -4, 6)], 3) == (
+        ((0, 2, 1), (0, 0, 8)), (1, 2))
+    rng = random.Random(37)
+    for ncols in range(1, 15):
+        for _ in range(400 if ncols <= 6 else 40):
+            rows = _random_rows(rng, ncols)
+            assert _hnf(rows, ncols) == ref_hnf(rows, ncols), rows
+    # dense rational generators cleared to one denominator, as LexGroup does
+    for ncols in range(8, 15):
+        nrows = ncols + rng.randint(-2, 2)
+        gens = [[F(rng.randint(-9, 9), rng.randint(1, 9))
+                 for _ in range(ncols)] for _ in range(nrows)]
+        rows = [[int(c * 2520) for c in g] for g in gens]
+        assert _hnf(rows, ncols) == ref_hnf(rows, ncols)
+
+
+def test_hnf_canonical_at_rank_64():
+    # the lattice of A, of U A for a unimodular U, and of U A with
+    # multiples of A's rows appended, has one set of rows and pivots
+    rng = random.Random(64)
+    a = [[rng.randint(-9, 9) for _ in range(64)] for _ in range(64)]
+    u = _random_unimodular(rng, 64, steps=200)
+    moved = [[sum(x * y for x, y in zip(row, col)) for col in zip(*a)]
+             for row in u]
+    expected = _hnf(a, 64)
+    assert expected[1] == tuple(range(64))
+    assert _hnf(moved, 64) == expected
+    assert _hnf(moved + [[2 * x for x in r] for r in a[:5]], 64) == expected
+
+
+def _det(a):
+    """det of a square matrix by Gaussian elimination over Fractions."""
+    m = [[F(x) for x in row] for row in a]
+    det = F(1)
+    for c in range(len(m)):
+        p = next((i for i in range(c, len(m)) if m[i][c]), None)
+        if p is None:
+            return F(0)
+        if p != c:
+            m[c], m[p] = m[p], m[c]
+            det = -det
+        det *= m[c][c]
+        for i in range(c + 1, len(m)):
+            f = m[i][c] / m[c][c]
+            if f:
+                m[i] = [x - f * y for x, y in zip(m[i], m[c])]
+    return det
+
+
+@pytest.mark.parametrize("n", [1, 2, 5, 16, 64])
+def test_hnf_pivots_multiply_to_determinant(n):
+    rng = random.Random(n)
+    a = [[rng.randint(-9, 9) for _ in range(n)] for _ in range(n)]
+    det = _det(a)
+    assert det
+    rows, pivots = _hnf(a, n)
+    assert pivots == tuple(range(n))
+    prod = 1
+    for row, c in zip(rows, pivots):
+        prod *= row[c]
+    assert prod == abs(det)
