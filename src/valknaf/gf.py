@@ -506,7 +506,9 @@ class FiniteField:
 def GF(p: int, n: int = 1) -> FiniteField:
     if n < 1:
         raise ValueError("extension degree must be >= 1")
-    if not isprime(p):
+    if n > 1:
+        GF(p)  # the prime field, which the modulus search needs, tests p
+    elif not isprime(p):
         raise ValueError(f"{p} is not prime")
     return FiniteField(p, n)
 

@@ -30,7 +30,7 @@ psi as its residual polynomial.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, inf
+from math import gcd, inf, prod
 from typing import NamedTuple
 
 from .poly import Poly, _poly, _preduce, power
@@ -103,10 +103,7 @@ class Tower:
         return self.base.residue_field
 
     def residue_product(self) -> int:
-        out = 1
-        for lev in self.levels:
-            out *= lev.f
-        return out
+        return prod(lev.f for lev in self.levels)
 
     # -- values and classes ------------------------------------------------
 

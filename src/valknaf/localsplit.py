@@ -222,7 +222,7 @@ def _stage0_edges(v: BaseValuation, g: Poly):
         raise ValueError("polygon needs a monic polynomial of degree >= 1")
     if not g[0]:
         raise ValueError("zero constant term: split off the zero root first")
-    return Tower(v).edges([Poly.constant(v.field, c) for c in g.coeffs])
+    return Tower(v).edges(phi_expansion(g, Poly.x(v.field)))
 
 
 def newton_polygon(v: BaseValuation, g) -> list:

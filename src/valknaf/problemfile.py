@@ -32,7 +32,7 @@ from fractions import Fraction
 from .gf import GF
 from .localsplit import BaseValuation, split_extensions, to_extension_invariants
 from .monoval import BinomialExtensionSpec, MonomialValuation, extend_binomial
-from .numtheory import isprime, perfect_power
+from .numtheory import perfect_power
 from .ordgroup import LexGroup, RationalVector
 from .poly import Poly, QQ
 from .raminv import ExtensionInvariants
@@ -347,12 +347,8 @@ def parse_problem(text) -> ProblemFile:
 # -- serialization ---------------------------------------------------------------
 
 def _fmt_value(value) -> str:
-    if isinstance(value, RationalVector):
-        return "(" + ", ".join(_fmt_value(c) for c in value) + ")"
-    if isinstance(value, tuple):
-        return "[" + ", ".join(_fmt_value(c) for c in value) + "]"
-    if isinstance(value, Fraction):
-        return str(value.numerator) if value.denominator == 1 else str(value)
+    if type(value) is tuple:
+        return "[" + ", ".join(map(str, value)) + "]"
     return str(value)
 
 
@@ -372,15 +368,9 @@ _GF_RE = re.compile(r"GF\((\d+)\)")
 # integer before it is split into p^n, so a q of thousands of digits fails
 # fast; every fixture, demo and workload has q <= 2^13
 MAX_FIELD_ORDER = 2 ** 128
-# the rank of a group section; a pair at the bound takes about 2 s
+# the largest rank of a group section, whose least is 1; a pair at the
+# bound takes about 2 s
 MAX_RANK = 128
-
-
-def _prime_power(q: int):
-    p, n = perfect_power(q)
-    if not isprime(p):
-        raise ProblemFileError(f"{q} is not a prime power")
-    return p, n
 
 
 def _constant_field(token: str):
@@ -393,7 +383,10 @@ def _constant_field(token: str):
             raise ProblemFileError(
                 f"GF(q) with q of {q.bit_length()} bits is beyond the field "
                 f"order bound 2^{MAX_FIELD_ORDER.bit_length() - 1}")
-        return GF(*_prime_power(q))
+        try:
+            return GF(*perfect_power(q))
+        except ValueError:
+            raise ProblemFileError(f"{q} is not a prime power") from None
     raise ProblemFileError(
         f"unknown field {token!r} (expected Q, Q(t) or GF(q))")
 
@@ -411,6 +404,8 @@ def _field_element(field, x):
 def lex_group(problem: ProblemFile, name: str) -> LexGroup:
     """The lex group of section [name]: its `rank` and `gen` vectors."""
     rank = problem.get(name, "rank")
+    if rank < 1:
+        raise ProblemFileError(f"[{name}] rank {rank} is below 1")
     if rank > MAX_RANK:
         raise ProblemFileError(
             f"[{name}] rank {rank} is beyond the rank bound {MAX_RANK}")
@@ -429,9 +424,10 @@ def _base_valuation(problem: ProblemFile) -> BaseValuation:
     if token == "Q":
         if p is None or pi is not None:
             raise ProblemFileError("field Q takes `p = <prime>` and no pi")
-        if not isprime(p):
-            raise ProblemFileError(f"{p} is not prime")
-        return BaseValuation.padic(p)
+        try:
+            return BaseValuation.padic(p)
+        except ValueError:
+            raise ProblemFileError(f"{p} is not prime") from None
     constants = QQ if token == "Q(t)" else _constant_field(token)
     if pi is None or p is not None:
         raise ProblemFileError(

@@ -152,32 +152,23 @@ def frobenius_defect(k_degree: int, gamma: Union[LexGroup, int],
     """Defect of nu over its restriction to the subfield of p-th powers.
 
     k_degree = [K : K^p], kappa_insep_degree = [kappa_nu : kappa_nu^p].
-    `gamma` is either the value group (then [Gamma : p*Gamma] is computed)
-    or a declared positive integer index, for groups that are not finitely
-    generated (e.g. p-divisible ones, where the declared index is 1).
+    `gamma` is either the value group Gamma, read as the pair
+    p*Gamma in Gamma, or a declared positive integer index i, read as the
+    pair iZ in Z, for groups that are not finitely generated (e.g.
+    p-divisible ones, where the declared index is 1).
 
-    The result is k_degree / ([Gamma : p*Gamma] * kappa_insep_degree); it is
-    1 exactly when nu is Abhyankar-maximal for Frobenius, and a positive
-    power of p otherwise.
+    The result is the `defect` of those declared invariants of K/K^p,
+    k_degree / ([Gamma : p*Gamma] * kappa_insep_degree), under the checks
+    `knaf_decide` makes; it is 1 exactly when nu is Abhyankar-maximal for
+    Frobenius, and a positive power of p otherwise.
     """
     if not isprime(p):
         raise ValueError("p must be prime")
     if isinstance(gamma, LexGroup):
-        index = subgroup_index(gamma, gamma.scale(p))
-        if index is inf:
-            raise ValueError("[Gamma : p*Gamma] must be finite")
+        gamma_nu, gamma_omega = gamma.scale(p), gamma
     elif isinstance(gamma, int) and gamma >= 1:
-        index = gamma
+        gamma_nu, gamma_omega = LexGroup(1, [(gamma,)]), LexGroup(1, [(1,)])
     else:
         raise ValueError("declared index must be a positive integer")
-    if k_degree < 1 or kappa_insep_degree < 1:
-        raise ValueError("degrees must be positive integers")
-    denom = index * kappa_insep_degree
-    if k_degree % denom != 0:
-        raise ValueError(
-            f"index * residue part = {denom} does not divide "
-            f"[K:K^p] = {k_degree}")
-    d = k_degree // denom
-    if not _is_power_of(d, p):
-        raise ValueError(f"Frobenius defect {d} is not a power of {p}")
-    return d
+    return defect(ExtensionInvariants(gamma_nu, gamma_omega,
+                                      kappa_insep_degree, k_degree, p))

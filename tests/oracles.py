@@ -38,8 +38,10 @@ that copied the dividend and made a quotient at every step, with the
 generator of the equal-degree splitting made on every call, rather than
 the library's one in-place remainder loop, and problem files
 by a cascade of string splits and a second schema loop rather than the
-library's one-pass token scanner, and command lines by the argparse parser
-the CLI used before its table-driven reader.
+library's one-pass token scanner, command lines by the argparse parser
+the CLI used before its table-driven reader, and the Frobenius defect by
+the arithmetic and checks of its own that `raminv.frobenius_defect` made
+before it became the defect of declared invariants.
 """
 
 import argparse
@@ -55,7 +57,7 @@ from valknaf.gf import _SPLIT_SEED, _decode, _distinct_degree, _equal_degree
 from valknaf.inductive import INFINITY, Level, Tower, phi_expansion
 from valknaf.localsplit import UnresolvedBranchError, _poly_over, _terminal
 from valknaf.numtheory import primefactors
-from valknaf.ordgroup import RationalVector, _xgcd
+from valknaf.ordgroup import LexGroup, RationalVector, _xgcd, subgroup_index
 from valknaf.poly import (Poly, _derivative, _monic, _pmul, _power, _trim,
                           poly_gcd, power)
 from valknaf.problemfile import (FORMAT_VERSION, SCHEMAS, ProblemFile,
@@ -654,6 +656,42 @@ def ref_hnf(rows, ncols):
             if q:
                 mat[j] = [x - q * y for x, y in zip(mat[j], mat[i])]
     return tuple(map(tuple, mat[:top])), tuple(pivots)
+
+
+# -- the Frobenius defect -----------------------------------------------------
+# The reference for `raminv.frobenius_defect`: its body before it read its
+# data as the declared invariants of K/K^p and left the checks to `raminv`'s
+# validation.
+
+
+def frobenius_defect_reference(k_degree, gamma, kappa_insep_degree, p):
+    """k_degree / ([Gamma : p*Gamma] * kappa_insep_degree), a power of p;
+    gamma is a LexGroup or a declared positive int index; ValueError on
+    inconsistent data."""
+    if not sympy.isprime(p):
+        raise ValueError("p must be prime")
+    if isinstance(gamma, LexGroup):
+        index = subgroup_index(gamma, gamma.scale(p))
+        if index is inf:
+            raise ValueError("[Gamma : p*Gamma] must be finite")
+    elif isinstance(gamma, int) and gamma >= 1:
+        index = gamma
+    else:
+        raise ValueError("declared index must be a positive integer")
+    if k_degree < 1 or kappa_insep_degree < 1:
+        raise ValueError("degrees must be positive integers")
+    denom = index * kappa_insep_degree
+    if k_degree % denom != 0:
+        raise ValueError(
+            f"index * residue part = {denom} does not divide "
+            f"[K:K^p] = {k_degree}")
+    d = k_degree // denom
+    n = d
+    while n % p == 0:
+        n //= p
+    if n != 1:
+        raise ValueError(f"Frobenius defect {d} is not a power of {p}")
+    return d
 
 
 # -- row echelon form over a finite field -------------------------------------

@@ -583,6 +583,38 @@ def test_cli_gf_token_prime_power(tmp_path, capsys, q, code):
         assert "e=3" in captured.out and "eps=3" in captured.out
 
 
+# wraps the `isprime` each valknaf module imported, then reads a p-adic base
+# over Q and a GF(q) token, each after the field cache is cleared
+PRIME_CALLS_SCRIPT = """\
+import sys
+from valknaf import gf, problemfile
+calls = []
+for name, module in list(sys.modules.items()):
+    if name.split('.')[0] == 'valknaf' and hasattr(module, 'isprime'):
+        module.isprime = lambda n, f=module.isprime: calls.append(n) or f(n)
+split = problemfile.parse_problem(sys.argv[1])
+gf.GF.cache_clear()
+problemfile._base_valuation(split)
+print(calls)
+calls.clear()
+gf.GF.cache_clear()
+problemfile._constant_field('GF(125)')
+print(calls)
+"""
+
+
+def test_problem_file_primes_are_tested_once():
+    # the engine's check is the only one: GF(p, n) tests p, and the reader
+    # maps its ValueError to the file error.  In a child, as clearing the
+    # field cache would leave this process two copies of each field
+    proc = subprocess.run(
+        [sys.executable, "-c", PRIME_CALLS_SCRIPT,
+         SPLIT5.replace("p = 5", "p = 101")],
+        capture_output=True, text=True, env=child_env(), timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[101]\n[5]\n"
+
+
 @pytest.mark.parametrize("q,code", [
     (2 ** 128, 1), (10 ** 3000 + 1, 1), (2 ** 128 - 159, 0), (3 ** 80, 0),
 ], ids=["2^128", "10^3000+1", "prime-below-2^128", "3^80"])
@@ -1072,3 +1104,16 @@ def test_cli_rank_bound_past_bound(tmp_path, capsys, mode):
     assert captured.out == ""
     assert captured.err == (f"error: [gamma_nu] rank {rank} is beyond the "
                             f"rank bound {MAX_RANK}\n")
+
+
+@pytest.mark.parametrize("mode", ["group", "decide"])
+@pytest.mark.parametrize("rank", [0, -1])
+def test_cli_rank_bound_below_one(tmp_path, capsys, mode, rank):
+    # the rank is checked before the generators are read, so the message
+    # names the rank, not a generator that "does not have 0 entries"
+    text = lattice_pair(mode, 1, False).replace("rank = 1", f"rank = {rank}")
+    path = write(tmp_path, "below.prob", text)
+    assert cli.main([mode, "--file", path, "--porcelain"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: [gamma_nu] rank {rank} is below 1\n"

@@ -7,7 +7,6 @@ import sympy
 
 from valknaf.numtheory import (PSI_13, iroot, isprime, perfect_power,
                                primefactors)
-from valknaf.problemfile import ProblemFileError, _prime_power
 
 # the least strong pseudoprime to the first 12 prime bases (2 ... 37), so the
 # 13th base, 41, is what keeps it out
@@ -88,11 +87,8 @@ def test_perfect_power_against_sympy():
     for n in ns:
         expected = sympy.perfect_power(n) or (n, 1)
         assert perfect_power(n) == expected, n
-        if sympy.isprime(expected[0]):
-            assert _prime_power(n) == expected, n
-        else:
-            with pytest.raises(ProblemFileError, match="not a prime power"):
-                _prime_power(n)
+        # a GF(q) token is a prime power exactly when this root is prime
+        assert isprime(perfect_power(n)[0]) == sympy.isprime(expected[0]), n
 
 
 def test_primefactors_against_sympy():

@@ -1,10 +1,13 @@
 """Invariants (e, f, eps, d) and the finite-type verdict."""
 
+import random
 from fractions import Fraction
 
 import pytest
 
+from oracles import frobenius_defect_reference
 from valknaf import ordgroup, raminv
+from valknaf.fixtures import fixture
 from valknaf.ordgroup import LexGroup, initial_set
 from valknaf.raminv import (ExtensionInvariants, defect, frobenius_defect,
                             knaf_decide, ramification_index, validate)
@@ -163,3 +166,65 @@ def test_frobenius_defect_errors():
         frobenius_defect(3, Z1, 1, 2)  # 2 does not divide 3
     with pytest.raises(ValueError):
         frobenius_defect(2, 0, 1, 2)  # declared index must be >= 1
+
+
+def _frobenius_case(rng):
+    """Seeded arguments of frobenius_defect: LexGroups of rank 1-3 (zero,
+    rank-deficient and full ones) or declared indices valid and not, primes
+    and non-primes p, and degrees that are 0, negative, not divisible or the
+    exact product that gives a power of p."""
+    p = rng.choice((0, 1, 2, 3, 5, 6, 7))
+    if rng.random() < 0.6:
+        rank = rng.randint(1, 3)
+        gens = [tuple(F(rng.randint(-4, 4), rng.randint(1, 3))
+                      for _ in range(rank))
+                for _ in range(rng.randint(0, rank + 1))]
+        gamma = LexGroup(rank, gens)
+        free_rank = len(gamma.rows)  # [gamma : p gamma] = p^free_rank
+    else:
+        gamma = rng.choice((0, -1, 2.5, '2', 1, 1, 2, 3, 4, 9, 25))
+        free_rank = None
+    kappa = rng.choice((0, -1, 1, 1, 1, 2, 3, 4, 5, 9))
+    base = rng.choice((2, 3, 5, 7, max(p, 1)))
+    if free_rank is not None:
+        exact = base ** (free_rank + rng.randint(0, 3)) * kappa
+    elif isinstance(gamma, int):
+        exact = gamma * kappa * base ** rng.randint(0, 3)
+    else:
+        exact = 4
+    k_degree = rng.choice((0, -2, rng.randint(1, 60), exact, exact, exact))
+    return k_degree, gamma, kappa, p
+
+
+def _outcome(f, args):
+    try:
+        return f(*args)
+    except ValueError:
+        return ValueError
+
+
+def test_frobenius_defect_matches_reference():
+    rng = random.Random(38)
+    outcomes = []
+    for _ in range(3000):
+        args = _frobenius_case(rng)
+        got = _outcome(frobenius_defect, args)
+        assert got == _outcome(frobenius_defect_reference, args), args
+        outcomes.append(got)
+    # both branches are exercised: defect 1, defects p^k > 1, and refusals
+    assert outcomes.count(1) > 100
+    assert sum(d not in (1, ValueError) for d in outcomes) > 50
+    assert outcomes.count(ValueError) > 1000
+
+
+@pytest.mark.parametrize("name", ["frobenius-abhyankar", "frobenius-defect-p"])
+def test_frobenius_defect_equals_fixture(name):
+    # the fixture declares Gamma_nu = iZ in Gamma_omega = Z with
+    # i = [Gamma : p Gamma], f = [kappa : kappa^p] and [K : K^p]
+    fx = fixture(name)
+    inv, = fx.invariants()
+    k, kappa, p = inv.local_degree, inv.residue_degree, inv.residue_char
+    d = fx.expected[0][3]
+    assert frobenius_defect(k, ramification_index(inv), kappa, p) == d
+    if inv.gamma_nu == inv.gamma_omega.scale(p):  # frobenius-abhyankar
+        assert frobenius_defect(k, inv.gamma_omega, kappa, p) == d
