@@ -24,7 +24,6 @@ from dataclasses import dataclass
 from types import SimpleNamespace
 from typing import Optional
 
-from .fixtures import FIXTURES, fixture
 from .localsplit import MAX_DEPTH, UnresolvedBranchError
 from .monoval import ResidualDegreeError
 from .ordgroup import _initial_index, subgroup_index
@@ -270,6 +269,8 @@ def _read_problem(path: str, expected_mode: str) -> ProblemFile:
 
 def _dispatch(args, out) -> int:
     if args.command == "fixtures":
+        # only the two catalog commands import (and so build) the catalog
+        from .fixtures import FIXTURES, fixture
         catalog = ([fixture(args.name)] if args.name is not None
                    else list(FIXTURES))
         for fx in catalog:
@@ -286,6 +287,7 @@ def _dispatch(args, out) -> int:
         if args.file:
             raise _UsageError("decide takes a fixture name or --file, not "
                               "both", "decide")
+        from .fixtures import fixture
         rows = fixture_rows(fixture(args.fixture))
         _emit(rows, "decide", args.porcelain, out)
         return 0

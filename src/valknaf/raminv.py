@@ -73,7 +73,7 @@ def ramification_index(inv: ExtensionInvariants) -> int:
 
 def defect(inv: ExtensionInvariants) -> int:
     """d = local_degree / (e * f); raises if the data is inconsistent."""
-    return knaf_decide(inv).d
+    return inv.local_degree // (_checked_index(inv) * inv.residue_degree)
 
 
 def validate(inv: ExtensionInvariants) -> list:
@@ -129,14 +129,20 @@ def _check(inv: ExtensionInvariants):
     return problems, e
 
 
+def _checked_index(inv: ExtensionInvariants) -> int:
+    """e for consistent data; ValueError with the violation list otherwise."""
+    problems, e = _check(inv)
+    if problems:
+        raise ValueError("inconsistent extension data: " + "; ".join(problems))
+    return e
+
+
 def knaf_decide(inv: ExtensionInvariants) -> KnafVerdict:
     """Decide essential finite type: defectless and eps = e.
 
     Raises ValueError (with the violation list) on inconsistent data.
     """
-    problems, e = _check(inv)
-    if problems:
-        raise ValueError("inconsistent extension data: " + "; ".join(problems))
+    e = _checked_index(inv)
     eps = _initial_index(inv.gamma_omega, inv.gamma_nu)
     d = inv.local_degree // (e * inv.residue_degree)
     defectless = d == 1

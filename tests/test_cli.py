@@ -971,6 +971,26 @@ def test_workload_items_do_not_import_sympy(tmp_path):
     assert proc.stdout.count("\n") == 10
 
 
+@pytest.mark.parametrize("catalog_command",
+                         [["fixtures"], ["decide", "frobenius-abhyankar"]])
+def test_only_catalog_commands_load_fixtures(tmp_path, catalog_command):
+    # group, split, binomial and decide --file neither import nor build the
+    # fixture catalog; the two commands that read it do
+    paths = [(mode, write(tmp_path, f"item{i}.prob", text))
+             for i, (mode, text) in enumerate(NO_SYMPY_ITEMS)]
+    script = (
+        "import sys\n"
+        "from valknaf import cli\n"
+        f"for mode, path in {paths!r}:\n"
+        "    assert cli.main([mode, '--file', path]) == 0, (mode, path)\n"
+        "    assert 'valknaf.fixtures' not in sys.modules, mode\n"
+        f"assert cli.main({catalog_command!r}) == 0\n"
+        "assert 'valknaf.fixtures' in sys.modules\n")
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                          text=True, env=child_env(), timeout=60)
+    assert proc.returncode == 0, proc.stderr
+
+
 GROUP4 = """\
 version = 1
 mode = group

@@ -228,3 +228,79 @@ def test_frobenius_defect_equals_fixture(name):
     assert frobenius_defect(k, ramification_index(inv), kappa, p) == d
     if inv.gamma_nu == inv.gamma_omega.scale(p):  # frobenius-abhyankar
         assert frobenius_defect(k, inv.gamma_omega, kappa, p) == d
+
+
+def _extension_case(rng):
+    """Seeded ExtensionInvariants, consistent or not: groups of rank 1-3
+    (zero, rank-deficient, full), Gamma_nu a sublattice of finite index in
+    Gamma_omega, one of infinite index, a random group or one of another
+    rank, and declared degrees and characteristics that do and do not fit."""
+    def gens(rank, count):
+        return [tuple(F(rng.randint(-4, 4), rng.randint(1, 3))
+                      for _ in range(rank)) for _ in range(count)]
+
+    rank = rng.randint(1, 3)
+    omega = gens(rank, rng.randint(0, rank + 1))
+    kind = rng.random()
+    if kind < 0.8:  # multiples of Gamma_omega's generators: finite index
+        nu = [tuple(c * x for x in g)
+              for g, c in zip(omega, (rng.randint(1, 3) for _ in omega))]
+        if kind < 0.1 and nu:  # one generator fewer: often infinite index
+            nu.pop()
+        nu_rank = rank
+    else:
+        nu_rank = rank if kind < 0.95 else rank % 3 + 1
+        nu = gens(nu_rank, rng.randint(0, nu_rank))
+    gamma_nu, gamma_omega = LexGroup(nu_rank, nu), LexGroup(rank, omega)
+    try:
+        e = ordgroup.subgroup_index(gamma_omega, gamma_nu)
+    except ValueError:
+        e = 1
+    e = e if isinstance(e, int) else 1
+    p = rng.choice((0, 0, 2, 3, 5, 6))
+    f = rng.choice((0, 1, 1, 2, 3))
+    local = rng.choice((-3, rng.randint(1, 40), e * f, e * f,
+                        e * f * max(p, 1) ** rng.randint(1, 2)))
+    total = rng.choice((None, None, local, local - 1, 2 * local))
+    return ExtensionInvariants(gamma_nu=gamma_nu, gamma_omega=gamma_omega,
+                               residue_degree=f, local_degree=local,
+                               residue_char=p, total_degree=total)
+
+
+def test_defect_is_knaf_decide_d():
+    # defect derives d from validate's index alone; it equals the verdict's
+    # d, or both refuse the data with the same message
+    rng = random.Random(39)
+    values, refused = [], 0
+    for _ in range(2000):
+        inv = _extension_case(rng)
+        try:
+            d = knaf_decide(inv).d
+        except ValueError as exc:
+            with pytest.raises(ValueError) as caught:
+                defect(inv)
+            assert str(caught.value) == str(exc), inv
+            refused += 1
+        else:
+            assert defect(inv) == d, inv
+            values.append(d)
+    assert values.count(1) > 200 and sum(d > 1 for d in values) > 50
+    assert refused > 500
+
+
+def test_defect_computes_no_initial_index(monkeypatch):
+    def unreachable(group, subgroup):
+        raise AssertionError("defect computed the initial index")
+
+    monkeypatch.setattr(raminv, "_initial_index", unreachable)
+    inv = ExtensionInvariants(gamma_nu=Z1, gamma_omega=HALF,
+                              residue_degree=1, local_degree=4,
+                              residue_char=2)
+    assert defect(inv) == 2
+    assert frobenius_defect(4, 1, 1, 2) == 4
+    assert frobenius_defect(9, Z1, 3, 3) == 1
+    with pytest.raises(ValueError):
+        defect(ExtensionInvariants(gamma_nu=HALF, gamma_omega=Z1,
+                                   residue_degree=1, local_degree=2))
+    with pytest.raises(AssertionError):
+        knaf_decide(inv)
