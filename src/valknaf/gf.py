@@ -27,8 +27,8 @@ place of one kernel product per element.
 (reduced mod p) or a `GFElement` into a code; a code is never coerced
 again, since that would reduce a code of p or more as an integer.
 `GFElement` is only the printable wrapper that callers of the public API
-may build (`element`); `render`, `poly`'s term printer in y, is the one
-text of a code.
+(`element`) and its own operators build, through its one constructor;
+`render`, `poly`'s term printer in y, is the one text of a code.
 
 A polynomial over GF(q) is a `Poly` of codes or, inside this module, the
 bare list of codes, lowest degree first and without trailing zeros; `poly`'s
@@ -47,7 +47,8 @@ Root search (`first_root`) uses the same splitter, at d = 1, on c x + a,
 isolates one root and returns the least code of its Frobenius orbit; its
 cost is polynomial in the degree and in log q, and nothing in the engine
 enumerates the elements of a field.  Embeddings and residue extensions
-share its roots through one cache, `_embedding_root`.
+share its roots through one cache, `_embedding_root`; an embedding
+evaluates an element's coordinates there by `Poly.__call__`.
 """
 
 from __future__ import annotations
@@ -360,8 +361,8 @@ class GFElement:
         coeffs = [c % field.p for c in coeffs]
         if len(coeffs) != field.n:
             raise ValueError("coefficient vector has wrong length")
-        _set_field(self, field)
-        _set_code(self, _encode(coeffs, field.p))
+        object.__setattr__(self, "field", field)
+        object.__setattr__(self, "_code", _encode(coeffs, field.p))
 
     def __setattr__(self, *args):
         raise AttributeError("GFElement is immutable")
@@ -382,38 +383,25 @@ class GFElement:
         return self._code != 0
 
     def __add__(self, other):
-        field = self.field
-        return _element(field, field.add(self._code, field.coerce(other)))
+        return self._wrap(self.field.add(self._code, self.field.coerce(other)))
 
     def __neg__(self):
-        return _element(self.field, self.field.neg(self._code))
+        return self._wrap(self.field.neg(self._code))
 
     def __sub__(self, other):
-        field = self.field
-        return _element(field, field.sub(self._code, field.coerce(other)))
+        return self._wrap(self.field.sub(self._code, self.field.coerce(other)))
 
     def __mul__(self, other):
-        field = self.field
-        return _element(field, field.mul(self._code, field.coerce(other)))
+        return self._wrap(self.field.mul(self._code, self.field.coerce(other)))
 
     def inverse(self):
-        return _element(self.field, self.field.inv(self._code))
+        return self._wrap(self.field.inv(self._code))
+
+    def _wrap(self, code):
+        return GFElement(self.field, self.field.coords(code))
 
     def __repr__(self):
         return self.field.render(self._code)
-
-
-_new_object = object.__new__
-_set_field = GFElement.field.__set__
-_set_code = GFElement._code.__set__
-
-
-def _element(field, code) -> GFElement:
-    """The wrapper of the element of field with the given (reduced) code."""
-    x = _new_object(GFElement)
-    _set_field(x, field)
-    _set_code(x, code)
-    return x
 
 
 class FiniteField:
@@ -526,9 +514,9 @@ def _embedding_root(big: FiniteField, coeffs: tuple, over: int) -> int:
 def embed(small: FiniteField, big: FiniteField):
     """The canonical embedding GF(p^a) -> GF(p^ab) on codes, as a callable.
 
-    The generator y of small goes to the least root of small's modulus in
-    big.  The prime field has the same codes in every extension, so its
-    embedding is the identity.
+    The generator y of small goes to the least root r of small's modulus
+    in big, and sum c_i y^i to `Poly(big, c)(r)`.  The prime field has the
+    same codes in every extension, so its embedding is the identity.
     """
     if small is big:
         return _identity
@@ -537,15 +525,7 @@ def embed(small: FiniteField, big: FiniteField):
     if small.n == 1:
         return _identity
     root = _embedding_root(big, small.modulus, 1)
-    add, mul = big.add, big.mul
-
-    def phi(x):
-        acc = 0
-        for c in reversed(small.coords(x)):
-            acc = add(mul(acc, root), c)
-        return acc
-
-    return phi
+    return lambda x: Poly(big, small.coords(x))(root)
 
 
 def _identity(x):

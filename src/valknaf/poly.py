@@ -21,6 +21,7 @@ is given as they are: it never coerces, so the codes of a finite field are
 never reduced again as integers.  Its arithmetic is the kernel at the end
 of this module, on lists of elements, which reads the field's ops once per
 operation; its one division loop, `_preduce`, reduces a list in place.
+Its one Horner loop is `Poly.__call__`, which `gf.embed` also calls.
 Division by a monic polynomial multiplies by no inverse, so dividing an
 integral polynomial by a monic integral one never leaves the integers.
 This module also owns, for every field adapter, exponentiation (`_power`,

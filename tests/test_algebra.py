@@ -115,6 +115,24 @@ def test_poly_compose_and_evaluate():
     assert f ** 0 == Poly.one(k7)
 
 
+@pytest.mark.parametrize("field", [QQ, FunctionField(GF(3))], ids=repr)
+def test_poly_call_matches_horner_reference(field):
+    # Poly.__call__, the one Horner loop (gf.embed calls it too), against
+    # Horner's rule on the elements' own operators; finite fields are in
+    # test_poly_kernel_matches_gfelement_reference
+    rng = random.Random(f"poly-call:{field!r}")
+
+    def draw():
+        if field is QQ:
+            return QQ.coerce(F(rng.randint(-9, 9), rng.randint(1, 4)))
+        return rand_ratfunc(rng, field)
+
+    for _ in range(30):
+        a = [draw() for _ in range(rng.randint(0, 5))]
+        x = draw()
+        assert Poly(field, a)(x) == ref_poly_eval(a, x)
+
+
 # 0 to 3 and 2^k - 1, 2^k: the exponents that take no step of the bit loop
 # and the boundaries of that loop
 POWER_EXPONENTS = (0, 1, 2, 3, 4, 7, 8, 15, 16)
@@ -685,7 +703,10 @@ def test_first_root_rejects_contract_breach(p, coeffs):
 # -- embeddings and element arithmetic ----------------------------------------
 
 def test_embed_is_field_homomorphism():
-    for small, big in ((GF(2, 2), GF(2, 4)), (GF(3, 1), GF(3, 2))):
+    # GF(3^10) and GF(2^14) lie above _TABLE_MAX_Q: the odd-p digit kernel
+    # and the carry-less kernel
+    for small, big in ((GF(2, 2), GF(2, 4)), (GF(3, 1), GF(3, 2)),
+                       (GF(3, 2), GF(3, 10)), (GF(2, 2), GF(2, 14))):
         phi = embed(small, big)
         assert phi(small.one) == big.one
         assert phi(small.zero) == big.zero
@@ -712,6 +733,25 @@ def test_gf_inverse_exhaustive():
             assert power(field, a, -1) == field.inv(a)
             wrapped = field.element(field.coords(a))
             assert wrapped * wrapped.inverse() == field.element([1])
+
+
+@pytest.mark.parametrize("call,message", [
+    (lambda: Poly.zero(QQ).leading(),
+     "zero polynomial has no leading coefficient"),
+    (lambda: Poly.x(QQ) ** -1, "negative power of a polynomial"),
+    (lambda: Poly.x(QQ) + Poly.x(GF(3)), "mixed coefficient fields"),
+    (lambda: GF(2, 0), "extension degree must be >= 1"),
+    (lambda: first_root(Poly(GF(3), [1]), 1), "1 is not of positive degree"),
+    (lambda: FunctionField(GF(3)).coerce(FunctionField(GF(5)).t),
+     "element of a different function field"),
+    (lambda: FunctionField(GF(3)).coerce(Poly.x(GF(5))),
+     "polynomial over a different constant field"),
+], ids=["leading-of-zero", "negative-power", "mixed-fields", "degree-0",
+        "constant-root", "foreign-ratfunc", "foreign-poly"])
+def test_algebra_error_branches(call, message):
+    with pytest.raises(ValueError) as exc:
+        call()
+    assert str(exc.value) == message
 
 
 def test_gf_coercion():

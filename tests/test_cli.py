@@ -14,7 +14,7 @@ from valknaf.fixtures import FIXTURES, fixture
 from valknaf.inductive import Tower
 from valknaf.ordgroup import LexGroup, initial_index, subgroup_index
 from valknaf.problemfile import (MAX_RANK, ProblemFile, ProblemFileError,
-                                 parse_problem, serialize)
+                                 parse_problem, problem_invariants, serialize)
 from valknaf.raminv import knaf_decide
 
 SPLIT5 = """\
@@ -298,6 +298,15 @@ def test_cli_exit_codes(tmp_path, capsys):
         "p = 5", f"p = {p}")) for p in (4, 0, -3)}
     longvec = write(tmp_path, "long.prob", BINO.replace(
         "GF(5)", "GF(4)").replace("c = 1", "c = (1, 0, 0)"))
+    over_qt = write(tmp_path, "qt.prob", BINO.replace("GF(5)", "Q(t)"))
+    vec_q = write(tmp_path, "vq.prob", BINO.replace("GF(5)", "Q").replace(
+        "c = 1", "c = (1, 0)"))
+    half = write(tmp_path, "half.prob", BINO.replace("GF(5)", "GF(9)").replace(
+        "c = 1", "c = (1/2, 1)"))
+    # gamma_nu = <(1, 0)> in gamma_omega = Z^2
+    line = write(tmp_path, "line.prob", GROUP.replace(
+        "gen = (0, 1)\n\n[gamma_omega]\nrank = 2\ngen = (1/2, 0)",
+        "\n[gamma_omega]\nrank = 2\ngen = (1, 0)"))
     baddec = write(tmp_path, "bad.prob", """\
 version = 1
 mode = decide
@@ -330,6 +339,14 @@ residue_char = 0
         (["split", "--file", notprime[-3]], 1, "error: -3 is not prime"),
         (["binomial", "--file", longvec], 1,
          "error: a GF(4) element has at most 2 coordinates, not 3"),
+        (["decide", "i-at-3", "--file", longvec], 1,
+         "error: decide takes a fixture name or --file, not both"),
+        (["binomial", "--file", over_qt], 1,
+         "error: binomial mode takes a constant field: Q or GF(q)"),
+        (["binomial", "--file", vec_q], 1,
+         "error: vector constants need a GF(q) base"),
+        (["binomial", "--file", half], 1,
+         "error: GF element coordinates must be integers"),
         (["nonsense"], 1, "invalid choice"),
         ([], 1, "the following arguments are required: command"),
         (["split"], 1, "the following arguments are required: --file"),
@@ -348,6 +365,8 @@ residue_char = 0
         (["binomial", "--file", reducible], 2, "reducible"),
         (["split", "--file", nonsq], 2, "squarefree"),
         (["decide", "--file", baddec], 2, "does not divide"),
+        (["group", "--file", line], 2,
+         "inconsistent: [gamma_omega : gamma_nu] is infinite"),
         (["split", "--file", deep, "--depth", "1"], 3, "not isolated"),
         (["split", "--file", deep], 0, ""),  # the default depth is back
     ]
@@ -522,6 +541,12 @@ def test_cli_binomial_constant_not_a_value(tmp_path, capsys, field):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
     assert "foo" in err
+
+
+def test_problem_invariants_error_branch_group_mode():
+    with pytest.raises(ProblemFileError) as exc:
+        problem_invariants(parse_problem(GROUP))
+    assert str(exc.value) == "mode group has no extension invariants"
 
 
 @pytest.mark.parametrize("c", ["[1/2, 1]", "[(1, 0), x]", "foo"])

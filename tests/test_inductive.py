@@ -299,6 +299,16 @@ def test_stage0_values_only_for_constants():
         tower.val(Poly.x(QQ))
 
 
+def test_tower_error_branches_at_zero():
+    tower = Tower(BaseValuation.padic(5))
+    with pytest.raises(ValueError) as exc:
+        tower.reduce_at(0, Poly.zero(QQ))
+    assert str(exc.value) == "cannot reduce zero"
+    with pytest.raises(ValueError) as exc:
+        tower.lift_at(0, 0, 0)
+    assert str(exc.value) == "cannot lift zero"
+
+
 @pytest.mark.parametrize("maker", TOWERS)
 def test_canonical_exps_match_search(maker):
     tower, _ = maker()

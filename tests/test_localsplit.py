@@ -58,6 +58,18 @@ def test_pi_adic_requires_irreducible():
         BaseValuation.pi_adic(GF(3, 1), [1, 2])  # not monic
 
 
+def test_pi_adic_error_branch_foreign_uniformizer():
+    with pytest.raises(ValueError) as exc:
+        BaseValuation.pi_adic(GF(3), Poly(GF(5), [0, 1]))
+    assert str(exc.value) == "t is not a polynomial over GF(3)"
+
+
+def test_shifted_reduce_above_shift_is_residue_zero():
+    # 25 has value 2 at 5, so 25 / 5 still lies in the maximal ideal
+    assert V5.shifted_reduce(25, 1) == V5.residue_field.zero == 0
+    assert V5.shifted_reduce(25, 2) == 1
+
+
 def test_pi_adic_rational_constants_degree_limit():
     # t-adic on Q(t) works; a degree-2 residue extension of Q is refused
     vq = BaseValuation.pi_adic(QQ, [0, 1])
@@ -586,12 +598,13 @@ def test_discriminant_identity_at_depth_0_over_ft():
 def test_split_over_gf9_residues_builds_no_gfelement(monkeypatch):
     # x^4 - (t + 1) at pi = t^2 + 1 over F_3(t), the shape of perfbench's
     # quartic items: residue fields GF(9) and up, and every element of them
-    # stays an int code; GFElement is only the printable wrapper
+    # stays an int code; GFElement is only the printable wrapper, and its
+    # one constructor also builds FiniteField.element's
     built = []
-    real = gf._element
-    monkeypatch.setattr(gf, "_element",
-                        lambda field, code: built.append(code)
-                        or real(field, code))
+    real = gf.GFElement.__init__
+    monkeypatch.setattr(gf.GFElement, "__init__",
+                        lambda self, field, coeffs: built.append(coeffs)
+                        or real(self, field, coeffs))
     v = BaseValuation.pi_adic(GF(3), [1, 0, 1])
     assert v.residue_field is GF(3, 2)
     t = v.field.t

@@ -68,6 +68,12 @@ def test_mono_value_multiplicative():
             assert mono_value(v, poly_mul(k, f, g)) == vf + vg
 
 
+def test_binomial_spec_error_branch():
+    with pytest.raises(ValueError) as exc:
+        BinomialExtensionSpec(0, 1, 0, 1)
+    assert str(exc.value) == "n must be a positive integer"
+
+
 def test_weight_validation():
     with pytest.raises(ValueError):
         MonomialValuation(F5, (1, 2), (2, 4))  # dependent

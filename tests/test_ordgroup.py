@@ -123,6 +123,15 @@ def test_zero_groups():
     assert initial_set(z, z) == [RationalVector((0, 0))]
 
 
+def test_lexgroup_rank_error_branches():
+    with pytest.raises(ValueError) as exc:
+        LexGroup(2, [(1,)])
+    assert str(exc.value) == "generator (1) has length 1, expected 2"
+    with pytest.raises(ValueError) as exc:
+        LexGroup(2, [(1, 0)]).solve((1, 0, 0))
+    assert str(exc.value) == "ambient rank mismatch"
+
+
 def test_scale():
     g = LexGroup(2, [(F(1, 2), 0), (0, F(1, 3))])
     h = g.scale(F(7, 2))
