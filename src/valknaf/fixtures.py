@@ -14,7 +14,6 @@ certificate sentence, as a problem-file label is one word.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from fractions import Fraction
 
 from .ordgroup import RationalVector
 from .problemfile import ProblemFile, problem_invariants
@@ -40,7 +39,7 @@ def _pf(mode, *sections):
 def _split_q(p, coeffs):
     return _pf("split",
                ("base", (("field", "Q"), ("p", p))),
-               ("polynomial", (("coeffs", tuple(map(Fraction, coeffs))),)))
+               ("polynomial", (("coeffs", tuple(coeffs)),)))
 
 
 def _binomial_f5(n, a, b, c):
@@ -49,7 +48,7 @@ def _binomial_f5(n, a, b, c):
                          ("weight_x", RationalVector((1, 0))),
                          ("weight_y", RationalVector((0, 1))))),
                ("extension", (("n", n), ("a", a), ("b", b),
-                              ("c", Fraction(c)))))
+                              ("c", c))))
 
 
 def _declared(gen_nu, gen_omega, f, local, p, total, label):
@@ -82,9 +81,8 @@ FIXTURES = (
         "ramified",
         _pf("split",
             ("base", (("field", "GF(3)"),
-                      ("pi", (Fraction(0), Fraction(1))))),
-            ("polynomial", (("coeffs", (RationalVector((0, -1)), Fraction(0),
-                                        Fraction(1))),))),
+                      ("pi", (0, 1)))),
+            ("polynomial", (("coeffs", (RationalVector((0, -1)), 0, 1)),))),
         ((2, 1, 2, 1, True),)),
     Fixture(
         "monomial-sqrt-x",

@@ -4,8 +4,9 @@ GF(p^n) is realized as F_p[y]/(m(y)) where m is the first monic irreducible
 polynomial of degree n in the enumeration that counts coefficient vectors
 (c_0, ..., c_{n-1}) as base-p integers; irreducibility is Ben-Or's test
 over GF(p), the first step of distinct-degree splitting.  Fields are
-cached, so equal parameters give the identical object and elements can be
-compared freely.
+cached, so equal parameters give the identical object (`GF(p, 1)` is
+`GF(p)`) and elements can be compared freely; only the prime field's build
+tests p.
 
 An element of GF(p^n) is one int, its canonical code sum c_i p^i, and the
 field's ops `add`, `sub`, `neg`, `mul` and `inv` act on codes (Cohen, GTM
@@ -491,14 +492,22 @@ class FiniteField:
 
 
 @lru_cache(maxsize=None)
-def GF(p: int, n: int = 1) -> FiniteField:
+def GF(p: int, n: int | None = None) -> FiniteField:
+    """The field of p^n elements, n = 1 when not given.
+
+    Only `GF(p)` tests p: `GF(p, n)` asks it for the prime field, which the
+    modulus search needs, and `GF(p, 1)` is that same object.  So while the
+    cache holds a field, p is not tested again, and `raminv` asks `GF(p)`
+    whether a residue characteristic is prime.
+    """
+    if n is None:
+        if not isprime(p):
+            raise ValueError(f"{p} is not prime")
+        return FiniteField(p, 1)
     if n < 1:
         raise ValueError("extension degree must be >= 1")
-    if n > 1:
-        GF(p)  # the prime field, which the modulus search needs, tests p
-    elif not isprime(p):
-        raise ValueError(f"{p} is not prime")
-    return FiniteField(p, n)
+    prime_field = GF(p)
+    return prime_field if n == 1 else FiniteField(p, n)
 
 
 @lru_cache(maxsize=None)

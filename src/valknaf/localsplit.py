@@ -364,10 +364,13 @@ _INTEGERS = LexGroup(1, [(1,)])
 
 def to_extension_invariants(v: BaseValuation, lf: LocalFactor,
                             total_degree: int) -> ExtensionInvariants:
-    """Package a LocalFactor as ExtensionInvariants with Γ_ν = Z, Γ_ω = (1/e)Z."""
+    """Package a LocalFactor as ExtensionInvariants with Γ_ν = Z, Γ_ω = (1/e)Z.
+
+    Γ_ω is built from its canonical form: den e, the one row (1,), pivot 0.
+    """
     return ExtensionInvariants(
         gamma_nu=_INTEGERS,
-        gamma_omega=LexGroup(1, [(Fraction(1, lf.e),)]),
+        gamma_omega=LexGroup._canonical(1, lf.e, ((1,),), (0,)),
         residue_degree=lf.f,
         local_degree=lf.degree,
         residue_char=v.residue_char,

@@ -57,8 +57,7 @@ class MonomialValuation:
     def __init__(self, base_field, weight_x, weight_y):
         if not isinstance(base_field, (FiniteField, RationalField)):
             raise TypeError("base field must be a finite field or Q")
-        wx = RationalVector(Fraction(c) for c in weight_x)
-        wy = RationalVector(Fraction(c) for c in weight_y)
+        wx, wy = RationalVector(weight_x), RationalVector(weight_y)
         if len(wx) != 2 or len(wy) != 2:
             raise ValueError("weights must be rational vectors of length 2")
         if wx[0] * wy[1] - wx[1] * wy[0] == 0:
@@ -124,7 +123,6 @@ def _is_qth_power(field, c, q: int) -> bool:
     """Is the element c a q-th power in the field (q prime, or 4 for the
     special case)?"""
     if isinstance(field, RationalField):
-        c = Fraction(c)
         if c == 0:
             return True
         if c < 0 and q % 2 == 0:

@@ -21,10 +21,16 @@ from math import inf, lcm
 
 
 class RationalVector(tuple):
-    """Immutable vector in Q^r; componentwise arithmetic, hashable."""
+    """Immutable vector in Q^r; componentwise arithmetic, hashable.
+
+    An entry follows `poly.QQ`'s convention where it is read: an int, which
+    stays an int, or a Fraction; any other entry becomes a Fraction.  Equal
+    rationals of the two types are equal and hash alike, so vectors compare
+    by value.
+    """
 
     def __new__(cls, coords):
-        return super().__new__(cls, (c if isinstance(c, Fraction)
+        return super().__new__(cls, (c if type(c) is int or type(c) is Fraction
                                      else Fraction(c) for c in coords))
 
     def __add__(self, other):
@@ -132,6 +138,14 @@ class LexGroup:
                 raise ValueError(f"generator {_vector(g, self.den)} has "
                                  f"length {len(g)}, expected {self.rank}")
         self.rows, self.pivots = _hnf(int_rows, self.rank)
+
+    @classmethod
+    def _canonical(cls, rank: int, den: int, rows: tuple, pivots: tuple):
+        """The group whose canonical form is (den, rows, pivots), taken as
+        given: no generator is read and no HNF is computed."""
+        group = object.__new__(cls)
+        group.rank, group.den, group.rows, group.pivots = rank, den, rows, pivots
+        return group
 
     @property
     def basis(self) -> tuple:

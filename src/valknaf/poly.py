@@ -52,7 +52,8 @@ class RationalField:
     def coerce(self, x):
         if type(x) is int:
             return x
-        x = Fraction(x)
+        if type(x) is not Fraction:
+            x = Fraction(x)
         return x.numerator if x.denominator == 1 else x
 
     @staticmethod

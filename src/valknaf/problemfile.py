@@ -3,15 +3,20 @@
 A problem file is UTF-8 text of `key = value` lines grouped under bracketed
 section headers, with `#` comments and a top-level `version` and `mode`.
 Values are integers, rationals `p/q`, vectors `(a, b, ...)`, lists
-`[v0, v1, ...]` (entries rational or vector), or bare words.  Each mode
-fixes which sections and keys may appear; unknown keys and sections are
-rejected with their line number, as are malformed values.  One compiled
-pattern matches each whole line: a blank or comment line, a section header,
-or a `key = value` whose value, when it is one rational, one vector of
-rationals or one word, it captures directly.  Any other value is a list or
-a mistake, and one compiled scanner cuts it into tokens: a rational, a
-vector of rationals, a word, or a single other character such as `(`, `)`,
-`[`, `]` or `,`.  Each Fraction is built once from its scanned digits.
+`[v0, v1, ...]` (entries rational or vector), or bare words.  A rational
+reads by `poly.QQ`'s convention: an int when it is integral, so `4/2` reads
+as `2`, and a Fraction otherwise.  Each mode fixes which sections and keys
+may appear; unknown keys and sections are rejected with their line number,
+as are malformed values.  One compiled pattern matches each whole line: a
+blank or comment line, a section header, or a `key = value` whose value,
+when it is one rational, one vector of rationals, one list of rationals or
+one word, it captures directly; the rationals of a vector or a list are
+read with one left-to-right scan of their digits.  Any other value is a
+list holding a vector or a word, or a mistake, and one compiled scanner
+cuts it into tokens: a rational, a vector of rationals, a word, or a single
+other character such as `(`, `)`, `[`, `]` or `,`.  An integer reads as
+an int with no Fraction built; a rational `p/q` builds one Fraction from
+its scanned digits, kept only when it is not integral.
 Scan, then schema: the scan raises each syntax error at once and keeps each
 section's entries; one loop over them after the scan checks the schema, so
 a syntax error on a later line wins over a schema error on an earlier one.
@@ -56,8 +61,9 @@ class ProblemFile:
 
     sections is a tuple of (name, entries) pairs, entries a tuple of
     (key, value) pairs in file order; repeatable keys appear once per
-    occurrence.  Values are int, Fraction, RationalVector, tuple (list) or
-    str, so equality is structural and serialization is type-faithful.
+    occurrence.  Values are int (an integral rational), Fraction (any other
+    rational), RationalVector, tuple (list) or str, so equality is
+    structural and serialization is type-faithful.
     """
 
     version: int
@@ -91,12 +97,15 @@ _R = r"[+-]?\d+(?:\s*/\s*\d+)?"  # _RATIONAL without its groups
 _ITEM = (_RATIONAL + r"|(\(\s*" + _R + r"(?:\s*,\s*" + _R + r")*\s*\))"
          r"|([A-Za-z][-A-Za-z0-9_^()]*)")
 _RATIONAL_RE = re.compile(_RATIONAL)
+# a list of rationals and nothing else, its body captured: 1 group
+_RATIONALS = r"\[\s*(" + _R + r"(?:\s*,\s*" + _R + r")*)\s*\]"
 # a whole line: blank or comment, `[section]`, or `key = value` with the
-# value one item or any other text.  Each run of blanks can be taken by one
-# `\s*` only, so a line that does not match fails in linear time.
+# value one item, one list of rationals or any other text.  Each run of
+# blanks can be taken by one `\s*` only, so a line that does not match fails
+# in linear time.
 _LINE_RE = re.compile(
     r"\s*(?:(?:\[([a-z_]+)\]|([A-Za-z_][A-Za-z0-9_]*)\s*=\s*(?:" + _ITEM
-    + r"|([^#\s](?:[^#]*[^#\s])?)))\s*)?(?:#.*)?")
+    + "|" + _RATIONALS + r"|([^#\s](?:[^#]*[^#\s])?)))\s*)?(?:#.*)?")
 # one token of a value with the blanks after it: an item, or one other
 # character such as ( ) [ ] , -- findall gives (text, num, den, vector,
 # word, char).  The search skips blanks before the first token, and no
@@ -142,25 +151,32 @@ def _split(tokens, line: int) -> list:
     return runs
 
 
-def _read(num, den, vector, word, line: int):
-    """The value of one scanned item: a Fraction built from its digits, a
-    RationalVector of such Fractions, or a word."""
+def _numbers(pairs, line: int) -> list:
+    """The rationals of scanned (numerator, denominator) digit pairs, in
+    order, as `QQ` holds them; the first that has no value names the file
+    error."""
     try:
-        if vector:
-            # the entries are Fractions already: no coercion
-            return tuple.__new__(RationalVector, [
-                Fraction(int(n), int(d)) if d else Fraction(int(n))
-                for n, d in _RATIONAL_RE.findall(vector)])
-        if num:
-            return Fraction(int(num), int(den)) if den else Fraction(int(num))
-        return word
+        return [QQ.coerce(Fraction(int(n), int(d))) if d else int(n)
+                for n, d in pairs]
     except ZeroDivisionError:
         raise ProblemFileError("zero denominator", line) from None
     except ValueError:  # more digits than the int-string limit
-        for n, d in _RATIONAL_RE.findall(vector) if vector else [(num, den)]:
+        for n, d in pairs:
             parse_int(n, line)
             parse_int(d or "1", line)
         raise
+
+
+def _read(num, den, vector, word, line: int):
+    """The value of one scanned item: a rational read from its digits, a
+    RationalVector of such rationals, or a word."""
+    if vector:
+        # the entries are ints and Fractions already: no coercion
+        return tuple.__new__(RationalVector,
+                             _numbers(_RATIONAL_RE.findall(vector), line))
+    if num:
+        return _numbers(((num, den),), line)[0]
+    return word
 
 
 def _item(tokens, line: int):
@@ -238,10 +254,10 @@ _KEY_SPECS = {
 
 
 def _check_type(key: str, value, tag: str, line: int):
-    """Normalize value against a type tag; ints come back as python int."""
+    """value, checked against a type tag; an int is an integral rational."""
     if tag == "int":
-        if isinstance(value, Fraction) and value.denominator == 1:
-            return value.numerator
+        if type(value) is int:
+            return value
         raise ProblemFileError(f"{key} must be an integer", line)
     if tag == "vector":
         if isinstance(value, RationalVector):
@@ -280,7 +296,7 @@ def parse_problem(text) -> ProblemFile:
             line = rawline.split("#", 1)[0].strip()
             raise ProblemFileError(f"expected `key = value`, got {line!r}",
                                    lineno)
-        header, key, num, den, vector, word, value = m.groups()
+        header, key, num, den, vector, word, rationals, value = m.groups()
         if header:
             if header in raw:
                 raise ProblemFileError(f"duplicate section [{header}]", lineno)
@@ -289,8 +305,12 @@ def parse_problem(text) -> ProblemFile:
             continue
         if key is None:
             continue
-        value = (_value(value, lineno) if value else
-                 _read(num, den, vector, word, lineno))
+        if value:
+            value = _value(value, lineno)
+        elif rationals:
+            value = tuple(_numbers(_RATIONAL_RE.findall(rationals), lineno))
+        else:
+            value = _read(num, den, vector, word, lineno)
         if items is not None:
             items.append((key, value, lineno))
         elif key == "version":
@@ -432,7 +452,7 @@ def _base_valuation(problem: ProblemFile) -> BaseValuation:
     if pi is None or p is not None:
         raise ProblemFileError(
             f"field {token} takes `pi = [c0, ..., 1]` and no p")
-    if not all(isinstance(c, Fraction) for c in pi):
+    if not all(isinstance(c, (int, Fraction)) for c in pi):
         raise ProblemFileError("pi coefficients must be rationals")
     return BaseValuation.pi_adic(
         constants, Poly(constants, [_field_element(constants, c) for c in pi]))
@@ -471,7 +491,7 @@ def _binomial_input(problem: ProblemFile):
             raise ProblemFileError(f"[base] {key} {w} does not have 2 entries")
     v = MonomialValuation(k, wx, wy)
     c = problem.get("extension", "c")
-    if not isinstance(c, (Fraction, RationalVector)):
+    if not isinstance(c, (int, Fraction, RationalVector)):
         raise ProblemFileError("c must be a rational or a vector like (1, 0), "
                                f"not {_fmt_value(c)!r}")
     if isinstance(c, RationalVector):

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from math import inf
 from typing import Optional, Union
 
-from .numtheory import isprime
+from .gf import GF
 from .ordgroup import LexGroup, _initial_index, subgroup_index
 
 
@@ -105,7 +105,7 @@ def _check(inv: ExtensionInvariants):
         problems.append("residue_degree must be a positive integer")
     if inv.local_degree < 1:
         problems.append("local_degree must be a positive integer")
-    if inv.residue_char != 0 and not isprime(inv.residue_char):
+    if inv.residue_char != 0 and not _is_prime(inv.residue_char):
         problems.append("residue_char must be 0 or a prime")
     if problems:
         return problems, e
@@ -127,6 +127,16 @@ def _check(inv: ExtensionInvariants):
             f"local_degree {inv.local_degree} exceeds total_degree "
             f"{inv.total_degree}")
     return problems, e
+
+
+def _is_prime(p: int) -> bool:
+    """Whether p is prime, asked of `gf.GF(p)`: an engine that built the
+    field of p has proved it, and the field cache keeps the answer."""
+    try:
+        GF(p)
+    except ValueError:
+        return False
+    return True
 
 
 def _checked_index(inv: ExtensionInvariants) -> int:
@@ -168,7 +178,7 @@ def frobenius_defect(k_degree: int, gamma: Union[LexGroup, int],
     `knaf_decide` makes; it is 1 exactly when nu is Abhyankar-maximal for
     Frobenius, and a positive power of p otherwise.
     """
-    if not isprime(p):
+    if not _is_prime(p):
         raise ValueError("p must be prime")
     if isinstance(gamma, LexGroup):
         gamma_nu, gamma_omega = gamma.scale(p), gamma

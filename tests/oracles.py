@@ -1244,14 +1244,16 @@ def _split_top(s: str, line: int) -> list:
     return parts
 
 
-def _parse_rational(s: str, line: int) -> Fraction:
+def _parse_rational(s: str, line: int):
+    """The rational s: an int when it is integral, a Fraction otherwise."""
     m = _RATIONAL_RE.fullmatch(s.strip())
     if not m:
         raise ProblemFileError(f"malformed rational {s.strip()!r}", line)
     num, den = parse_int(m.group(1), line), parse_int(m.group(2) or "1", line)
     if den == 0:
         raise ProblemFileError("zero denominator", line)
-    return Fraction(num, den)
+    x = Fraction(num, den)
+    return x.numerator if x.denominator == 1 else x
 
 
 def _parse_vector(s: str, line: int) -> RationalVector:

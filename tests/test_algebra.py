@@ -1203,3 +1203,14 @@ def test_linear_decomposer_sweep(p, n):
             assert all(0 <= c < p for c in coeffs)
             assert combine(coeffs, basis) == x
     assert seen[True] >= 5 and seen[False] >= 5, seen
+
+
+def test_prime_field_is_one_object():
+    # GF(p, 1) is GF(p), so a prime tested by one is not tested by the other
+    assert GF(101, 1) is GF(101)
+    assert GF(3, 2).p == 3 and GF(3, 1) is GF(3)
+    for args in [(4,), (4, 1), (4, 2), (-3,), (1,)]:
+        with pytest.raises(ValueError, match="is not prime"):
+            GF(*args)
+    with pytest.raises(ValueError, match="extension degree"):
+        GF(4, 0)

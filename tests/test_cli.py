@@ -609,15 +609,16 @@ def test_cli_gf_token_prime_power(tmp_path, capsys, q, code):
 
 
 # wraps the `isprime` each valknaf module imported, then reads a p-adic base
-# over Q and a GF(q) token, each after the field cache is cleared
+# over Q and a GF(q) token and runs `split` on the file sys.argv[1], each
+# after the field cache is cleared
 PRIME_CALLS_SCRIPT = """\
-import sys
-from valknaf import gf, problemfile
+import contextlib, io, sys
+from valknaf import cli, gf, problemfile
 calls = []
 for name, module in list(sys.modules.items()):
     if name.split('.')[0] == 'valknaf' and hasattr(module, 'isprime'):
         module.isprime = lambda n, f=module.isprime: calls.append(n) or f(n)
-split = problemfile.parse_problem(sys.argv[1])
+split = problemfile.parse_problem(open(sys.argv[1]).read())
 gf.GF.cache_clear()
 problemfile._base_valuation(split)
 print(calls)
@@ -625,19 +626,27 @@ calls.clear()
 gf.GF.cache_clear()
 problemfile._constant_field('GF(125)')
 print(calls)
+calls.clear()
+gf.GF.cache_clear()
+out = io.StringIO()
+with contextlib.redirect_stdout(out):
+    assert cli.main(['split', '--file', sys.argv[1], '--porcelain']) == 0
+print(len(out.getvalue().splitlines()), calls)
 """
 
 
-def test_problem_file_primes_are_tested_once():
+def test_problem_file_primes_are_tested_once(tmp_path):
     # the engine's check is the only one: GF(p, n) tests p, and the reader
-    # maps its ValueError to the file error.  In a child, as clearing the
-    # field cache would leave this process two copies of each field
+    # maps its ValueError to the file error; raminv asks GF(p) whether a
+    # verdict row's residue characteristic is prime, so the two rows of
+    # x^2 + 1 at 101 test nothing again.  In a child, as clearing the field
+    # cache would leave this process two copies of each field
+    path = write(tmp_path, "split101.prob", SPLIT5.replace("p = 5", "p = 101"))
     proc = subprocess.run(
-        [sys.executable, "-c", PRIME_CALLS_SCRIPT,
-         SPLIT5.replace("p = 5", "p = 101")],
+        [sys.executable, "-c", PRIME_CALLS_SCRIPT, path],
         capture_output=True, text=True, env=child_env(), timeout=60)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == "[101]\n[5]\n"
+    assert proc.stdout == "[101]\n[5]\n2 [101]\n"
 
 
 @pytest.mark.parametrize("q,code", [

@@ -18,6 +18,7 @@ from valknaf.localsplit import (MAX_DEPTH, BaseValuation, LocalFactor,
                                 newton_polygon, residual_polynomial,
                                 _is_squarefree, split_extensions,
                                 to_extension_invariants)
+from valknaf.ordgroup import LexGroup
 from valknaf.poly import Poly, QQ, poly_gcd
 from valknaf.raminv import knaf_decide
 from valknaf.residuefield import UnsupportedResidueExtension
@@ -1063,12 +1064,20 @@ def test_to_extension_invariants_pipeline():
         (V2, [-2, 0, 1], [(2, 1, 2, 1)]),
         (V5, [1, 0, 1], [(1, 1, 1, 1), (1, 1, 1, 1)]),
         (V3, [1, 0, 1], [(1, 2, 1, 1)]),
+        (V3, [-6, 0, 0, 0, 0, 0, 1], [(6, 1, 6, 1)]),
     ]
     for v, g, expected in cases:
         factors = split_extensions(v, g)
         got = []
         for lf in factors:
             inv = to_extension_invariants(v, lf, total_degree=len(g) - 1)
+            # Γ_ω = (1/e)Z, set from its canonical form, is the group its
+            # generator 1/e gives
+            built = LexGroup(1, [(F(1, lf.e),)])
+            omega = inv.gamma_omega
+            assert omega == built and hash(omega) == hash(built)
+            assert (omega.rank, omega.den, omega.rows, omega.pivots) == (
+                built.rank, built.den, built.rows, built.pivots)
             verdict = knaf_decide(inv)
             got.append((verdict.e, verdict.f, verdict.eps, verdict.d))
             assert verdict.eft

@@ -32,11 +32,14 @@ def test_vector_arithmetic():
     assert 2 * v == RationalVector((1, 6))
     assert (-v).is_zero() is False
     assert (v - v).is_zero()
-    # a Fraction entry is kept, not copied; other entries are read as Fraction
-    half = F(1, 2)
-    kept = RationalVector((half, 3, "1/3"))
-    assert kept[0] is half
-    assert all(type(c) is Fraction for c in kept)
+    # an int or a Fraction entry is kept, not copied; other entries are
+    # read as Fraction
+    half, big = F(1, 2), 10 ** 30
+    kept = RationalVector((half, big, "1/3", True))
+    assert kept[0] is half and kept[1] is big
+    assert [type(c) for c in kept] == [Fraction, int, Fraction, Fraction]
+    assert kept == RationalVector((half, F(big), F(1, 3), 1))
+    assert hash(kept) == hash(RationalVector((half, F(big), F(1, 3), 1)))
 
 
 def test_canonical_basis_independent_of_generators():

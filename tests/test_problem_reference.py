@@ -7,13 +7,18 @@ problems, every fixture's serialized problem, edited demo problems (valid
 and malformed), texts with several faults that pin which error is raised,
 and made texts: a mode's sections and keys with values of the right kind,
 padded with blanks, tabs, comments and `1 / 2` spacing, with lines dropped
-or made-up lines put in.  Two last tests pin that long runs of blanks scan
-in linear time and that the scanner builds exactly one Fraction per
-rational token.
+or made-up lines put in.  The last tests pin that long runs of blanks scan
+in linear time, that the scanner builds exactly one Fraction per rational
+that is not integral and none per integral one, that every integral
+rational reads as an int, and that a list of plain rationals is read
+without the token scanner.
 """
 
+import importlib.util
+import sys
 import time
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -22,7 +27,7 @@ from hypothesis import strategies as st
 from oracles import parse_problem_reference
 from test_problem_fuzz import PROBLEMS, edited_problems
 from valknaf.fixtures import FIXTURES
-from valknaf.ordgroup import RationalVector
+from valknaf import problemfile
 from valknaf.problemfile import (SCHEMAS, ProblemFileError, parse_problem,
                                  serialize)
 
@@ -239,20 +244,17 @@ def test_long_blank_runs_parse_in_linear_time(text):
     assert mine == outcome(parse_problem_reference, text)
 
 
-def _rationals_in(value) -> int:
-    """How many rationals a parsed value holds; an int was one Fraction."""
-    if isinstance(value, (int, Fraction)):
-        return 1
-    if isinstance(value, RationalVector):
-        return len(value)
-    if isinstance(value, tuple):
-        return sum(map(_rationals_in, value))
-    return 0  # a word
+def _rationals(value) -> list:
+    """The rationals of a parsed value, in order."""
+    if isinstance(value, tuple):  # a list or a RationalVector
+        return [x for v in value for x in _rationals(v)]
+    return [] if isinstance(value, str) else [value]
 
 
 def test_parse_builds_one_fraction_per_rational(monkeypatch):
     # the reference matched each rational twice; the scanner reads its
-    # digits once and builds its Fraction once
+    # digits once, builds one Fraction for a rational that is not integral
+    # and none for an integral one
     texts = [p.read_text() for p in PROBLEMS]
     texts += [serialize(fx.problem) for fx in FIXTURES]
     new = Fraction.__new__
@@ -269,9 +271,93 @@ def test_parse_builds_one_fraction_per_rational(monkeypatch):
         problems.append(parse_problem(text))
         counts.append(len(made))
     monkeypatch.undo()
-    expected = [1 + sum(_rationals_in(v) for _, entries in pf.sections
-                        for _, v in entries) for pf in problems]
-    assert counts == expected  # 1 for `version = 1`
-    # version, two ranks and four generators of two entries each
+    expected = [sum(type(x) is Fraction for _, entries in pf.sections
+                    for _, v in entries for x in _rationals(v))
+                for pf in problems]
+    assert counts == expected
+    # of the two ranks and four generators of two entries each, only the
+    # entry 1/2 is not integral
     assert counts[[p.name for p in PROBLEMS].index(
-        "group-half-lattice.prob")] == 11
+        "group-half-lattice.prob")] == 1
+    assert sum(counts) > 0
+
+
+def _workload_texts() -> list:
+    """The problem files of one block of each benchmark workload, seed 0;
+    the generator never imports valknaf."""
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "generate.py"
+    spec = importlib.util.spec_from_file_location("perfbench_generate", path)
+    generate = importlib.util.module_from_spec(spec)
+    # its dataclasses look their module up while the class is built
+    sys.modules[spec.name] = generate
+    spec.loader.exec_module(generate)
+    return [item.text for workload in generate.WORKLOADS
+            for item in next(generate.blocks(workload, 0))]
+
+
+def test_integral_rationals_read_as_ints():
+    # poly.QQ's convention: an int when the value is integral, a Fraction
+    # otherwise, in the demos, the fixtures and every workload's problems
+    texts = [p.read_text() for p in PROBLEMS]
+    texts += [serialize(fx.problem) for fx in FIXTURES]
+    texts += _workload_texts()
+    kinds = set()
+    for text in texts:
+        try:
+            problem = parse_problem(text)
+        except ProblemFileError:  # a workload's malformed file
+            continue
+        for _, entries in problem.sections:
+            for _, value in entries:
+                for x in _rationals(value):
+                    assert type(x) is int or (type(x) is Fraction
+                                              and x.denominator != 1), x
+                    kinds.add(type(x))
+    assert kinds == {int, Fraction}
+    text = HEAD + "[base]\nfield = Q\np = 6/3\n[polynomial]\n"
+    problem = parse_problem(text + "coeffs = [4/2, -1 / 3, (2/4, 3/1), 0/5]\n")
+    assert problem.get("base", "p") == 2
+    coeffs = problem.get("polynomial", "coeffs")
+    assert repr(coeffs) == "(2, Fraction(-1, 3), (1/2, 3), 0)"
+    assert [type(x) for x in _rationals(coeffs)] == [int, Fraction, Fraction,
+                                                     int, int]
+
+
+def test_rational_lists_never_reach_the_token_scanner(monkeypatch):
+    # a list of plain rationals is captured by the line pattern and read in
+    # one scan; the token scanner serves only lists holding a vector or a
+    # word, and malformed values
+    scanned = []
+
+    class Recording:
+        def findall(self, *args):
+            scanned.append(args[0])
+            return real.findall(*args)
+
+    real = problemfile._TOKEN_RE
+    monkeypatch.setattr(problemfile, "_TOKEN_RE", Recording())
+    texts = [p.read_text() for p in PROBLEMS]
+    texts += [serialize(fx.problem) for fx in FIXTURES]
+    texts += _workload_texts()
+    lists = 0
+    for text in texts:
+        for line in text.splitlines():
+            value = line.split("#", 1)[0].partition("=")[2].strip()
+            if value.startswith("[") and "(" not in value and not any(
+                    c.isalpha() for c in value):
+                lists += 1
+        try:
+            parse_problem(text)
+        except ProblemFileError:
+            pass
+    assert lists > 100
+    assert all("(" in s or any(c.isalpha() for c in s) for s in scanned), (
+        scanned)
+    scanned.clear()
+    parse_problem(HEAD + "[base]\nfield = Q\np = 5\n[polynomial]\n"
+                  "coeffs = [ 1 / 2 ,-3,+4/6, 0 ]   # a comment\n")
+    assert scanned == []
+    with pytest.raises(ProblemFileError, match="line 7: zero denominator"):
+        parse_problem(HEAD + "[base]\nfield = Q\np = 5\n[polynomial]\n"
+                      f"coeffs = [1, 1/0, {HUGE}]\n")
+    assert scanned == []
