@@ -19,19 +19,18 @@ from __future__ import annotations
 from fractions import Fraction
 from math import inf, lcm
 
+from .poly import QQ
+
 
 class RationalVector(tuple):
     """Immutable vector in Q^r; componentwise arithmetic, hashable.
 
-    An entry follows `poly.QQ`'s convention where it is read: an int, which
-    stays an int, or a Fraction; any other entry becomes a Fraction.  Equal
-    rationals of the two types are equal and hash alike, so vectors compare
-    by value.
+    Every entry, also of an operation's result, follows `poly.QQ`'s
+    convention: an int when it is integral and a Fraction otherwise.
     """
 
     def __new__(cls, coords):
-        return super().__new__(cls, (c if type(c) is int or type(c) is Fraction
-                                     else Fraction(c) for c in coords))
+        return super().__new__(cls, map(QQ.coerce, coords))
 
     def __add__(self, other):
         return RationalVector(a + b for a, b in zip(self, other, strict=True))

@@ -2,7 +2,7 @@
 
 Integral rationals are plain `int`s, and `int / int` is a float, which is
 exact only below 2^53.  Each problem below reaches one of the places where
-two field elements are divided (`BaseValuation.shifted_reduce`,
+two field elements are divided (`BaseValuation.residue`,
 `Tower.lift_at`, `Tower.lift_key`, `monoval._binomial_irreducible`) with
 such integers; a float quotient there prints a wrong certificate or
 verdict.  The expected outputs are those of the Fraction-only arithmetic

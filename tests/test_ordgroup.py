@@ -6,6 +6,8 @@ from math import inf
 
 import pytest
 
+from valknaf.gf import GF
+from valknaf.monoval import MonomialValuation
 from valknaf.ordgroup import (LexGroup, RationalVector, _hnf, initial_index,
                               initial_set, lex_compare, subgroup_index)
 
@@ -32,12 +34,12 @@ def test_vector_arithmetic():
     assert 2 * v == RationalVector((1, 6))
     assert (-v).is_zero() is False
     assert (v - v).is_zero()
-    # an int or a Fraction entry is kept, not copied; other entries are
-    # read as Fraction
+    # an int or a non-integral Fraction entry is kept, not copied; other
+    # entries are read like poly.QQ reads them
     half, big = F(1, 2), 10 ** 30
     kept = RationalVector((half, big, "1/3", True))
     assert kept[0] is half and kept[1] is big
-    assert [type(c) for c in kept] == [Fraction, int, Fraction, Fraction]
+    assert [type(c) for c in kept] == [Fraction, int, Fraction, int]
     assert kept == RationalVector((half, F(big), F(1, 3), 1))
     assert hash(kept) == hash(RationalVector((half, F(big), F(1, 3), 1)))
 
@@ -263,9 +265,27 @@ def test_basis_is_rational_hnf(rank, gens, basis):
     g = LexGroup(rank, gens)
     assert str(g.basis) == basis
     assert all(isinstance(b, RationalVector) for b in g.basis)
-    assert all(type(c) is Fraction for b in g.basis for c in b)
+    assert all(type(c) is (int if c.denominator == 1 else Fraction)
+               for b in g.basis for c in b)
     assert LexGroup(rank, g.basis) == g
     assert all(g.solve(x) is not None for x in gens)
+
+
+def test_entries_follow_qq_convention():
+    # an entry is an int when it is integral and a Fraction otherwise, also
+    # where the arithmetic goes through Fraction
+    def types(vectors):
+        return [[type(c) for c in v] for v in vectors]
+    mono = MonomialValuation(GF(5), (1, 0), (0, 1))
+    assert types([mono.monomial_value(2, 3)]) == [[int, int]]
+    g = LexGroup(2, [(2, 0), (0, 3)])
+    assert types(g.basis) == [[int, int], [int, int]]
+    assert types(g.scale(F(1, 2)).basis) == [[int, int], [int, Fraction]]
+    half, two = LexGroup(1, [(F(1, 2),)]), LexGroup(1, [(2,)])
+    assert types(initial_set(half, two)) == [[int], [Fraction], [int],
+                                             [Fraction]]
+    assert types([RationalVector((F(4, 2), 1.5, "1/3"))]) == [
+        [int, Fraction, Fraction]]
 
 
 def test_generators_read_as_fractions():
