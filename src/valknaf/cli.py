@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from types import SimpleNamespace
 from typing import Optional
 
-from .localsplit import MAX_DEPTH, UnresolvedBranchError
+from .localsplit import DEFAULT_DEPTH, MAX_DEPTH, UnresolvedBranchError
 from .monoval import ResidualDegreeError
 from .ordgroup import _initial_index, subgroup_index
 from .problemfile import (ProblemFile, ProblemFileError, lex_group,
@@ -34,7 +34,8 @@ from .raminv import ExtensionInvariants, knaf_decide
 
 @dataclass(frozen=True)
 class ReportRow:
-    """One output row; group-mode rows leave the undecidable columns None."""
+    """One output row; group-mode rows leave the undecidable columns None,
+    and `_GROUP_FIELDS` prints none of them."""
 
     label: str
     e: int
@@ -59,7 +60,7 @@ def _verdict_row(label: str, inv: ExtensionInvariants) -> ReportRow:
                      eft=k.eft, certificate=inv.provenance)
 
 
-def run(problem: ProblemFile, depth_limit: int = 16) -> list:
+def run(problem: ProblemFile, depth_limit: int = DEFAULT_DEPTH) -> list:
     """Rows for a parsed problem; raises instead of encoding failure."""
     if problem.mode == "group":
         nu = lex_group(problem, "gamma_nu")
@@ -87,8 +88,6 @@ def fixture_rows(fx) -> list:
 # -- rendering -------------------------------------------------------------------
 
 def _cell(value) -> str:
-    if value is None:
-        return "-"
     if value is True:
         return "true"
     if value is False:
@@ -199,8 +198,8 @@ def _parse_args(argv):
                                                        ((), None, False))
     end = argv.index("--") if "--" in argv else len(argv)
     kinds = [_option(t, _HELP) for t in argv[:i]]
-    args = {"command": command, "file": None, "porcelain": False, "depth": 16,
-            "fixture": None, "name": None}
+    args = {"command": command, "file": None, "porcelain": False,
+            "depth": DEFAULT_DEPTH, "fixture": None, "name": None}
     extras, filled = [], None
     steps = iter(range(len(argv)))
     for j in steps:

@@ -252,6 +252,9 @@ def residual_polynomial(v: BaseValuation, g, seg: NewtonPolygonSegment) -> Poly:
 # about 1000 steps overflow Python's recursion limit; the tower recursions
 # (grade, residue, lift_at) are at most 1 + log2(deg g) levels deep
 MAX_DEPTH = 256
+# the depth_limit of split_extensions, problem_invariants and `--depth` when
+# none is given
+DEFAULT_DEPTH = 16
 
 # images _is_squarefree tries.  split_extensions calls it only for a walk
 # that augments or raises.  At seeds 0 and 1 the first image to certify was
@@ -263,7 +266,8 @@ MAX_DEPTH = 256
 _SQUAREFREE_TRIES = 6
 
 
-def split_extensions(v: BaseValuation, g, depth_limit: int = 16) -> list:
+def split_extensions(v: BaseValuation, g,
+                     depth_limit: int = DEFAULT_DEPTH) -> list:
     """All extensions of v to K[x]/(g), for monic squarefree g.
 
     Returns LocalFactor records in branch order, an exact key divisor

@@ -120,17 +120,13 @@ def mono_value(v: MonomialValuation, poly):
 
 
 def _is_qth_power(field, c, q: int) -> bool:
-    """Is the element c a q-th power in the field (q prime, or 4 for the
-    special case)?"""
+    """Is the element c, nonzero, a q-th power in the field (q prime, or 4
+    for the special case)?"""
     if isinstance(field, RationalField):
-        if c == 0:
-            return True
         if c < 0 and q % 2 == 0:
             return False
         return all(iroot(m, q) ** q == m
                    for m in (abs(c.numerator), c.denominator))
-    if not c:
-        return True
     g = gcd(q, field.q - 1)
     return power(field, c, (field.q - 1) // g) == field.one
 

@@ -9,14 +9,14 @@ as `2`, and a Fraction otherwise.  Each mode fixes which sections and keys
 may appear; unknown keys and sections are rejected with their line number,
 as are malformed values.  One compiled pattern matches each whole line: a
 blank or comment line, a section header, or a `key = value` whose value,
-when it is one rational, one vector of rationals, one list of rationals or
-one word, it captures directly; the rationals of a vector or a list are
-read with one left-to-right scan of their digits.  Any other value is a
-list holding a vector or a word, or a mistake, and one compiled scanner
-cuts it into tokens: a rational, a vector of rationals, a word, or a single
-other character such as `(`, `)`, `[`, `]` or `,`.  An integer reads as
-an int with no Fraction built; a rational `p/q` builds one Fraction from
-its scanned digits, kept only when it is not integral.
+when it is one rational, one vector of rationals, one word or one list of
+rationals and vectors, it captures directly; the rationals of a vector or
+a list are read with one left-to-right scan of their digits.  Any other
+value is a list holding a word, or a mistake, and the grammar's own
+cascade reads it: split at the commas outside parentheses, then match each
+part as a rational, a vector or a word, or name its first fault.  An
+integer reads as an int with no Fraction built; a rational `p/q` builds
+one Fraction from its digits, kept only when it is not integral.
 Scan, then schema: the scan raises each syntax error at once and keeps each
 section's entries; one loop over them after the scan checks the schema, so
 a syntax error on a later line wins over a schema error on an earlier one.
@@ -35,7 +35,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .gf import GF
-from .localsplit import BaseValuation, split_extensions, to_extension_invariants
+from .localsplit import (DEFAULT_DEPTH, BaseValuation, split_extensions,
+                         to_extension_invariants)
 from .monoval import BinomialExtensionSpec, MonomialValuation, extend_binomial
 from .numtheory import perfect_power
 from .ordgroup import LexGroup, RationalVector
@@ -92,25 +93,22 @@ class ProblemFile:
 
 _RATIONAL = r"([+-]?\d+)(?:\s*/\s*(\d+))?"
 _R = r"[+-]?\d+(?:\s*/\s*\d+)?"  # _RATIONAL without its groups
+_V = r"\(\s*" + _R + r"(?:\s*,\s*" + _R + r")*\s*\)"  # a vector of rationals
 # a rational (numerator and denominator digits), a vector of rationals or a
 # word: 4 groups
-_ITEM = (_RATIONAL + r"|(\(\s*" + _R + r"(?:\s*,\s*" + _R + r")*\s*\))"
-         r"|([A-Za-z][-A-Za-z0-9_^()]*)")
+_ITEM = _RATIONAL + "|(" + _V + r")|([A-Za-z][-A-Za-z0-9_^()]*)"
 _RATIONAL_RE = re.compile(_RATIONAL)
-# a list of rationals and nothing else, its body captured: 1 group
-_RATIONALS = r"\[\s*(" + _R + r"(?:\s*,\s*" + _R + r")*)\s*\]"
+_ITEM_RE = re.compile(_ITEM)
+# a list of rationals and vectors and nothing else, its body captured: 1 group
+_RV = "(?:" + _R + "|" + _V + ")"
+_ITEMS = r"\[\s*(" + _RV + r"(?:\s*,\s*" + _RV + r")*)\s*\]"
 # a whole line: blank or comment, `[section]`, or `key = value` with the
-# value one item, one list of rationals or any other text.  Each run of
-# blanks can be taken by one `\s*` only, so a line that does not match fails
-# in linear time.
+# value one item, one list of rationals and vectors or any other text.  Each
+# run of blanks can be taken by one `\s*` only, so a line that does not
+# match fails in linear time.
 _LINE_RE = re.compile(
     r"\s*(?:(?:\[([a-z_]+)\]|([A-Za-z_][A-Za-z0-9_]*)\s*=\s*(?:" + _ITEM
-    + "|" + _RATIONALS + r"|([^#\s](?:[^#]*[^#\s])?)))\s*)?(?:#.*)?")
-# one token of a value with the blanks after it: an item, or one other
-# character such as ( ) [ ] , -- findall gives (text, num, den, vector,
-# word, char).  The search skips blanks before the first token, and no
-# blank can start two tokens, so a value scans in linear time.
-_TOKEN_RE = re.compile(r"((?:" + _ITEM + r"|(\S))\s*)")
+    + "|" + _ITEMS + r"|([^#\s](?:[^#]*[^#\s])?)))\s*)?(?:#.*)?")
 
 
 def parse_int(digits: str, line=None) -> int:
@@ -121,34 +119,6 @@ def parse_int(digits: str, line=None) -> int:
         raise ProblemFileError(
             f"integer of {len(digits.lstrip('+-'))} digits is beyond the "
             f"limit of {sys.get_int_max_str_digits()} digits", line) from None
-
-
-def _text(tokens) -> str:
-    """The source text of a run of tokens, stripped."""
-    return "".join(t[0] for t in tokens).strip()
-
-
-def _split(tokens, line: int) -> list:
-    """Runs of tokens between the commas outside parentheses; the
-    parentheses inside words count."""
-    runs, start, depth = [], 0, 0
-    for i, (_, _, _, _, word, char) in enumerate(tokens):
-        if char == ",":
-            if not depth:
-                runs.append(tokens[start:i])
-                start = i + 1
-            continue
-        for c in word or char:
-            if c == "(":
-                depth += 1
-            elif c == ")":
-                depth -= 1
-                if depth < 0:
-                    raise ProblemFileError("unbalanced parentheses", line)
-    if depth:
-        raise ProblemFileError("unbalanced parentheses", line)
-    runs.append(tokens[start:])
-    return runs
 
 
 def _numbers(pairs, line: int) -> list:
@@ -168,7 +138,7 @@ def _numbers(pairs, line: int) -> list:
 
 
 def _read(num, den, vector, word, line: int):
-    """The value of one scanned item: a rational read from its digits, a
+    """The value of one matched item: a rational read from its digits, a
     RationalVector of such rationals, or a word."""
     if vector:
         # the entries are ints and Fractions already: no coercion
@@ -179,36 +149,58 @@ def _read(num, den, vector, word, line: int):
     return word
 
 
-def _item(tokens, line: int):
-    """A rational, a vector `(a, b, ...)` of rationals or a word."""
-    if len(tokens) == 1 and not tokens[0][5]:
-        return _read(*tokens[0][1:5], line)
-    text = _text(tokens)
-    if text[:1] != "(":
-        raise ProblemFileError(f"malformed value {text!r}", line)
-    # not a vector of rationals: name the first fault of its entries
-    if text[-1] != ")":
+# -- the cascade: every value the line pattern does not capture ----------------
+
+def _parts(s: str, line: int) -> list:
+    """The stripped parts of s between its commas outside parentheses; the
+    parentheses inside words count."""
+    parts, start, depth = [], 0, 0
+    for i, c in enumerate(s):
+        if c == "(":
+            depth += 1
+        elif c == ")":
+            depth -= 1
+            if depth < 0:
+                raise ProblemFileError("unbalanced parentheses", line)
+        elif c == "," and not depth:
+            parts.append(s[start:i].strip())
+            start = i + 1
+    if depth:
+        raise ProblemFileError("unbalanced parentheses", line)
+    parts.append(s[start:].strip())
+    return parts
+
+
+def _item(s: str, line: int):
+    """A rational, a vector `(a, b, ...)` of rationals or a word; any other
+    text is a file error naming its first fault."""
+    m = _ITEM_RE.fullmatch(s)
+    if m:
+        return _read(*m.groups(), line)
+    if s[:1] != "(":
+        raise ProblemFileError(f"malformed value {s!r}", line)
+    if s[-1] != ")":
         raise ProblemFileError("unterminated vector", line)
-    body = _TOKEN_RE.findall(text, 1, len(text) - 1)
-    if not body:
+    parts = _parts(s[1:-1], line)
+    if parts == [""]:
         raise ProblemFileError("empty vector", line)
-    for run in _split(body, line):
-        if len(run) != 1 or not run[0][1]:
-            raise ProblemFileError(f"malformed rational {_text(run)!r}", line)
-        _read(*run[0][1:5], line)  # its digit-limit or zero-denominator error
-    raise AssertionError(f"{text!r} scans as a vector of rationals")
+    for part in parts:
+        m = _RATIONAL_RE.fullmatch(part)
+        if not m:
+            raise ProblemFileError(f"malformed rational {part!r}", line)
+        # its digit-limit or zero-denominator error
+        _numbers((m.groups(),), line)
+    raise AssertionError(f"{s!r} reads as a vector of rationals")
 
 
 def _value(s: str, line: int):
     """An item, or a list `[v0, v1, ...]` of items."""
     if s[0] != "[":
-        return _item(_TOKEN_RE.findall(s), line)
+        return _item(s, line)
     if s[-1] != "]":
         raise ProblemFileError("unterminated list", line)
-    tokens = _TOKEN_RE.findall(s, 1, len(s) - 1)
-    if not tokens:
-        return ()
-    return tuple(_item(run, line) for run in _split(tokens, line))
+    parts = _parts(s[1:-1], line)
+    return () if parts == [""] else tuple(_item(p, line) for p in parts)
 
 
 # -- schema --------------------------------------------------------------------
@@ -296,7 +288,7 @@ def parse_problem(text) -> ProblemFile:
             line = rawline.split("#", 1)[0].strip()
             raise ProblemFileError(f"expected `key = value`, got {line!r}",
                                    lineno)
-        header, key, num, den, vector, word, rationals, value = m.groups()
+        header, key, num, den, vector, word, listed, value = m.groups()
         if header:
             if header in raw:
                 raise ProblemFileError(f"duplicate section [{header}]", lineno)
@@ -307,8 +299,11 @@ def parse_problem(text) -> ProblemFile:
             continue
         if value:
             value = _value(value, lineno)
-        elif rationals:
-            value = tuple(_numbers(_RATIONAL_RE.findall(rationals), lineno))
+        elif listed and "(" in listed:
+            value = tuple(_read(*item, lineno)
+                          for item in _ITEM_RE.findall(listed))
+        elif listed:
+            value = tuple(_numbers(_RATIONAL_RE.findall(listed), lineno))
         else:
             value = _read(num, den, vector, word, lineno)
         if items is not None:
@@ -511,7 +506,8 @@ def _binomial_input(problem: ProblemFile):
     return v, spec
 
 
-def problem_invariants(problem: ProblemFile, depth_limit: int = 16) -> list:
+def problem_invariants(problem: ProblemFile,
+                       depth_limit: int = DEFAULT_DEPTH) -> list:
     """The `ExtensionInvariants` of a decide, split or binomial problem, one
     per extension; a split branch augments at most depth_limit times."""
     if problem.mode == "decide":

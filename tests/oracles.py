@@ -37,11 +37,12 @@ phi-adic digits, squarefree parts and factors over GF(q) by the kernel
 that copied the dividend and made a quotient at every step, with the
 generator of the equal-degree splitting made on every call, rather than
 the library's one in-place remainder loop, and problem files
-by a cascade of string splits and a second schema loop rather than the
-library's one-pass token scanner, command lines by the argparse parser
-the CLI used before its table-driven reader, and the Frobenius defect by
-the arithmetic and checks of its own that `raminv.frobenius_defect` made
-before it became the defect of declared invariants.
+by a cascade of string splits for every value and a second schema loop
+rather than the library's one line pattern, command lines by the argparse
+parser the CLI used before its table-driven reader, and the Frobenius
+defect by the arithmetic and checks of its own that
+`raminv.frobenius_defect` made before it became the defect of declared
+invariants.
 """
 
 import argparse
@@ -1215,7 +1216,7 @@ def _explore_with_paths(tower, key, G, path, steps, out, depth_limit):
 # a value is cut at its top-level commas by a character loop and each piece
 # classified by `fullmatch`, and the schema is checked in a second loop once
 # every line is read.  The type check `_check_type` is shared with the
-# scanner.
+# library.
 
 _SECTION_RE = re.compile(r"\[([a-z_]+)\]")
 _ASSIGN_RE = re.compile(r"([A-Za-z_][A-Za-z0-9_]*)\s*=\s*(\S.*)")

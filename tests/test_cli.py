@@ -1,5 +1,6 @@
 """Tests for the problem-file format, the fixture catalog and the CLI."""
 
+import inspect
 import os
 import random
 import subprocess
@@ -9,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from valknaf import cli
+from valknaf import cli, localsplit
 from valknaf.fixtures import FIXTURES, fixture
 from valknaf.inductive import Tower
 from valknaf.ordgroup import LexGroup, initial_index, subgroup_index
@@ -376,6 +377,16 @@ residue_char = 0
         assert fragment in err, (argv, err)
         if code:
             assert out == "" and err.count("\n") == 1, (argv, err)
+
+
+def test_default_depth_is_one_name():
+    # split_extensions, problem_invariants, cli.run and `--depth` read the
+    # one default beside MAX_DEPTH
+    for fn in localsplit.split_extensions, problem_invariants, cli.run:
+        default = inspect.signature(fn).parameters["depth_limit"].default
+        assert default == localsplit.DEFAULT_DEPTH, fn
+    assert cli._parse_args(["split", "--file", "x"]).depth == (
+        localsplit.DEFAULT_DEPTH)
 
 
 @pytest.mark.parametrize("argv,usage", [

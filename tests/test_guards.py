@@ -6,8 +6,8 @@ scans (a glob from the repository root, less one file name it exempts) and
 the design fact it pins.  A new guard is one more row.  The tests after it
 pin that the fixture catalog is data, that every name the benchmark tracer
 and worker look up resolves, that every committed `BENCH_*.json` holds
-every end-to-end metric, and that both demos run and clean up after
-themselves.
+every end-to-end metric, and that both demos run, write no file and print
+no path of the machine they run on.
 """
 
 import ast
@@ -176,8 +176,8 @@ def test_committed_benchmark_results_are_complete():
 @pytest.mark.parametrize("demo", sorted((ROOT / "demos").glob("*.py")),
                          ids=lambda p: p.name)
 def test_demo_runs_and_leaves_tmpdir_empty(demo, tmp_path):
-    # the CLI tour writes its problem files in one temporary directory and
-    # removes it; a fresh TMPDIR must be left empty
+    # a demo writes no file, so a fresh TMPDIR is left empty, and prints
+    # neither TMPDIR nor the checkout's path, so every run prints the same
     env = {**os.environ, "TMPDIR": str(tmp_path)}
     env["PYTHONPATH"] = os.pathsep.join(
         filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
@@ -185,3 +185,5 @@ def test_demo_runs_and_leaves_tmpdir_empty(demo, tmp_path):
                           capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert not list(tmp_path.iterdir())
+    assert str(tmp_path) not in proc.stdout
+    assert str(ROOT) not in proc.stdout

@@ -1,6 +1,8 @@
 """`parse_problem` against the reference parser in `tests/oracles.py`.
 
-The reference is the cascade of string splits that the scanner replaced.
+The reference reads every value by a cascade of string splits; the library
+captures most values with its one line pattern and reads only the rest,
+lists holding a word and malformed values, by a cascade of its own.
 On every input the two must agree: the same `repr` on success, or the same
 exception type and message, line number included.  Inputs are the demo
 problems, every fixture's serialized problem, edited demo problems (valid
@@ -8,10 +10,10 @@ and malformed), texts with several faults that pin which error is raised,
 and made texts: a mode's sections and keys with values of the right kind,
 padded with blanks, tabs, comments and `1 / 2` spacing, with lines dropped
 or made-up lines put in.  The last tests pin that long runs of blanks scan
-in linear time, that the scanner builds exactly one Fraction per rational
+in linear time, that the reader builds exactly one Fraction per rational
 that is not integral and none per integral one, that every integral
-rational reads as an int, and that a list of plain rationals is read
-without the token scanner.
+rational reads as an int, that no list of rationals and vectors reaches
+the cascade, and that long lists of vectors read in linear time.
 """
 
 import importlib.util
@@ -252,7 +254,7 @@ def _rationals(value) -> list:
 
 
 def test_parse_builds_one_fraction_per_rational(monkeypatch):
-    # the reference matched each rational twice; the scanner reads its
+    # the reference matched each rational twice; the reader takes its
     # digits once, builds one Fraction for a rational that is not integral
     # and none for an integral one
     texts = [p.read_text() for p in PROBLEMS]
@@ -282,17 +284,17 @@ def test_parse_builds_one_fraction_per_rational(monkeypatch):
     assert sum(counts) > 0
 
 
-def _workload_texts() -> list:
-    """The problem files of one block of each benchmark workload, seed 0;
-    the generator never imports valknaf."""
+def _workload_texts(seeds=(0,)) -> list:
+    """The problem files of one block of each benchmark workload at each
+    seed; the generator never imports valknaf."""
     path = Path(__file__).resolve().parent.parent / "perfbench" / "generate.py"
     spec = importlib.util.spec_from_file_location("perfbench_generate", path)
     generate = importlib.util.module_from_spec(spec)
     # its dataclasses look their module up while the class is built
     sys.modules[spec.name] = generate
     spec.loader.exec_module(generate)
-    return [item.text for workload in generate.WORKLOADS
-            for item in next(generate.blocks(workload, 0))]
+    return [item.text for workload in generate.WORKLOADS for seed in seeds
+            for item in next(generate.blocks(workload, seed))]
 
 
 def test_integral_rationals_read_as_ints():
@@ -323,41 +325,72 @@ def test_integral_rationals_read_as_ints():
                                                      int, int]
 
 
-def test_rational_lists_never_reach_the_token_scanner(monkeypatch):
-    # a list of plain rationals is captured by the line pattern and read in
-    # one scan; the token scanner serves only lists holding a vector or a
-    # word, and malformed values
-    scanned = []
+def test_only_words_and_faults_reach_the_cascade(monkeypatch):
+    # the line pattern captures every list of rationals and vectors; the
+    # cascade `_value` reads only a list holding a word, and malformed values
+    cascade = []
+    real = problemfile._value
 
-    class Recording:
-        def findall(self, *args):
-            scanned.append(args[0])
-            return real.findall(*args)
+    def recording(s, line):
+        cascade.append(s)
+        return real(s, line)
 
-    real = problemfile._TOKEN_RE
-    monkeypatch.setattr(problemfile, "_TOKEN_RE", Recording())
+    monkeypatch.setattr(problemfile, "_value", recording)
+
+    def parse_all(texts):
+        for text in texts:
+            try:
+                parse_problem(text)
+            except ProblemFileError:  # a workload's malformed file
+                pass
+
+    workloads = _workload_texts(seeds=(0, 1))
+    parse_all(workloads)
+    assert cascade == []
     texts = [p.read_text() for p in PROBLEMS]
     texts += [serialize(fx.problem) for fx in FIXTURES]
-    texts += _workload_texts()
-    lists = 0
-    for text in texts:
-        for line in text.splitlines():
-            value = line.split("#", 1)[0].partition("=")[2].strip()
-            if value.startswith("[") and "(" not in value and not any(
-                    c.isalpha() for c in value):
-                lists += 1
-        try:
-            parse_problem(text)
-        except ProblemFileError:
-            pass
-    assert lists > 100
-    assert all("(" in s or any(c.isalpha() for c in s) for s in scanned), (
-        scanned)
-    scanned.clear()
-    parse_problem(HEAD + "[base]\nfield = Q\np = 5\n[polynomial]\n"
-                  "coeffs = [ 1 / 2 ,-3,+4/6, 0 ]   # a comment\n")
-    assert scanned == []
-    with pytest.raises(ProblemFileError, match="line 7: zero denominator"):
-        parse_problem(HEAD + "[base]\nfield = Q\np = 5\n[polynomial]\n"
-                      f"coeffs = [1, 1/0, {HUGE}]\n")
-    assert scanned == []
+    parse_all(texts)
+    for s in cascade:
+        if not any(c.isalpha() for c in s):
+            with pytest.raises(ProblemFileError):
+                real(s, 1)
+    values = [line.split("#", 1)[0].partition("=")[2].strip()
+              for text in texts + workloads for line in text.splitlines()]
+    assert sum(v.startswith("[") and not any(c.isalpha() for c in v)
+               for v in values) > 100
+    cascade.clear()
+    problem = parse_problem(
+        "version = 1\nmode = split\n[base]\nfield = GF(5)\npi = [0,1]\n"
+        "[polynomial]\ncoeffs = [ ( 1 , 2 / 4 ) ,-3,( +4/6 ), 0 ]  # note\n")
+    assert repr(problem.get("polynomial", "coeffs")) == (
+        "((1, 1/2), -3, (2/3), 0)")
+    assert cascade == []
+    for coeffs, message in ((f"[1, 1/0, {HUGE}]", "zero denominator"),
+                            (f"[(1, {HUGE}), 1/0]", "integer of 4301")):
+        with pytest.raises(ProblemFileError, match=f"line 7: {message}"):
+            parse_problem(HEAD + "[base]\nfield = Q\np = 5\n[polynomial]\n"
+                          f"coeffs = {coeffs}\n")
+    assert cascade == []
+
+
+@pytest.mark.parametrize("tail", ["(1, x)", "(1, 2", "f(x)"])
+def test_long_vector_lists_read_in_linear_time(tail):
+    # a list that the line pattern gives up on at its last entry falls to
+    # the cascade; both must stay linear in the number of vectors
+    def text(n):
+        return (HEAD + "[base]\nfield = GF(5)\npi = [0, 1]\n[polynomial]\n"
+                "coeffs = [" + "(1, 2/3), " * n + tail + "]\n")
+
+    times = []
+    for n in (2_000, 8_000, 32_000):
+        best = float("inf")
+        for _ in range(3):
+            start = time.perf_counter()
+            outcome(parse_problem, text(n))
+            best = min(best, time.perf_counter() - start)
+        times.append(best)
+    # 16 times the vectors: 16 times the time when linear, 256 when
+    # quadratic
+    assert times[2] < 64 * times[0], times
+    assert times[2] < 2.0, times
+    assert_same(text(2_000))
