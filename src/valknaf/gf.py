@@ -36,20 +36,23 @@ bare list of codes, lowest degree first and without trailing zeros; `poly`'s
 kernel (`_axpy`, `_pmul`, `_pdivmod`, `_pgcd`) does all of its arithmetic
 on the field's ops, and `_ppowmod` adds powers mod a polynomial through
 `poly`'s square-and-multiply, reducing each product in place by the
-kernel's one division loop (`_preduce`).
+kernel's one division loop (`_preduce`).  `_frobenius_mod`, the one
+Frobenius kernel, makes a^p mod f by `frob` on the coefficients spread p
+apart and one `_preduce`, or by `_ppowmod` where that is cheaper (large p).
 Factorization is Cantor-Zassenhaus (a linear polynomial is its own factor,
-with no gcd): each squarefree part is split by
-distinct degrees, through gcds with x^(q^d) - x, and each product of
-factors of one degree d by equal-degree splitting on random polynomials,
-drawn from a generator with a constant seed, so results and operation
-counts repeat from run to run; the generator is made at the first
-equal-degree split, which most inputs never reach.
-Root search (`first_root`) uses the same splitter, at d = 1, on c x + a,
-isolates one root and returns the least code of its Frobenius orbit; its
-cost is polynomial in the degree and in log q, and nothing in the engine
-enumerates the elements of a field.  Embeddings and residue extensions
-share its roots through one cache, `_embedding_root`; an embedding
-evaluates an element's coordinates there by `Poly.__call__`.
+with no gcd): each squarefree part is split by distinct degrees, through
+gcds with x^(q^d) - x, each x^(q^d) n = log_p q Frobenius steps from the
+last, and each product of factors of one degree d by the trace splitter,
+one for every p, on random polynomials drawn from a generator with a
+constant seed, so results and operation counts repeat from run to run; the
+generator is made at the first equal-degree split, which most inputs never
+reach.
+Root search (`first_root`) uses the same trace, at d = 1, on c x + a,
+isolates one root and returns the least code of its orbit, walked by
+`frob`; its cost is polynomial in the degree and in log q, and nothing in
+the engine enumerates the elements of a field.  Embeddings and residue
+extensions share its roots through one cache, `_embedding_root`; an
+embedding evaluates an element's coordinates there by `Poly.__call__`.
 """
 
 from __future__ import annotations
@@ -113,7 +116,8 @@ def _canonical_modulus(p, n):
 
 
 # ---------------------------------------------------------------------------
-# arithmetic on codes: (add, sub, neg, mul, inv) for each kind of field
+# arithmetic on codes: (add, sub, neg, mul, inv) for each kind of field,
+# and the Frobenius a -> a^p beside them in a table field
 
 
 def _prime_ops(p):
@@ -308,7 +312,7 @@ def _table_ops(p, n, kernel):
 
     Sums of two logs index exp directly; differences of logs index zech
     with Python's negative indexing, which wraps them mod q - 1 because
-    zech repeats with that period.
+    zech repeats with that period.  The Frobenius a^p is one lookup.
     """
     _, exp, log, zech = _log_tables(p, n, kernel[3])
     order = p ** n - 1
@@ -320,8 +324,11 @@ def _table_ops(p, n, kernel):
     def inv(a):
         return exp[order - log[a]]
 
+    def frob(a):
+        return exp[log[a] * p % order] if a else 0
+
     if zech is None:
-        return kernel[0], kernel[1], kernel[2], mul, inv
+        return kernel[0], kernel[1], kernel[2], mul, inv, frob
 
     def add(a, b):
         if not a or not b:
@@ -342,7 +349,7 @@ def _table_ops(p, n, kernel):
     def neg(a):
         return exp[log[a] + half] if a else 0
 
-    return add, sub, neg, mul, inv
+    return add, sub, neg, mul, inv, frob
 
 
 class GFElement:
@@ -409,8 +416,10 @@ class FiniteField:
     """GF(p^n); use the `GF(p, n)` factory so fields are unique objects.
 
     An element is its int code; add, sub, neg, mul and inv act on codes,
-    `coerce` makes one from an int, a Fraction or a `GFElement`, and
-    `render` prints one.
+    and so does frob, the Frobenius a -> a^p: the identity on GF(p), one
+    lookup in a table field and square-and-multiply otherwise.  `coerce`
+    makes a code from an int, a Fraction or a `GFElement`, and `render`
+    prints one.
     """
 
     zero = 0
@@ -430,7 +439,10 @@ class FiniteField:
             ops = _digit_ops(p, n, self.modulus)
         if n > 1 and self.q <= _TABLE_MAX_Q:
             ops = _table_ops(p, n, ops)
-        self.add, self.sub, self.neg, self.mul, inv = ops
+        else:
+            mul = ops[3]
+            ops += ((lambda a: _power(mul, 1, a, p)) if n > 1 else _identity,)
+        self.add, self.sub, self.neg, self.mul, inv, self.frob = ops
 
         def checked_inv(a):
             if not a:
@@ -552,6 +564,26 @@ def _ppowmod(F, a, e, m):
     return _power(mulmod, [1], _pdivmod(F, a, m)[1], e)
 
 
+def _frobenius_mod(F, a, f):
+    """a^p mod f for code lists a and f.
+
+    The p-th power is additive in characteristic p: `frob` on the
+    coefficients of a, spread p apart, and one reduction by f of about
+    (len(a) - 1) p + 1 - deg f rows of deg f products.  Where the
+    bitlen(p) + popcount(p) - 2 products mod f of square-and-multiply, up
+    to 2 deg f^2 coefficient products each, are fewer (large p), `_ppowmod`
+    makes a^p.
+    """
+    p, m = F.p, len(f) - 1
+    size = (len(a) - 1) * p + 1
+    if size - m > 2 * m * (p.bit_length() + p.bit_count() - 2):
+        return _ppowmod(F, a, p, f)
+    out = [0] * size
+    out[::p] = map(F.frob, a)
+    _preduce(F, out, f)
+    return out
+
+
 # ---------------------------------------------------------------------------
 # factorization over GF(q)
 
@@ -560,8 +592,8 @@ def _squarefree(F, f):
     """[(g, m)] with monic f = prod g^m, the g monic squarefree coprime.
 
     Characteristic-p aware: the inseparable part is pulled out through
-    p-th roots (c -> c^(q/p) on the coefficients of x^0, x^p, ...), so
-    inputs like h(x^p) are handled exactly.
+    p-th roots (c -> c^(q/p), n - 1 `frob` steps, on the coefficients of
+    x^0, x^p, ...), so inputs like h(x^p) are handled exactly.
     """
     out = {}
 
@@ -582,7 +614,9 @@ def _squarefree(F, f):
         c = _pdivmod(F, c, y)[0]
         i += 1
     if len(c) > 1:
-        root = [_power(F.mul, 1, a, F.q // F.p) for a in c[::F.p]]
+        root = c[::F.p]
+        for _ in range(F.n - 1):
+            root = list(map(F.frob, root))
         for g, m in _squarefree(F, root):
             put(g, m * F.p)
     return [(g, m) for m, g in sorted(out.items())]
@@ -596,11 +630,13 @@ def _distinct_degree(F, f):
     search tries d while 2d <= deg f; what is left is irreducible and comes
     last.  The first pair has d = deg f exactly when f is irreducible, since
     a reducible f has a factor of degree <= deg f / 2 (Ben-Or's test).
+    x^(q^d) is x^(q^(d-1)) taken through n = log_p q Frobenius steps.
     """
     h = [0, 1]
     d = 1
     while 2 * d < len(f):
-        h = _ppowmod(F, h, F.q, f)
+        for _ in range(F.n):
+            h = _frobenius_mod(F, h, f)
         g = _pgcd(F, f, _axpy(F, h, F.neg(1), [0, 1]))
         if len(g) > 1:
             yield g, d
@@ -613,44 +649,45 @@ def _distinct_degree(F, f):
 def _equal_degree(F, f, d, rng):
     """The irreducible factors of f, a product of distinct ones of degree d.
 
-    f is split by its gcd with `_splitting_poly` of a random b of degree
-    below deg f (Cantor-Zassenhaus), and both parts again.
+    f is split by its gcd with `_splitting_poly` of the trace of a random b
+    of degree below deg f (Cantor-Zassenhaus), and both parts again.
     """
     if len(f) - 1 == d:
         return [f]
     while True:
         b = _trim([rng.randrange(F.q) for _ in range(len(f) - 1)])
-        g = _pgcd(F, f, _splitting_poly(F, b, f, d))
+        trace = _trace(F, b, f, F.n * d)
+        g = _pgcd(F, f, _splitting_poly(F, trace, f))
         if 1 < len(g) < len(f):
             return (_equal_degree(F, g, d, rng)
                     + _equal_degree(F, _pdivmod(F, f, g)[0], d, rng))
 
 
-def _splitting_poly(F, b, f, d):
-    """A polynomial whose gcd with f collects about half the factors of f.
+def _trace(F, b, f, k):
+    """sum_{i<k} b^(p^i) mod f, by k - 1 Frobenius steps.
 
-    f is a product of irreducibles of degree d, and on each of them b is an
-    element c of GF(q^d).  For odd q this is b^((q^d-1)/2) - 1, which
-    vanishes where c is a nonzero square; for q = 2^n it is the trace
-    sum_{i<nd} b^(2^i), which vanishes where Tr(c) = 0.
+    For f a product of distinct irreducibles of degree d over GF(q) and
+    k = log_p(q^d), it is b's absolute trace on each of them: on a factor
+    where b is c in GF(q^d), it is Tr(c), an element of GF(p).
     """
-    if F.p != 2:
-        return _axpy(F, _ppowmod(F, b, (F.q ** d - 1) // 2, f), F.neg(1), [1])
     power = trace = b
-    for _ in range(F.n * d - 1):
-        power = _square2(F, power, f)
+    for _ in range(k - 1):
+        power = _frobenius_mod(F, power, f)
         trace = _axpy(F, trace, 1, power)
     return trace
 
 
-def _square2(F, a, f):
-    """a^2 mod f in characteristic 2, where squaring is additive: the
-    coefficients are squared in place of a full product."""
-    mul = F.mul
-    sq = [0] * (2 * len(a) - 1)
-    sq[::2] = [mul(c, c) for c in a]
-    _preduce(F, sq, f)
-    return sq
+def _splitting_poly(F, trace, f):
+    """A polynomial whose gcd with f collects about half the factors of f.
+
+    trace is `_trace` of some b: on each factor of f, the absolute trace t
+    in GF(p) of b there.  For p = 2 this is trace itself, which vanishes
+    where t = 0; for odd p it is trace^((p-1)/2) - 1, which vanishes where
+    t is a nonzero square mod p.
+    """
+    if F.p == 2:
+        return trace
+    return _axpy(F, _ppowmod(F, trace, (F.p - 1) // 2, f), F.neg(1), [1])
 
 
 def factor(f: Poly):
@@ -681,14 +718,16 @@ def first_root(f: Poly, over: int) -> int:
 
     Contract: the coefficients of f lie in the subfield GF(p^over) of
     F = f.field, f is irreducible over it, and f splits in F.  Its roots are
-    then one orbit under x -> x^(p^over).  Equal-degree splitting isolates
-    one of them, keeping the smaller gcd factor at each split; b = c x + a
-    is drawn from all of F with c != 0 (an element of GF(p^over) never
-    separates two conjugate roots, and b = x + a never separates two roots
-    of equal trace in characteristic 2).  The least code of its orbit is
-    the answer.  The first split yields b^q mod f, and b^q = b, i.e.
-    x^q = x mod f, holds exactly when f has deg f distinct roots in F;
-    otherwise ValueError is raised.
+    then one orbit under x -> x^(p^over).  Equal-degree splitting by the
+    trace isolates one of them, keeping the smaller gcd factor at each
+    split; b = c x + a is drawn from all of F with c != 0 (an element of
+    GF(p^over) never separates two conjugate roots, and b = x + a never
+    separates two roots of equal trace).  The orbit is walked by `frob`,
+    and its least code is the answer.  The first split checks b^q = b,
+    i.e. x^q = x mod f, which holds exactly when f has deg f distinct roots
+    in F; otherwise ValueError is raised.  It reads b^q off the trace T of
+    b: T^p = T - b + b^q, so b^q = b exactly when T^p = T, and for odd p
+    T^p = h^2 T with h = T^((p-1)/2), which the splitter has made.
     """
     F = f.field
     g = _monic(F, f.coeffs)
@@ -699,16 +738,15 @@ def first_root(f: Poly, over: int) -> int:
     checked = False
     while len(g) > 2:
         b = [rng.randrange(F.q), rng.randrange(1, F.q)]
-        s = _splitting_poly(F, b, g, 1)
+        trace = _trace(F, b, g, F.n)
+        s = _splitting_poly(F, trace, g)
         if not checked:
-            # b^q from s: the trace s satisfies s^2 = s + b + b^q in
-            # characteristic 2; else s + 1 = b^((q-1)/2)
             if F.p == 2:
-                bq = _axpy(F, _axpy(F, _square2(F, s, g), 1, s), 1, b)
+                frobenius = _frobenius_mod(F, trace, g)
             else:
                 h = _axpy(F, s, 1, [1])
-                bq = _pdivmod(F, _pmul(F, _pmul(F, h, h), b), g)[1]
-            if bq != b:
+                frobenius = _pdivmod(F, _pmul(F, _pmul(F, h, h), trace), g)[1]
+            if frobenius != trace:
                 raise ValueError(f"{f!r} has no {d} distinct roots in {F!r}")
             checked = True
         h = _pgcd(F, g, s)
@@ -716,6 +754,6 @@ def first_root(f: Poly, over: int) -> int:
             rest = _pdivmod(F, g, h)[0]
             g = h if len(h) <= len(rest) else rest
     orbit = [F.neg(g[0])]
-    for _ in range(d - 1):
-        orbit.append(_power(F.mul, 1, orbit[-1], F.p ** over))
-    return min(orbit)
+    for _ in range((d - 1) * over):
+        orbit.append(F.frob(orbit[-1]))
+    return min(orbit[::over])

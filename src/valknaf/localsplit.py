@@ -257,12 +257,12 @@ MAX_DEPTH = 256
 DEFAULT_DEPTH = 16
 
 # images _is_squarefree tries.  split_extensions calls it only for a walk
-# that augments or raises.  At seeds 0 and 1 the first image to certify was
-# the code 0/1 on 12/6 and 13/6 of the 18 and 19 ft_split items that call
-# it (4 blocks, 144 items), the prime 2/3/5/7/11/13 on 218/213/120/43/15/3
-# and 183/215/137/47/8/4 of the 612 and 594 squarefree qp_split items that
-# call it (31 blocks, 1302 items), the 2nd to the 6th on the 126 of 147
-# wide_residue items that call it (7 blocks)
+# that augments twice, meets a repeated key divisor or raises.  At seeds 0
+# and 1 the first image to certify was the prime 2/3/5/7/11/13 on
+# 10/27/19/6/4/1 and 16/21/27/12/2/3 of the 67 and 81 squarefree qp_split
+# items that call it (31 blocks, 1302 items; the 31 non-squarefree items
+# call it too); no ft_split (4 blocks, 144 items) or wide_residue item
+# (7 blocks, 147 items) calls it
 _SQUAREFREE_TRIES = 6
 
 
@@ -279,9 +279,12 @@ def split_extensions(v: BaseValuation, g,
     The walk itself certifies squarefreeness: by Ore's theorem of the
     residual polynomial, a g whose residual factors are all simple and whose
     keys divide it at most once is squarefree over the completion, hence
-    over K.  So `_is_squarefree` runs only where that certificate fails: at
-    the first augmentation, at a repeated key divisor, or before the walk
-    raises; at most once per call, and a False from it is the error raised.
+    over K.  A g that is not squarefree cannot complete the walk, so a
+    repeated residual factor at depth 0 augments untested, and such a g
+    meets the test one augmentation later.  `_is_squarefree` runs at a
+    repeated residual factor from depth 1 on, at a repeated key divisor, or
+    before the walk raises; at most once per call, and a False from it is
+    the error raised, with the same message at every depth_limit.
     """
     g = _poly_over(v, g)
     if g.degree < 1:
@@ -318,8 +321,10 @@ def _explore(tower, key, G, steps, out, depth_limit, require_squarefree):
     """Expand G in the current key, appending its factors in branch order:
     `tower.edges` runs hull, tightness test and residual polynomial on int
     values, one Fraction per edge, and `factor_over` splits each residual.
-    A repeated key divisor or residual factor calls `require_squarefree`
-    first, since only a squarefree G lets either stand."""
+    A repeated key divisor, or a repeated residual factor after the first
+    key, calls `require_squarefree` first, since only a squarefree G lets
+    either stand; at the first key a repeated residual factor augments
+    untested, and a G that is not squarefree meets the call one step on."""
     digits = phi_expansion(G, key)
     divisor = ()
     if digits[0].is_zero():
@@ -345,7 +350,8 @@ def _explore(tower, key, G, steps, out, depth_limit, require_squarefree):
                     key.degree * e_seg * psi.degree, tower.denom * e_seg,
                     tower.residue_product() * psi.degree, branch))
                 continue
-            require_squarefree()
+            if steps:
+                require_squarefree()
             if len(steps) >= depth_limit:
                 raise UnresolvedBranchError(depth_limit, branch)
             deeper = tower.augment(key, -slope, psi)
@@ -386,7 +392,8 @@ def _is_squarefree(g: Poly) -> bool:
     """Exact squarefreeness over Q, Q(t) or F_q(t).
 
     `split_extensions` asks only where its walk leaves the question open:
-    at a repeated residual factor or key divisor, or before it raises.
+    at a repeated residual factor from depth 1 on, at a repeated key
+    divisor, or before it raises.
 
     In characteristic 0 this is gcd(g, g') = 1.  In characteristic p the
     x-derivative alone misses inseparable layers (g = h(x^p)), so the

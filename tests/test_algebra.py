@@ -514,6 +514,39 @@ def test_remainder_loop_matches_copying_kernel(name):
                     pgcd_copying(k, list(num.coeffs), list(den.coeffs)))
 
 
+FROBENIUS_FIELDS = {"GF(2)": (2, 1), "GF(3)": (3, 1), "GF(7)": (7, 1),
+                    "GF(13)": (13, 1), "GF(10^18+3)": (10 ** 18 + 3, 1),
+                    "table GF(3^4)": (3, 4), "table GF(2^5)": (2, 5),
+                    "digits GF(3^9)": (3, 9), "binary GF(2^14)": (2, 14)}
+
+
+@pytest.mark.parametrize("name", FROBENIUS_FIELDS)
+def test_frobenius_matches_powers(monkeypatch, name):
+    # frob is a -> a^p on codes, and _frobenius_mod is a^p mod f, whether
+    # it spreads a or hands it to _ppowmod; a runs from zero to three times
+    # the length of f, so both sides of that choice are taken
+    F = GF(*FROBENIUS_FIELDS[name])
+    rng = random.Random(f"frobenius:{name}")
+    delegated = []
+
+    def counting(*args):
+        delegated.append(args)
+        return _ppowmod(*args)
+
+    monkeypatch.setattr(gf, "_ppowmod", counting)
+    draws = [0, 1, F.q - 1] + [rng.randrange(F.q) for _ in range(60)]
+    assert [F.frob(a) for a in draws] == [power(F, a, F.p) for a in draws]
+    for _ in range(60):
+        f = _sweep_poly(F, lambda: rng.randrange(F.q), rng.randint(1, 8),
+                        monic=rng.random() < 0.8)
+        a = _sweep_poly(F, lambda: rng.randrange(F.q),
+                        rng.randint(-1, 3 * len(f)))
+        kept = list(a), list(f)
+        assert gf._frobenius_mod(F, a, f) == _ppowmod(F, a, F.p, f), (a, f)
+        assert (a, f) == kept
+    assert 0 < len(delegated) < 60
+
+
 def counting_random():
     """A stand-in for the module random whose Random counts the generators
     made and their randrange draws."""

@@ -858,8 +858,9 @@ def test_cli_close_roots_optimal_chain(tmp_path):
 
 def test_cli_non_squarefree_rejection_bounded(tmp_path):
     # h^2 of degree 120 over Q at p = 3: the walk factors its depth-0
-    # residual before it runs the gcd test that rejects the input, so in a
-    # child with a timeout, as for the formerly hanging inputs
+    # residual and augments once before it runs the gcd test that rejects
+    # the input, so in a child with a timeout, as for the formerly hanging
+    # inputs
     rng = random.Random("non-squarefree degree 120")
     h = [rng.randint(-9, 9) for _ in range(60)] + [1]
     g = [sum(h[i] * h[k - i] for i in range(max(0, k - 60), min(k, 60) + 1))
@@ -873,6 +874,27 @@ def test_cli_non_squarefree_rejection_bounded(tmp_path):
     assert proc.returncode == 2
     assert proc.stdout == ""
     assert proc.stderr == (
+        "inconsistent: input polynomial is not squarefree over the base "
+        "field (repeated factors, possibly of the form h(x^p))\n")
+
+
+@pytest.mark.parametrize("depth", ["1", "2", "256"])
+@pytest.mark.parametrize("field,coeffs", [
+    ("field = Q\np = 3", "[2, 5, 4, 1]"),        # (x + 1)^2 (x + 2)
+    ("field = Q\np = 3", "[16, 0, 16, 0, 12, 0, 4, 0, 1]"),  # h^2
+    ("field = GF(5)\npi = [0, 1]", "[4, 0, 4, 0, 1]"),  # (x^2 + 2)^2
+], ids=["key-divisor", "residual", "GF(5)(t)"])  # h = (x^2 + 1)^2 + 3
+def test_cli_non_squarefree_same_line_at_every_depth(tmp_path, capsys, field,
+                                                     coeffs, depth):
+    # the walk augments once without the gcd test and meets it one step
+    # later, however small the depth limit, with the one message
+    text = SPLIT5.replace("field = Q\np = 5", field).replace("[1, 0, 1]",
+                                                            coeffs)
+    path = write(tmp_path, "nonsq.prob", text)
+    assert cli.main(["split", "--file", path, "--depth", depth]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
         "inconsistent: input polynomial is not squarefree over the base "
         "field (repeated factors, possibly of the form h(x^p))\n")
 

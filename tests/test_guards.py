@@ -71,6 +71,11 @@ GUARDS = (
           "gf factors by distinct degrees and one equal-degree splitter; "
           "Berlekamp's kernel lives on only as the oracle in "
           "tests/oracles.py"),
+    Guard("one-frobenius",
+          r"def _square2|\*\* d - 1\) // 2", "src/valknaf/gf.py", None,
+          "x^(q^d), the trace splitter and root isolation take p-th powers "
+          "through the one Frobenius kernel, gf._frobenius_mod; the p = 2 "
+          "squaring and the odd-p splitter b^((q^d-1)/2) - 1 are gone"),
     Guard("wild-binomials-answered",
           r"WildBinomialError", LIBRARY, None,
           "an irreducible binomial with char k | n has e = n/g, f = g and "

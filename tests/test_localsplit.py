@@ -967,8 +967,9 @@ def test_squarefree_walk_matches_euclid():
 
 def test_squarefree_walk_runs_gate_once_where_needed(monkeypatch):
     """The gcd test runs only where the walk cannot certify squarefreeness:
-    never for a split resolved at depth 0, once for a split that augments,
-    however many branches do, and once for input that is not squarefree."""
+    never for a split whose branches augment at most once, once for a split
+    that augments twice, and once for input that is not squarefree, with
+    the same message wherever the walk meets it."""
     calls = []
     gate = localsplit._is_squarefree
 
@@ -985,8 +986,9 @@ def test_squarefree_walk_runs_gate_once_where_needed(monkeypatch):
         (V2, x * (x ** 2 - 2), 0, None),              # one key divisor
         (V3, x ** 5 - 3, 0, None),
         (vt, xt ** 3 - t, 0, None),                    # inseparable
-        (V3, (x ** 2 + 1) ** 2 + 3, 1, None),          # augments
-        (V3, ((x - 1) ** 2 + 3) * ((x + 1) ** 2 + 3), 1, None),  # twice
+        (V3, (x ** 2 + 1) ** 2 + 3, 0, None),          # augments once
+        (V3, ((x - 1) ** 2 + 3) * ((x + 1) ** 2 + 3), 0, None),  # two once
+        (V3, ((x ** 2 + 1) ** 2 + 3) ** 2 + 27, 1, None),  # augments twice
         (V3, (x + 1) ** 2 * (x + 2), 1, NOT_SQUAREFREE),
         (V3, x ** 2 * (x + 1), 1, NOT_SQUAREFREE),     # repeated key divisor
         (V3, ((x ** 2 + 1) ** 2 + 3) ** 2, 1, NOT_SQUAREFREE),
