@@ -27,16 +27,14 @@ from importlib import import_module
 # public name -> the submodule that defines it
 _OWNERS = {name: module for module, names in (
     ("ordgroup", ("LexGroup", "RationalVector", "initial_index",
-                  "initial_set", "lex_compare", "subgroup_index")),
+                  "initial_set", "subgroup_index")),
     ("raminv", ("ExtensionInvariants", "KnafVerdict", "defect",
                 "frobenius_defect", "knaf_decide", "ramification_index",
                 "validate")),
-    ("localsplit", ("BaseValuation", "LocalFactor", "NewtonPolygonSegment",
-                    "UnresolvedBranchError", "newton_polygon",
-                    "residual_polynomial", "split_extensions",
-                    "to_extension_invariants")),
+    ("localsplit", ("BaseValuation", "LocalFactor", "UnresolvedBranchError",
+                    "split_extensions", "to_extension_invariants")),
     ("monoval", ("BinomialExtensionSpec", "MonomialValuation",
-                 "ResidualDegreeError", "extend_binomial", "mono_value")),
+                 "ResidualDegreeError", "extend_binomial")),
     ("problemfile", ("ProblemFile", "ProblemFileError", "parse_problem",
                      "serialize")),
     ("fixtures", ("FIXTURES", "Fixture", "fixture")),

@@ -9,7 +9,7 @@ is a Fraction; only `val` gives one, `edges` one per polygon edge, and
 `augment` takes the new key's value as one.  `grade` expands each digit
 once and records, for the digits that attain the value, what `residue`
 needs to compute the class.  `edges` is the one Newton polygon, with its
-residual polynomials, for the MacLane walk and its depth-0 public views.
+residual polynomials, for the MacLane walk.
 
 The graded pieces are handled through explicit monomials pi^(a_0) *
 phi_1^(a_1) * ... * phi_i^(a_i).  Every value w in the current value group

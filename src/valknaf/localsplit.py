@@ -12,9 +12,8 @@ divides g exactly.  The supported bases are complete-residue discrete cases
 e*f = degree is validated on each factor and a violation is reported as
 inconsistent data rather than silently returned.
 
-The polygon step, with each edge's residual polynomial, is `Tower.edges`
-for `_explore` at every depth; `newton_polygon` and `residual_polynomial`
-are its depth-0 views.
+The polygon step, with each edge's residual polynomial, is `Tower.edges`,
+which `_explore` calls at every depth.
 """
 
 from __future__ import annotations
@@ -174,18 +173,6 @@ class BaseValuation:
 
 
 @dataclass(frozen=True)
-class NewtonPolygonSegment:
-    """One edge of a lower Newton polygon.
-
-    A segment of slope s and horizontal length l certifies l roots of
-    valuation -s.  Segments of one polygon have strictly increasing slopes.
-    """
-
-    slope: Fraction
-    length: int
-
-
-@dataclass(frozen=True)
 class LocalFactor:
     """One extension of the base valuation to K[x]/(g).
 
@@ -214,38 +201,6 @@ def _poly_over(v: BaseValuation, g) -> Poly:
     coefficient coerced as a value from outside: an int is an integer."""
     coeffs = g.coeffs if isinstance(g, Poly) else g
     return Poly(v.field, [v.field.coerce(c) for c in coeffs])
-
-
-def _stage0_edges(v: BaseValuation, g: Poly):
-    """`Tower(v).edges` of g's coefficients; their lengths sum to deg g."""
-    if g.degree < 1 or not g.is_monic():
-        raise ValueError("polygon needs a monic polynomial of degree >= 1")
-    if not g[0]:
-        raise ValueError("zero constant term: split off the zero root first")
-    return Tower(v).edges(phi_expansion(g, Poly.x(v.field)))
-
-
-def newton_polygon(v: BaseValuation, g) -> list:
-    """Lower Newton polygon of g: segments with strictly increasing slopes.
-
-    g must be monic with nonzero constant term (split zero roots off first).
-    """
-    return [NewtonPolygonSegment(slope=slope, length=x2 - x1)
-            for x1, x2, slope, _, _ in _stage0_edges(v, _poly_over(v, g))]
-
-
-def residual_polynomial(v: BaseValuation, g, seg: NewtonPolygonSegment) -> Poly:
-    """Residual polynomial of g along one of its Newton polygon segments.
-
-    The coefficients are residues of the lattice-point coefficients along
-    the segment; factoring the result over the residue field refines the
-    segment's contribution to the splitting.
-    """
-    g = _poly_over(v, g)
-    for x1, x2, slope, _, residual in _stage0_edges(v, g):
-        if NewtonPolygonSegment(slope=slope, length=x2 - x1) == seg:
-            return residual
-    raise ValueError(f"{seg} is not a segment of the polygon of {g!r}")
 
 
 # largest depth_limit: each augmentation step adds a frame to _explore, and

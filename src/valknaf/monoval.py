@@ -27,15 +27,13 @@ initial condition holds or fails depending on whether w is congruent mod
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, inf
+from math import gcd
 
 from .gf import FiniteField
 from .numtheory import iroot, primefactors
-from .ordgroup import LexGroup, RationalVector, lex_compare, subgroup_index
+from .ordgroup import LexGroup, RationalVector, subgroup_index
 from .poly import Poly, RationalField, power
 from .raminv import ExtensionInvariants
-
-INFINITY = inf
 
 # largest g = gcd(n, a, b), the degree of the residual polynomial T^g - c,
 # that extend_binomial builds; every fixture, demo and workload has g <= 12
@@ -66,10 +64,6 @@ class MonomialValuation:
         self.weight_x = wx
         self.weight_y = wy
 
-    @property
-    def residue_char(self) -> int:
-        return self.base_field.characteristic
-
     def value_group(self) -> LexGroup:
         return LexGroup(2, [self.weight_x, self.weight_y])
 
@@ -99,24 +93,6 @@ class BinomialExtensionSpec:
     def __repr__(self):
         return (f"BinomialExtensionSpec(z^{self.n} = "
                 f"{self.c} * x^{self.a} * y^{self.b})")
-
-
-def mono_value(v: MonomialValuation, poly):
-    """Lex-least weight of the monomials of poly; infinity for zero.
-
-    poly is a mapping (a, b) -> coefficient or an iterable of
-    (a, b, coefficient) triples; zero coefficients are ignored.
-    """
-    items = poly.items() if hasattr(poly, "items") else ((t[:2], t[2]) for t in poly)
-    best = None
-    k = v.base_field
-    for (a, b), c in items:
-        if not k.coerce(c):
-            continue
-        w = v.monomial_value(a, b)
-        if best is None or lex_compare(w, best) < 0:
-            best = w
-    return best if best is not None else INFINITY
 
 
 def _is_qth_power(field, c, q: int) -> bool:

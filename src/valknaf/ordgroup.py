@@ -35,30 +35,13 @@ class RationalVector(tuple):
     def __add__(self, other):
         return RationalVector(a + b for a, b in zip(self, other, strict=True))
 
-    def __sub__(self, other):
-        return RationalVector(a - b for a, b in zip(self, other, strict=True))
-
-    def __neg__(self):
-        return RationalVector(-a for a in self)
-
     def __mul__(self, c):
         return RationalVector(a * Fraction(c) for a in self)
 
     __rmul__ = __mul__
 
-    def is_zero(self):
-        return not any(self)
-
     def __repr__(self):
         return "(" + ", ".join(str(c) for c in self) + ")"
-
-
-def lex_compare(x, y) -> int:
-    """-1, 0 or 1 according to the lexicographic order on Q^r."""
-    if len(x) != len(y):
-        raise ValueError(f"vectors of lengths {len(x)} and {len(y)}")
-    x, y = tuple(x), tuple(y)
-    return (x > y) - (x < y)
 
 
 def _xgcd(a: int, b: int):
@@ -179,18 +162,6 @@ class LexGroup:
                 for j in range(c, self.rank):
                     rem[j] -= q * den * row[j]
         return None if any(rem) else coeffs
-
-    def solve(self, x):
-        """Integer coefficients expressing x over self.basis, or None."""
-        den, (nums,) = _clear_denominators([x])
-        if len(nums) != self.rank:
-            raise ValueError("ambient rank mismatch")
-        return self._coefficients(nums, den)
-
-    def contains(self, x) -> bool:
-        return self.solve(x) is not None
-
-    __contains__ = contains
 
     def scale(self, c):
         """The group c * self; c must be a positive rational."""

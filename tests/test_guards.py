@@ -6,8 +6,9 @@ scans (a glob from the repository root, less one file name it exempts) and
 the design fact it pins.  A new guard is one more row.  The tests after it
 pin that the fixture catalog is data, that every name the benchmark tracer
 and worker look up resolves, that every committed `BENCH_*.json` holds
-every end-to-end metric, and that both demos run, write no file and print
-no path of the machine they run on.
+every end-to-end metric, that both demos run, write no file and print
+no path of the machine they run on, and that every library function is
+called by an engine, CLI or demo input or is kept for a named reason.
 """
 
 import ast
@@ -55,8 +56,8 @@ GUARDS = (
           r"|def _lower_hull|def _segment_residual",
           "src/valknaf/localsplit.py", None,
           "Tower.edges grades the digits once and gives each edge with its "
-          "residual polynomial to the MacLane walk and to newton_polygon and "
-          "residual_polynomial; localsplit reads no tower value units"),
+          "residual polynomial to the MacLane walk; localsplit reads no "
+          "tower value units"),
     Guard("tables-tabulate-linear-maps",
           r"for a in range\(lo\)|range\(q // lo\)", "src/valknaf/gf.py", None,
           "gf._log_tables builds x -> x^p and x -> x g from the images of a "
@@ -107,6 +108,24 @@ GUARDS = (
 )
 
 
+def _child_env(**extra) -> dict:
+    """The environment of a child interpreter: this one's, with src/ first
+    on PYTHONPATH, plus extra."""
+    env = {**os.environ, **extra}
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    return env
+
+
+def _tracer():
+    """perfbench/tracer.py, loaded by path and only read."""
+    path = ROOT / "perfbench" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    return tracer
+
+
 def scope(guard: Guard) -> list:
     return sorted(p for p in ROOT.glob(guard.files) if p.name != guard.exclude)
 
@@ -146,11 +165,8 @@ def test_fixture_catalog_is_data():
 
 def test_benchmark_lookups_resolve():
     # perfbench/tracer.py wraps these names and perfbench/worker.py clears
-    # these caches; the tracer is loaded by path and only read
-    path = ROOT / "perfbench" / "tracer.py"
-    spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
-    tracer = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(tracer)
+    # these caches
+    tracer = _tracer()
     for layer, qualname, *_ in tracer.CALLS + tracer.ELEMENT_OPS:
         tracer._resolve(layer, qualname)
     from valknaf import funcfield, gf
@@ -183,12 +199,145 @@ def test_committed_benchmark_results_are_complete():
 def test_demo_runs_and_leaves_tmpdir_empty(demo, tmp_path):
     # a demo writes no file, so a fresh TMPDIR is left empty, and prints
     # neither TMPDIR nor the checkout's path, so every run prints the same
-    env = {**os.environ, "TMPDIR": str(tmp_path)}
-    env["PYTHONPATH"] = os.pathsep.join(
-        filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
-    proc = subprocess.run([sys.executable, str(demo)], cwd=ROOT, env=env,
+    proc = subprocess.run([sys.executable, str(demo)], cwd=ROOT,
+                          env=_child_env(TMPDIR=str(tmp_path)),
                           capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert not list(tmp_path.iterdir())
     assert str(tmp_path) not in proc.stdout
     assert str(ROOT) not in proc.stdout
+
+
+# runs in a child interpreter, so that no cache warmed by another test hides
+# a call: records the code object of every call under sys.setprofile over one
+# block of each benchmark workload at seed 0, the demo problems with and
+# without --porcelain, the fixture catalog, a split over Q(t) (the only path
+# into residuefield._factor_rational) and demos/invariants_tour.py, then
+# prints "<module> <first line>" of each valknaf code object called
+_REACH_PROBE = r'''
+import contextlib, importlib.util, io, runpy, sys
+from pathlib import Path
+
+root, path = Path(sys.argv[1]), Path(sys.argv[2])
+codes = set()
+sys.setprofile(lambda frame, event, arg:
+               event == "call" and codes.add(frame.f_code))
+
+spec = importlib.util.spec_from_file_location(
+    "perfbench_generate", root / "perfbench" / "generate.py")
+generate = importlib.util.module_from_spec(spec)
+sys.modules[spec.name] = generate
+spec.loader.exec_module(generate)
+from valknaf import cli
+from valknaf.fixtures import FIXTURES
+
+runs = [(item.text, item.argv(str(path))) for workload in generate.WORKLOADS
+        for item in next(generate.blocks(workload, 0))]
+for prob in sorted((root / "demos" / "problems").glob("*.prob")):
+    mode = prob.name.split("-")[0]
+    runs += [(prob.read_text(), [mode, "--file", str(path), *porcelain])
+             for porcelain in ((), ("--porcelain",))]
+runs.append(("version = 1\nmode = split\n[base]\nfield = Q(t)\npi = [0, 1]\n"
+             "[polynomial]\ncoeffs = [(-1, -1), 0, 1]\n",
+             ["split", "--file", str(path)]))
+runs += [(None, ["fixtures", *porcelain])
+         for porcelain in ((), ("--porcelain",))]
+runs += [(None, ["decide", fx.name]) for fx in FIXTURES]
+with contextlib.redirect_stdout(io.StringIO()), \
+        contextlib.redirect_stderr(io.StringIO()):
+    for text, argv in runs:
+        if text is not None:
+            path.write_text(text)
+        cli.main(argv)
+    runpy.run_path(str(root / "demos" / "invariants_tour.py"))
+sys.setprofile(None)
+src = root / "src" / "valknaf"
+for code in codes:
+    if Path(code.co_filename).parent == src:
+        print(Path(code.co_filename).stem, code.co_firstlineno)
+'''
+
+# functions and methods that no input of the probe above calls, each with
+# the reason it is kept
+_ERROR = "error path"
+_DUNDER = "protocol dunder"
+_REFERENCE = "reference arithmetic of the tests"
+_ROUND_TRIP = "serialize's round trip"
+_UNREACHED = {
+    "__init__.__dir__": _DUNDER,
+    "cli._UsageError.__init__": _ERROR,
+    "funcfield.FunctionField.__repr__": _DUNDER,
+    "funcfield.FunctionField.inv": "field adapter op, as poly divides",
+    "funcfield.RatFunc.__hash__": _DUNDER,
+    "funcfield.RatFunc.__repr__": _DUNDER,
+    "funcfield.RatFunc.__rsub__": _DUNDER,
+    "funcfield.RatFunc.__rtruediv__": _DUNDER,
+    "funcfield.RatFunc.__setattr__": _ERROR,
+    "gf.GFElement.__bool__": _DUNDER,
+    "gf.GFElement.__eq__": _DUNDER,
+    "gf.GFElement.__hash__": _DUNDER,
+    "gf.GFElement.__neg__": _REFERENCE,
+    "gf.GFElement.__repr__": _DUNDER,
+    "gf.GFElement.__setattr__": _ERROR,
+    "gf.GFElement.__sub__": _REFERENCE,
+    "gf.GFElement._wrap": "the GFElement operators' result",
+    "gf.GFElement.coeffs": "the printable element's coordinates",
+    "localsplit.BaseValuation.__init__": _ERROR,
+    "localsplit.BaseValuation.__repr__": _DUNDER,
+    "monoval.BinomialExtensionSpec.__repr__": _DUNDER,
+    "monoval.MonomialValuation.__repr__": _DUNDER,
+    "ordgroup.LexGroup.__eq__": _DUNDER,
+    "ordgroup.LexGroup.__hash__": _DUNDER,
+    "poly.Poly.__hash__": _DUNDER,
+    "poly.Poly.__mod__": _REFERENCE,
+    "poly.Poly.__setattr__": _ERROR,
+    "poly._psub": "the kernel of Poly.__sub__",
+    "problemfile.ProblemFileError.__init__": _ERROR,
+    "problemfile._fmt_value": _ROUND_TRIP,
+    "problemfile._item": _ERROR,
+    "problemfile._parts": _ERROR,
+    "problemfile._value": _ERROR,
+    "problemfile.serialize": _ROUND_TRIP,
+}
+
+
+def _library_functions() -> dict:
+    """(module, first line) -> "<module>.<qualname>" of every module-level
+    function and method; the first line is that of its first decorator, as
+    in its code object's co_firstlineno (co_qualname needs Python 3.11)."""
+    names = {}
+
+    def walk(body, module, prefix):
+        for node in body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                first = min([node.lineno] +
+                            [d.lineno for d in node.decorator_list])
+                names[module, first] = f"{module}.{prefix}{node.name}"
+            elif isinstance(node, ast.ClassDef):
+                walk(node.body, module, f"{prefix}{node.name}.")
+
+    for path in SRC.glob("*.py"):
+        walk(ast.parse(path.read_text()).body, path.stem, "")
+    return names
+
+
+def test_every_library_function_is_reached(tmp_path):
+    # a function that no engine, CLI path or demo calls is dead code: delete
+    # it, or name above why it stays; the benchmark tracer's lookups stay
+    # while perfbench/tracer.py wraps them by name
+    proc = subprocess.run(
+        [sys.executable, "-c", _REACH_PROBE, str(ROOT),
+         str(tmp_path / "item.prob")],
+        cwd=ROOT, env=_child_env(), capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    functions = _library_functions()
+    called = {functions.get((module, int(line)))
+              for module, line in map(str.split, proc.stdout.splitlines())}
+    tracer = _tracer()
+    traced = {f"{layer}.{qualname}"
+              for layer, qualname, *_ in tracer.CALLS + tracer.ELEMENT_OPS}
+    defined = set(functions.values())
+    unreached = sorted(defined - called - traced - set(_UNREACHED))
+    assert not unreached, "never called: " + ", ".join(unreached)
+    stale = sorted(set(_UNREACHED) & called | set(_UNREACHED) - defined)
+    assert not stale, "allowlisted but called or gone: " + ", ".join(stale)

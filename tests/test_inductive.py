@@ -10,9 +10,8 @@ from valknaf import inductive, residuefield
 from valknaf.funcfield import FunctionField, RatFunc
 from valknaf.gf import GF
 from valknaf.inductive import INFINITY, Tower, phi_expansion
-from valknaf.localsplit import (BaseValuation, NewtonPolygonSegment,
-                                _is_squarefree, newton_polygon,
-                                residual_polynomial, split_extensions)
+from valknaf.localsplit import (BaseValuation, _is_squarefree,
+                                split_extensions)
 from valknaf.poly import Poly, QQ, power
 from valknaf.residuefield import factor_over
 
@@ -181,8 +180,7 @@ def test_depth0_takes_classes_as_they_are(monkeypatch):
                       (vt, (xt ** 2 - t) * (xt + 1), [(2, 1, 2), (1, 1, 1)])):
         assert [(lf.e, lf.f, lf.degree)
                 for lf in split_extensions(v, g)] == efd, g
-        for seg in newton_polygon(v, g):
-            residual_polynomial(v, g, seg)
+        list(Tower(v).edges(phi_expansion(g, Poly.x(v.field))))
     assert not calls
     # a level above depth 0 still carries
     tower, _ = make_carry_tower()
@@ -493,7 +491,7 @@ def test_segment_residual_matches_reference(maker):
     # references, and every edge of the hull, skipped ones included, against
     # the Fraction oracle: for random G in the tower's key, plus one whose
     # only edge lies below the key's own value, and at depth 0 for a
-    # random g, whose edges the two public views give
+    # random g, whose digits in x are its coefficients
     tower, key = maker()
     rng = random.Random(30853)
     k, den = tower.depth, tower.denom
@@ -529,17 +527,12 @@ def test_segment_residual_matches_reference(maker):
         digits = [Poly.constant(g.field, c) for c in g.coeffs]
         edges, skips = reference_edges(base, digits)
         assert list(base.edges(digits)) == edges and not skips
-        assert newton_polygon(tower.base, g) == [
-            NewtonPolygonSegment(slope, x2 - x1)
-            for x1, x2, slope, _, _ in edges]
+        assert list(base.edges(phi_expansion(g, Poly.x(g.field)))) == edges
         vals = {j: tower.base.value_of(c) for j, c in enumerate(g.coeffs)
                 if c}
-        x1 = 0
-        for seg in newton_polygon(tower.base, g):
-            x2 = x1 + seg.length
-            assert residual_polynomial(tower.base, g, seg) == segment_residual(
-                base, digits, vals, -seg.slope, x1, x2)
-            x1 = x2
+        for x1, x2, slope, _, residual in edges:
+            assert residual == segment_residual(base, digits, vals, -slope,
+                                                x1, x2)
     assert skipped
 
 

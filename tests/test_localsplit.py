@@ -13,11 +13,10 @@ from oracles import (padic_factor_degrees, split_extensions_sorted,
 from valknaf import gf, inductive, localsplit
 from valknaf.funcfield import FunctionField, RatFunc, split_order
 from valknaf.gf import GF
+from valknaf.inductive import Tower, phi_expansion
 from valknaf.localsplit import (MAX_DEPTH, BaseValuation, LocalFactor,
-                                NewtonPolygonSegment, UnresolvedBranchError,
-                                newton_polygon, residual_polynomial,
-                                _is_squarefree, split_extensions,
-                                to_extension_invariants)
+                                UnresolvedBranchError, _is_squarefree,
+                                split_extensions, to_extension_invariants)
 from valknaf.ordgroup import LexGroup
 from valknaf.poly import Poly, QQ, poly_gcd
 from valknaf.raminv import knaf_decide
@@ -214,70 +213,46 @@ def test_stage0_value_additive_on_products(v):
 
 # -- newton polygons ---------------------------------------------------------
 
+def polygon(v, coeffs):
+    """(slope, length, residual polynomial) of each edge of the Newton
+    polygon of the polynomial with these coefficients: `Tower(v).edges` of
+    its x-adic digits, the walk's polygon step at depth 0."""
+    g = Poly(v.field, [v.field.coerce(c) for c in coeffs])
+    return [(slope, x2 - x1, residual) for x1, x2, slope, _, residual
+            in Tower(v).edges(phi_expansion(g, Poly.x(v.field)))]
+
+
 def test_polygon_examples():
-    assert newton_polygon(V2, [-2, 0, 1]) == [
-        NewtonPolygonSegment(slope=F(-1, 2), length=2)]
-    assert newton_polygon(V2, [-4, 0, 1]) == [
-        NewtonPolygonSegment(slope=F(-1), length=2)]
-    assert newton_polygon(V5, [1, 0, 1]) == [
-        NewtonPolygonSegment(slope=F(0), length=2)]
+    assert [edge[:2] for edge in polygon(V2, [-2, 0, 1])] == [(F(-1, 2), 2)]
+    assert [edge[:2] for edge in polygon(V2, [-4, 0, 1])] == [(F(-1), 2)]
+    assert [edge[:2] for edge in polygon(V5, [1, 0, 1])] == [(F(0), 2)]
 
 
 def test_polygon_two_segments():
     # (x^2 - 2)(x - 4) = x^3 - 4x^2 - 2x + 8: root valuations 1/2, 1/2, 2
-    segs = newton_polygon(V2, [8, -2, -4, 1])
-    assert segs == [NewtonPolygonSegment(slope=F(-2), length=1),
-                    NewtonPolygonSegment(slope=F(-1, 2), length=2)]
-    assert all(a.slope < b.slope for a, b in zip(segs, segs[1:]))
-    assert sum(s.length for s in segs) == 3
-
-
-def test_polygon_rejects_zero_constant_term():
-    with pytest.raises(ValueError):
-        newton_polygon(V2, [0, -2, 1])
-    with pytest.raises(ValueError):
-        newton_polygon(V2, [2, 0, 2])  # not monic
+    segs = [edge[:2] for edge in polygon(V2, [8, -2, -4, 1])]
+    assert segs == [(F(-2), 1), (F(-1, 2), 2)]
+    assert all(a < b for (a, _), (b, _) in zip(segs, segs[1:]))
+    assert sum(length for _, length in segs) == 3
 
 
 # -- residual polynomials ----------------------------------------------------
 
 def test_residual_examples():
-    seg = newton_polygon(V5, [1, 0, 1])[0]
-    r = residual_polynomial(V5, [1, 0, 1], seg)
+    [(_, _, r)] = polygon(V5, [1, 0, 1])
     assert r == Poly(GF(5, 1), [1, 0, 1])  # T^2 + 1 over F_5
 
-    seg = newton_polygon(V2, [-2, 0, 1])[0]
-    r = residual_polynomial(V2, [-2, 0, 1], seg)
+    [(_, _, r)] = polygon(V2, [-2, 0, 1])
     assert r == Poly(GF(2, 1), [1, 1])  # T - 1 = T + 1 over F_2
 
     vt = vt_over(3)
-    g = [-vt.field.t, 0, 1]
-    seg = newton_polygon(vt, g)[0]
-    r = residual_polynomial(vt, g, seg)
+    [(_, _, r)] = polygon(vt, [-vt.field.t, 0, 1])
     assert r == Poly(GF(3, 1), [2, 1])  # T - 1 over F_3
 
     # (x - 5)(x^2 + 2): the second segment starts at x = 1
-    g = [-10, 2, -5, 1]
-    first, second = newton_polygon(V5, g)
-    assert residual_polynomial(V5, g, first) == Poly(GF(5, 1), [3, 2])
-    assert residual_polynomial(V5, g, second) == Poly(GF(5, 1), [2, 0, 1])
-
-
-def test_residual_rejects_foreign_segment():
-    # a segment of another polygon, a non-monic g and a zero constant term,
-    # each with its message
-    seg = NewtonPolygonSegment(F(-1, 2), 2)
-    cases = [
-        ([-2, 0, 1], NewtonPolygonSegment(F(-1), 2),
-         "NewtonPolygonSegment(slope=Fraction(-1, 1), length=2) is not a "
-         "segment of the polygon of -2 + x^2"),
-        ([-2, 0, 2], seg, "polygon needs a monic polynomial of degree >= 1"),
-        ([0, -2, 1], seg, "zero constant term: split off the zero root first"),
-    ]
-    for g, segment, message in cases:
-        with pytest.raises(ValueError) as info:
-            residual_polynomial(V2, g, segment)
-        assert str(info.value) == message
+    first, second = polygon(V5, [-10, 2, -5, 1])
+    assert first[2] == Poly(GF(5, 1), [3, 2])
+    assert second[2] == Poly(GF(5, 1), [2, 0, 1])
 
 
 # -- split_extensions: named instances ---------------------------------------
@@ -504,12 +479,12 @@ def ore_index(v, g):
     heights at the abscissae 1, 2, ... under its negative-slope segments.
     For g integral and monic these end at height 0."""
     x0, y0, ind = 0, v.value_of(g[0]), 0
-    for seg in newton_polygon(v, g):
-        if seg.slope >= 0:
+    for slope, length, _ in polygon(v, g.coeffs):
+        if slope >= 0:
             break
-        ind += sum(math.floor(y0 + seg.slope * (x - x0))
-                   for x in range(x0 + 1, x0 + seg.length + 1))
-        x0, y0 = x0 + seg.length, y0 + seg.slope * seg.length
+        ind += sum(math.floor(y0 + slope * (x - x0))
+                   for x in range(x0 + 1, x0 + length + 1))
+        x0, y0 = x0 + length, y0 + slope * length
     assert y0 == 0
     return ind
 

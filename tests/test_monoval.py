@@ -2,15 +2,16 @@
 
 import random
 from fractions import Fraction as F
-from math import gcd, inf
+from math import gcd
 
 import pytest
 import sympy
 
 from valknaf.gf import GF
+from valknaf.localsplit import BaseValuation, split_extensions
 from valknaf.monoval import (MAX_RESIDUAL_DEGREE, BinomialExtensionSpec,
                              MonomialValuation, ResidualDegreeError,
-                             extend_binomial, mono_value)
+                             extend_binomial)
 from valknaf.ordgroup import initial_index, subgroup_index
 from valknaf.poly import QQ, Poly
 from valknaf.residuefield import factor_over
@@ -27,45 +28,6 @@ def single(v, spec):
     invs = extend_binomial(v, spec)
     assert len(invs) == 1
     return knaf_decide(invs[0])
-
-
-# -- mono_value ----------------------------------------------------------------
-
-def test_mono_value_examples():
-    assert mono_value(STD, {(2, 1): 1}) == (2, 1)
-    assert mono_value(STD, {(1, 0): 1, (0, 1): 1}) == (0, 1)
-    assert mono_value(STD, {(3, 0): 1, (1, 2): 1, (0, 5): 1}) == (0, 5)
-    assert mono_value(STD, {}) == inf
-    assert mono_value(STD, {(4, 4): 0}) == inf
-    assert mono_value(STD, [(1, 2, 3)]) == (1, 2)  # triple form
-
-
-def poly_mul(k, f, g):
-    out = {}
-    for (a1, b1), c1 in f.items():
-        for (a2, b2), c2 in g.items():
-            key = (a1 + a2, b1 + b2)
-            out[key] = out.get(key, k.zero) + c1 * c2
-    return out
-
-
-def test_mono_value_multiplicative():
-    rng = random.Random(20240820)
-    vals = [MonomialValuation(F5, (1, 0), (0, 1)),
-            MonomialValuation(F5, (F(2, 3), F(1, 2)), (1, 1)),
-            MonomialValuation(QQ, (3, 1), (F(1, 5), 2))]
-    for v in vals:
-        k = v.base_field
-        nonzero = ([x for x in k.elements() if x]
-                   if hasattr(k, "elements") else
-                   [F(1), F(-2), F(3, 4), F(7)])
-        for _ in range(25):
-            f = {(rng.randint(0, 5), rng.randint(0, 5)): rng.choice(nonzero)
-                 for _ in range(rng.randint(1, 4))}
-            g = {(rng.randint(0, 5), rng.randint(0, 5)): rng.choice(nonzero)
-                 for _ in range(rng.randint(1, 4))}
-            vf, vg = mono_value(v, f), mono_value(v, g)
-            assert mono_value(v, poly_mul(k, f, g)) == vf + vg
 
 
 def test_binomial_spec_error_branch():
@@ -330,3 +292,46 @@ def test_residual_degree_bound():
     # wild: the bound applies as for tame n
     with pytest.raises(ResidualDegreeError, match="residual degree"):
         extend_binomial(STD, BinomialExtensionSpec(5 * 2 ** 17, 0, 0, 2))
+
+
+# -- the binomial engine against the splitting engine -------------------------
+
+def test_binomial_matches_t_adic_split():
+    # with lex weights (1, 0), (0, 1) and a*b = 0, the one extension of
+    # z^n = c*x^a*y^b has the (e, f) of the t-adic split of z^n - c*t^(a+b)
+    # over k(t): e = n/g and f = g for g = gcd(n, a + b), and T^g - c is the
+    # residual polynomial of both.  binomial refuses z^n = c*x^a*y^b as
+    # reducible exactly when the split gives two or more factors or finds
+    # z^n - c*t^(a+b) not squarefree
+    rng = random.Random(20261021)
+    seen = {"accepted": 0, "split": 0, "not squarefree": 0}
+    for _ in range(400):
+        k = rng.choice((GF(2), GF(3), GF(5), GF(7), GF(2, 2), GF(3, 2)))
+        n, s = rng.randint(1, 12), rng.randint(0, 12)
+        code = rng.randrange(1, k.q)
+        a, b = rng.choice(((s, 0), (0, s)))
+        case = (k, n, a, b, code)
+        v = MonomialValuation(k, (1, 0), (0, 1))
+        spec = BinomialExtensionSpec(n, a, b, k.element(k.coords(code)))
+        # c enters k[t] by its code: coerce(int) would reduce it mod p
+        g = [Poly(k, [0] * s + [k.neg(code)])] + [0] * (n - 1) + [1]
+        vt = BaseValuation.pi_adic(k, [0, 1])
+        try:
+            [inv] = extend_binomial(v, spec)
+        except ValueError as exc:
+            assert "is reducible" in str(exc), case
+            try:
+                factors = split_extensions(vt, g)
+            except ValueError as exc:
+                assert "not squarefree" in str(exc), case
+                seen["not squarefree"] += 1
+            else:
+                assert len(factors) >= 2, case
+                seen["split"] += 1
+            continue
+        seen["accepted"] += 1
+        e, f = knaf_decide(inv).e, inv.residue_degree
+        assert (e, f) == (n // gcd(n, s), gcd(n, s)), case
+        factors = split_extensions(vt, g)
+        assert [(lf.e, lf.f) for lf in factors] == [(e, f)], case
+    assert min(seen.values()) >= 20, seen

@@ -9,7 +9,7 @@ import pytest
 from valknaf.gf import GF
 from valknaf.monoval import MonomialValuation
 from valknaf.ordgroup import (LexGroup, RationalVector, _hnf, initial_index,
-                              initial_set, lex_compare, subgroup_index)
+                              initial_set, subgroup_index)
 
 from oracles import (coset_count_box, initial_index_box, initial_set_box,
                      ref_hnf)
@@ -17,23 +17,21 @@ from oracles import (coset_count_box, initial_index_box, initial_set_box,
 F = Fraction
 
 
-def test_lex_compare():
-    assert lex_compare((0, 0), (0, 0)) == 0
-    assert lex_compare((0, 1), (1, -5)) == -1
-    assert lex_compare((1, -5), (0, 100)) == 1
-    assert lex_compare((F(1, 2), 0), (F(1, 3), 9)) == 1
-    with pytest.raises(ValueError):
-        lex_compare((1,), (1, 2))
+def contains(group, x):
+    """Is x in the group?  subgroup_index raises ValueError when the
+    subgroup generated by x is not inside the group."""
+    try:
+        subgroup_index(group, LexGroup(group.rank, [x]))
+    except ValueError:
+        return False
+    return True
 
 
 def test_vector_arithmetic():
     v = RationalVector((F(1, 2), 3))
     w = RationalVector((F(1, 2), -1))
     assert v + w == RationalVector((1, 2))
-    assert v - w == RationalVector((0, 4))
     assert 2 * v == RationalVector((1, 6))
-    assert (-v).is_zero() is False
-    assert (v - v).is_zero()
     # an int or a non-integral Fraction entry is kept, not copied; other
     # entries are read like poly.QQ reads them
     half, big = F(1, 2), 10 ** 30
@@ -56,12 +54,12 @@ def test_canonical_basis_independent_of_generators():
 
 def test_contains():
     g = LexGroup(2, [(F(1, 2), 0), (0, F(1, 3))])
-    assert g.contains((F(3, 2), F(2, 3)))
-    assert not g.contains((F(1, 3), 0))
-    assert (0, 0) in g
+    assert contains(g, (F(3, 2), F(2, 3)))
+    assert not contains(g, (F(1, 3), 0))
+    assert contains(g, (0, 0))
     zero = LexGroup(2, [])
-    assert zero.contains((0, 0))
-    assert not zero.contains((1, 0))
+    assert contains(zero, (0, 0))
+    assert not contains(zero, (1, 0))
 
 
 def test_subgroup_index_spec_pair():
@@ -133,14 +131,14 @@ def test_lexgroup_rank_error_branches():
         LexGroup(2, [(1,)])
     assert str(exc.value) == "generator (1) has length 1, expected 2"
     with pytest.raises(ValueError) as exc:
-        LexGroup(2, [(1, 0)]).solve((1, 0, 0))
+        subgroup_index(LexGroup(2, [(1, 0)]), LexGroup(3, [(1, 0, 0)]))
     assert str(exc.value) == "ambient rank mismatch"
 
 
 def test_scale():
     g = LexGroup(2, [(F(1, 2), 0), (0, F(1, 3))])
     h = g.scale(F(7, 2))
-    assert h.contains((F(7, 4), 0))
+    assert contains(h, (F(7, 4), 0))
     assert g.scale(2).scale(F(1, 2)) == g
     with pytest.raises(ValueError):
         g.scale(0)
@@ -268,7 +266,7 @@ def test_basis_is_rational_hnf(rank, gens, basis):
     assert all(type(c) is (int if c.denominator == 1 else Fraction)
                for b in g.basis for c in b)
     assert LexGroup(rank, g.basis) == g
-    assert all(g.solve(x) is not None for x in gens)
+    assert all(contains(g, x) for x in gens)
 
 
 def test_entries_follow_qq_convention():
@@ -292,7 +290,7 @@ def test_generators_read_as_fractions():
     half = LexGroup(1, [(F(1, 2),)])
     assert LexGroup(1, [("1/2",)]) == half
     assert LexGroup(1, [(0.5,)]) == half
-    assert half.contains(("3/2",)) and not half.contains((0.25,))
+    assert contains(half, ("3/2",)) and not contains(half, (0.25,))
 
 
 def _random_rows(rng, ncols):
