@@ -30,6 +30,61 @@ def single(v, spec):
     return knaf_decide(invs[0])
 
 
+# -- monomial values -----------------------------------------------------------
+
+def value(v, poly):
+    """Lex-least `monomial_value` of the monomials of poly, a mapping
+    (a, b) -> coefficient, with a nonzero coefficient; None for zero."""
+    k = v.base_field
+    return min((v.monomial_value(a, b) for (a, b), c in poly.items()
+                if k.coerce(c)), default=None)
+
+
+def test_mono_value_examples():
+    assert STD.monomial_value(2, 1) == (2, 1)
+    assert value(STD, {(2, 1): 1}) == (2, 1)
+    assert value(STD, {(1, 0): 1, (0, 1): 1}) == (0, 1)
+    assert value(STD, {(3, 0): 1, (1, 2): 1, (0, 5): 1}) == (0, 5)
+    assert value(STD, {}) is None
+    assert value(STD, {(4, 4): 0}) is None
+    skew = MonomialValuation(QQ, (3, 1), (F(1, 5), 2))
+    assert skew.monomial_value(2, 5) == (7, 12)
+    assert skew.monomial_value(0, 0) == (0, 0)
+
+
+def poly_mul(k, f, g):
+    out = {}
+    for (a1, b1), c1 in f.items():
+        for (a2, b2), c2 in g.items():
+            key = (a1 + a2, b1 + b2)
+            out[key] = out.get(key, k.zero) + c1 * c2
+    return out
+
+
+def test_mono_value_multiplicative():
+    # Z-independent weights give distinct monomials distinct values, so the
+    # lex-least monomial of a product is the product of the lex-least ones
+    # and never cancels
+    rng = random.Random(20240820)
+    vals = [MonomialValuation(F5, (1, 0), (0, 1)),
+            MonomialValuation(F5, (F(2, 3), F(1, 2)), (1, 1)),
+            MonomialValuation(QQ, (3, 1), (F(1, 5), 2))]
+    for v in vals:
+        k = v.base_field
+        nonzero = ([x for x in k.elements() if x]
+                   if hasattr(k, "elements") else
+                   [F(1), F(-2), F(3, 4), F(7)])
+        monomials = [(a, b) for a in range(6) for b in range(6)]
+        assert len({v.monomial_value(a, b) for a, b in monomials}) == 36
+        for _ in range(25):
+            f = {(rng.randint(0, 5), rng.randint(0, 5)): rng.choice(nonzero)
+                 for _ in range(rng.randint(1, 4))}
+            g = {(rng.randint(0, 5), rng.randint(0, 5)): rng.choice(nonzero)
+                 for _ in range(rng.randint(1, 4))}
+            vf, vg = value(v, f), value(v, g)
+            assert value(v, poly_mul(k, f, g)) == vf + vg
+
+
 def test_binomial_spec_error_branch():
     with pytest.raises(ValueError) as exc:
         BinomialExtensionSpec(0, 1, 0, 1)

@@ -27,6 +27,19 @@ def contains(group, x):
     return True
 
 
+def test_lex_compare():
+    # RationalVectors compare in the lexicographic order of Q^r, the order
+    # of the value groups, which initial_set sorts by
+    R = RationalVector
+    assert not R((0, 0)) < R((0, 0)) and R((0, 0)) == R((0, 0))
+    assert R((0, 1)) < R((1, -5))
+    assert R((1, -5)) > R((0, 100))
+    assert R((F(1, 2), 0)) > R((F(1, 3), 9))
+    wit = initial_set(LexGroup(2, [(1, 0), (0, 1)]),
+                      LexGroup(2, [(2, 0), (0, 3)]))
+    assert wit == sorted(wit) == [R((0, 0)), R((0, 1)), R((0, 2))]
+
+
 def test_vector_arithmetic():
     v = RationalVector((F(1, 2), 3))
     w = RationalVector((F(1, 2), -1))
