@@ -106,7 +106,8 @@ class RatFunc:
 
     def __pow__(self, e: int):
         if e < 0:
-            return (self.parent.one / self) ** (-e)
+            return RatFunc(self.parent, self.denominator ** -e,
+                           self.numerator ** -e)
         return RatFunc(self.parent, self.numerator ** e,
                        self.denominator ** e)
 
@@ -284,7 +285,7 @@ class FunctionField:
         return RatFunc(self, Poly.constant(self.base, c), Poly.one(self.base))
 
     def inv(self, a):
-        return self.one / a
+        return RatFunc(self, a.denominator, a.numerator)
 
     def __repr__(self):
         return f"{self.base}(t)"

@@ -47,10 +47,11 @@ one for every p, on random polynomials drawn from a generator with a
 constant seed, so results and operation counts repeat from run to run; the
 generator is made at the first equal-degree split, which most inputs never
 reach.
-Root search (`first_root`) uses the same trace, at d = 1, on c x + a,
-isolates one root and returns the least code of its orbit, walked by
-`frob`; its cost is polynomial in the degree and in log q, and nothing in
-the engine enumerates the elements of a field.  Embeddings and residue
+Root search (`first_root`) checks x^q = x once, as T^p = T through
+`_frobenius_mod` for the same trace T at d = 1 on c x + a, isolates one
+root and returns the least code of its orbit, walked by `frob`; its cost
+is polynomial in the degree and in log q, and nothing in the engine
+enumerates the elements of a field.  Embeddings and residue
 extensions share its roots through one cache, `_embedding_root`; an
 embedding evaluates an element's coordinates there by `Poly.__call__`.
 """
@@ -726,8 +727,8 @@ def first_root(f: Poly, over: int) -> int:
     and its least code is the answer.  The first split checks b^q = b,
     i.e. x^q = x mod f, which holds exactly when f has deg f distinct roots
     in F; otherwise ValueError is raised.  It reads b^q off the trace T of
-    b: T^p = T - b + b^q, so b^q = b exactly when T^p = T, and for odd p
-    T^p = h^2 T with h = T^((p-1)/2), which the splitter has made.
+    b through `_frobenius_mod`: T^p = T - b + b^q, so b^q = b exactly when
+    T^p = T.
     """
     F = f.field
     g = _monic(F, f.coeffs)
@@ -739,17 +740,10 @@ def first_root(f: Poly, over: int) -> int:
     while len(g) > 2:
         b = [rng.randrange(F.q), rng.randrange(1, F.q)]
         trace = _trace(F, b, g, F.n)
-        s = _splitting_poly(F, trace, g)
-        if not checked:
-            if F.p == 2:
-                frobenius = _frobenius_mod(F, trace, g)
-            else:
-                h = _axpy(F, s, 1, [1])
-                frobenius = _pdivmod(F, _pmul(F, _pmul(F, h, h), trace), g)[1]
-            if frobenius != trace:
-                raise ValueError(f"{f!r} has no {d} distinct roots in {F!r}")
-            checked = True
-        h = _pgcd(F, g, s)
+        if not checked and _frobenius_mod(F, trace, g) != trace:
+            raise ValueError(f"{f!r} has no {d} distinct roots in {F!r}")
+        checked = True
+        h = _pgcd(F, g, _splitting_poly(F, trace, g))
         if 1 < len(h) < len(g):
             rest = _pdivmod(F, g, h)[0]
             g = h if len(h) <= len(rest) else rest

@@ -143,8 +143,9 @@ class Poly:
                      _padd(self.field, self.coeffs, self._operand(other)))
 
     def __sub__(self, other):
-        return _poly(self.field,
-                     _psub(self.field, self.coeffs, self._operand(other)))
+        F = self.field
+        return _poly(F, _axpy(F, self.coeffs, F.neg(F.one),
+                              self._operand(other)))
 
     def __neg__(self):
         neg = self.field.neg
@@ -281,12 +282,6 @@ def _padd(F, a, b):
             x = out[i]
             out[i] = add(x, y) if x else y
     return _trim(out)
-
-
-def _psub(F, a, b):
-    """a - b."""
-    neg = F.neg
-    return _padd(F, a, [neg(y) for y in b])
 
 
 def _axpy(F, a, c, b):

@@ -721,12 +721,14 @@ def test_first_root_beyond_enumeration():
 @pytest.mark.parametrize("p,coeffs", [
     (5, [-2, 0, 1]), (2, [1, 1, 1]), (7, [1, 0, 1]),
     (5, [1, -2, 1]), (2, [1, 0, 1]), (3, [1, 0, 0, 1]),
+    (10 ** 9 + 7, [-5, 0, 1]),
 ], ids=["no-root-5", "no-root-2", "no-root-7", "double-5", "double-2",
-        "triple-3"])
+        "triple-3", "no-root-large-p"])
 def test_first_root_rejects_contract_breach(p, coeffs):
     # no roots, or a repeated root: x^q = x mod f fails, and the search
     # raises instead of splitting forever; a quadratic irreducible over
-    # GF(p) stays irreducible over GF(p^3)
+    # GF(p) stays irreducible over GF(p^3).  5 is no square mod 10^9 + 7,
+    # and there the check takes T^p by square-and-multiply
     for n in (1, 3):
         field = GF(p, n)
         with pytest.raises(ValueError):

@@ -73,10 +73,13 @@ GUARDS = (
           "Berlekamp's kernel lives on only as the oracle in "
           "tests/oracles.py"),
     Guard("one-frobenius",
-          r"def _square2|\*\* d - 1\) // 2", "src/valknaf/gf.py", None,
+          r"def _square2|\*\* d - 1\) // 2|_pmul\(F, h, h\)",
+          "src/valknaf/gf.py", None,
           "x^(q^d), the trace splitter and root isolation take p-th powers "
           "through the one Frobenius kernel, gf._frobenius_mod; the p = 2 "
-          "squaring and the odd-p splitter b^((q^d-1)/2) - 1 are gone"),
+          "squaring and the odd-p splitter b^((q^d-1)/2) - 1 are gone, and "
+          "root isolation checks T^p = T through _frobenius_mod, not as "
+          "h^2 T"),
     Guard("wild-binomials-answered",
           r"WildBinomialError", LIBRARY, None,
           "an irreducible binomial with char k | n has e = n/g, f = g and "
@@ -291,7 +294,6 @@ _UNREACHED = {
     "poly.Poly.__hash__": _DUNDER,
     "poly.Poly.__mod__": _REFERENCE,
     "poly.Poly.__setattr__": _ERROR,
-    "poly._psub": "the kernel of Poly.__sub__",
     "problemfile.ProblemFileError.__init__": _ERROR,
     "problemfile._fmt_value": _ROUND_TRIP,
     "problemfile._item": _ERROR,
