@@ -5,8 +5,8 @@ polynomial of degree n in the enumeration that counts coefficient vectors
 (c_0, ..., c_{n-1}) as base-p integers; irreducibility is Ben-Or's test
 over GF(p), the first step of distinct-degree splitting.  Fields are
 cached, so equal parameters give the identical object (`GF(p, 1)` is
-`GF(p)`) and elements can be compared freely; only the prime field's build
-tests p.
+`GF(p)`); a field built apart is equal, and so are its elements; only the
+prime field's build tests p.
 
 An element of GF(p^n) is one int, its canonical code sum c_i p^i, and the
 field's ops `add`, `sub`, `neg`, `mul` and `inv` act on codes (Cohen, GTM
@@ -361,7 +361,7 @@ class GFElement:
     (`FiniteField.element`), and `coerce` turns it into its code.  Its
     operators compute through the field's ops on codes.  c_0, ..., c_{n-1}
     are its coordinates over F_p in the basis 1, y, ..., y^(n-1); `coeffs`
-    derives them from the code.  Equality and hashing compare codes.
+    derives them from the code.  Equality compares codes and fields.
     """
 
     __slots__ = ("field", "_code")
@@ -383,7 +383,7 @@ class GFElement:
 
     def __eq__(self, other):
         return (other.__class__ is GFElement and self._code == other._code
-                and self.field is other.field)
+                and self.field == other.field)
 
     def __hash__(self):
         return hash(self._code)
@@ -457,7 +457,7 @@ class FiniteField:
         if isinstance(x, int):
             return x % self.p
         if x.__class__ is GFElement:
-            if x.field is self or (x.field.p == self.p and x.field.n == 1):
+            if x.field.p == self.p and x.field.n in (1, self.n):
                 return x._code
             raise ValueError(f"cannot coerce element of {x.field} into {self}")
         if isinstance(x, Fraction):
@@ -597,11 +597,6 @@ def _squarefree(F, f):
     x^0, x^p, ...), so inputs like h(x^p) are handled exactly.
     """
     out = {}
-
-    def put(g, m):
-        if len(g) > 1:
-            out[m] = _pmul(F, out[m], g) if m in out else g
-
     c = _pgcd(F, f, _derivative(F, f))
     if len(c) == 1:
         # gcd(f, f') = 1, most inputs: f is squarefree (or constant)
@@ -610,7 +605,9 @@ def _squarefree(F, f):
     i = 1
     while len(w) > 1:
         y = _pgcd(F, w, c)
-        put(_pdivmod(F, w, y)[0], i)
+        g = _pdivmod(F, w, y)[0]
+        if len(g) > 1:
+            out[i] = g
         w = y
         c = _pdivmod(F, c, y)[0]
         i += 1
@@ -618,8 +615,8 @@ def _squarefree(F, f):
         root = c[::F.p]
         for _ in range(F.n - 1):
             root = list(map(F.frob, root))
-        for g, m in _squarefree(F, root):
-            put(g, m * F.p)
+        # the Yun loop gives the m prime to p, the p-th root the multiples
+        out.update((m * F.p, g) for g, m in _squarefree(F, root))
     return [(g, m) for m, g in sorted(out.items())]
 
 

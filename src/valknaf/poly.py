@@ -20,7 +20,8 @@ zeros; the zero polynomial has degree -1.  `Poly` stores the elements it
 is given as they are: it never coerces, so the codes of a finite field are
 never reduced again as integers.  Its arithmetic is the kernel at the end
 of this module, on lists of elements, which reads the field's ops once per
-operation; its one division loop, `_preduce`, reduces a list in place.
+operation: its one a + c*b loop, `_axpy`, skips the products when c is one,
+and its one division loop, `_preduce`, reduces a list in place.
 Its one Horner loop is `Poly.__call__`, which `gf.embed` also calls.
 Division by a monic polynomial multiplies by no inverse, so dividing an
 integral polynomial by a monic integral one never leaves the integers.
@@ -128,7 +129,7 @@ class Poly:
                 and self.coeffs == other.coeffs)
 
     def __hash__(self):
-        return hash((id(self.field), self.coeffs))
+        return hash((self.field, self.coeffs))
 
     def _operand(self, other):
         """Coefficient list of a polynomial or an element of the field."""
@@ -139,8 +140,8 @@ class Poly:
         return (other,) if other else ()
 
     def __add__(self, other):
-        return _poly(self.field,
-                     _padd(self.field, self.coeffs, self._operand(other)))
+        F = self.field
+        return _poly(F, _axpy(F, self.coeffs, F.one, self._operand(other)))
 
     def __sub__(self, other):
         F = self.field
@@ -271,29 +272,18 @@ def _trim(a):
     return a
 
 
-def _padd(F, a, b):
-    """a + b."""
-    if len(a) < len(b):
-        a, b = b, a
-    add = F.add
-    out = list(a)
-    for i, y in enumerate(b):
-        if y:
-            x = out[i]
-            out[i] = add(x, y) if x else y
-    return _trim(out)
-
-
 def _axpy(F, a, c, b):
-    """a + c*b for an element c."""
+    """a + c*b for an element c, with no product when c is F.one."""
     if not c:
         return list(a)
     add, mul = F.add, F.mul
+    scale = c != F.one
     out = list(a)
     out += [F.zero] * (len(b) - len(a))
     for i, y in enumerate(b):
         if y:
-            y = mul(c, y)
+            if scale:
+                y = mul(c, y)
             x = out[i]
             out[i] = add(x, y) if x else y
     return _trim(out)

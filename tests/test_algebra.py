@@ -427,6 +427,28 @@ def test_squarefree_decomposition_inseparable_part():
                                                    (g, 3)]
 
 
+def test_squarefree_merges_no_multiplicity(monkeypatch):
+    # the Yun loop gives multiplicities prime to p, the p-th-root recursion
+    # multiples of p, so no two parts ever share one: no part is a product
+    rng = random.Random("squarefree merge")
+    cases = []
+    for p, n in ((2, 1), (3, 1), (5, 1), (2, 2), (3, 2), (2, 3)):
+        F = GF(p, n)
+        for _ in range(20):
+            f = Poly.one(F)
+            for _ in range(rng.randint(1, 3)):
+                g = rand_gf_poly(rng, F, rng.randint(1, 2), monic=True)
+                f = f * g ** rng.randint(1, 12)
+            cases.append((F, list(f.coeffs)))
+
+    def no_product(*args):
+        raise AssertionError("gf._squarefree multiplied two parts")
+
+    expected = [squarefree_full_loop(F, f) for F, f in cases]
+    monkeypatch.setattr(gf, "_pmul", no_product)
+    assert [_squarefree(F, f) for F, f in cases] == expected
+
+
 # -- the one remainder loop and the factorizer's setup -----------------------
 # poly._preduce reduces in place; the kernel that copied the dividend and
 # made a quotient at every step, and the factorizer that ran its whole
@@ -807,6 +829,20 @@ def test_gf_coercion():
         k9.coerce(1.0)
     with pytest.raises(ValueError):
         GF(6, 1)
+
+
+def test_equal_fields_built_apart_give_equal_elements():
+    # a field built apart from the cached one, as every field built before
+    # GF.cache_clear() is to every field built after it
+    for p, n in ((3, 2), (2, 3), (5, 1)):
+        F, G = GF(p, n), FiniteField(p, n)
+        assert F == G and F is not G
+        assert F.coerce(G.element([1] * n)) == F.coerce(F.element([1] * n))
+        assert F.element([1] * n) == G.element([1] * n)
+        a, b = Poly(F, [1, 2, 1]), Poly(G, [1, 2, 1])
+        assert a == b and hash(a) == hash(b) and len({a, b}) == 1
+    with pytest.raises(ValueError):
+        GF(3, 2).coerce(FiniteField(3, 3).element([1, 1]))
 
 
 # -- int-coded elements against a digit-tuple reference -------------------------

@@ -103,11 +103,13 @@ GUARDS = (
           r"acc = add\(mul\(acc", LIBRARY, "poly.py",
           "Poly.__call__ is the one Horner loop, which gf.embed calls"),
     Guard("one-polynomial-arithmetic",
-          r"elem_key|sort_key|from_coeff_lists|def (x|t)_derivative",
+          r"elem_key|sort_key|from_coeff_lists|def (x|t)_derivative"
+          r"|def _padd\b",
           LIBRARY, None,
           "a field adapter is its ops, coerce and render: factors sort by "
-          "(degree, coefficients), d/dx is poly._derivative, and coerce is "
-          "the one way into k(t)"),
+          "(degree, coefficients), d/dx is poly._derivative, coerce is "
+          "the one way into k(t), and a + c*b is poly._axpy alone, also "
+          "for a sum"),
 )
 
 
